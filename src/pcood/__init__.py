@@ -11,8 +11,7 @@ from .errors import (CapacityError, FormatError, ParseError, PcoodError,
                      StructuralError, TruncatedStreamError, ValidationError)
 from .pointcloud import (ID_COLOR, OOD_COLOR, SEMANTIC3D_CLASS_COUNT,
                          SEMANTIC3D_CLASS_NAMES, IdOodMask, LabeledCloud,
-                         PointRecord, parse_semantic3d, strip_color,
-                         write_idood_map)
+                         parse_semantic3d, write_idood_map)
 from .predictive import (PredictiveDistribution, PredictiveTensor, TensorKind,
                          aggregate, read_tensor, softmax_row, write_tensor)
 from .scores import (ScoreKind, ScoreVector, entropy, msp_complement,
@@ -35,8 +34,8 @@ __all__ = [
     "CapacityError", "FormatError", "ParseError", "PcoodError",
     "StructuralError", "TruncatedStreamError", "ValidationError",
     "ID_COLOR", "OOD_COLOR", "SEMANTIC3D_CLASS_COUNT",
-    "SEMANTIC3D_CLASS_NAMES", "IdOodMask", "LabeledCloud", "PointRecord",
-    "parse_semantic3d", "strip_color", "write_idood_map",
+    "SEMANTIC3D_CLASS_NAMES", "IdOodMask", "LabeledCloud",
+    "parse_semantic3d", "write_idood_map",
     "PredictiveDistribution", "PredictiveTensor", "TensorKind", "aggregate",
     "read_tensor", "softmax_row", "write_tensor",
     "ScoreKind", "ScoreVector", "entropy", "msp_complement",

@@ -13,17 +13,18 @@ Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._io import atomic_outputs
 from .errors import TruncatedStreamError, ValidationError
 from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
-                         confusion_merge, confusion_new, confusion_accumulate,
+                         confusion_new, confusion_accumulate,
                          apply_threshold, argmax_labels, exact_auroc,
                          hist_accumulate, hist_auroc, hist_merge, hist_new,
                          hist_new_range, optimal_threshold, roc_curve,
@@ -39,41 +40,39 @@ from .synth import (GaussianPairSpec, sample_scores_chunk, synth_tensor_blocks)
 DEFAULT_K_SWEEP = (1, 5, 10, 15, 20)
 
 _KIND_FLAGS = {"msp": ScoreKind.MSP_COMPLEMENT, "entropy": ScoreKind.ENTROPY}
-_MODES = ("exact", "hist", "auto")
 
 
-@dataclass
-class RunConfig:
-    """One validated CLI invocation."""
+# Path arguments per subcommand, in the order empty ones are reported.
+_PATH_ROLES = {
+    "aggregate": ("in", "out"),
+    "score": ("in", "out"),
+    "auroc": ("id", "ood", "out"),
+    "roc": ("id", "ood", "out"),
+    "iou": ("points", "labels", "pred", "out"),
+    "map": ("points", "pred", "roc", "out"),
+    "synth": ("out_id", "out_ood"),
+}
 
-    subcommand: str
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    kind: ScoreKind = ScoreKind.MSP_COMPLEMENT
-    k: int | None = None
-    k_list: tuple | None = None
-    bins: int = DEFAULT_BIN_COUNT
-    mode: str = "auto"
-    threshold: float | None = None
-    workers: int = 1
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for role, path in {**self.inputs, **self.outputs}.items():
-            if not path:
-                raise ValidationError(f"{self.subcommand}: empty path for {role}")
-        if self.k is not None and self.k < 1:
-            raise ValidationError(f"--k must be >= 1, got {self.k}")
-        if self.k_list is not None:
-            if not self.k_list or any(k < 1 for k in self.k_list):
-                raise ValidationError(f"--k-list entries must be >= 1, got {self.k_list}")
-        if self.bins < 2:
-            raise ValidationError(f"--bins must be >= 2, got {self.bins}")
-        if self.mode not in _MODES:
-            raise ValidationError(f"--mode must be one of {_MODES}, got {self.mode!r}")
-        if self.workers < 1:
-            raise ValidationError(f"--workers must be >= 1, got {self.workers}")
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject flag values no run can use, before any file is opened."""
+    sc = args.subcommand
+    if sc == "map" and (args.threshold is None) == (args.roc is None):
+        raise ValidationError("map needs exactly one of --threshold or --roc")
+    for role in _PATH_ROLES[sc]:
+        if getattr(args, "input" if role == "in" else role) == "":
+            raise ValidationError(f"{sc}: empty path for {role}")
+    k = getattr(args, "k", None)
+    if k is not None and k < 1:
+        raise ValidationError(f"--k must be >= 1, got {k}")
+    k_list = getattr(args, "k_list", None)
+    if k_list is not None and any(k < 1 for k in k_list):
+        raise ValidationError(f"--k-list entries must be >= 1, got {k_list}")
+    bins = getattr(args, "bins", DEFAULT_BIN_COUNT)
+    if bins < 2:
+        raise ValidationError(f"--bins must be >= 2, got {bins}")
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +110,18 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _load_tensor(path: str) -> PredictiveTensor:
-    with open(path, "rb") as f:
-        try:
-            return read_tensor(f)
-        except (ValidationError, TruncatedStreamError) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+@contextlib.contextmanager
+def _named(path: str):
+    """Prefix the message of an input error raised in the block with `path`."""
+    try:
+        yield
+    except (ValidationError, TruncatedStreamError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _load_tensor(path: str):
+    with open(path, "rb") as f, _named(path):
+        return read_tensor(f)
 
 
 def _load_scores_or_tensor(path: str):
@@ -125,31 +130,94 @@ def _load_scores_or_tensor(path: str):
         head = f.read(len(TENSOR_MAGIC))
     if head == TENSOR_MAGIC:
         return "tensor", _load_tensor(path)
-    with open(path, "rb") as f:
-        try:
-            return "scores", read_scores_csv(f)
-        except ValidationError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+    with open(path, "rb") as f, _named(path):
+        return "scores", read_scores_csv(f)
 
 
-def _tensor_scores(tensor: PredictiveTensor, kind: ScoreKind, k: int,
-                   workers: int) -> np.ndarray:
-    """Aggregate k members and score every point, sharded over points."""
+def _load_pair(args: argparse.Namespace):
+    """Load --id and --ood as (form, id, ood): two tensors or two score CSVs."""
+    id_form, id_data = _load_scores_or_tensor(args.id)
+    ood_form, ood_data = _load_scores_or_tensor(args.ood)
+    if id_form != ood_form:
+        raise ValidationError(
+            "--id and --ood must both be tensors or both be score CSVs"
+        )
+    if id_form == "scores":
+        if args.k is not None or getattr(args, "k_list", None) is not None:
+            raise ValidationError("--k/--k-list apply to tensor inputs only")
+    elif id_data.n_classes != ood_data.n_classes:
+        raise ValidationError(
+            f"class counts differ: {id_data.n_classes} vs {ood_data.n_classes}"
+        )
+    return id_form, id_data, ood_data
 
-    def shard(a, b):
-        sub = PredictiveTensor(tensor.values[:, a:b, :], tensor.kind)
-        return score_distribution(aggregate(sub, k), kind).scores
 
-    parts = _run_shards(shard, _shards(tensor.n_points, workers), workers)
-    return np.concatenate(parts) if parts else np.zeros(0)
+def _load_scene(args: argparse.Namespace, labels: str | None = None):
+    """Load --pred and the --points cloud (with `labels`); sizes must match."""
+    tensor = _load_tensor(args.pred)
+    with open(args.points, "rb") as pf, \
+            (contextlib.nullcontext() if labels is None
+             else open(labels, "rb")) as lf, \
+            _named(args.points):
+        cloud = parse_semantic3d(pf, lf, class_count=tensor.n_classes)
+    if len(cloud) != tensor.n_points:
+        raise ValidationError(
+            f"cloud has {len(cloud)} points but tensor has {tensor.n_points}"
+        )
+    return tensor, cloud
 
 
-def _resolve_k(config: RunConfig, tensor: PredictiveTensor) -> list:
-    if config.k_list is not None:
-        return list(config.k_list)
-    if config.k is not None:
-        return [config.k]
-    return [tensor.n_members]
+def _k(args: argparse.Namespace, tensor) -> int:
+    """Members to average: --k, or every member of the tensor."""
+    return tensor.n_members if args.k is None else args.k
+
+
+def _over_points(tensor, k: int, workers: int, fn) -> np.ndarray:
+    """fn of the k-member average of each point shard, in point order."""
+    parts = _run_shards(lambda a, b: fn(aggregate(tensor, k, a, b)),
+                        _shards(tensor.n_points, workers), workers)
+    return np.concatenate(parts)
+
+
+def _scores(tensor, kind: ScoreKind, k: int, workers: int) -> np.ndarray:
+    return _over_points(tensor, k, workers,
+                        lambda dist: score_distribution(dist, kind).scores)
+
+
+def _pair_scores(form: str, id_data, ood_data, kind: ScoreKind, k,
+                 workers: int):
+    """(id, ood) score arrays: score CSVs as read, tensors scored at k."""
+    if form == "scores":
+        return id_data, ood_data
+    return (_scores(id_data, kind, k, workers),
+            _scores(ood_data, kind, k, workers))
+
+
+def _pooled_hist(id_scores: np.ndarray, ood_scores: np.ndarray,
+                 n_classes: int | None, kind: ScoreKind, bins: int,
+                 workers: int):
+    """One histogram of both populations, merged in shard order.
+
+    Tensor scores are binned over the score domain of `n_classes`; raw
+    score CSVs (n_classes None) over their pooled range.
+    """
+    if n_classes is not None:
+        factory = lambda: hist_new(kind, n_classes, bins)
+    else:
+        if id_scores.size == 0 or ood_scores.size == 0:
+            raise ValidationError("both populations must be non-empty")
+        lo = float(min(id_scores.min(), ood_scores.min()))
+        hi = float(max(id_scores.max(), ood_scores.max()))
+        if not lo < hi:
+            hi = lo + 1.0  # all scores identical; a single occupied bin is fine
+        factory = lambda: hist_new_range(lo, hi, bins)
+    shard_args = [(values[a:b], population)
+                  for values, population in ((id_scores, "id"), (ood_scores, "ood"))
+                  for a, b in _shards(values.shape[0], workers)]
+    parts = _run_shards(lambda values, population:
+                        hist_accumulate(factory(), values, population),
+                        shard_args, workers)
+    return functools.reduce(hist_merge, parts)
 
 
 def _provenance(inputs) -> list:
@@ -164,20 +232,13 @@ def _provenance(inputs) -> list:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_aggregate(config: RunConfig) -> int:
-    tensor = _load_tensor(config.inputs["in"])
-    k = config.k if config.k is not None else tensor.n_members
-
-    def shard(a, b):
-        sub = PredictiveTensor(tensor.values[:, a:b, :], tensor.kind)
-        return aggregate(sub, k).probs
-
-    parts = _run_shards(shard, _shards(tensor.n_points, config.workers),
-                        config.workers)
-    probs = np.concatenate(parts) if parts else np.zeros((0, tensor.n_classes))
+def cmd_aggregate(args: argparse.Namespace) -> int:
+    tensor = _load_tensor(args.input)
+    k = _k(args, tensor)
+    probs = _over_points(tensor, k, args.workers, lambda dist: dist.probs)
     out = PredictiveTensor(probs[np.newaxis].astype(np.float32),
                            TensorKind.PROBABILITIES)
-    with atomic_outputs([config.outputs["out"]]) as (sink,):
+    with atomic_outputs([args.out]) as (sink,):
         write_tensor(out, sink)
     dev = np.abs(np.sum(out.values[0], axis=-1, dtype=np.float64) - 1.0)
     max_dev = float(dev.max()) if dev.size else 0.0
@@ -186,185 +247,88 @@ def cmd_aggregate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_score(config: RunConfig) -> int:
-    tensor = _load_tensor(config.inputs["in"])
-    k = config.k if config.k is not None else tensor.n_members
-    values = _tensor_scores(tensor, config.kind, k, config.workers)
-    with atomic_outputs([config.outputs["out"]]) as (sink,):
+def cmd_score(args: argparse.Namespace) -> int:
+    tensor = _load_tensor(args.input)
+    values = _scores(tensor, _KIND_FLAGS[args.kind], _k(args, tensor),
+                     args.workers)
+    with atomic_outputs([args.out]) as (sink,):
         write_scores_csv(values, sink)
     return 0
 
 
-def _hist_over_shards(values: np.ndarray, population: str, hist_factory,
-                      workers: int):
-    """Per-shard histograms merged in shard order; deterministic for any W."""
-    def shard(a, b):
-        return hist_accumulate(hist_factory(), values[a:b], population)
-
-    parts = _run_shards(shard, _shards(values.shape[0], workers), workers)
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = hist_merge(merged, part)
-    return merged
-
-
-def _score_inputs(config: RunConfig):
-    """Load --id/--ood, via tensors (with k) or raw score CSVs."""
-    id_form, id_data = _load_scores_or_tensor(config.inputs["id"])
-    ood_form, ood_data = _load_scores_or_tensor(config.inputs["ood"])
-    if id_form != ood_form:
-        raise ValidationError(
-            "--id and --ood must both be tensors or both be score CSVs"
-        )
-    return id_form, id_data, ood_data
-
-
-def cmd_auroc(config: RunConfig) -> int:
-    form, id_data, ood_data = _score_inputs(config)
-    entries = [("command", "auroc")]
-    entries += _provenance([("id", config.inputs["id"]),
-                            ("ood", config.inputs["ood"])])
-    entries.append(("kind", config.kind.value))
-    entries.append(("tie_rule", TIE_RULE))
-
+def cmd_auroc(args: argparse.Namespace) -> int:
+    kind = _KIND_FLAGS[args.kind]
+    form, id_data, ood_data = _load_pair(args)
     if form == "scores":
-        if config.k is not None or config.k_list is not None:
-            raise ValidationError("--k/--k-list apply to tensor inputs only")
+        n_classes = None
         n_id, n_ood = id_data.shape[0], ood_data.shape[0]
-        mode = config.mode
-        if mode == "auto":
-            mode = "exact" if n_id + n_ood <= EXACT_MODE_MAX_POINTS else "hist"
-        entries.append(("mode", mode))
-        if mode == "hist":
-            entries.append(("bins", config.bins))
-        entries.append(("n_id", n_id))
-        entries.append(("n_ood", n_ood))
-        if mode == "exact":
-            value = exact_auroc(id_data, ood_data)
-        else:
-            value = hist_auroc_over(id_data, ood_data, config.bins, config.workers)
-        entries.append(("auroc", value))
+        rows = [("auroc", None)]
     else:
-        ks = _resolve_k(config, id_data)
-        if id_data.n_classes != ood_data.n_classes:
-            raise ValidationError(
-                f"class counts differ: {id_data.n_classes} vs {ood_data.n_classes}"
-            )
+        n_classes = id_data.n_classes
         n_id, n_ood = id_data.n_points, ood_data.n_points
-        mode = config.mode
-        if mode == "auto":
-            mode = "exact" if n_id + n_ood <= EXACT_MODE_MAX_POINTS else "hist"
-        entries.append(("mode", mode))
-        if mode == "hist":
-            entries.append(("bins", config.bins))
-        entries.append(("n_id", n_id))
-        entries.append(("n_ood", n_ood))
-        for k in ks:
-            id_scores = _tensor_scores(id_data, config.kind, k, config.workers)
-            ood_scores = _tensor_scores(ood_data, config.kind, k, config.workers)
-            if mode == "exact":
-                value = exact_auroc(id_scores, ood_scores)
-            else:
-                factory = lambda: hist_new(config.kind, id_data.n_classes,
-                                           config.bins)
-                hist = _hist_over_shards(id_scores, "id", factory, config.workers)
-                hist = hist_merge(hist, _hist_over_shards(
-                    ood_scores, "ood", factory, config.workers))
-                value = hist_auroc(hist)
-            entries.append((f"auroc_k{k}", value))
+        rows = [(f"auroc_k{k}", k)
+                for k in args.k_list or [_k(args, id_data)]]
+    mode = args.mode
+    if mode == "auto":
+        mode = "exact" if n_id + n_ood <= EXACT_MODE_MAX_POINTS else "hist"
 
-    with atomic_outputs([config.outputs["out"]]) as (sink,):
+    entries = [("command", "auroc")]
+    entries += _provenance([("id", args.id), ("ood", args.ood)])
+    entries += [("kind", kind.value), ("tie_rule", TIE_RULE), ("mode", mode)]
+    if mode == "hist":
+        entries.append(("bins", args.bins))
+    entries += [("n_id", n_id), ("n_ood", n_ood)]
+    for key, k in rows:
+        id_scores, ood_scores = _pair_scores(form, id_data, ood_data, kind, k,
+                                             args.workers)
+        if mode == "exact":
+            value = exact_auroc(id_scores, ood_scores)
+        else:
+            value = hist_auroc(_pooled_hist(id_scores, ood_scores, n_classes,
+                                            kind, args.bins, args.workers))
+        entries.append((key, value))
+
+    with atomic_outputs([args.out]) as (sink,):
         write_metrics_report(entries, sink)
     return 0
 
 
-def hist_auroc_over(id_values: np.ndarray, ood_values: np.ndarray,
-                    bins: int, workers: int) -> float:
-    """Histogram AUROC of raw score arrays over their pooled range."""
-    if id_values.size == 0 or ood_values.size == 0:
-        raise ValidationError("both populations must be non-empty")
-    lo = float(min(id_values.min(), ood_values.min()))
-    hi = float(max(id_values.max(), ood_values.max()))
-    if not lo < hi:
-        hi = lo + 1.0  # all scores identical; a single occupied bin is fine
-    factory = lambda: hist_new_range(lo, hi, bins)
-    hist = _hist_over_shards(id_values, "id", factory, workers)
-    hist = hist_merge(hist, _hist_over_shards(ood_values, "ood", factory, workers))
-    return hist_auroc(hist)
-
-
-def cmd_roc(config: RunConfig) -> int:
-    form, id_data, ood_data = _score_inputs(config)
-    metadata = [("kind", config.kind.value), ("bins", config.bins),
-                ("tie_rule", TIE_RULE)]
+def cmd_roc(args: argparse.Namespace) -> int:
+    kind = _KIND_FLAGS[args.kind]
+    form, id_data, ood_data = _load_pair(args)
     if form == "scores":
-        if config.k is not None or config.k_list is not None:
-            raise ValidationError("--k/--k-list apply to tensor inputs only")
-        id_scores, ood_scores = id_data, ood_data
-        if id_scores.size == 0 or ood_scores.size == 0:
-            raise ValidationError("both populations must be non-empty")
-        lo = float(min(id_scores.min(), ood_scores.min()))
-        hi = float(max(id_scores.max(), ood_scores.max()))
-        if not lo < hi:
-            hi = lo + 1.0
-        factory = lambda: hist_new_range(lo, hi, config.bins)
-        k = None
+        n_classes = k = None
     else:
-        if id_data.n_classes != ood_data.n_classes:
-            raise ValidationError(
-                f"class counts differ: {id_data.n_classes} vs {ood_data.n_classes}"
-            )
-        k = config.k if config.k is not None else id_data.n_members
-        id_scores = _tensor_scores(id_data, config.kind, k, config.workers)
-        ood_scores = _tensor_scores(ood_data, config.kind, k, config.workers)
-        factory = lambda: hist_new(config.kind, id_data.n_classes, config.bins)
-    hist = _hist_over_shards(id_scores, "id", factory, config.workers)
-    hist = hist_merge(hist, _hist_over_shards(ood_scores, "ood", factory,
-                                              config.workers))
+        n_classes, k = id_data.n_classes, _k(args, id_data)
+    id_scores, ood_scores = _pair_scores(form, id_data, ood_data, kind, k,
+                                         args.workers)
+    hist = _pooled_hist(id_scores, ood_scores, n_classes, kind, args.bins,
+                        args.workers)
     curve = roc_curve(hist)
     threshold, j = optimal_threshold(curve)
+    metadata = [("kind", kind.value), ("bins", args.bins),
+                ("tie_rule", TIE_RULE)]
     if k is not None:
         metadata.append(("k", k))
     metadata += [("n_id", hist.n_id), ("n_ood", hist.n_ood),
                  ("youden_threshold", threshold), ("youden_j", j)]
-    metadata += _provenance([("id", config.inputs["id"]),
-                             ("ood", config.inputs["ood"])])
-    with atomic_outputs([config.outputs["out"]]) as (sink,):
+    metadata += _provenance([("id", args.id), ("ood", args.ood)])
+    with atomic_outputs([args.out]) as (sink,):
         write_roc_csv(curve, sink, metadata)
     return 0
 
 
-def cmd_iou(config: RunConfig) -> int:
-    tensor = _load_tensor(config.inputs["pred"])
-    with open(config.inputs["points"], "rb") as pf, \
-            open(config.inputs["labels"], "rb") as lf:
-        try:
-            cloud = parse_semantic3d(pf, lf, class_count=tensor.n_classes)
-        except ValidationError as exc:
-            raise type(exc)(f"{config.inputs['points']}: {exc}") from None
-    if len(cloud) != tensor.n_points:
-        raise ValidationError(
-            f"cloud has {len(cloud)} points but tensor has {tensor.n_points}"
-        )
-    k = config.k if config.k is not None else tensor.n_members
-
-    def shard(a, b):
-        sub = PredictiveTensor(tensor.values[:, a:b, :], tensor.kind)
-        predicted = argmax_labels(aggregate(sub, k))
-        return confusion_accumulate(confusion_new(tensor.n_classes),
-                                    predicted, cloud.labels[a:b])
-
-    parts = _run_shards(shard, _shards(tensor.n_points, config.workers),
-                        config.workers)
-    matrix = parts[0]
-    for part in parts[1:]:
-        matrix = confusion_merge(matrix, part)
+def cmd_iou(args: argparse.Namespace) -> int:
+    tensor, cloud = _load_scene(args, args.labels)
+    k = _k(args, tensor)
+    predicted = _over_points(tensor, k, args.workers, argmax_labels)
+    matrix = confusion_accumulate(confusion_new(tensor.n_classes), predicted,
+                                  cloud.labels)
     metrics = seg_metrics(matrix)
 
     entries = [("command", "iou")]
-    entries += _provenance([("points", config.inputs["points"]),
-                            ("labels", config.inputs["labels"]),
-                            ("pred", config.inputs["pred"])])
+    entries += _provenance([("points", args.points), ("labels", args.labels),
+                            ("pred", args.pred)])
     entries += [("k", k), ("n_classes", tensor.n_classes),
                 ("total_counted", matrix.total_counted),
                 ("ignored", matrix.ignored),
@@ -372,80 +336,58 @@ def cmd_iou(config: RunConfig) -> int:
     for c in range(tensor.n_classes):
         entries.append((f"per_class_iou_{c + 1}", float(metrics.per_class_iou[c])))
     entries.append(("accuracy", metrics.accuracy))
-    with atomic_outputs([config.outputs["out"]]) as (sink,):
+    with atomic_outputs([args.out]) as (sink,):
         write_metrics_report(entries, sink)
     return 0
 
 
-def cmd_map(config: RunConfig) -> int:
-    tensor = _load_tensor(config.inputs["pred"])
-    with open(config.inputs["points"], "rb") as pf:
-        try:
-            cloud = parse_semantic3d(pf, class_count=tensor.n_classes)
-        except ValidationError as exc:
-            raise type(exc)(f"{config.inputs['points']}: {exc}") from None
-    if len(cloud) != tensor.n_points:
-        raise ValidationError(
-            f"cloud has {len(cloud)} points but tensor has {tensor.n_points}"
-        )
-    k = config.k if config.k is not None else tensor.n_members
-    if config.threshold is not None:
-        threshold = config.threshold
-    else:
-        with open(config.inputs["roc"], "rb") as f:
-            try:
-                _, metadata = read_roc_csv(f)
-            except ValidationError as exc:
-                raise type(exc)(f"{config.inputs['roc']}: {exc}") from None
-        if "youden_threshold" not in metadata:
-            raise ValidationError(
-                f"{config.inputs['roc']}: no youden_threshold metadata"
-            )
+def cmd_map(args: argparse.Namespace) -> int:
+    kind = _KIND_FLAGS[args.kind]
+    tensor, cloud = _load_scene(args)
+    k = _k(args, tensor)
+    threshold = args.threshold
+    if threshold is None:
+        with open(args.roc, "rb") as f, _named(args.roc):
+            _, metadata = read_roc_csv(f)
+            if "youden_threshold" not in metadata:
+                raise ValidationError("no youden_threshold metadata")
         threshold = float(metadata["youden_threshold"])
-    values = _tensor_scores(tensor, config.kind, k, config.workers)
-    vector = ScoreVector(values, config.kind, tensor.n_classes)
-    mask = apply_threshold(vector, threshold)
-    with atomic_outputs([config.outputs["out"]]) as (sink,):
+    values = _scores(tensor, kind, k, args.workers)
+    mask = apply_threshold(ScoreVector(values, kind, tensor.n_classes),
+                           threshold)
+    with atomic_outputs([args.out]) as (sink,):
         write_idood_map(cloud, mask, sink)
     return 0
 
 
-def cmd_synth(config: RunConfig) -> int:
-    if config.extra["what"] == "scores":
+def cmd_synth(args: argparse.Namespace) -> int:
+    if args.what == "scores":
         spec = GaussianPairSpec(
-            mu_id=config.extra["mu_id"], sigma_id=config.extra["sigma_id"],
-            mu_ood=config.extra["mu_ood"], sigma_ood=config.extra["sigma_ood"],
-            n_id=config.extra["n_id"], n_ood=config.extra["n_ood"],
-            seed=config.seed)
+            mu_id=args.mu_id, sigma_id=args.sigma_id,
+            mu_ood=args.mu_ood, sigma_ood=args.sigma_ood,
+            n_id=args.n_id, n_ood=args.n_ood, seed=args.seed)
 
         def draw(population, n):
-            parts = _run_shards(
+            return np.concatenate(_run_shards(
                 lambda a, b: sample_scores_chunk(spec, population, a, b),
-                _shards(n, config.workers), config.workers)
-            return np.concatenate(parts) if parts else np.zeros(0)
+                _shards(n, args.workers), args.workers))
 
         id_scores = draw("id", spec.n_id)
         ood_scores = draw("ood", spec.n_ood)
-        with atomic_outputs([config.outputs["out_id"],
-                             config.outputs["out_ood"]]) as (id_sink, ood_sink):
+        with atomic_outputs([args.out_id, args.out_ood]) as (id_sink, ood_sink):
             write_scores_csv(id_scores, id_sink)
             write_scores_csv(ood_scores, ood_sink)
         return 0
 
-    n_points = config.extra["points"]
-    n_classes = config.extra["classes"]
-    n_members = config.extra["members"]
-    separability = config.extra["separability"]
     parts = _run_shards(
-        lambda a, b: synth_tensor_blocks(n_points, n_classes, n_members,
-                                         separability, config.seed, a, b),
-        _shards(n_points, config.workers), config.workers)
+        lambda a, b: synth_tensor_blocks(args.points, args.classes, args.members,
+                                         args.separability, args.seed, a, b),
+        _shards(args.points, args.workers), args.workers)
     id_block = np.concatenate([p[0] for p in parts], axis=1)
     ood_block = np.concatenate([p[1] for p in parts], axis=1)
     id_tensor = PredictiveTensor(id_block, TensorKind.PROBABILITIES)
     ood_tensor = PredictiveTensor(ood_block, TensorKind.PROBABILITIES)
-    with atomic_outputs([config.outputs["out_id"],
-                         config.outputs["out_ood"]]) as (id_sink, ood_sink):
+    with atomic_outputs([args.out_id, args.out_ood]) as (id_sink, ood_sink):
         write_tensor(id_tensor, id_sink)
         write_tensor(ood_tensor, ood_sink)
     return 0
@@ -490,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT,
                            help="histogram bin count")
         if mode:
-            p.add_argument("--mode", choices=_MODES, default="auto",
+            p.add_argument("--mode", choices=("exact", "hist", "auto"),
+                           default="auto",
                            help="exact sort, streaming histogram, or auto by size")
 
     p = sub.add_parser("aggregate", help="average tensor members into a "
@@ -564,59 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sc = args.subcommand
-    if sc == "aggregate":
-        return RunConfig(sc, inputs={"in": args.input},
-                         outputs={"out": args.out}, k=args.k,
-                         workers=args.workers)
-    if sc == "score":
-        return RunConfig(sc, inputs={"in": args.input},
-                         outputs={"out": args.out},
-                         kind=_KIND_FLAGS[args.kind], k=args.k,
-                         workers=args.workers)
-    if sc == "auroc":
-        return RunConfig(sc, inputs={"id": args.id, "ood": args.ood},
-                         outputs={"out": args.out},
-                         kind=_KIND_FLAGS[args.kind], k=args.k,
-                         k_list=args.k_list, bins=args.bins, mode=args.mode,
-                         workers=args.workers)
-    if sc == "roc":
-        return RunConfig(sc, inputs={"id": args.id, "ood": args.ood},
-                         outputs={"out": args.out},
-                         kind=_KIND_FLAGS[args.kind], k=args.k,
-                         bins=args.bins, workers=args.workers)
-    if sc == "iou":
-        return RunConfig(sc, inputs={"points": args.points,
-                                     "labels": args.labels,
-                                     "pred": args.pred},
-                         outputs={"out": args.out}, k=args.k,
-                         workers=args.workers)
-    if sc == "map":
-        if (args.threshold is None) == (args.roc is None):
-            raise ValidationError("map needs exactly one of --threshold or --roc")
-        inputs = {"points": args.points, "pred": args.pred}
-        if args.roc is not None:
-            inputs["roc"] = args.roc
-        return RunConfig(sc, inputs=inputs, outputs={"out": args.out},
-                         kind=_KIND_FLAGS[args.kind], k=args.k,
-                         threshold=args.threshold, workers=args.workers)
-    if sc == "synth":
-        if args.what == "scores":
-            extra = {"what": "scores", "mu_id": args.mu_id,
-                     "sigma_id": args.sigma_id, "mu_ood": args.mu_ood,
-                     "sigma_ood": args.sigma_ood, "n_id": args.n_id,
-                     "n_ood": args.n_ood}
-        else:
-            extra = {"what": "tensor", "points": args.points,
-                     "classes": args.classes, "members": args.members,
-                     "separability": args.separability}
-        return RunConfig(sc, outputs={"out_id": args.out_id,
-                                      "out_ood": args.out_ood},
-                         seed=args.seed, workers=args.workers, extra=extra)
-    raise ValidationError(f"unknown subcommand {sc!r}")
-
-
 _COMMANDS = {
     "aggregate": cmd_aggregate,
     "score": cmd_score,
@@ -629,11 +519,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.subcommand](config)
+        _check_args(args)
+        return _COMMANDS[args.subcommand](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

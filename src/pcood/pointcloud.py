@@ -34,28 +34,6 @@ ID_COLOR = (0, 255, 0)
 OOD_COLOR = (255, 0, 0)
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    """One point: coordinates, intensity, and an 8-bit color triple."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float
-    r: int
-    g: int
-    b: int
-
-    def __post_init__(self):
-        for name in ("x", "y", "z", "intensity"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"point field {name} is not finite")
-        for name in ("r", "g", "b"):
-            value = getattr(self, name)
-            if not 0 <= value <= 255:
-                raise ValidationError(f"color {name}={value} outside 0..255")
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -106,26 +84,6 @@ class LabeledCloud:
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
-
-    def point(self, i: int) -> PointRecord:
-        x, y, z = self.xyz[i]
-        r, g, b = self.rgb[i]
-        return PointRecord(float(x), float(y), float(z), float(self.intensity[i]),
-                           int(r), int(g), int(b))
-
-    @classmethod
-    def from_records(cls, records, labels=None, *,
-                     class_count: int = SEMANTIC3D_CLASS_COUNT,
-                     source_id: str = "") -> "LabeledCloud":
-        records = list(records)
-        n = len(records)
-        xyz = np.array([(p.x, p.y, p.z) for p in records], dtype=np.float64).reshape(n, 3)
-        intensity = np.array([p.intensity for p in records], dtype=np.float64)
-        rgb = np.array([(p.r, p.g, p.b) for p in records], dtype=np.int64).reshape(n, 3)
-        if labels is None:
-            labels = np.zeros(n, dtype=np.int64)
-        return cls(xyz, intensity, rgb, labels,
-                   class_count=class_count, source_id=source_id)
 
 
 @dataclass
@@ -204,18 +162,6 @@ def parse_semantic3d(points_stream, labels_stream=None, *,
 
     return LabeledCloud(data[:, :3], data[:, 3], data[:, 4:7].astype(np.int64),
                         labels, class_count=class_count, source_id=source_id)
-
-
-def strip_color(cloud: LabeledCloud) -> LabeledCloud:
-    """Return a copy of the cloud with every color zeroed.
-
-    Geometry, intensity, and labels are carried over bit for bit, so
-    applying the transform twice changes nothing beyond the first pass.
-    """
-    return LabeledCloud(cloud.xyz, cloud.intensity,
-                        np.zeros((len(cloud), 3), dtype=np.int64),
-                        cloud.labels, class_count=cloud.class_count,
-                        source_id=cloud.source_id)
 
 
 def write_idood_map(cloud: LabeledCloud, mask: IdOodMask, sink) -> None:

@@ -16,6 +16,7 @@ touching the rest of the file.
 from __future__ import annotations
 
 import enum
+import io
 import struct
 from dataclasses import dataclass
 
@@ -162,20 +163,28 @@ def softmax_row(logits) -> np.ndarray:
     return _softmax_rows(row.reshape(1, -1))[0]
 
 
-def aggregate(tensor: PredictiveTensor, k: int) -> PredictiveDistribution:
-    """Average the first k members of a tensor into a distribution.
+def aggregate(tensor: PredictiveTensor, k: int, start: int = 0,
+              stop: int | None = None) -> PredictiveDistribution:
+    """Average the first k members over points [start, stop) of a tensor.
 
     Logit tensors are converted with a per-row softmax before the mean,
     so averaging always happens in probability space. With k=1 the
-    result reproduces member 0 exactly.
+    result reproduces member 0 exactly. Every row is computed on its
+    own, so concatenating the results over any partition of the points
+    equals the full-range result bit for bit.
     """
     if not 1 <= k <= tensor.n_members:
         raise ValidationError(
             f"k must lie in 1..{tensor.n_members}, got {k}"
         )
-    acc = np.zeros((tensor.n_points, tensor.n_classes), dtype=np.float64)
+    stop = tensor.n_points if stop is None else stop
+    if not 0 <= start <= stop <= tensor.n_points:
+        raise ValidationError(
+            f"point range [{start}, {stop}) outside 0..{tensor.n_points}"
+        )
+    acc = np.zeros((stop - start, tensor.n_classes), dtype=np.float64)
     for m in range(k):
-        member = tensor.values[m].astype(np.float64)
+        member = tensor.values[m, start:stop].astype(np.float64)
         if tensor.kind is TensorKind.LOGITS:
             member = _softmax_rows(member)
         acc += member
@@ -218,10 +227,19 @@ def read_tensor(source) -> PredictiveTensor:
         raise CapacityError(
             f"declared payload of {payload_bytes} bytes exceeds the supported size"
         )
-    buf = source.read(payload_bytes)
-    if len(buf) < payload_bytes:
+    # Measure what a seekable source holds before reading, so a header
+    # that declares more than that never sizes an allocation.
+    available = payload_bytes
+    if source.seekable():
+        pos = source.tell()
+        available = source.seek(0, io.SEEK_END) - pos
+        source.seek(pos)
+    if available >= payload_bytes:
+        buf = source.read(payload_bytes)
+        available = len(buf)
+    if available < payload_bytes:
         raise TruncatedStreamError(
-            f"payload truncated: got {len(buf)} of {payload_bytes} bytes"
+            f"payload truncated: got {available} of {payload_bytes} bytes"
         )
     values = np.frombuffer(buf, dtype="<f4", count=total)
     values = values.reshape(n_members, n_points, n_classes)

@@ -7,6 +7,7 @@ and rerun idempotence are asserted on actual output bytes.
 """
 
 import io
+import struct
 import subprocess
 import sys
 
@@ -82,6 +83,17 @@ class TestExitCodes:
         cut = tmp_path / "cut.pcod"
         cut.write_bytes(buf.getvalue()[:-8])
         assert run("score", "--in", cut, "--out", tmp_path / "out.csv") == 2
+
+    def test_oversized_header_is_io_error(self, tmp_path, capsys):
+        # The header declares 2**36 points x 8 classes (2 TiB of payload)
+        # but the file holds 64 bytes; nothing that size may be allocated.
+        huge = tmp_path / "huge.pcod"
+        huge.write_bytes(struct.pack("<4sHBBQHH", b"PCOD", 1, 0, 0, 2 ** 36, 8, 1)
+                         + bytes(64))
+        assert huge.stat().st_size == 84
+        assert run("score", "--in", huge, "--out", tmp_path / "out.csv") == 2
+        assert f"payload truncated: got 64 of {4 * 8 * 2 ** 36} bytes" in \
+            capsys.readouterr().err
 
     def test_usage_errors_exit_one(self, tmp_path):
         with pytest.raises(SystemExit) as info:

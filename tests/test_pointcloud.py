@@ -1,13 +1,12 @@
-"""Tests for Semantic3D parsing, color stripping, and ID/OOD map output."""
+"""Tests for Semantic3D parsing, cloud invariants, and ID/OOD map output."""
 
 import io
 
 import numpy as np
 import pytest
 
-from pcood import (IdOodMask, LabeledCloud, ParseError, PointRecord,
-                   StructuralError, ValidationError, parse_semantic3d,
-                   strip_color, write_idood_map)
+from pcood import (IdOodMask, LabeledCloud, ParseError, StructuralError,
+                   ValidationError, parse_semantic3d, write_idood_map)
 
 
 def _parse(points, labels=None, **kw):
@@ -28,10 +27,9 @@ class TestParse:
     def test_single_line_with_label(self):
         cloud = _parse("1.0 2.0 3.0 100 255 0 0\n", "5\n")
         assert len(cloud) == 1
-        p = cloud.point(0)
-        assert (p.x, p.y, p.z) == (1.0, 2.0, 3.0)
-        assert p.intensity == 100.0
-        assert (p.r, p.g, p.b) == (255, 0, 0)
+        assert cloud.xyz.tolist() == [[1.0, 2.0, 3.0]]
+        assert cloud.intensity.tolist() == [100.0]
+        assert cloud.rgb.tolist() == [[255, 0, 0]]
         assert cloud.labels[0] == 5
 
     def test_empty_stream(self):
@@ -100,17 +98,6 @@ class TestParse:
 
 
 class TestTypes:
-    def test_point_record_checks(self):
-        PointRecord(0.0, 0.0, 0.0, 0.0, 0, 0, 0)
-        with pytest.raises(ValidationError):
-            PointRecord(float("nan"), 0, 0, 0, 0, 0, 0)
-        with pytest.raises(ValidationError):
-            PointRecord(0, 0, 0, float("inf"), 0, 0, 0)
-        with pytest.raises(ValidationError):
-            PointRecord(0, 0, 0, 0, 256, 0, 0)
-        with pytest.raises(ValidationError):
-            PointRecord(0, 0, 0, 0, 0, -1, 0)
-
     def test_cloud_shape_checks(self):
         xyz = np.zeros((3, 3))
         with pytest.raises(StructuralError):
@@ -137,14 +124,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             cloud.labels[0] = 1
 
-    def test_from_records_round_trip(self):
-        records = [PointRecord(1.5, -2.5, 3.5, 10.0, 1, 2, 3),
-                   PointRecord(0.0, 0.25, -0.125, 0.0, 255, 254, 253)]
-        cloud = LabeledCloud.from_records(records, [1, 2])
-        assert len(cloud) == 2
-        assert cloud.point(1) == records[1]
-        assert cloud.labels.tolist() == [1, 2]
-
     def test_mask_checks(self):
         mask = IdOodMask([0, 1, 1, 0])
         assert len(mask) == 4
@@ -154,39 +133,6 @@ class TestTypes:
             IdOodMask([0, 2])
         with pytest.raises(StructuralError):
             IdOodMask([[0, 1]])
-
-
-class TestStripColor:
-    def test_zeroes_color_and_preserves_rest_bitwise(self):
-        rng = np.random.default_rng(7)
-        cloud = _random_cloud(rng, 32)
-        stripped = strip_color(cloud)
-        assert np.array_equal(stripped.xyz, cloud.xyz)
-        assert np.array_equal(stripped.intensity, cloud.intensity)
-        assert np.array_equal(stripped.labels, cloud.labels)
-        assert not stripped.rgb.any()
-        assert len(stripped) == len(cloud)
-
-    def test_single_point_example(self):
-        cloud = LabeledCloud.from_records(
-            [PointRecord(1.0, 2.0, 3.0, 10.0, 200, 100, 50)])
-        p = strip_color(cloud).point(0)
-        assert (p.x, p.y, p.z, p.intensity) == (1.0, 2.0, 3.0, 10.0)
-        assert (p.r, p.g, p.b) == (0, 0, 0)
-
-    def test_idempotent(self):
-        cloud = _random_cloud(np.random.default_rng(8), 16)
-        once = strip_color(cloud)
-        twice = strip_color(once)
-        assert np.array_equal(once.xyz, twice.xyz)
-        assert np.array_equal(once.intensity, twice.intensity)
-        assert np.array_equal(once.rgb, twice.rgb)
-        assert np.array_equal(once.labels, twice.labels)
-
-    def test_empty_cloud(self):
-        empty = LabeledCloud(np.zeros((0, 3)), np.zeros(0),
-                             np.zeros((0, 3)), np.zeros(0))
-        assert len(strip_color(empty)) == 0
 
 
 class TestIdOodMap:

@@ -155,6 +155,33 @@ class TestAggregate:
             np.testing.assert_array_equal(aggregate(tensor, k).probs,
                                           aggregate(prefix, k).probs)
 
+    def test_point_partition_consistency(self):
+        rng = np.random.default_rng(10)
+        probs = _prob_tensor(rng, 4, 12, 3)
+        logits = PredictiveTensor(rng.normal(size=(4, 12, 3)).astype(np.float32),
+                                  TensorKind.LOGITS)
+        # Bounds of each partition of the 12 points, with empty and
+        # one-point shards among them.
+        partitions = ((0, 12), (0, 0, 12), (0, 1, 2, 7, 7, 12),
+                      (0, 5, 6, 11, 12, 12))
+        for tensor in (probs, logits):
+            for k in (1, 3, 4):
+                whole = aggregate(tensor, k).probs
+                for bounds in partitions:
+                    parts = [aggregate(tensor, k, a, b).probs
+                             for a, b in zip(bounds, bounds[1:])]
+                    np.testing.assert_array_equal(np.concatenate(parts), whole)
+            with pytest.raises(ValidationError):
+                aggregate(tensor, 0, 2, 5)
+            with pytest.raises(ValidationError):
+                aggregate(tensor, 5, 2, 5)
+
+    def test_point_range_outside_tensor(self):
+        tensor = _prob_tensor(np.random.default_rng(11), 2, 4, 2)
+        for start, stop in ((-1, 2), (3, 2), (0, 5)):
+            with pytest.raises(ValidationError):
+                aggregate(tensor, 1, start, stop)
+
     def test_row_sums_near_one(self):
         rng = np.random.default_rng(8)
         tensor = _prob_tensor(rng, 10, 500, 8)
