@@ -3,16 +3,85 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import tempfile
 
+import numpy as np
 
-def iter_decoded_lines(stream):
-    """Yield lines from a text or binary stream with newlines stripped."""
-    for raw in stream:
+from .errors import ParseError
+
+# Characters (text streams) or bytes (binary streams) read per block by
+# iter_blocks; blocks are cut at a newline, so a block is about this long.
+_BLOCK_SIZE = 1 << 22
+
+
+def numbered_lines(stream, where: str = "line", start: int = 1):
+    """Yield ``(line number, line)`` from a text or binary stream.
+
+    Newlines are stripped. A binary line that is not UTF-8 raises
+    ``ParseError`` naming it as ``{where} {line number}``.
+    """
+    for lineno, raw in enumerate(stream, start):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        yield raw.rstrip("\r\n")
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{where} {lineno}: not valid UTF-8") from None
+        yield lineno, raw.rstrip("\r\n")
+
+
+def iter_blocks(stream):
+    """Yield ``(first line number, block)`` over a text or binary stream.
+
+    A block is the ``str`` or ``bytes`` of whole lines read from about
+    ``_BLOCK_SIZE`` of the stream: it ends at a newline, except the last
+    block, which ends where the stream does. A longer line is yielded
+    whole in one block.
+    """
+    lineno = 1
+    pending = []
+    while chunk := stream.read(_BLOCK_SIZE):
+        newline = "\n" if isinstance(chunk, str) else b"\n"
+        cut = chunk.rfind(newline) + 1
+        if cut:
+            block = chunk[:0].join([*pending, chunk[:cut]])
+            pending = []
+            yield lineno, block
+            lineno += block.count(newline)
+            chunk = chunk[cut:]
+        if chunk:
+            pending.append(chunk)
+    if pending:
+        yield lineno, pending[0][:0].join(pending)
+
+
+def block_lines(block):
+    """A stream over the lines of a block, for ``numbered_lines``."""
+    return io.StringIO(block, newline="\n") if isinstance(block, str) else io.BytesIO(block)
+
+
+def load_block(block, dtype: np.dtype, delimiter: str | None = None):
+    """Decode a block's rows into a 1-D array of the structured ``dtype``.
+
+    Uses numpy's C text reader, without comment handling. Returns None
+    where the block is not ASCII or numpy rejects it, so that the caller's
+    line parser decides: it may accept what numpy does not (``1_0``, a
+    lone ``\\r`` between fields, integers beyond int64) or raise the error
+    that names the line. Blank lines are skipped; a blank block gives no
+    rows.
+    """
+    if not block.isascii():
+        return None
+    text = block if isinstance(block, str) else block.decode("ascii")
+    if not text or text.isspace():
+        # loadtxt warns on input with no rows.
+        return np.empty(0, dtype)
+    try:
+        return np.loadtxt(text.split("\n"), dtype=dtype, delimiter=delimiter,
+                          comments=None, ndmin=1)
+    except ValueError:
+        return None
 
 
 def write_text(sink, text: str) -> None:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._io import iter_decoded_lines, write_text
+from ._io import numbered_lines, write_text
 from .errors import ParseError, StructuralError, ValidationError
 from .pointcloud import IdOodMask
 from .predictive import PredictiveDistribution
@@ -425,7 +425,7 @@ def write_metrics_report(entries, sink) -> None:
 def read_metrics_report(source) -> dict:
     """Parse a key=value report back into an ordered dict of strings."""
     entries = {}
-    for lineno, line in enumerate(iter_decoded_lines(source), start=1):
+    for lineno, line in numbered_lines(source):
         text = line.strip()
         if not text:
             continue
@@ -461,7 +461,7 @@ def read_roc_csv(source) -> tuple[RocCurve, dict]:
     fpr, tpr = [0.0], [0.0]
     metadata = {}
     header_seen = False
-    for lineno, line in enumerate(iter_decoded_lines(source), start=1):
+    for lineno, line in numbered_lines(source):
         text = line.strip()
         if not text:
             continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import iter_decoded_lines, write_text
+from ._io import block_lines, iter_blocks, load_block, numbered_lines, write_text
 from .errors import ParseError, StructuralError, ValidationError
 
 SEMANTIC3D_CLASS_COUNT = 8
@@ -112,17 +112,19 @@ class IdOodMask:
         return len(self) - self.n_ood
 
 
-def parse_semantic3d(points_stream, labels_stream=None, *,
-                     class_count: int = SEMANTIC3D_CLASS_COUNT,
-                     source_id: str = "") -> LabeledCloud:
-    """Parse a Semantic3D points file and an optional labels file.
+# One decoded points row: x y z intensity as float64, r g b as int64.
+_POINT_DTYPE = np.dtype([(name, np.float64) for name in ("x", "y", "z", "intensity")]
+                        + [(name, np.int64) for name in ("r", "g", "b")])
+_LABEL_DTYPE = np.dtype([("label", np.int64)])
 
-    Blank lines are skipped, tabs and repeated spaces both separate
-    fields. Errors carry the 1-based line number of the offending line.
-    Without a labels file every point is marked unlabeled (0).
-    """
+# Points formatted per write in write_idood_map.
+_WRITE_ROWS = 1 << 16
+
+
+def _point_rows(numbered) -> list:
+    """The line parser for points: one 7-tuple per non-blank numbered line."""
     rows = []
-    for lineno, line in enumerate(iter_decoded_lines(points_stream), start=1):
+    for lineno, line in numbered:
         fields = line.split()
         if not fields:
             continue
@@ -142,23 +144,71 @@ def parse_semantic3d(points_stream, labels_stream=None, *,
             if not 0 <= v <= 255:
                 raise ParseError(f"points line {lineno}: color {name}={v} outside 0..255")
         rows.append((x, y, z, inten, r, g, b))
+    return rows
 
-    n = len(rows)
-    data = np.array(rows, dtype=np.float64).reshape(n, 7)
+
+def _label_values(numbered) -> list:
+    """The line parser for labels: one int per non-blank numbered line."""
+    values = []
+    for lineno, line in numbered:
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            values.append(int(text))
+        except ValueError:
+            raise ParseError(f"labels line {lineno}: not an integer: {text!r}") from None
+    return values
+
+
+def _points_block(lineno: int, block) -> np.ndarray:
+    """Decode one block of points as an (n, 7) float64 array.
+
+    numpy's reader decodes the block; where it rejects the block, or a row
+    fails the line parser's checks, the line parser reruns on the block and
+    either raises its error or returns the rows numpy could not read.
+    """
+    rec = load_block(block, _POINT_DTYPE)
+    if rec is not None:
+        data = np.empty((rec.shape[0], 7))
+        for j, name in enumerate(_POINT_DTYPE.names):
+            data[:, j] = rec[name]
+        rgb = data[:, 4:]
+        if np.isfinite(data[:, :4]).all() and ((rgb >= 0) & (rgb <= 255)).all():
+            return data
+    rows = _point_rows(numbered_lines(block_lines(block), "points line", lineno))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 7)
+
+
+def _labels_block(lineno: int, block):
+    """Decode one block of labels: an int64 array, or the line parser's ints."""
+    rec = load_block(block, _LABEL_DTYPE)
+    if rec is not None:
+        return rec["label"]
+    return _label_values(numbered_lines(block_lines(block), "labels line", lineno))
+
+
+def parse_semantic3d(points_stream, labels_stream=None, *,
+                     class_count: int = SEMANTIC3D_CLASS_COUNT,
+                     source_id: str = "") -> LabeledCloud:
+    """Parse a Semantic3D points file and an optional labels file.
+
+    Blank lines are skipped, tabs and repeated spaces both separate
+    fields. Errors carry the 1-based line number of the offending line.
+    Without a labels file every point is marked unlabeled (0).
+    """
+    data = np.concatenate([np.empty((0, 7))] + [
+        _points_block(lineno, block) for lineno, block in iter_blocks(points_stream)])
+    n = data.shape[0]
     labels = np.zeros(n, dtype=np.int64)
     if labels_stream is not None:
-        values = []
-        for lineno, line in enumerate(iter_decoded_lines(labels_stream), start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(int(text))
-            except ValueError:
-                raise ParseError(f"labels line {lineno}: not an integer: {text!r}") from None
-        if len(values) != n:
-            raise StructuralError(f"{n} points but {len(values)} labels")
-        labels = np.array(values, dtype=np.int64).reshape(n)
+        parts = [_labels_block(lineno, block)
+                 for lineno, block in iter_blocks(labels_stream)]
+        count = sum(len(part) for part in parts)
+        if count != n:
+            raise StructuralError(f"{n} points but {count} labels")
+        labels = np.concatenate([labels[:0]] + [np.asarray(part, dtype=np.int64)
+                                                for part in parts])
 
     return LabeledCloud(data[:, :3], data[:, 3], data[:, 4:7].astype(np.int64),
                         labels, class_count=class_count, source_id=source_id)
@@ -174,11 +224,9 @@ def write_idood_map(cloud: LabeledCloud, mask: IdOodMask, sink) -> None:
         raise StructuralError(
             f"mask length {len(mask)} does not match cloud length {len(cloud)}"
         )
-    xyz = cloud.xyz
-    flags = mask.flags
-    lines = []
-    for i in range(len(cloud)):
-        r, g, b = OOD_COLOR if flags[i] else ID_COLOR
-        lines.append(f"{xyz[i, 0]:.6f} {xyz[i, 1]:.6f} {xyz[i, 2]:.6f} {r} {g} {b}")
-    text = "\n".join(lines)
-    write_text(sink, text + "\n" if text else "")
+    colors = ("%d %d %d" % ID_COLOR, "%d %d %d" % OOD_COLOR)
+    for start in range(0, len(cloud), _WRITE_ROWS):
+        stop = start + _WRITE_ROWS
+        rows = zip(cloud.xyz[start:stop].tolist(), mask.flags[start:stop].tolist())
+        write_text(sink, "".join(["%.6f %.6f %.6f %s\n" % (x, y, z, colors[flag])
+                                  for (x, y, z), flag in rows]))

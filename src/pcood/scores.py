@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
-from ._io import iter_decoded_lines, write_text
+from ._io import block_lines, iter_blocks, load_block, numbered_lines, write_text
 from .errors import ParseError, StructuralError, ValidationError
 from .predictive import PredictiveDistribution
 
@@ -26,6 +25,12 @@ DOMAIN_TOL = 1e-9
 # Probabilities below this are treated as exact zeros in the entropy sum
 # so denormal-range entries cannot produce NaN through the logarithm.
 ENTROPY_PROB_FLOOR = 1e-12
+
+_SCORE_HEADER = "index,score"
+# One decoded score CSV row.
+_SCORE_DTYPE = np.dtype([("index", np.int64), ("score", np.float64)])
+# Rows formatted per write in write_scores_csv.
+_WRITE_ROWS = 1 << 16
 
 
 class ScoreKind(enum.Enum):
@@ -104,6 +109,8 @@ def msp_complement(probs) -> float:
 
 def entropy(probs) -> float:
     """Shannon entropy (natural log) with the 0 ln 0 = 0 convention."""
+    from scipy.special import xlogy
+
     row = _checked_row(probs)
     row = np.where(row < ENTROPY_PROB_FLOOR, 0.0, row)
     return float(max(-xlogy(row, row).sum(), 0.0))
@@ -123,6 +130,8 @@ def score_distribution(dist: PredictiveDistribution, kind: ScoreKind) -> ScoreVe
         values = 1.0 - probs.max(axis=1) if probs.size else np.zeros(0)
     elif kind is ScoreKind.ENTROPY:
         if probs.size:
+            from scipy.special import xlogy
+
             clamped = np.where(probs < ENTROPY_PROB_FLOOR, 0.0, probs)
             values = np.maximum(-xlogy(clamped, clamped).sum(axis=1), 0.0)
         else:
@@ -140,25 +149,37 @@ def write_scores_csv(scores, sink) -> None:
     """
     values = scores.scores if isinstance(scores, ScoreVector) else \
         np.asarray(scores, dtype=np.float64)
-    lines = ["index,score"]
-    lines.extend(f"{i},{value!r}" for i, value in enumerate(values.tolist()))
-    write_text(sink, "\n".join(lines) + "\n")
+    write_text(sink, _SCORE_HEADER + "\n")
+    for start in range(0, len(values), _WRITE_ROWS):
+        rows = enumerate(values[start:start + _WRITE_ROWS].tolist(), start)
+        write_text(sink, "".join([f"{i},{value!r}\n" for i, value in rows]))
 
 
-def read_scores_csv(source) -> np.ndarray:
-    """Read a score CSV written by :func:`write_scores_csv`."""
-    values = []
-    header_seen = False
-    for lineno, line in enumerate(iter_decoded_lines(source), start=1):
+def _after_header(lineno: int, block):
+    """Return ``(line number, rest of block)`` after the header, or None.
+
+    The lines before the header may only be blank or ``#`` comments; the
+    block holds no header when it has nothing else.
+    """
+    lines = block_lines(block)
+    for lineno, line in numbered_lines(lines, "line", lineno):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        if not header_seen:
-            if text != "index,score":
-                raise ParseError(
-                    f"line {lineno}: expected header 'index,score', got {text!r}"
-                )
-            header_seen = True
+        if text != _SCORE_HEADER:
+            raise ParseError(
+                f"line {lineno}: expected header 'index,score', got {text!r}"
+            )
+        return lineno + 1, block[lines.tell():]
+    return None
+
+
+def _score_values(numbered, count: int) -> list:
+    """The line parser for score rows; the first row's index must be ``count``."""
+    values = []
+    for lineno, line in numbered:
+        text = line.strip()
+        if not text or text.startswith("#"):
             continue
         parts = text.split(",")
         if len(parts) != 2:
@@ -168,11 +189,50 @@ def read_scores_csv(source) -> np.ndarray:
             value = float(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: malformed row {text!r}") from None
-        if index != len(values):
+        if index != count + len(values):
             raise ParseError(
-                f"line {lineno}: index {index} out of order, expected {len(values)}"
+                f"line {lineno}: index {index} out of order, "
+                f"expected {count + len(values)}"
             )
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite score")
         values.append(value)
+    return values
+
+
+def _scores_block(lineno: int, block, count: int) -> np.ndarray:
+    """Decode one block of score rows, the first indexed ``count``.
+
+    numpy's reader decodes the block; where it rejects the block, or a row
+    fails the line parser's checks, the line parser reruns on the block and
+    either raises its error or returns the rows numpy could not read.
+    """
+    rec = load_block(block, _SCORE_DTYPE, ",")
+    if rec is not None:
+        expected = np.arange(count, count + rec.shape[0])
+        if np.isfinite(rec["score"]).all() and (rec["index"] == expected).all():
+            return rec["score"]
+    return np.array(_score_values(numbered_lines(block_lines(block), "line", lineno),
+                                  count), dtype=np.float64)
+
+
+def read_scores_csv(source) -> np.ndarray:
+    """Read a score CSV written by :func:`write_scores_csv`.
+
+    Blank lines and ``#`` comment lines are skipped; scores must be finite.
+    """
+    parts = [np.zeros(0)]
+    count = 0
+    header_seen = False
+    for lineno, block in iter_blocks(source):
+        if not header_seen:
+            found = _after_header(lineno, block)
+            if found is None:
+                continue
+            lineno, block = found
+            header_seen = True
+        parts.append(_scores_block(lineno, block, count))
+        count += len(parts[-1])
     if not header_seen:
         raise ParseError("missing 'index,score' header")
-    return np.array(values, dtype=np.float64)
+    return np.concatenate(parts)

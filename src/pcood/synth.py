@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import ValidationError
 from .predictive import PredictiveTensor, TensorKind, _softmax_rows
@@ -59,6 +58,8 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 
 
 def _standard_normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    from scipy.special import ndtri
+
     u = np.maximum(_uniforms(seed, stream, start, count), _UNIFORM_FLOOR)
     return ndtri(u)
 

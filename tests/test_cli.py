@@ -99,6 +99,22 @@ class TestExitCodes:
         assert f"payload truncated: got 64 of {4 * 8 * 2 ** 36} bytes" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exact", "hist"])
+    @pytest.mark.parametrize("body, message", [
+        (b"index,score\n0,\xff\n", "line 2: not valid UTF-8"),
+        (b"index,score\n0,0.5\n1,nan\n", "line 3: non-finite score"),
+        (b"index,score\n0,-inf\n", "line 2: non-finite score"),
+    ])
+    def test_hostile_score_csv_names_the_line(self, tmp_path, capsys, mode,
+                                              body, message):
+        good = tmp_path / "good.csv"
+        good.write_text("index,score\n0,0.5\n1,0.25\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        assert run("auroc", "--id", good, "--ood", bad, "--mode", mode,
+                   "--out", tmp_path / "r.txt") == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
     def test_usage_errors_exit_one(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run()
@@ -426,6 +442,28 @@ class TestIouCommand:
         labels_path = tmp_path / "labels.txt"
         _write_labels_file(labels_path, labels)
         return points, labels_path, pred, labels
+
+    def test_non_utf8_text_names_the_line(self, tmp_path, capsys):
+        points, labels_path, pred, _ = self._one_hot_setup(tmp_path)
+        out = tmp_path / "iou.txt"
+        labels_path.write_bytes(b"1\n2\n\xff\n")
+        assert run("iou", "--points", points, "--labels", labels_path,
+                   "--pred", pred, "--out", out) == 1
+        assert capsys.readouterr().err == \
+            f"error: {points}: labels line 3: not valid UTF-8\n"
+        text = points.read_bytes()
+        points.write_bytes(text + b"0 0 0 0 0 0 \xc3\n")
+        assert run("iou", "--points", points, "--labels", labels_path,
+                   "--pred", pred, "--out", out) == 1
+        assert capsys.readouterr().err == \
+            f"error: {points}: points line 61: not valid UTF-8\n"
+        points.write_bytes(text)
+        roc = tmp_path / "roc.csv"
+        roc.write_bytes(b"threshold,fpr,tpr\n\x80,0,0\n")
+        assert run("map", "--points", points, "--pred", pred, "--roc", roc,
+                   "--out", tmp_path / "map.txt") == 1
+        assert capsys.readouterr().err == f"error: {roc}: line 2: not valid UTF-8\n"
+        assert not out.exists()
 
     def test_perfect_predictions(self, tmp_path):
         points, labels_path, pred, labels = self._one_hot_setup(tmp_path)
