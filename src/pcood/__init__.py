@@ -11,17 +11,16 @@ from .errors import (CapacityError, FormatError, ParseError, PcoodError,
                      StructuralError, TruncatedStreamError, ValidationError)
 from .pointcloud import (ID_COLOR, OOD_COLOR, SEMANTIC3D_CLASS_COUNT,
                          SEMANTIC3D_CLASS_NAMES, IdOodMask, LabeledCloud,
-                         parse_semantic3d, write_idood_map)
-from .predictive import (PredictiveDistribution, PredictiveTensor, TensorKind,
-                         aggregate, read_tensor, softmax_row, write_tensor)
-from .scores import (ScoreKind, ScoreVector, entropy, msp_complement,
-                     read_scores_csv, score_distribution, score_domain,
-                     write_scores_csv)
+                         parse_semantic3d, read_labels, write_idood_map)
+from .predictive import (PredictiveTensor, TensorKind, aggregate, read_tensor,
+                         softmax_row, write_tensor)
+from .scores import (ScoreKind, entropy, msp_complement, read_scores_csv,
+                     score_distribution, score_domain, write_scores_csv)
 from .evaluation import (BinnedScoreHistogram, ConfusionMatrix, RocCurve,
                          SegMetrics, apply_threshold, argmax_labels,
-                         confusion_accumulate, confusion_merge, confusion_new,
-                         exact_auroc, hist_accumulate, hist_auroc, hist_merge,
-                         hist_new, hist_new_range, optimal_threshold,
+                         confusion_accumulate, confusion_new, exact_auroc,
+                         hist_accumulate, hist_auroc, hist_merge, hist_new,
+                         hist_new_range, optimal_threshold,
                          read_metrics_report, read_roc_csv, roc_curve,
                          seg_metrics, write_metrics_report, write_roc_csv)
 from .synth import (GaussianPairSpec, analytic_auroc, sample_scores,
@@ -35,15 +34,15 @@ __all__ = [
     "StructuralError", "TruncatedStreamError", "ValidationError",
     "ID_COLOR", "OOD_COLOR", "SEMANTIC3D_CLASS_COUNT",
     "SEMANTIC3D_CLASS_NAMES", "IdOodMask", "LabeledCloud",
-    "parse_semantic3d", "write_idood_map",
-    "PredictiveDistribution", "PredictiveTensor", "TensorKind", "aggregate",
+    "parse_semantic3d", "read_labels", "write_idood_map",
+    "PredictiveTensor", "TensorKind", "aggregate",
     "read_tensor", "softmax_row", "write_tensor",
-    "ScoreKind", "ScoreVector", "entropy", "msp_complement",
+    "ScoreKind", "entropy", "msp_complement",
     "read_scores_csv", "score_distribution", "score_domain",
     "write_scores_csv",
     "BinnedScoreHistogram", "ConfusionMatrix", "RocCurve", "SegMetrics",
     "apply_threshold", "argmax_labels", "confusion_accumulate",
-    "confusion_merge", "confusion_new", "exact_auroc", "hist_accumulate",
+    "confusion_new", "exact_auroc", "hist_accumulate",
     "hist_auroc", "hist_merge", "hist_new", "hist_new_range",
     "optimal_threshold", "read_metrics_report", "read_roc_csv", "roc_curve",
     "seg_metrics", "write_metrics_report", "write_roc_csv",

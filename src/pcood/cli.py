@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import sys
@@ -30,11 +31,11 @@ from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
                          hist_new_range, optimal_threshold, roc_curve,
                          seg_metrics, write_metrics_report, write_roc_csv,
                          read_roc_csv)
-from .pointcloud import parse_semantic3d, write_idood_map
+from .pointcloud import parse_semantic3d, read_labels, write_idood_map
 from .predictive import (PredictiveTensor, TENSOR_MAGIC, TensorKind,
                          aggregate, read_tensor, write_tensor)
-from .scores import (ScoreKind, ScoreVector, read_scores_csv,
-                     score_distribution, write_scores_csv)
+from .scores import (ScoreKind, read_scores_csv, score_distribution,
+                     write_scores_csv)
 from .synth import (GaussianPairSpec, sample_scores_chunk, synth_tensor_blocks)
 
 DEFAULT_K_SWEEP = (1, 5, 10, 15, 20)
@@ -155,11 +156,11 @@ def _load_pair(args: argparse.Namespace):
 def _load_scene(args: argparse.Namespace, labels: str | None = None):
     """Load --pred and the --points cloud (with `labels`); sizes must match."""
     tensor = _load_tensor(args.pred)
-    with open(args.points, "rb") as pf, \
-            (contextlib.nullcontext() if labels is None
-             else open(labels, "rb")) as lf, \
-            _named(args.points):
-        cloud = parse_semantic3d(pf, lf, class_count=tensor.n_classes)
+    with open(args.points, "rb") as f, _named(args.points):
+        cloud = parse_semantic3d(f, class_count=tensor.n_classes)
+    if labels is not None:
+        with open(labels, "rb") as f, _named(labels):
+            cloud = dataclasses.replace(cloud, labels=read_labels(f))
     if len(cloud) != tensor.n_points:
         raise ValidationError(
             f"cloud has {len(cloud)} points but tensor has {tensor.n_points}"
@@ -181,7 +182,7 @@ def _over_points(tensor, k: int, workers: int, fn) -> np.ndarray:
 
 def _scores(tensor, kind: ScoreKind, k: int, workers: int) -> np.ndarray:
     return _over_points(tensor, k, workers,
-                        lambda dist: score_distribution(dist, kind).scores)
+                        lambda probs: score_distribution(probs, kind))
 
 
 def _pair_scores(form: str, id_data, ood_data, kind: ScoreKind, k,
@@ -235,7 +236,7 @@ def _provenance(inputs) -> list:
 def cmd_aggregate(args: argparse.Namespace) -> int:
     tensor = _load_tensor(args.input)
     k = _k(args, tensor)
-    probs = _over_points(tensor, k, args.workers, lambda dist: dist.probs)
+    probs = _over_points(tensor, k, args.workers, lambda probs: probs)
     out = PredictiveTensor(probs[np.newaxis].astype(np.float32),
                            TensorKind.PROBABILITIES)
     with atomic_outputs([args.out]) as (sink,):
@@ -353,8 +354,7 @@ def cmd_map(args: argparse.Namespace) -> int:
                 raise ValidationError("no youden_threshold metadata")
         threshold = float(metadata["youden_threshold"])
     values = _scores(tensor, kind, k, args.workers)
-    mask = apply_threshold(ScoreVector(values, kind, tensor.n_classes),
-                           threshold)
+    mask = apply_threshold(values, threshold)
     with atomic_outputs([args.out]) as (sink,):
         write_idood_map(cloud, mask, sink)
     return 0

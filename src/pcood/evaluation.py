@@ -23,8 +23,7 @@ import numpy as np
 from ._io import numbered_lines, write_text
 from .errors import ParseError, StructuralError, ValidationError
 from .pointcloud import IdOodMask
-from .predictive import PredictiveDistribution
-from .scores import ScoreKind, ScoreVector, score_domain
+from .scores import ScoreKind, score_domain
 
 DEFAULT_BIN_COUNT = 4096
 
@@ -80,8 +79,6 @@ class BinnedScoreHistogram:
     domain_hi: float
     counts_id: np.ndarray
     counts_ood: np.ndarray
-    kind: ScoreKind | None = None
-    n_classes: int | None = None
 
     def __post_init__(self):
         if self.bin_count < 2:
@@ -113,11 +110,7 @@ class BinnedScoreHistogram:
 def hist_new(kind: ScoreKind, n_classes: int,
              bin_count: int = DEFAULT_BIN_COUNT) -> BinnedScoreHistogram:
     """Empty histogram spanning the natural domain of a score kind."""
-    lo, hi = score_domain(kind, n_classes)
-    return BinnedScoreHistogram(bin_count, lo, hi,
-                                np.zeros(bin_count, dtype=np.int64),
-                                np.zeros(bin_count, dtype=np.int64),
-                                kind=kind, n_classes=n_classes)
+    return hist_new_range(*score_domain(kind, n_classes), bin_count)
 
 
 def hist_new_range(domain_lo: float, domain_hi: float,
@@ -132,25 +125,14 @@ def hist_accumulate(hist: BinnedScoreHistogram, scores,
                     population: str) -> BinnedScoreHistogram:
     """Bin scores into one population's counts; returns the same histogram.
 
-    Accepts a ScoreVector (kind and domain are then checked against the
-    histogram) or a bare array of finite reals. Values outside the
-    domain are clamped into the edge bins.
+    Scores are an array of finite reals. Values outside the domain are
+    clamped into the edge bins.
     """
     if population not in _POPULATIONS:
         raise ValidationError(f"population must be 'id' or 'ood', got {population!r}")
-    if isinstance(scores, ScoreVector):
-        if hist.kind is not None and scores.kind is not hist.kind:
-            raise StructuralError(
-                f"histogram holds {hist.kind.value} scores, got {scores.kind.value}"
-            )
-        if hist.kind is not None and (scores.domain_lo != hist.domain_lo
-                                      or scores.domain_hi != hist.domain_hi):
-            raise StructuralError("score domain does not match histogram domain")
-        values = scores.scores
-    else:
-        values = np.asarray(scores, dtype=np.float64).ravel()
-        if values.size and not np.isfinite(values).all():
-            raise ValidationError("scores must be finite")
+    values = np.asarray(scores, dtype=np.float64).ravel()
+    if values.size and not np.isfinite(values).all():
+        raise ValidationError("scores must be finite")
     width = hist.domain_hi - hist.domain_lo
     idx = np.floor((values - hist.domain_lo) / width * hist.bin_count)
     idx = np.clip(idx, 0, hist.bin_count - 1).astype(np.int64)
@@ -164,17 +146,19 @@ def hist_accumulate(hist: BinnedScoreHistogram, scores,
 
 def hist_merge(a: BinnedScoreHistogram,
                b: BinnedScoreHistogram) -> BinnedScoreHistogram:
-    """Combine two compatible histograms into a new one."""
+    """Combine two histograms over the same binning into a new one.
+
+    Tensor scores are binned over their kind's domain, and the MSP and
+    entropy domains differ for every class count, so equal domains also
+    mean equal score kinds.
+    """
     if a.bin_count != b.bin_count:
         raise StructuralError(f"bin counts differ: {a.bin_count} vs {b.bin_count}")
     if a.domain_lo != b.domain_lo or a.domain_hi != b.domain_hi:
         raise StructuralError("histogram domains differ")
-    if a.kind is not b.kind:
-        raise StructuralError("histogram score kinds differ")
     return BinnedScoreHistogram(a.bin_count, a.domain_lo, a.domain_hi,
                                 a.counts_id + b.counts_id,
-                                a.counts_ood + b.counts_ood,
-                                kind=a.kind, n_classes=a.n_classes)
+                                a.counts_ood + b.counts_ood)
 
 
 def _double_rank_credit(counts_id, counts_ood) -> int:
@@ -337,13 +321,6 @@ def confusion_accumulate(matrix: ConfusionMatrix, predicted,
     return matrix
 
 
-def confusion_merge(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:
-    if a.n_classes != b.n_classes:
-        raise StructuralError(f"class counts differ: {a.n_classes} vs {b.n_classes}")
-    return ConfusionMatrix(a.n_classes, a.counts + b.counts,
-                           ignored=a.ignored + b.ignored)
-
-
 @dataclass
 class SegMetrics:
     """Per-class IoU (NaN where undefined), their mean, and accuracy."""
@@ -383,19 +360,17 @@ def seg_metrics(matrix: ConfusionMatrix) -> SegMetrics:
     return SegMetrics(iou, float(mean), float(tp.sum() / total))
 
 
-def argmax_labels(dist: PredictiveDistribution) -> np.ndarray:
+def argmax_labels(probs: np.ndarray) -> np.ndarray:
     """Predicted class per point, 1-based; ties go to the lowest class."""
-    if dist.n_points == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.argmax(dist.probs, axis=1).astype(np.int64) + 1
+    return np.argmax(probs, axis=1).astype(np.int64) + 1
 
 
-def apply_threshold(scores: ScoreVector, threshold: float) -> IdOodMask:
+def apply_threshold(scores: np.ndarray, threshold: float) -> IdOodMask:
     """Flag each point OOD (1) iff its score is at or above the threshold."""
     threshold = float(threshold)
     if not np.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold!r}")
-    return IdOodMask((scores.scores >= threshold).astype(np.uint8))
+    return IdOodMask((np.asarray(scores) >= threshold).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ class LabeledCloud:
     rgb: np.ndarray  # (N, 3) uint8
     labels: np.ndarray  # (N,) int64, values in 0..class_count
     class_count: int = SEMANTIC3D_CLASS_COUNT
-    source_id: str = ""
 
     def __post_init__(self):
         xyz = np.array(self.xyz, dtype=np.float64, copy=True)
@@ -116,6 +115,7 @@ class IdOodMask:
 _POINT_DTYPE = np.dtype([(name, np.float64) for name in ("x", "y", "z", "intensity")]
                         + [(name, np.int64) for name in ("r", "g", "b")])
 _LABEL_DTYPE = np.dtype([("label", np.int64)])
+_INT64 = np.iinfo(np.int64)
 
 # Points formatted per write in write_idood_map.
 _WRITE_ROWS = 1 << 16
@@ -155,9 +155,12 @@ def _label_values(numbered) -> list:
         if not text:
             continue
         try:
-            values.append(int(text))
+            value = int(text)
         except ValueError:
             raise ParseError(f"labels line {lineno}: not an integer: {text!r}") from None
+        if not _INT64.min <= value <= _INT64.max:
+            raise ParseError(f"labels line {lineno}: label {text!r} outside int64")
+        values.append(value)
     return values
 
 
@@ -188,9 +191,18 @@ def _labels_block(lineno: int, block):
     return _label_values(numbered_lines(block_lines(block), "labels line", lineno))
 
 
+def read_labels(stream) -> np.ndarray:
+    """Read a Semantic3D labels file: one int64 per non-blank line.
+
+    Errors carry the 1-based line number of the offending line.
+    """
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.asarray(_labels_block(lineno, block), dtype=np.int64)
+        for lineno, block in iter_blocks(stream)])
+
+
 def parse_semantic3d(points_stream, labels_stream=None, *,
-                     class_count: int = SEMANTIC3D_CLASS_COUNT,
-                     source_id: str = "") -> LabeledCloud:
+                     class_count: int = SEMANTIC3D_CLASS_COUNT) -> LabeledCloud:
     """Parse a Semantic3D points file and an optional labels file.
 
     Blank lines are skipped, tabs and repeated spaces both separate
@@ -199,19 +211,10 @@ def parse_semantic3d(points_stream, labels_stream=None, *,
     """
     data = np.concatenate([np.empty((0, 7))] + [
         _points_block(lineno, block) for lineno, block in iter_blocks(points_stream)])
-    n = data.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
-    if labels_stream is not None:
-        parts = [_labels_block(lineno, block)
-                 for lineno, block in iter_blocks(labels_stream)]
-        count = sum(len(part) for part in parts)
-        if count != n:
-            raise StructuralError(f"{n} points but {count} labels")
-        labels = np.concatenate([labels[:0]] + [np.asarray(part, dtype=np.int64)
-                                                for part in parts])
-
+    labels = (np.zeros(data.shape[0], dtype=np.int64) if labels_stream is None
+              else read_labels(labels_stream))
     return LabeledCloud(data[:, :3], data[:, 3], data[:, 4:7].astype(np.int64),
-                        labels, class_count=class_count, source_id=source_id)
+                        labels, class_count=class_count)
 
 
 def write_idood_map(cloud: LabeledCloud, mask: IdOodMask, sink) -> None:

@@ -32,9 +32,9 @@ _HEADER = struct.Struct("<4sHBBQHH")
 _MAX_PAYLOAD_BYTES = 2 ** 62
 
 # Probability rows may drift from exact normalization by float32
-# rounding; distributions are tighter because they are built in float64.
+# rounding. This is the one row-sum check: everything derived from a
+# validated tensor (member averages, scores) is trusted downstream.
 PROB_ROW_SUM_TOL = 1e-5
-DIST_ROW_SUM_TOL = 1e-6
 
 _SOFTMAX_SUM_FLOOR = 1e-12
 
@@ -83,7 +83,8 @@ class PredictiveTensor:
             if dev.size and dev.max() > PROB_ROW_SUM_TOL:
                 m, i = np.unravel_index(int(dev.argmax()), dev.shape)
                 raise ValidationError(
-                    f"member {m} point {i}: probability row sums to {sums[m, i]!r}"
+                    f"member {m} point {i}: probability row sums to "
+                    f"{float(sums[m, i])!r}"
                 )
         self.values = _frozen(values)
 
@@ -98,46 +99,6 @@ class PredictiveTensor:
     @property
     def n_classes(self) -> int:
         return self.values.shape[2]
-
-
-@dataclass
-class PredictiveDistribution:
-    """(N, C) float64 class probabilities averaged over ensemble members."""
-
-    probs: np.ndarray
-    members_used: int
-
-    def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64, copy=True, order="C")
-        if probs.ndim != 2:
-            raise StructuralError(
-                f"distribution must have shape (points, classes), got {probs.shape}"
-            )
-        if probs.shape[1] < 2:
-            raise ValidationError(
-                f"distribution needs at least two classes, got {probs.shape[1]}"
-            )
-        if self.members_used < 1:
-            raise ValidationError(f"members_used must be >= 1, got {self.members_used}")
-        if not np.isfinite(probs).all():
-            raise ValidationError("probabilities must be finite")
-        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-            raise ValidationError("probabilities must lie in [0, 1]")
-        dev = np.abs(probs.sum(axis=1) - 1.0)
-        if dev.size and dev.max() > DIST_ROW_SUM_TOL:
-            i = int(dev.argmax())
-            raise ValidationError(
-                f"point {i}: distribution row sums to {probs[i].sum()!r}"
-            )
-        self.probs = _frozen(probs)
-
-    @property
-    def n_points(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.probs.shape[1]
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -164,14 +125,15 @@ def softmax_row(logits) -> np.ndarray:
 
 
 def aggregate(tensor: PredictiveTensor, k: int, start: int = 0,
-              stop: int | None = None) -> PredictiveDistribution:
+              stop: int | None = None) -> np.ndarray:
     """Average the first k members over points [start, stop) of a tensor.
 
-    Logit tensors are converted with a per-row softmax before the mean,
-    so averaging always happens in probability space. With k=1 the
-    result reproduces member 0 exactly. Every row is computed on its
-    own, so concatenating the results over any partition of the points
-    equals the full-range result bit for bit.
+    Returns the read-only (stop - start, C) float64 mean. Logit tensors
+    are converted with a per-row softmax before the mean, so averaging
+    always happens in probability space. With k=1 the result reproduces
+    member 0 exactly. Every row is computed on its own, so concatenating
+    the results over any partition of the points equals the full-range
+    result bit for bit.
     """
     if not 1 <= k <= tensor.n_members:
         raise ValidationError(
@@ -188,7 +150,7 @@ def aggregate(tensor: PredictiveTensor, k: int, start: int = 0,
         if tensor.kind is TensorKind.LOGITS:
             member = _softmax_rows(member)
         acc += member
-    return PredictiveDistribution(acc / float(k), members_used=k)
+    return _frozen(acc / float(k))
 
 
 def write_tensor(tensor: PredictiveTensor, sink) -> None:

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._io import block_lines, iter_blocks, load_block, numbered_lines, write_text
 from .errors import ParseError, StructuralError, ValidationError
-from .predictive import PredictiveDistribution
-
-ROW_SUM_TOL = 1e-5
-DOMAIN_TOL = 1e-9
+from .predictive import PROB_ROW_SUM_TOL
 
 # Probabilities below this are treated as exact zeros in the entropy sum
 # so denormal-range entries cannot produce NaN through the logarithm.
@@ -54,37 +50,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass
-class ScoreVector:
-    """Per-point OOD scores of one kind, bounded by the kind's domain."""
-
-    scores: np.ndarray
-    kind: ScoreKind
-    n_classes: int
-    domain_lo: float | None = None
-    domain_hi: float | None = None
-
-    def __post_init__(self):
-        scores = np.array(self.scores, dtype=np.float64, copy=True)
-        if scores.ndim != 1:
-            raise StructuralError(f"scores must be one-dimensional, got {scores.shape}")
-        if self.domain_lo is None or self.domain_hi is None:
-            self.domain_lo, self.domain_hi = score_domain(self.kind, self.n_classes)
-        if scores.size:
-            if not np.isfinite(scores).all():
-                raise ValidationError("scores must be finite")
-            lo, hi = scores.min(), scores.max()
-            if lo < self.domain_lo - DOMAIN_TOL or hi > self.domain_hi + DOMAIN_TOL:
-                raise ValidationError(
-                    f"scores span [{lo!r}, {hi!r}], outside the "
-                    f"[{self.domain_lo!r}, {self.domain_hi!r}] domain"
-                )
-        self.scores = _frozen(scores)
-
-    def __len__(self) -> int:
-        return self.scores.shape[0]
-
-
 def _checked_row(probs) -> np.ndarray:
     row = np.asarray(probs, dtype=np.float64)
     if row.ndim != 1:
@@ -94,9 +59,9 @@ def _checked_row(probs) -> np.ndarray:
     if not np.isfinite(row).all():
         raise ValidationError("probability row must be finite")
     if row.min() < 0.0:
-        raise ValidationError(f"negative probability {row.min()!r}")
-    total = row.sum()
-    if abs(total - 1.0) > ROW_SUM_TOL:
+        raise ValidationError(f"negative probability {float(row.min())!r}")
+    total = float(row.sum())
+    if abs(total - 1.0) > PROB_ROW_SUM_TOL:
         raise ValidationError(f"probability row sums to {total!r}, not 1")
     return row
 
@@ -116,29 +81,24 @@ def entropy(probs) -> float:
     return float(max(-xlogy(row, row).sum(), 0.0))
 
 
-def score_distribution(dist: PredictiveDistribution, kind: ScoreKind) -> ScoreVector:
-    """Score every row of a distribution, preserving point order."""
-    probs = dist.probs
-    if probs.size:
-        dev = np.abs(probs.sum(axis=1) - 1.0)
-        if dev.max() > ROW_SUM_TOL:
-            i = int(dev.argmax())
-            raise ValidationError(
-                f"point {i}: probability row sums to {probs[i].sum()!r}, not 1"
-            )
-    if kind is ScoreKind.MSP_COMPLEMENT:
-        values = 1.0 - probs.max(axis=1) if probs.size else np.zeros(0)
-    elif kind is ScoreKind.ENTROPY:
-        if probs.size:
-            from scipy.special import xlogy
+def score_distribution(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:
+    """Score every row of an (N, C) probability array, preserving point order.
 
-            clamped = np.where(probs < ENTROPY_PROB_FLOOR, 0.0, probs)
-            values = np.maximum(-xlogy(clamped, clamped).sum(axis=1), 0.0)
-        else:
-            values = np.zeros(0)
+    The rows are trusted to be probabilities: pass the output of
+    :func:`~pcood.predictive.aggregate`, whose tensor was validated on
+    construction. Returns a read-only float64 array of N scores.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if kind is ScoreKind.MSP_COMPLEMENT:
+        values = 1.0 - probs.max(axis=1)
+    elif kind is ScoreKind.ENTROPY:
+        from scipy.special import xlogy
+
+        clamped = np.where(probs < ENTROPY_PROB_FLOOR, 0.0, probs)
+        values = np.maximum(-xlogy(clamped, clamped).sum(axis=1), 0.0)
     else:
         raise ValidationError(f"unknown score kind: {kind!r}")
-    return ScoreVector(values, kind, dist.n_classes)
+    return _frozen(values)
 
 
 def write_scores_csv(scores, sink) -> None:
@@ -147,8 +107,7 @@ def write_scores_csv(scores, sink) -> None:
     Floats are written with repr so reading the file back reproduces
     them bit for bit.
     """
-    values = scores.scores if isinstance(scores, ScoreVector) else \
-        np.asarray(scores, dtype=np.float64)
+    values = np.asarray(scores, dtype=np.float64)
     write_text(sink, _SCORE_HEADER + "\n")
     for start in range(0, len(values), _WRITE_ROWS):
         rows = enumerate(values[start:start + _WRITE_ROWS].tolist(), start)

@@ -214,16 +214,16 @@ def test_aggregation_prefix_consistency_and_row_sums():
     tensor = _simplex_tensor(500, 8, 20, 73)
     worst_prefix = 0.0
     for k in range(1, 21):
-        full = aggregate(tensor, k).probs
+        full = aggregate(tensor, k)
         prefix = PredictiveTensor(tensor.values[:k], TensorKind.PROBABILITIES)
         worst_prefix = max(worst_prefix,
-                           float(np.abs(full - aggregate(prefix, k).probs).max()))
+                           float(np.abs(full - aggregate(prefix, k)).max()))
     assert worst_prefix <= 1e-12
 
     two = PredictiveTensor(np.array([[[0.6, 0.4]], [[0.2, 0.8]]],
                                     dtype=np.float32),
                            TensorKind.PROBABILITIES)
-    averaged = aggregate(two, 2).probs[0]
+    averaged = aggregate(two, 2)[0]
     # The mean of the stored member rows is exact in float64 ...
     stored = two.values.astype(np.float64)
     arithmetic_dev = float(np.abs(averaged - (stored[0, 0] + stored[1, 0]) / 2.0).max())
@@ -233,7 +233,7 @@ def test_aggregation_prefix_consistency_and_row_sums():
     assert decimal_dev <= 1e-6
 
     big = _simplex_tensor(100_000, 8, 20, 74)
-    sums = aggregate(big, 20).probs.sum(axis=-1)
+    sums = aggregate(big, 20).sum(axis=-1)
     worst_sum = float(np.abs(sums - 1.0).max())
     assert worst_sum <= 1e-6
     print(f"\n[PASS] aggregation: prefix dev {worst_prefix!r}, hand fixture "

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import pcood
-from pcood import (ScoreKind, ScoreVector, TensorKind, PredictiveTensor,
+from pcood import (ScoreKind, TensorKind, PredictiveTensor,
                    aggregate, apply_threshold, exact_auroc,
                    read_metrics_report, read_roc_csv, read_scores_csv,
                    read_tensor, score_distribution, synth_tensor,
@@ -262,7 +262,7 @@ class TestAggregateAndScore:
         out = tmp_path / "agg.pcod"
         assert run("aggregate", "--in", id_path, "--out", out) == 0
         agg = _read_tensor_file(out)
-        want = aggregate(id_tensor, 3).probs.astype(np.float32)
+        want = aggregate(id_tensor, 3).astype(np.float32)
         np.testing.assert_array_equal(agg.values[0], want)
 
     def test_score_matches_library(self, tmp_path, tensor_pair):
@@ -272,8 +272,7 @@ class TestAggregateAndScore:
                    "--kind", "entropy", "--k", 2) == 0
         with open(out, "rb") as f:
             got = read_scores_csv(f)
-        want = score_distribution(aggregate(id_tensor, 2),
-                                  ScoreKind.ENTROPY).scores
+        want = score_distribution(aggregate(id_tensor, 2), ScoreKind.ENTROPY)
         np.testing.assert_array_equal(got, want)
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
@@ -314,9 +313,9 @@ class TestAurocCommand:
         report = _read_report(out)
         for k in (1, 2, 3):
             ids = score_distribution(aggregate(id_tensor, k),
-                                     ScoreKind.MSP_COMPLEMENT).scores
+                                     ScoreKind.MSP_COMPLEMENT)
             oods = score_distribution(aggregate(ood_tensor, k),
-                                      ScoreKind.MSP_COMPLEMENT).scores
+                                      ScoreKind.MSP_COMPLEMENT)
             assert float(report[f"auroc_k{k}"]) == exact_auroc(ids, oods)
 
     def test_default_k_is_all_members(self, tmp_path, tensor_pair):
@@ -450,7 +449,7 @@ class TestIouCommand:
         assert run("iou", "--points", points, "--labels", labels_path,
                    "--pred", pred, "--out", out) == 1
         assert capsys.readouterr().err == \
-            f"error: {points}: labels line 3: not valid UTF-8\n"
+            f"error: {labels_path}: labels line 3: not valid UTF-8\n"
         text = points.read_bytes()
         points.write_bytes(text + b"0 0 0 0 0 0 \xc3\n")
         assert run("iou", "--points", points, "--labels", labels_path,
@@ -464,6 +463,21 @@ class TestIouCommand:
                    "--out", tmp_path / "map.txt") == 1
         assert capsys.readouterr().err == f"error: {roc}: line 2: not valid UTF-8\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad_labels, message", [
+        ("1\nx\n", "labels line 2: not an integer: 'x'"),
+        ("1\n\n99999999999999999999\n",
+         "labels line 3: label '99999999999999999999' outside int64"),
+        ("1\n2\n", "60 points but 2 labels"),
+        ("9\n" * 60, "label 9 at index 0 outside 0..4"),
+    ], ids=["not_an_integer", "beyond_int64", "count", "class_range"])
+    def test_labels_errors_name_the_labels_file(self, tmp_path, capsys,
+                                                bad_labels, message):
+        points, labels_path, pred, _ = self._one_hot_setup(tmp_path)
+        labels_path.write_text(bad_labels)
+        assert run("iou", "--points", points, "--labels", labels_path,
+                   "--pred", pred, "--out", tmp_path / "iou.txt") == 1
+        assert capsys.readouterr().err == f"error: {labels_path}: {message}\n"
 
     def test_perfect_predictions(self, tmp_path):
         points, labels_path, pred, labels = self._one_hot_setup(tmp_path)
@@ -570,3 +584,73 @@ class TestScoreTensorConsistency:
                    "--out", via_tensor, "--mode", "exact") == 0
         assert (float(_read_report(via_csv)["auroc"])
                 == float(_read_report(via_tensor)["auroc_k2"]))
+
+
+# Rows that PredictiveTensor accepts (row sums within 1e-5 of 1) although
+# float32 rounding moves them off the simplex: C=2 rows summing to 1+8e-6,
+# and C=3 rows of entries one ulp below 1/3, whose MSP complement lies
+# above the 1 - 1/3 the domain allows.
+_EDGE_ROWS = {
+    "c2_sum_above_one": np.full(2, 0.500004, dtype=np.float32),
+    "c3_ulp_below_third": np.full(3, np.nextafter(np.float32(1 / 3),
+                                                  np.float32(0))),
+}
+
+
+class TestNearUniformRows:
+    @pytest.fixture(params=sorted(_EDGE_ROWS))
+    def edge(self, request, tmp_path):
+        row = _EDGE_ROWS[request.param]
+        values = np.tile(row, (2, 5, 1))
+        path = tmp_path / "edge.pcod"
+        _write_tensor_file(path, PredictiveTensor(values,
+                                                  TensorKind.PROBABILITIES))
+        points = tmp_path / "points.txt"
+        _write_points_file(points, 5)
+        return path, points, 1.0 - float(row.max())
+
+    def test_score_writes_the_msp_complement(self, tmp_path, edge):
+        path, _, want = edge
+        for kind in ("msp", "entropy"):
+            out = tmp_path / f"{kind}.csv"
+            assert run("score", "--in", path, "--out", out, "--kind", kind) == 0
+        with open(tmp_path / "msp.csv", "rb") as f:
+            got = read_scores_csv(f)
+        assert got.tobytes() == np.full(5, want).tobytes()
+
+    @pytest.mark.parametrize("kind", ["msp", "entropy"])
+    @pytest.mark.parametrize("mode", ["exact", "hist"])
+    def test_auroc_and_roc_accept_the_tensor(self, tmp_path, edge, kind, mode):
+        path, _, _ = edge
+        out = tmp_path / "r.txt"
+        assert run("auroc", "--id", path, "--ood", path, "--kind", kind,
+                   "--mode", mode, "--out", out) == 0
+        assert float(_read_report(out)["auroc_k2"]) == 0.5
+        roc = tmp_path / "roc.csv"
+        assert run("roc", "--id", path, "--ood", path, "--kind", kind,
+                   "--out", roc) == 0
+        with open(roc, "rb") as f:
+            curve, _ = read_roc_csv(f)
+        assert curve.auroc == 0.5
+
+    def test_map_thresholds_at_the_exact_score(self, tmp_path, edge):
+        path, points, want = edge
+        for threshold, color in ((want, "255 0 0"),
+                                 (np.nextafter(want, 1.0), "0 255 0")):
+            out = tmp_path / "map.txt"
+            assert run("map", "--points", points, "--pred", path,
+                       "--threshold", repr(float(threshold)), "--out", out) == 0
+            lines = out.read_text().splitlines()
+            assert len(lines) == 5
+            assert all(line.endswith(color) for line in lines)
+
+
+def test_bad_row_message_prints_plain_floats(tmp_path, capsys):
+    bad = tmp_path / "bad.pcod"
+    bad.write_bytes(struct.pack("<4sHBBQHH", b"PCOD", 1, 0, 0, 2, 2, 1)
+                    + np.array([0.5, 0.5, 0.7, 0.2], dtype="<f4").tobytes())
+    assert run("score", "--in", bad, "--out", tmp_path / "s.csv") == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {bad}: member 0 point 1: probability row sums to "
+                   f"{float(np.float32(0.7)) + float(np.float32(0.2))!r}\n")
+    assert "np." not in err

@@ -12,10 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pcood import (BinnedScoreHistogram, IdOodMask, ParseError,
-                   PredictiveDistribution, RocCurve, ScoreKind, ScoreVector,
-                   StructuralError, ValidationError, apply_threshold,
-                   argmax_labels, confusion_accumulate, confusion_merge,
+from pcood import (BinnedScoreHistogram, IdOodMask, ParseError, RocCurve,
+                   ScoreKind, StructuralError, ValidationError,
+                   apply_threshold, argmax_labels, confusion_accumulate,
                    confusion_new, exact_auroc, hist_accumulate, hist_auroc,
                    hist_merge, hist_new, hist_new_range, optimal_threshold,
                    read_metrics_report, read_roc_csv, roc_curve, seg_metrics,
@@ -193,18 +192,6 @@ class TestHistogram:
         hist_accumulate(hist, np.array([-3.0, 0.0, 0.999, 1.0, 42.0]), "id")
         assert hist.counts_id.tolist() == [2, 0, 0, 3]
 
-    def test_score_vector_kind_and_domain_checks(self):
-        hist = hist_new(ScoreKind.ENTROPY, 8, 16)
-        vec = ScoreVector(np.array([0.5]), ScoreKind.MSP_COMPLEMENT, 8)
-        with pytest.raises(StructuralError):
-            hist_accumulate(hist, vec, "id")
-        other = ScoreVector(np.array([0.5]), ScoreKind.ENTROPY, 4)
-        with pytest.raises(StructuralError):
-            hist_accumulate(hist, other, "id")
-        matching = ScoreVector(np.array([0.5]), ScoreKind.ENTROPY, 8)
-        hist_accumulate(hist, matching, "id")
-        assert hist.n_id == 1
-
     def test_merge_compatibility_checks(self):
         a = hist_new_range(0.0, 1.0, 8)
         with pytest.raises(StructuralError):
@@ -213,6 +200,12 @@ class TestHistogram:
             hist_merge(a, hist_new_range(0.0, 2.0, 8))
         with pytest.raises(StructuralError):
             hist_merge(a, hist_new(ScoreKind.ENTROPY, 8, 8))
+        # Histograms carry no score kind: the MSP and entropy domains
+        # differ for every class count, so the domain check refuses them.
+        for c in range(2, 65):
+            with pytest.raises(StructuralError):
+                hist_merge(hist_new(ScoreKind.MSP_COMPLEMENT, c, 8),
+                           hist_new(ScoreKind.ENTROPY, c, 8))
 
     def test_bad_population_and_values(self):
         hist = hist_new_range(0.0, 1.0, 8)
@@ -387,17 +380,15 @@ class TestOptimalThreshold:
 
 class TestArgmaxLabels:
     def test_basic_and_tie_break(self):
-        dist = PredictiveDistribution(
-            np.array([[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]]), 1)
-        np.testing.assert_array_equal(argmax_labels(dist), [2, 1, 1])
+        probs = np.array([[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]])
+        np.testing.assert_array_equal(argmax_labels(probs), [2, 1, 1])
 
     def test_uniform_row_goes_to_class_one(self):
-        dist = PredictiveDistribution(np.full((1, 8), 0.125), 1)
-        assert argmax_labels(dist).tolist() == [1]
+        assert argmax_labels(np.full((1, 8), 0.125)).tolist() == [1]
 
     def test_empty(self):
-        dist = PredictiveDistribution(np.zeros((0, 4)), 1)
-        assert argmax_labels(dist).shape == (0,)
+        labels = argmax_labels(np.zeros((0, 4)))
+        assert labels.shape == (0,) and labels.dtype == np.int64
 
 
 class TestConfusion:
@@ -443,13 +434,11 @@ class TestConfusion:
         truth = rng.integers(0, 5, size=300)
         pred = rng.integers(1, 5, size=300)
         single = confusion_accumulate(confusion_new(4), pred, truth)
-        merged = confusion_new(4)
+        parts = confusion_new(4)
         for lo in range(0, 300, 50):
-            part = confusion_accumulate(confusion_new(4), pred[lo:lo + 50],
-                                        truth[lo:lo + 50])
-            merged = confusion_merge(merged, part)
-        np.testing.assert_array_equal(single.counts, merged.counts)
-        assert single.ignored == merged.ignored
+            confusion_accumulate(parts, pred[lo:lo + 50], truth[lo:lo + 50])
+        np.testing.assert_array_equal(single.counts, parts.counts)
+        assert single.ignored == parts.ignored
 
     def test_matches_set_oracle(self):
         rng = np.random.default_rng(46)
@@ -475,25 +464,21 @@ class TestConfusion:
 
 class TestApplyThreshold:
     def test_basic(self):
-        vec = ScoreVector(np.array([0.2, 0.8]), ScoreKind.MSP_COMPLEMENT, 8)
-        mask = apply_threshold(vec, 0.5)
+        mask = apply_threshold(np.array([0.2, 0.8]), 0.5)
         assert isinstance(mask, IdOodMask)
         assert mask.flags.tolist() == [0, 1]
 
     def test_boundary_is_ood(self):
-        vec = ScoreVector(np.array([0.5]), ScoreKind.MSP_COMPLEMENT, 2)
-        assert apply_threshold(vec, 0.5).flags.tolist() == [1]
+        assert apply_threshold(np.array([0.5]), 0.5).flags.tolist() == [1]
 
     def test_extreme_thresholds(self):
-        vec = ScoreVector(np.array([0.0, 0.3, 0.5]),
-                          ScoreKind.MSP_COMPLEMENT, 2)
-        assert apply_threshold(vec, -1.0).flags.tolist() == [1, 1, 1]
-        assert apply_threshold(vec, 2.0).flags.tolist() == [0, 0, 0]
+        values = np.array([0.0, 0.3, 0.5])
+        assert apply_threshold(values, -1.0).flags.tolist() == [1, 1, 1]
+        assert apply_threshold(values, 2.0).flags.tolist() == [0, 0, 0]
 
     def test_non_finite_threshold(self):
-        vec = ScoreVector(np.array([0.5]), ScoreKind.MSP_COMPLEMENT, 2)
         with pytest.raises(ValidationError):
-            apply_threshold(vec, float("nan"))
+            apply_threshold(np.array([0.5]), float("nan"))
 
 
 class TestReportFormats:

@@ -7,10 +7,10 @@ import struct
 import numpy as np
 import pytest
 
-from pcood import (CapacityError, FormatError, PredictiveDistribution,
-                   PredictiveTensor, StructuralError, TensorKind,
-                   TruncatedStreamError, ValidationError, aggregate,
-                   read_tensor, softmax_row, write_tensor)
+from pcood import (CapacityError, FormatError, PredictiveTensor,
+                   StructuralError, TensorKind, TruncatedStreamError,
+                   ValidationError, aggregate, read_tensor, softmax_row,
+                   write_tensor)
 
 _HEADER = struct.Struct("<4sHBBQHH")
 
@@ -90,15 +90,6 @@ class TestTensorValidation:
         with pytest.raises(ValidationError):
             PredictiveTensor(np.array([[[np.inf, 0.0]]]), TensorKind.LOGITS)
 
-    def test_distribution_invariants(self):
-        PredictiveDistribution(np.array([[0.25, 0.75]]), members_used=1)
-        with pytest.raises(ValidationError):
-            PredictiveDistribution(np.array([[0.3, 0.6]]), members_used=1)
-        with pytest.raises(ValidationError):
-            PredictiveDistribution(np.array([[0.5, 0.5]]), members_used=0)
-        with pytest.raises(ValidationError):
-            PredictiveDistribution(np.array([[1.2, -0.2]]), members_used=1)
-
     def test_tensor_is_frozen(self):
         tensor = _prob_tensor(np.random.default_rng(0), 2, 3, 4)
         with pytest.raises(ValueError):
@@ -110,15 +101,20 @@ class TestAggregate:
         member = np.array([[0.7, 0.3]], dtype=np.float32)
         tensor = PredictiveTensor(np.stack([member] * 4),
                                   TensorKind.PROBABILITIES)
-        dist = aggregate(tensor, 4)
-        np.testing.assert_array_equal(dist.probs,
+        np.testing.assert_array_equal(aggregate(tensor, 4),
                                       member.astype(np.float64))
-        assert dist.members_used == 4
+
+    def test_result_is_a_frozen_float64_array(self):
+        tensor = _prob_tensor(np.random.default_rng(4), 2, 5, 3)
+        mean = aggregate(tensor, 2, 1, 4)
+        assert mean.dtype == np.float64 and mean.shape == (3, 3)
+        with pytest.raises(ValueError):
+            mean[0, 0] = 0.5
 
     def test_two_member_symmetry(self):
         values = np.array([[[1.0, 0.0]], [[0.0, 1.0]]], dtype=np.float32)
         tensor = PredictiveTensor(values, TensorKind.PROBABILITIES)
-        np.testing.assert_array_equal(aggregate(tensor, 2).probs,
+        np.testing.assert_array_equal(aggregate(tensor, 2),
                                       np.array([[0.5, 0.5]]))
 
     def test_hand_average_of_first_two_members(self):
@@ -128,14 +124,14 @@ class TestAggregate:
         dist = aggregate(tensor, 2)
         # Oracle: average the two stored float32 rows by hand in float64.
         hand = (values[0].astype(np.float64) + values[1].astype(np.float64)) / 2
-        np.testing.assert_allclose(dist.probs, hand, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dist.probs, [[0.4, 0.6]], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(dist, hand, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dist, [[0.4, 0.6]], rtol=0, atol=1e-6)
 
     def test_k_one_is_exact_passthrough(self):
         rng = np.random.default_rng(5)
         tensor = _prob_tensor(rng, 3, 20, 5)
         dist = aggregate(tensor, 1)
-        np.testing.assert_array_equal(dist.probs,
+        np.testing.assert_array_equal(dist,
                                       tensor.values[0].astype(np.float64))
 
     def test_logits_softmax_applied_per_member(self):
@@ -145,15 +141,15 @@ class TestAggregate:
         dist = aggregate(tensor, 1)
         expected = np.stack([softmax_row(row)
                              for row in logits[0].astype(np.float64)])
-        np.testing.assert_array_equal(dist.probs, expected)
+        np.testing.assert_array_equal(dist, expected)
 
     def test_prefix_consistency(self):
         rng = np.random.default_rng(7)
         tensor = _prob_tensor(rng, 6, 15, 4)
         for k in (1, 2, 3, 6):
             prefix = PredictiveTensor(tensor.values[:k], tensor.kind)
-            np.testing.assert_array_equal(aggregate(tensor, k).probs,
-                                          aggregate(prefix, k).probs)
+            np.testing.assert_array_equal(aggregate(tensor, k),
+                                          aggregate(prefix, k))
 
     def test_point_partition_consistency(self):
         rng = np.random.default_rng(10)
@@ -166,9 +162,9 @@ class TestAggregate:
                       (0, 5, 6, 11, 12, 12))
         for tensor in (probs, logits):
             for k in (1, 3, 4):
-                whole = aggregate(tensor, k).probs
+                whole = aggregate(tensor, k)
                 for bounds in partitions:
-                    parts = [aggregate(tensor, k, a, b).probs
+                    parts = [aggregate(tensor, k, a, b)
                              for a, b in zip(bounds, bounds[1:])]
                     np.testing.assert_array_equal(np.concatenate(parts), whole)
             with pytest.raises(ValidationError):
@@ -186,7 +182,7 @@ class TestAggregate:
         rng = np.random.default_rng(8)
         tensor = _prob_tensor(rng, 10, 500, 8)
         for k in (1, 3, 10):
-            dev = np.abs(aggregate(tensor, k).probs.sum(axis=1) - 1.0)
+            dev = np.abs(aggregate(tensor, k).sum(axis=1) - 1.0)
             assert dev.max() <= 1e-6
 
     def test_k_out_of_range(self):

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from pcood import (ParseError, PredictiveDistribution, ScoreKind, ScoreVector,
-                   StructuralError, ValidationError, entropy, exact_auroc,
+from pcood import (ParseError, PredictiveTensor, ScoreKind, StructuralError,
+                   TensorKind, ValidationError, aggregate, entropy,
+                   exact_auroc, hist_accumulate, hist_auroc, hist_new,
                    msp_complement, read_scores_csv, score_distribution,
                    score_domain, write_scores_csv)
 
@@ -34,12 +37,15 @@ class TestRowScores:
 
     def test_row_sum_tolerance(self):
         msp_complement([0.7, 0.2, 0.1 + 9e-6])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=r"^probability row sums to 1\.09+, not 1$"):
             msp_complement([0.7, 0.2, 0.2])
         with pytest.raises(ValidationError):
             entropy([0.7, 0.2, 0.2])
 
     def test_bad_rows(self):
+        with pytest.raises(ValidationError, match=r"^negative probability -0\.1$"):
+            msp_complement([-0.1, 1.1])
         for row in ([0.5, np.nan], [-0.1, 1.1], []):
             with pytest.raises(ValidationError):
                 msp_complement(row)
@@ -78,57 +84,49 @@ class TestDomain:
         with pytest.raises(ValidationError):
             score_domain(ScoreKind.ENTROPY, 1)
 
-    def test_vector_rejects_out_of_domain(self):
-        ScoreVector(np.array([0.0, 0.875]), ScoreKind.MSP_COMPLEMENT, 8)
-        with pytest.raises(ValidationError):
-            ScoreVector(np.array([0.9]), ScoreKind.MSP_COMPLEMENT, 8)
-        with pytest.raises(ValidationError):
-            ScoreVector(np.array([-1e-6]), ScoreKind.ENTROPY, 8)
-        with pytest.raises(ValidationError):
-            ScoreVector(np.array([np.nan]), ScoreKind.ENTROPY, 8)
-
-    def test_empty_vector(self):
-        vec = ScoreVector(np.zeros(0), ScoreKind.ENTROPY, 8)
-        assert len(vec) == 0
-        assert vec.domain_hi == math.log(8)
-
     def test_scores_of_valid_rows_stay_in_domain(self):
         rng = np.random.default_rng(23)
         for c in (2, 3, 8):
-            dist = PredictiveDistribution(_simplex_rows(rng, 200, c), 1)
+            probs = _simplex_rows(rng, 200, c)
             for kind in ScoreKind:
-                vec = score_distribution(dist, kind)
-                assert vec.scores.min() >= vec.domain_lo
-                assert vec.scores.max() <= vec.domain_hi + 1e-9
+                lo, hi = score_domain(kind, c)
+                values = score_distribution(probs, kind)
+                assert values.min() >= lo
+                assert values.max() <= hi + 1e-9
 
 
 class TestScoreDistribution:
     def test_matches_row_functions(self):
         rng = np.random.default_rng(24)
-        dist = PredictiveDistribution(_simplex_rows(rng, 64, 6), 1)
-        msp = score_distribution(dist, ScoreKind.MSP_COMPLEMENT)
-        ent = score_distribution(dist, ScoreKind.ENTROPY)
+        probs = _simplex_rows(rng, 64, 6)
+        msp = score_distribution(probs, ScoreKind.MSP_COMPLEMENT)
+        ent = score_distribution(probs, ScoreKind.ENTROPY)
         np.testing.assert_array_equal(
-            msp.scores, [msp_complement(row) for row in dist.probs])
+            msp, [msp_complement(row) for row in probs])
         np.testing.assert_array_equal(
-            ent.scores, [entropy(row) for row in dist.probs])
+            ent, [entropy(row) for row in probs])
 
     def test_one_hot_and_uniform_rows(self):
-        dist = PredictiveDistribution(
-            np.array([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]]), 1)
-        ent = score_distribution(dist, ScoreKind.ENTROPY)
-        assert ent.scores[0] == 0.0
-        assert abs(ent.scores[1] - math.log(4)) <= 1e-12
+        probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+        ent = score_distribution(probs, ScoreKind.ENTROPY)
+        assert ent[0] == 0.0
+        assert abs(ent[1] - math.log(4)) <= 1e-12
 
     def test_empty_distribution(self):
-        dist = PredictiveDistribution(np.zeros((0, 3)), 1)
-        assert len(score_distribution(dist, ScoreKind.MSP_COMPLEMENT)) == 0
+        for kind in ScoreKind:
+            assert score_distribution(np.zeros((0, 3)), kind).shape == (0,)
+
+    def test_result_is_a_frozen_float64_array(self):
+        for kind in ScoreKind:
+            values = score_distribution(np.array([[0.9, 0.1]]), kind)
+            assert values.dtype == np.float64
+            with pytest.raises(ValueError):
+                values[0] = 0.5
 
     def test_order_preserved(self):
         probs = np.array([[0.9, 0.1], [0.5, 0.5], [0.6, 0.4]])
-        vec = score_distribution(PredictiveDistribution(probs, 1),
-                                 ScoreKind.MSP_COMPLEMENT)
-        np.testing.assert_allclose(vec.scores, [0.1, 0.5, 0.4],
+        values = score_distribution(probs, ScoreKind.MSP_COMPLEMENT)
+        np.testing.assert_allclose(values, [0.1, 0.5, 0.4],
                                    rtol=0, atol=1e-12)
 
     def test_two_class_rankings_coincide(self):
@@ -136,23 +134,80 @@ class TestScoreDistribution:
         # complement, so both kinds induce the same AUROC.
         rng = np.random.default_rng(25)
         for _ in range(10):
-            id_dist = PredictiveDistribution(_simplex_rows(rng, 80, 2), 1)
-            ood_dist = PredictiveDistribution(_simplex_rows(rng, 60, 2), 1)
+            id_probs = _simplex_rows(rng, 80, 2)
+            ood_probs = _simplex_rows(rng, 60, 2)
             aurocs = []
             for kind in ScoreKind:
-                a = score_distribution(id_dist, kind).scores
-                b = score_distribution(ood_dist, kind).scores
+                a = score_distribution(id_probs, kind)
+                b = score_distribution(ood_probs, kind)
                 aurocs.append(exact_auroc(a, b))
             assert aurocs[0] == aurocs[1]
+
+
+@st.composite
+def _probability_row(draw, c):
+    """A float32 row near the simplex: random, one-hot, or 1/C shifted by
+    a few ulps per entry, then maybe scaled by up to 1e-5 either way."""
+    shape = draw(st.sampled_from(["random", "one_hot", "near_uniform"]))
+    if shape == "random":
+        weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=c,
+                                         max_size=c)))
+        assume(weights.sum() > 0.0)
+        row = weights / weights.sum()
+    elif shape == "one_hot":
+        row = np.eye(c)[draw(st.integers(0, c - 1))]
+    else:
+        ulps = draw(st.lists(st.integers(-4, 4), min_size=c, max_size=c))
+        row = (np.full(c, np.float32(1 / c)).view(np.int32)
+               + np.array(ulps, dtype=np.int32)).view(np.float32)
+    scale = draw(st.sampled_from([0.0, 0.0, 9.9e-6, -9.9e-6])
+                 | st.floats(-9.9e-6, 9.9e-6))
+    return np.clip(row * (1.0 + scale), 0.0, 1.0).astype(np.float32)
+
+
+@st.composite
+def _accepted_tensors(draw):
+    """Probability tensors that PredictiveTensor accepts."""
+    k, n, c = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(2, 9))
+    rows = [draw(_probability_row(c)) for _ in range(k * n)]
+    try:
+        return PredictiveTensor(np.reshape(rows, (k, n, c)),
+                                TensorKind.PROBABILITIES)
+    except ValidationError:
+        assume(False)
+
+
+class TestValidatedTensorsScore:
+    """A tensor validated on read is trusted all the way to the AUROC."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_accepted_tensors())
+    @example(PredictiveTensor(np.full((1, 2, 2), 0.500004, dtype=np.float32),
+                              TensorKind.PROBABILITIES))
+    @example(PredictiveTensor(
+        np.full((2, 3, 3), np.nextafter(np.float32(1 / 3), np.float32(0))),
+        TensorKind.PROBABILITIES))
+    def test_accepted_tensor_goes_through_every_stage(self, tensor):
+        c = tensor.n_classes
+        for k in range(1, tensor.n_members + 1):
+            probs = aggregate(tensor, k)
+            for kind in ScoreKind:
+                values = score_distribution(probs, kind)
+                assert values.shape == (tensor.n_points,)
+                assert np.isfinite(values).all()
+                hist = hist_new(kind, c)
+                hist_accumulate(hist, values, "id")
+                hist_accumulate(hist, values, "ood")
+                assert hist_auroc(hist) == 0.5
+                assert exact_auroc(values, values) == 0.5
 
 
 class TestCsv:
     def test_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(26)
         values = rng.uniform(0, 0.875, size=100)
-        vec = ScoreVector(values, ScoreKind.MSP_COMPLEMENT, 8)
         sink = io.BytesIO()
-        write_scores_csv(vec, sink)
+        write_scores_csv(values, sink)
         back = read_scores_csv(io.BytesIO(sink.getvalue()))
         np.testing.assert_array_equal(back, values)
 

@@ -197,7 +197,7 @@ class TestTensors:
         for tensor in (id_tensor, ood_tensor):
             dist = aggregate(tensor, 1)
             scores.append(score_distribution(dist, ScoreKind.MSP_COMPLEMENT))
-        auroc = exact_auroc(scores[0].scores, scores[1].scores)
+        auroc = exact_auroc(scores[0], scores[1])
         assert abs(auroc - 0.5) <= 5 * hanley_mcneil_se(0.5, n, n)
 
     def test_high_separability_is_nearly_perfect(self):
@@ -206,7 +206,7 @@ class TestTensors:
         for tensor in (id_tensor, ood_tensor):
             dist = aggregate(tensor, 2)
             scores.append(score_distribution(dist, ScoreKind.ENTROPY))
-        auroc = exact_auroc(scores[0].scores, scores[1].scores)
+        auroc = exact_auroc(scores[0], scores[1])
         assert auroc >= 0.995
 
     def test_separability_orders_auroc(self):
@@ -217,7 +217,7 @@ class TestTensors:
             for tensor in (id_tensor, ood_tensor):
                 dist = aggregate(tensor, 1)
                 pair.append(score_distribution(dist, ScoreKind.MSP_COMPLEMENT))
-            aurocs.append(exact_auroc(pair[0].scores, pair[1].scores))
+            aurocs.append(exact_auroc(pair[0], pair[1]))
         assert aurocs[0] < aurocs[1] < aurocs[2]
 
     def test_argument_validation(self):

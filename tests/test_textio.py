@@ -23,8 +23,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pcood import (IdOodMask, LabeledCloud, ParseError, ValidationError,
-                   parse_semantic3d, read_scores_csv, write_idood_map,
-                   write_scores_csv)
+                   parse_semantic3d, read_labels, read_scores_csv,
+                   write_idood_map, write_scores_csv)
 from pcood import _io, pointcloud, scores
 
 
@@ -52,9 +52,9 @@ def _outcome(fn):
     """Bitwise arrays of a successful parse, or the error's type and message."""
     try:
         result = fn()
-    except (ValidationError, OverflowError) as exc:
-        # Labels beyond int64 pass the line parser and overflow in the
-        # int64 conversion on either path.
+    except ValidationError as exc:
+        # Labels beyond int64 are a ParseError naming the line on either
+        # path: numpy rejects the block, and the line parser range-checks.
         return type(exc).__name__, str(exc)
     if isinstance(result, LabeledCloud):
         result = (result.xyz, result.intensity, result.rgb, result.labels)
@@ -309,6 +309,17 @@ class TestHostileText:
         with pytest.raises(ParseError) as exc:
             _scores(data)
         assert str(exc.value) == "line 3: non-finite score"
+
+    def test_labels_beyond_int64_name_the_line(self):
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        assert read_labels(io.BytesIO(f"{top}\n{bottom}\n".encode())).tolist() \
+            == [top, bottom]
+        for value in (top + 1, bottom - 1, "1_0" + "0" * 19):
+            for size in (4, 1 << 22):
+                with _blocks_of(size), pytest.raises(ParseError) as exc:
+                    read_labels(io.BytesIO(f"1\n\n{value}\n".encode()))
+                assert str(exc.value) == \
+                    f"labels line 3: label '{value}' outside int64"
 
     def test_python_only_syntax_still_accepted(self):
         cloud = _points("1_0 ２ 3 4\xa05 6\r7\n".encode())
