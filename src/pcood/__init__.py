@@ -12,8 +12,8 @@ from .errors import (CapacityError, FormatError, ParseError, PcoodError,
 from .pointcloud import (ID_COLOR, OOD_COLOR, SEMANTIC3D_CLASS_COUNT,
                          SEMANTIC3D_CLASS_NAMES, IdOodMask, LabeledCloud,
                          parse_semantic3d, read_labels, write_idood_map)
-from .predictive import (PredictiveTensor, TensorKind, aggregate, read_tensor,
-                         softmax_row, write_tensor)
+from .predictive import (PredictiveTensor, TensorKind, TensorStream, aggregate,
+                         read_tensor, softmax_row, write_tensor)
 from .scores import (ScoreKind, entropy, msp_complement, read_scores_csv,
                      score_distribution, score_domain, write_scores_csv)
 from .evaluation import (BinnedScoreHistogram, ConfusionMatrix, RocCurve,
@@ -35,7 +35,7 @@ __all__ = [
     "ID_COLOR", "OOD_COLOR", "SEMANTIC3D_CLASS_COUNT",
     "SEMANTIC3D_CLASS_NAMES", "IdOodMask", "LabeledCloud",
     "parse_semantic3d", "read_labels", "write_idood_map",
-    "PredictiveTensor", "TensorKind", "aggregate",
+    "PredictiveTensor", "TensorKind", "TensorStream", "aggregate",
     "read_tensor", "softmax_row", "write_tensor",
     "ScoreKind", "entropy", "msp_complement",
     "read_scores_csv", "score_distribution", "score_domain",

@@ -33,7 +33,7 @@ from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
                          read_roc_csv)
 from .pointcloud import parse_semantic3d, read_labels, write_idood_map
 from .predictive import (PredictiveTensor, TENSOR_MAGIC, TensorKind,
-                         aggregate, read_tensor, write_tensor)
+                         TensorStream, write_tensor)
 from .scores import (ScoreKind, read_scores_csv, score_distribution,
                      write_scores_csv)
 from .synth import (GaussianPairSpec, sample_scores_chunk, synth_tensor_blocks)
@@ -120,25 +120,57 @@ def _named(path: str):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _load_tensor(path: str):
-    with open(path, "rb") as f, _named(path):
-        return read_tensor(f)
+def _open_tensor(files: contextlib.ExitStack, path: str):
+    """Open a PCOD input and check its header; its payload is read later."""
+    source = files.enter_context(open(path, "rb"))
+    with _named(path):
+        return TensorStream(source)
 
 
-def _load_scores_or_tensor(path: str):
-    """Return ("tensor", PredictiveTensor) or ("scores", ndarray) by sniffing."""
-    with open(path, "rb") as f:
-        head = f.read(len(TENSOR_MAGIC))
-    if head == TENSOR_MAGIC:
-        return "tensor", _load_tensor(path)
-    with open(path, "rb") as f, _named(path):
-        return "scores", read_scores_csv(f)
+class _HashedSource:
+    """A binary source that hands out `head`, then the rest of `source`,
+    and hashes every byte it hands out."""
+
+    def __init__(self, head: bytes, source):
+        self._head, self._source = head, source
+        self._digest = hashlib.sha256()
+
+    def read(self, size: int = -1) -> bytes:
+        if self._head:
+            data, self._head = self._head, b""
+        else:
+            data = self._source.read(size)
+        self._digest.update(data)
+        return data
+
+    @property
+    def sha256(self) -> str:
+        return self._digest.hexdigest()
 
 
-def _load_pair(args: argparse.Namespace):
-    """Load --id and --ood as (form, id, ood): two tensors or two score CSVs."""
-    id_form, id_data = _load_scores_or_tensor(args.id)
-    ood_form, ood_data = _load_scores_or_tensor(args.ood)
+def _open_scores_or_tensor(files: contextlib.ExitStack, path: str):
+    """Open an input by its magic as (form, data, hashed).
+
+    A tensor gives ("tensor", TensorStream, the stream), read later; a
+    score CSV is read to its end now, giving ("scores", ndarray, source).
+    ``hashed.sha256`` is the digest of the bytes that were read, so a pipe
+    is read once.
+    """
+    source = files.enter_context(open(path, "rb"))
+    with _named(path):
+        head = source.read(len(TENSOR_MAGIC))
+        if head == TENSOR_MAGIC:
+            stream = TensorStream(source, head)
+            return "tensor", stream, stream
+        hashed = _HashedSource(head, source)
+        return "scores", read_scores_csv(hashed), hashed
+
+
+def _open_pair(files: contextlib.ExitStack, args: argparse.Namespace):
+    """Open --id and --ood as (form, id, ood, inputs): two tensors or two
+    score CSVs, and the (role, path, hashed) entries for `_provenance`."""
+    id_form, id_data, id_hashed = _open_scores_or_tensor(files, args.id)
+    ood_form, ood_data, ood_hashed = _open_scores_or_tensor(files, args.ood)
     if id_form != ood_form:
         raise ValidationError(
             "--id and --ood must both be tensors or both be score CSVs"
@@ -150,48 +182,51 @@ def _load_pair(args: argparse.Namespace):
         raise ValidationError(
             f"class counts differ: {id_data.n_classes} vs {ood_data.n_classes}"
         )
-    return id_form, id_data, ood_data
+    inputs = [("id", args.id, id_hashed), ("ood", args.ood, ood_hashed)]
+    return id_form, id_data, ood_data, inputs
 
 
-def _load_scene(args: argparse.Namespace, labels: str | None = None):
-    """Load --pred and the --points cloud (with `labels`); sizes must match."""
-    tensor = _load_tensor(args.pred)
+def _open_scene(files: contextlib.ExitStack, args: argparse.Namespace,
+                labels: str | None = None):
+    """Open --pred and load the --points cloud (with `labels`); sizes must match."""
+    stream = _open_tensor(files, args.pred)
     with open(args.points, "rb") as f, _named(args.points):
-        cloud = parse_semantic3d(f, class_count=tensor.n_classes)
+        cloud = parse_semantic3d(f, class_count=stream.n_classes)
     if labels is not None:
         with open(labels, "rb") as f, _named(labels):
             cloud = dataclasses.replace(cloud, labels=read_labels(f))
-    if len(cloud) != tensor.n_points:
+    if len(cloud) != stream.n_points:
         raise ValidationError(
-            f"cloud has {len(cloud)} points but tensor has {tensor.n_points}"
+            f"cloud has {len(cloud)} points but tensor has {stream.n_points}"
         )
-    return tensor, cloud
+    return stream, cloud
 
 
-def _k(args: argparse.Namespace, tensor) -> int:
+def _k(args: argparse.Namespace, stream) -> int:
     """Members to average: --k, or every member of the tensor."""
-    return tensor.n_members if args.k is None else args.k
+    return stream.n_members if args.k is None else args.k
 
 
-def _over_points(tensor, k: int, workers: int, fn) -> np.ndarray:
-    """fn of the k-member average of each point shard, in point order."""
-    parts = _run_shards(lambda a, b: fn(aggregate(tensor, k, a, b)),
-                        _shards(tensor.n_points, workers), workers)
-    return np.concatenate(parts)
+def _per_k(streams, ks, workers: int, fn):
+    """Yield (k, [fn of each stream's k-member mean]) at each distinct k.
 
-
-def _scores(tensor, kind: ScoreKind, k: int, workers: int) -> np.ndarray:
-    return _over_points(tensor, k, workers,
-                        lambda probs: score_distribution(probs, kind))
-
-
-def _pair_scores(form: str, id_data, ood_data, kind: ScoreKind, k,
-                 workers: int):
-    """(id, ood) score arrays: score CSVs as read, tensors scored at k."""
-    if form == "scores":
-        return id_data, ood_data
-    return (_scores(id_data, kind, k, workers),
-            _scores(ood_data, kind, k, workers))
+    `streams` holds (path, TensorStream) pairs, read in step in one pass;
+    an input error met on the way is named by its path. fn runs on the
+    point shards of each mean as soon as it is formed, and its results are
+    joined in point order.
+    """
+    passes = [(path, stream.means(ks)) for path, stream in streams]
+    for k in sorted(set(ks)):
+        results = []
+        for path, means in passes:
+            with _named(path):
+                _, mean = next(means)
+            results.append(np.concatenate(_run_shards(
+                lambda a, b: fn(mean[a:b]), _shards(len(mean), workers), workers)))
+        yield k, results
+    for path, means in passes:
+        with _named(path):
+            next(means, None)  # reads and checks the rest of the stream
 
 
 def _pooled_hist(id_scores: np.ndarray, ood_scores: np.ndarray,
@@ -222,10 +257,17 @@ def _pooled_hist(id_scores: np.ndarray, ood_scores: np.ndarray,
 
 
 def _provenance(inputs) -> list:
+    """Report entries of (role, path, hashed) inputs.
+
+    An input read once, a tensor stream or a score CSV, takes its digest
+    from that read (``hashed.sha256``); with hashed None the file at path
+    is hashed.
+    """
     entries = []
-    for role, path in inputs:
+    for role, path, hashed in inputs:
+        digest = _sha256(path) if hashed is None else hashed.sha256
         entries.append((f"input_{role}", path))
-        entries.append((f"input_{role}_sha256", _sha256(path)))
+        entries.append((f"input_{role}_sha256", digest))
     return entries
 
 
@@ -234,9 +276,11 @@ def _provenance(inputs) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    tensor = _load_tensor(args.input)
-    k = _k(args, tensor)
-    probs = _over_points(tensor, k, args.workers, lambda probs: probs)
+    with contextlib.ExitStack() as files:
+        stream = _open_tensor(files, args.input)
+        k = _k(args, stream)
+        [(_, [probs])] = _per_k([(args.input, stream)], [k], args.workers,
+                                lambda probs: probs)
     out = PredictiveTensor(probs[np.newaxis].astype(np.float32),
                            TensorKind.PROBABILITIES)
     with atomic_outputs([args.out]) as (sink,):
@@ -249,9 +293,12 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    tensor = _load_tensor(args.input)
-    values = _scores(tensor, _KIND_FLAGS[args.kind], _k(args, tensor),
-                     args.workers)
+    kind = _KIND_FLAGS[args.kind]
+    with contextlib.ExitStack() as files:
+        stream = _open_tensor(files, args.input)
+        [(_, [values])] = _per_k([(args.input, stream)], [_k(args, stream)],
+                                 args.workers,
+                                 lambda probs: score_distribution(probs, kind))
     with atomic_outputs([args.out]) as (sink,):
         write_scores_csv(values, sink)
     return 0
@@ -259,36 +306,40 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_auroc(args: argparse.Namespace) -> int:
     kind = _KIND_FLAGS[args.kind]
-    form, id_data, ood_data = _load_pair(args)
-    if form == "scores":
-        n_classes = None
-        n_id, n_ood = id_data.shape[0], ood_data.shape[0]
-        rows = [("auroc", None)]
-    else:
-        n_classes = id_data.n_classes
-        n_id, n_ood = id_data.n_points, ood_data.n_points
-        rows = [(f"auroc_k{k}", k)
-                for k in args.k_list or [_k(args, id_data)]]
-    mode = args.mode
-    if mode == "auto":
-        mode = "exact" if n_id + n_ood <= EXACT_MODE_MAX_POINTS else "hist"
+    with contextlib.ExitStack() as files:
+        form, id_data, ood_data, inputs = _open_pair(files, args)
+        if form == "scores":
+            n_classes = None
+            n_id, n_ood = id_data.shape[0], ood_data.shape[0]
+        else:
+            n_classes = id_data.n_classes
+            n_id, n_ood = id_data.n_points, ood_data.n_points
+        mode = args.mode
+        if mode == "auto":
+            mode = "exact" if n_id + n_ood <= EXACT_MODE_MAX_POINTS else "hist"
+
+        def auroc(id_scores, ood_scores):
+            if mode == "exact":
+                return exact_auroc(id_scores, ood_scores)
+            return hist_auroc(_pooled_hist(id_scores, ood_scores, n_classes,
+                                           kind, args.bins, args.workers))
+
+        if form == "scores":
+            rows = [("auroc", auroc(id_data, ood_data))]
+        else:
+            ks = args.k_list or [_k(args, id_data)]
+            values = {k: auroc(*scores) for k, scores in _per_k(
+                [(args.id, id_data), (args.ood, ood_data)], ks, args.workers,
+                lambda probs: score_distribution(probs, kind))}
+            rows = [(f"auroc_k{k}", values[k]) for k in ks]
 
     entries = [("command", "auroc")]
-    entries += _provenance([("id", args.id), ("ood", args.ood)])
+    entries += _provenance(inputs)
     entries += [("kind", kind.value), ("tie_rule", TIE_RULE), ("mode", mode)]
     if mode == "hist":
         entries.append(("bins", args.bins))
     entries += [("n_id", n_id), ("n_ood", n_ood)]
-    for key, k in rows:
-        id_scores, ood_scores = _pair_scores(form, id_data, ood_data, kind, k,
-                                             args.workers)
-        if mode == "exact":
-            value = exact_auroc(id_scores, ood_scores)
-        else:
-            value = hist_auroc(_pooled_hist(id_scores, ood_scores, n_classes,
-                                            kind, args.bins, args.workers))
-        entries.append((key, value))
-
+    entries += rows
     with atomic_outputs([args.out]) as (sink,):
         write_metrics_report(entries, sink)
     return 0
@@ -296,13 +347,16 @@ def cmd_auroc(args: argparse.Namespace) -> int:
 
 def cmd_roc(args: argparse.Namespace) -> int:
     kind = _KIND_FLAGS[args.kind]
-    form, id_data, ood_data = _load_pair(args)
-    if form == "scores":
-        n_classes = k = None
-    else:
-        n_classes, k = id_data.n_classes, _k(args, id_data)
-    id_scores, ood_scores = _pair_scores(form, id_data, ood_data, kind, k,
-                                         args.workers)
+    with contextlib.ExitStack() as files:
+        form, id_data, ood_data, inputs = _open_pair(files, args)
+        if form == "scores":
+            n_classes = k = None
+            id_scores, ood_scores = id_data, ood_data
+        else:
+            n_classes, k = id_data.n_classes, _k(args, id_data)
+            [(_, [id_scores, ood_scores])] = _per_k(
+                [(args.id, id_data), (args.ood, ood_data)], [k], args.workers,
+                lambda probs: score_distribution(probs, kind))
     hist = _pooled_hist(id_scores, ood_scores, n_classes, kind, args.bins,
                         args.workers)
     curve = roc_curve(hist)
@@ -313,28 +367,31 @@ def cmd_roc(args: argparse.Namespace) -> int:
         metadata.append(("k", k))
     metadata += [("n_id", hist.n_id), ("n_ood", hist.n_ood),
                  ("youden_threshold", threshold), ("youden_j", j)]
-    metadata += _provenance([("id", args.id), ("ood", args.ood)])
+    metadata += _provenance(inputs)
     with atomic_outputs([args.out]) as (sink,):
         write_roc_csv(curve, sink, metadata)
     return 0
 
 
 def cmd_iou(args: argparse.Namespace) -> int:
-    tensor, cloud = _load_scene(args, args.labels)
-    k = _k(args, tensor)
-    predicted = _over_points(tensor, k, args.workers, argmax_labels)
-    matrix = confusion_accumulate(confusion_new(tensor.n_classes), predicted,
+    with contextlib.ExitStack() as files:
+        stream, cloud = _open_scene(files, args, args.labels)
+        k = _k(args, stream)
+        [(_, [predicted])] = _per_k([(args.pred, stream)], [k], args.workers,
+                                    argmax_labels)
+    matrix = confusion_accumulate(confusion_new(stream.n_classes), predicted,
                                   cloud.labels)
     metrics = seg_metrics(matrix)
 
     entries = [("command", "iou")]
-    entries += _provenance([("points", args.points), ("labels", args.labels),
-                            ("pred", args.pred)])
-    entries += [("k", k), ("n_classes", tensor.n_classes),
+    entries += _provenance([("points", args.points, None),
+                            ("labels", args.labels, None),
+                            ("pred", args.pred, stream)])
+    entries += [("k", k), ("n_classes", stream.n_classes),
                 ("total_counted", matrix.total_counted),
                 ("ignored", matrix.ignored),
                 ("mean_iou", metrics.mean_iou)]
-    for c in range(tensor.n_classes):
+    for c in range(stream.n_classes):
         entries.append((f"per_class_iou_{c + 1}", float(metrics.per_class_iou[c])))
     entries.append(("accuracy", metrics.accuracy))
     with atomic_outputs([args.out]) as (sink,):
@@ -344,16 +401,18 @@ def cmd_iou(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     kind = _KIND_FLAGS[args.kind]
-    tensor, cloud = _load_scene(args)
-    k = _k(args, tensor)
-    threshold = args.threshold
-    if threshold is None:
-        with open(args.roc, "rb") as f, _named(args.roc):
-            _, metadata = read_roc_csv(f)
-            if "youden_threshold" not in metadata:
-                raise ValidationError("no youden_threshold metadata")
-        threshold = float(metadata["youden_threshold"])
-    values = _scores(tensor, kind, k, args.workers)
+    with contextlib.ExitStack() as files:
+        stream, cloud = _open_scene(files, args)
+        threshold = args.threshold
+        if threshold is None:
+            with open(args.roc, "rb") as f, _named(args.roc):
+                _, metadata = read_roc_csv(f)
+                if "youden_threshold" not in metadata:
+                    raise ValidationError("no youden_threshold metadata")
+            threshold = float(metadata["youden_threshold"])
+        [(_, [values])] = _per_k([(args.pred, stream)], [_k(args, stream)],
+                                 args.workers,
+                                 lambda probs: score_distribution(probs, kind))
     mask = apply_threshold(values, threshold)
     with atomic_outputs([args.out]) as (sink,):
         write_idood_map(cloud, mask, sink)

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Everything a caller can trigger with bad input derives from
-``ValidationError`` (callers map it to exit code 1); stream truncation
-and OS-level failures map to exit code 2.
+``ValidationError`` (callers map it to exit code 1); a stream shorter or
+longer than its header declares, and OS-level failures, map to exit
+code 2.
 """
 
 
@@ -31,4 +32,5 @@ class CapacityError(ValidationError):
 
 
 class TruncatedStreamError(PcoodError, IOError):
-    """Stream ended before the declared payload was fully read."""
+    """Stream length differs from its declared payload: it ended early or
+    runs past the end."""

@@ -45,9 +45,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def exact_auroc(id_scores, ood_scores) -> float:
     """Tie-credited Mann-Whitney statistic P(ood > id) + 0.5 P(ood = id).
 
-    Computed from midranks via one sort of the pooled scores. The rank
-    sums are taken in integer arithmetic, so the result is the exactly
-    rounded value of the underlying rational number.
+    Computed from midranks via one argsort of the pooled scores: a run
+    of equal scores starting at 0-based position s with length L holds
+    ranks s+1..s+L, whose mean is s + (L + 1) / 2, and each OOD score in
+    the run takes it. Only the count of OOD scores per run enters, so the
+    order the sort leaves within a run does not matter. The rank sums are taken in integer
+    arithmetic, so the result is the exactly rounded value of the
+    underlying rational number.
     """
     ids = np.asarray(id_scores, dtype=np.float64).ravel()
     oods = np.asarray(ood_scores, dtype=np.float64).ravel()
@@ -56,11 +60,14 @@ def exact_auroc(id_scores, ood_scores) -> float:
     if not np.isfinite(ids).all() or not np.isfinite(oods).all():
         raise ValidationError("scores must be finite")
     n, m = ids.size, oods.size
-    pooled = np.sort(np.concatenate([ids, oods]))
-    left = np.searchsorted(pooled, oods, side="left")
-    right = np.searchsorted(pooled, oods, side="right")
+    pooled = np.concatenate([ids, oods])
+    order = np.argsort(pooled)
+    ranked = pooled[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    ood_in_run = np.add.reduceat((order >= n).astype(np.int64), starts)
+    lengths = np.diff(starts, append=n + m)
     # Twice the 1-based midrank sum of the OOD population; exact as an int.
-    double_ranks = int(left.sum(dtype=np.int64)) + int(right.sum(dtype=np.int64)) + m
+    double_ranks = int(np.dot(ood_in_run, 2 * starts + lengths + 1))
     double_u = double_ranks - m * (m + 1)
     return double_u / (2 * n * m)
 

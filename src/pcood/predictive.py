@@ -9,13 +9,16 @@ are computed from; accumulation runs in float64.
 The on-disk container is the PCOD format: a 20-byte little-endian
 header (magic ``PCOD``, version u16, kind u8, reserved u8, point count
 u64, class count u16, member count u16) followed by the float32 values
-laid out member-major, so a prefix of members can be streamed without
-touching the rest of the file.
+laid out member-major. ``TensorStream`` reads such a file front to back
+once: it checks and hashes each member block as it arrives and keeps a
+float64 running sum, so the means for every k of a sweep cost one pass
+and memory of order N x C, whatever the member count.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import io
 import struct
 from dataclasses import dataclass
@@ -30,6 +33,9 @@ TENSOR_VERSION = 1
 
 _HEADER = struct.Struct("<4sHBBQHH")
 _MAX_PAYLOAD_BYTES = 2 ** 62
+# Most bytes asked of the source per read: a header may declare any size,
+# so reads grow with the bytes that arrive, never with the declaration.
+_READ_CHUNK = 1 << 24
 
 # Probability rows may drift from exact normalization by float32
 # rounding. This is the one row-sum check: everything derived from a
@@ -53,6 +59,33 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_member(rows: np.ndarray, kind: TensorKind, member: int) -> None:
+    """Check the (N, C) rows of one member; raise ValidationError for the
+    first bad row."""
+    if not rows.size:
+        return
+    if kind is TensorKind.LOGITS:
+        if not np.isfinite(rows).all():
+            raise ValidationError("tensor values must be finite")
+        return
+    sums = np.sum(rows, axis=-1, dtype=np.float64)
+    off = np.abs(sums - 1.0) > PROB_ROW_SUM_TOL
+    # min/max propagate NaN, so in-range extremes also rule out NaN and inf.
+    if rows.min() >= 0.0 and rows.max() <= 1.0 and not off.any():
+        return
+    nonfinite = ~np.isfinite(rows).all(axis=-1)
+    outside = ((rows < 0.0) | (rows > 1.0)).any(axis=-1)
+    i = int(np.argmax(nonfinite | outside | off))
+    if nonfinite[i]:
+        raise ValidationError("tensor values must be finite")
+    if outside[i]:
+        raise ValidationError("probability entries must lie in [0, 1]")
+    raise ValidationError(
+        f"member {member} point {i}: probability row sums to "
+        f"{float(sums[i])!r}"
+    )
+
+
 @dataclass
 class PredictiveTensor:
     """(K, N, C) float32 member outputs, immutable after construction."""
@@ -73,19 +106,8 @@ class PredictiveTensor:
             raise ValidationError("tensor needs at least one member")
         if c < 2:
             raise ValidationError(f"tensor needs at least two classes, got {c}")
-        if not np.isfinite(values).all():
-            raise ValidationError("tensor values must be finite")
-        if self.kind is TensorKind.PROBABILITIES:
-            if values.size and (values.min() < 0.0 or values.max() > 1.0):
-                raise ValidationError("probability entries must lie in [0, 1]")
-            sums = np.sum(values, axis=-1, dtype=np.float64)
-            dev = np.abs(sums - 1.0)
-            if dev.size and dev.max() > PROB_ROW_SUM_TOL:
-                m, i = np.unravel_index(int(dev.argmax()), dev.shape)
-                raise ValidationError(
-                    f"member {m} point {i}: probability row sums to "
-                    f"{float(sums[m, i])!r}"
-                )
+        for m in range(k):
+            _check_member(values[m], self.kind, m)
         self.values = _frozen(values)
 
     @property
@@ -124,6 +146,23 @@ def softmax_row(logits) -> np.ndarray:
     return _softmax_rows(row.reshape(1, -1))[0]
 
 
+def _check_k(k: int, n_members: int) -> None:
+    if not 1 <= k <= n_members:
+        raise ValidationError(f"k must lie in 1..{n_members}, got {k}")
+
+
+def _add_member(acc: np.ndarray, rows: np.ndarray, kind: TensorKind) -> None:
+    """acc += one member's rows in probability space, in float64.
+
+    Float32 entries widen to float64 exactly, so adding them directly
+    equals adding their float64 copy.
+    """
+    if kind is TensorKind.LOGITS:
+        acc += _softmax_rows(rows.astype(np.float64))
+    else:
+        acc += rows
+
+
 def aggregate(tensor: PredictiveTensor, k: int, start: int = 0,
               stop: int | None = None) -> np.ndarray:
     """Average the first k members over points [start, stop) of a tensor.
@@ -135,10 +174,7 @@ def aggregate(tensor: PredictiveTensor, k: int, start: int = 0,
     the results over any partition of the points equals the full-range
     result bit for bit.
     """
-    if not 1 <= k <= tensor.n_members:
-        raise ValidationError(
-            f"k must lie in 1..{tensor.n_members}, got {k}"
-        )
+    _check_k(k, tensor.n_members)
     stop = tensor.n_points if stop is None else stop
     if not 0 <= start <= stop <= tensor.n_points:
         raise ValidationError(
@@ -146,10 +182,7 @@ def aggregate(tensor: PredictiveTensor, k: int, start: int = 0,
         )
     acc = np.zeros((stop - start, tensor.n_classes), dtype=np.float64)
     for m in range(k):
-        member = tensor.values[m, start:stop].astype(np.float64)
-        if tensor.kind is TensorKind.LOGITS:
-            member = _softmax_rows(member)
-        acc += member
+        _add_member(acc, tensor.values[m, start:stop], tensor.kind)
     return _frozen(acc / float(k))
 
 
@@ -162,47 +195,133 @@ def write_tensor(tensor: PredictiveTensor, sink) -> None:
         sink.write(np.ascontiguousarray(tensor.values[m], dtype="<f4").tobytes())
 
 
+def _read_upto(source, nbytes: int) -> bytes:
+    """Up to nbytes from source, fewer only where it ends; read in chunks."""
+    parts = []
+    while nbytes:
+        chunk = source.read(min(nbytes, _READ_CHUNK))
+        if not chunk:
+            break
+        parts.append(chunk)
+        nbytes -= len(chunk)
+    return b"".join(parts)
+
+
+def _length_error(got: int, declared: int) -> TruncatedStreamError:
+    if got < declared:
+        return TruncatedStreamError(
+            f"payload truncated: got {got} of {declared} bytes")
+    return TruncatedStreamError(f"payload has {got - declared} trailing bytes")
+
+
+class TensorStream:
+    """One forward pass over a PCOD source: every member read, checked and
+    hashed once.
+
+    The constructor reads and checks the header. For a seekable source it
+    also checks that exactly the declared payload follows, so a short or
+    overlong file fails before any member is read; a pipe is read in
+    chunks of at most ``_READ_CHUNK`` bytes and fails where it ends, so no
+    allocation is ever sized by the header alone. ``means`` then makes the
+    single pass, and ``sha256`` is the digest of every byte it read.
+    ``head`` holds bytes already read from the start of the source, for a
+    caller that sniffed the magic of a pipe.
+    """
+
+    def __init__(self, source, head: bytes = b""):
+        self._source = source
+        self._digest = hashlib.sha256()
+        self._started = self._done = False
+        header = head + _read_upto(source, _HEADER.size - len(head))
+        if len(header) < _HEADER.size:
+            raise TruncatedStreamError(
+                f"header truncated: got {len(header)} of {_HEADER.size} bytes"
+            )
+        magic, version, kind_code, reserved, n_points, n_classes, n_members = \
+            _HEADER.unpack(header)
+        if magic != TENSOR_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
+        if version != TENSOR_VERSION:
+            raise FormatError(f"unsupported format version {version}")
+        if kind_code not in _CODE_KINDS:
+            raise FormatError(f"unknown tensor kind code {kind_code}")
+        if reserved != 0:
+            raise FormatError(f"reserved header byte must be 0, got {reserved}")
+        if n_members < 1 or n_classes < 2:
+            raise FormatError(
+                f"header declares {n_members} members and {n_classes} classes"
+            )
+        self._payload_bytes = 4 * n_members * n_points * n_classes
+        if self._payload_bytes > _MAX_PAYLOAD_BYTES:
+            raise CapacityError(f"declared payload of {self._payload_bytes} "
+                                f"bytes exceeds the supported size")
+        if source.seekable():
+            pos = source.tell()
+            available = source.seek(0, io.SEEK_END) - pos
+            source.seek(pos)
+            if available != self._payload_bytes:
+                raise _length_error(available, self._payload_bytes)
+        self._digest.update(header)
+        self.kind = _CODE_KINDS[kind_code]
+        self.n_points, self.n_classes, self.n_members = \
+            n_points, n_classes, n_members
+
+    @property
+    def sha256(self) -> str:
+        """Hex digest of the header and payload, once ``means`` has ended."""
+        if not self._done:
+            raise RuntimeError("the tensor stream has not been read to its end")
+        return self._digest.hexdigest()
+
+    def _blocks(self):
+        """Yield each member's unchecked (N, C) float32 block, hashed."""
+        if self._started:
+            raise RuntimeError("a tensor stream can be read only once")
+        self._started = True
+        block_bytes = 4 * self.n_points * self.n_classes
+        for m in range(self.n_members):
+            data = _read_upto(self._source, block_bytes)
+            if len(data) < block_bytes:
+                raise _length_error(m * block_bytes + len(data),
+                                    self._payload_bytes)
+            self._digest.update(data)
+            yield np.frombuffer(data, dtype="<f4").reshape(self.n_points,
+                                                           self.n_classes)
+        extra = 0
+        while chunk := self._source.read(_READ_CHUNK):
+            extra += len(chunk)
+        if extra:
+            raise _length_error(self._payload_bytes + extra, self._payload_bytes)
+        self._done = True
+
+    def means(self, ks):
+        """Yield ``(k, mean of the first k members)`` for each distinct k.
+
+        The ks are checked against the member count now; the pass runs as
+        the result is iterated, in increasing k. Each mean is the
+        read-only (N, C) float64 array ``aggregate(tensor, k)`` returns,
+        bit for bit. Every member, also past the largest k, is checked;
+        members past it are not added. After the last mean the rest of
+        the stream is read, so iterate to the end for ``sha256``.
+        """
+        for k in ks:
+            _check_k(k, self.n_members)
+        return self._means(set(ks))
+
+    def _means(self, wanted):
+        last = max(wanted, default=0)
+        acc = None
+        for m, block in enumerate(self._blocks()):
+            _check_member(block, self.kind, m)
+            if m < last:
+                if acc is None:
+                    acc = np.zeros(block.shape, dtype=np.float64)
+                _add_member(acc, block, self.kind)
+            if m + 1 in wanted:
+                yield m + 1, _frozen(acc / float(m + 1))
+
+
 def read_tensor(source) -> PredictiveTensor:
     """Read a PCOD tensor from a binary source; round-trips are lossless."""
-    header = source.read(_HEADER.size)
-    if len(header) < _HEADER.size:
-        raise TruncatedStreamError(
-            f"header truncated: got {len(header)} of {_HEADER.size} bytes"
-        )
-    magic, version, kind_code, reserved, n_points, n_classes, n_members = \
-        _HEADER.unpack(header)
-    if magic != TENSOR_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-    if version != TENSOR_VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    if kind_code not in _CODE_KINDS:
-        raise FormatError(f"unknown tensor kind code {kind_code}")
-    if reserved != 0:
-        raise FormatError(f"reserved header byte must be 0, got {reserved}")
-    if n_members < 1 or n_classes < 2:
-        raise FormatError(
-            f"header declares {n_members} members and {n_classes} classes"
-        )
-    total = n_members * n_points * n_classes
-    payload_bytes = 4 * total
-    if payload_bytes > _MAX_PAYLOAD_BYTES:
-        raise CapacityError(
-            f"declared payload of {payload_bytes} bytes exceeds the supported size"
-        )
-    # Measure what a seekable source holds before reading, so a header
-    # that declares more than that never sizes an allocation.
-    available = payload_bytes
-    if source.seekable():
-        pos = source.tell()
-        available = source.seek(0, io.SEEK_END) - pos
-        source.seek(pos)
-    if available >= payload_bytes:
-        buf = source.read(payload_bytes)
-        available = len(buf)
-    if available < payload_bytes:
-        raise TruncatedStreamError(
-            f"payload truncated: got {available} of {payload_bytes} bytes"
-        )
-    values = np.frombuffer(buf, dtype="<f4", count=total)
-    values = values.reshape(n_members, n_points, n_classes)
-    return PredictiveTensor(values, _CODE_KINDS[kind_code])
+    stream = TensorStream(source)
+    return PredictiveTensor(list(stream._blocks()), stream.kind)

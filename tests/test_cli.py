@@ -6,19 +6,22 @@ computation done directly with the library. Worker-count independence
 and rerun idempotence are asserted on actual output bytes.
 """
 
+import hashlib
 import io
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pcood
-from pcood import (ScoreKind, TensorKind, PredictiveTensor,
+from pcood import (ScoreKind, TensorKind, PredictiveTensor, ValidationError,
                    aggregate, apply_threshold, exact_auroc,
                    read_metrics_report, read_roc_csv, read_scores_csv,
                    read_tensor, score_distribution, synth_tensor,
@@ -654,3 +657,161 @@ def test_bad_row_message_prints_plain_floats(tmp_path, capsys):
     assert err == (f"error: {bad}: member 0 point 1: probability row sums to "
                    f"{float(np.float32(0.7)) + float(np.float32(0.2))!r}\n")
     assert "np." not in err
+
+
+def _pcod_env():
+    """Environment for a child `python -m pcood` that imports this pcood."""
+    env = dict(os.environ)
+    src = str(Path(pcood.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+class TestStreamedTensors:
+    def test_k_list_rows_follow_argv_with_duplicates(self, tmp_path, tensor_pair):
+        id_path, ood_path, _, _ = tensor_pair
+        out = tmp_path / "sweep.txt"
+        assert run("auroc", "--id", id_path, "--ood", ood_path, "--out", out,
+                   "--k-list", "3,1,3,2", "--mode", "hist") == 0
+        rows = [line for line in out.read_text().splitlines()
+                if line.startswith("auroc_k")]
+        assert [line.partition("=")[0] for line in rows] == \
+            ["auroc_k3", "auroc_k1", "auroc_k3", "auroc_k2"]
+        for line in rows:
+            key, _, value = line.partition("=")
+            single = tmp_path / f"{key}.txt"
+            assert run("auroc", "--id", id_path, "--ood", ood_path, "--out",
+                       single, "--k", key[len("auroc_k"):], "--mode", "hist") == 0
+            assert _read_report(single)[key] == value
+
+    def test_report_digests_are_the_file_digests(self, tmp_path, tensor_pair):
+        id_path, ood_path, _, _ = tensor_pair
+        out = tmp_path / "r.txt"
+        assert run("auroc", "--id", id_path, "--ood", ood_path, "--k", 1,
+                   "--out", out) == 0
+        report = _read_report(out)
+        for role, path in (("id", id_path), ("ood", ood_path)):
+            assert report[f"input_{role}_sha256"] == \
+                hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_k_beyond_members_names_the_member_count(self, tmp_path,
+                                                     tensor_pair, capsys):
+        id_path, ood_path, _, _ = tensor_pair
+        assert run("auroc", "--id", id_path, "--ood", ood_path,
+                   "--k-list", "1,9", "--out", tmp_path / "r.txt") == 1
+        assert capsys.readouterr().err == "error: k must lie in 1..3, got 9\n"
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_bad_member_fails_as_the_tensor_check_does(self, tmp_path,
+                                                       tensor_pair, capsys,
+                                                       workers):
+        id_path, ood_path, _, ood_tensor = tensor_pair
+        values = ood_tensor.values.copy()
+        values[2, 40] = [0.9, 0.3, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValidationError) as direct:
+            PredictiveTensor(values, TensorKind.PROBABILITIES)
+        bad = tmp_path / "bad.pcod"
+        with open(ood_path, "rb") as f:
+            header = f.read(20)
+        bad.write_bytes(header + values.astype("<f4").tobytes())
+        out = tmp_path / "r.txt"
+        # Means at k=1 and 2 are scored before member 2 is read; the
+        # report is still not written.
+        assert run("auroc", "--id", id_path, "--ood", bad, "--k-list", "1,2,3",
+                   "--workers", workers, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {direct.value}\n"
+        assert not out.exists()
+
+    def test_trailing_bytes_are_an_io_error(self, tmp_path, tensor_pair, capsys):
+        id_path, _, _, _ = tensor_pair
+        longer = tmp_path / "longer.pcod"
+        longer.write_bytes(id_path.read_bytes() + bytes(8))
+        assert run("score", "--in", longer, "--out", tmp_path / "s.csv") == 2
+        assert capsys.readouterr().err == \
+            f"io error: {longer}: payload has 8 trailing bytes\n"
+
+    @pytest.mark.parametrize("tail, code, message", [
+        (b"", 0, ""),
+        (bytes(8), 2, "io error: /dev/stdin: payload has 8 trailing bytes\n"),
+    ])
+    def test_tensor_through_a_pipe(self, tmp_path, tensor_pair, tail, code,
+                                   message):
+        id_path, _, _, _ = tensor_pair
+        by_path = tmp_path / "by_path.csv"
+        assert run("score", "--in", id_path, "--out", by_path, "--k", 2) == 0
+        by_pipe = tmp_path / "by_pipe.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcood", "score", "--in", "/dev/stdin",
+             "--out", str(by_pipe), "--k", "2"],
+            input=id_path.read_bytes() + tail, capture_output=True,
+            env=_pcod_env())
+        assert (proc.returncode, proc.stderr.decode()) == (code, message)
+        if code == 0:
+            assert by_pipe.read_bytes() == by_path.read_bytes()
+        else:
+            assert not by_pipe.exists()
+
+    def test_huge_header_through_a_pipe_is_an_io_error(self, tmp_path):
+        # 2**40 points x 8 classes x 20 members: no allocation may follow
+        # the header's sizes before the bytes have arrived.
+        declared = 4 * 2 ** 40 * 8 * 20
+        blob = struct.pack("<4sHBBQHH", b"PCOD", 1, 0, 0, 2 ** 40, 8, 20) \
+            + bytes(64)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcood", "score", "--in", "/dev/stdin",
+             "--out", str(tmp_path / "s.csv")],
+            input=blob, capture_output=True, env=_pcod_env())
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (f"io error: /dev/stdin: payload "
+                                        f"truncated: got 64 of {declared} bytes\n")
+
+    @pytest.mark.parametrize("command", ["auroc", "roc"])
+    def test_piped_score_csv_reports_its_own_digest(self, tmp_path, command):
+        id_csv, ood_csv = tmp_path / "id.csv", tmp_path / "ood.csv"
+        assert run("synth", "scores", "--n-id", 300, "--n-ood", 200,
+                   "--out-id", id_csv, "--out-ood", ood_csv) == 0
+        by_path = tmp_path / "by_path.txt"
+        assert run(command, "--id", id_csv, "--ood", ood_csv,
+                   "--out", by_path) == 0
+        by_pipe = tmp_path / "by_pipe.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcood", command, "--id", "/dev/stdin",
+             "--ood", str(ood_csv), "--out", str(by_pipe)],
+            input=id_csv.read_bytes(), capture_output=True, env=_pcod_env())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        digest = hashlib.sha256(id_csv.read_bytes()).hexdigest()
+        assert any(line.endswith(f"input_id_sha256={digest}")
+                   for line in by_pipe.read_text().splitlines())
+        assert by_pipe.read_bytes() == \
+            by_path.read_bytes().replace(str(id_csv).encode(), b"/dev/stdin")
+
+    def test_magic_split_across_pipe_writes_is_a_tensor(self, tmp_path,
+                                                        tensor_pair):
+        # The first two bytes are in the pipe before the command starts and
+        # the rest arrive later, so a single read of the pipe sees only "PC".
+        id_path, ood_path, _, _ = tensor_pair
+        by_path = tmp_path / "by_path.csv"
+        assert run("roc", "--id", id_path, "--ood", ood_path,
+                   "--out", by_path) == 0
+        blob = id_path.read_bytes()
+        read_end, write_end = os.pipe()
+        os.write(write_end, blob[:2])
+
+        def write_rest():
+            time.sleep(0.3)
+            with open(write_end, "wb") as w:
+                w.write(blob[2:])
+
+        writer = threading.Thread(target=write_rest)
+        writer.start()
+        pipe_path = f"/dev/fd/{read_end}"
+        try:
+            by_pipe = tmp_path / "by_pipe.csv"
+            assert run("roc", "--id", pipe_path, "--ood", ood_path,
+                       "--out", by_pipe) == 0
+        finally:
+            os.close(read_end)  # a writer still blocked then fails, not hangs
+            writer.join()
+        assert by_pipe.read_text() == \
+            by_path.read_text().replace(f"input_id={id_path}\n",
+                                        f"input_id={pipe_path}\n")

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcood import (BinnedScoreHistogram, IdOodMask, ParseError, RocCurve,
                    ScoreKind, StructuralError, ValidationError,
@@ -116,6 +118,24 @@ class TestExactAuroc:
             a = rng.integers(0, 10, size=50) / 4.0
             b = rng.integers(0, 10, size=30) / 4.0
             assert abs(exact_auroc(a, b) + exact_auroc(b, a) - 1.0) <= 1e-12
+
+    # Integer scores from a narrow range, so most pairs tie.
+    _TIE_HEAVY = st.lists(st.integers(-3, 3), min_size=1, max_size=40)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TIE_HEAVY, _TIE_HEAVY)
+    def test_tie_heavy_scores_match_pairwise_oracle(self, ids, oods):
+        a, b = np.array(ids, dtype=float), np.array(oods, dtype=float)
+        wins = int((b[:, None] > a[None, :]).sum())
+        ties = int((b[:, None] == a[None, :]).sum())
+        # The exactly rounded tie-credited statistic (2 wins + ties) / 2nm.
+        assert exact_auroc(a, b) == float(Fraction(2 * wins + ties,
+                                                   2 * a.size * b.size))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TIE_HEAVY, _TIE_HEAVY)
+    def test_tie_heavy_swap_is_the_exact_complement(self, ids, oods):
+        assert exact_auroc(ids, oods) + exact_auroc(oods, ids) == 1.0
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(33)

@@ -1,5 +1,6 @@
 """Tests for softmax, member averaging, and the PCOD tensor format."""
 
+import hashlib
 import io
 import math
 import struct
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from pcood import (CapacityError, FormatError, PredictiveTensor,
-                   StructuralError, TensorKind, TruncatedStreamError,
-                   ValidationError, aggregate, read_tensor, softmax_row,
-                   write_tensor)
+                   StructuralError, TensorKind, TensorStream,
+                   TruncatedStreamError, ValidationError, aggregate,
+                   read_tensor, softmax_row, write_tensor)
 
 _HEADER = struct.Struct("<4sHBBQHH")
 
@@ -272,3 +273,149 @@ class TestTensorFormat:
         back = read_tensor(io.BytesIO(sink.getvalue()))
         assert back.n_points == 0
         assert back.n_classes == 3
+
+
+def _pcod_bytes(tensor):
+    sink = io.BytesIO()
+    write_tensor(tensor, sink)
+    return sink.getvalue()
+
+
+class _Pipe(io.RawIOBase):
+    """A non-seekable source that hands out at most `step` bytes per read."""
+
+    def __init__(self, data, step=7):
+        self._data, self._pos, self._step = data, 0, step
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = min(len(buf), self._step, len(self._data) - self._pos)
+        buf[:n] = self._data[self._pos:self._pos + n]
+        self._pos += n
+        return n
+
+
+def _corrupt(tensor, member, point, row):
+    values = tensor.values.copy()
+    values[member, point] = row
+    blob = bytearray(_pcod_bytes(tensor))
+    offset = 20 + 4 * (member * tensor.n_points + point) * tensor.n_classes
+    blob[offset:offset + 4 * tensor.n_classes] = \
+        np.asarray(row, dtype="<f4").tobytes()
+    return values, bytes(blob)
+
+
+class TestTensorStream:
+    @pytest.mark.parametrize("logits", [False, True])
+    def test_every_mean_is_aggregate_bit_for_bit(self, logits):
+        rng = np.random.default_rng(20)
+        if logits:
+            tensor = PredictiveTensor(
+                rng.normal(scale=4.0, size=(7, 23, 5)).astype(np.float32),
+                TensorKind.LOGITS)
+        else:
+            tensor = _prob_tensor(rng, 7, 23, 5)
+        blob = _pcod_bytes(tensor)
+        for source in (io.BytesIO(blob), _Pipe(blob)):
+            stream = TensorStream(source)
+            got = list(stream.means([6, 1, 3, 6, 2]))
+            assert [k for k, _ in got] == [1, 2, 3, 6]
+            for k, mean in got:
+                want = aggregate(tensor, k)
+                assert mean.dtype == np.float64 and not mean.flags.writeable
+                np.testing.assert_array_equal(mean.view(np.int64),
+                                              want.view(np.int64))
+            assert stream.sha256 == hashlib.sha256(blob).hexdigest()
+
+    def test_head_read_by_the_caller_starts_the_stream(self):
+        tensor = _prob_tensor(np.random.default_rng(27), 3, 5, 2)
+        blob = _pcod_bytes(tensor)
+        for source in (io.BytesIO(blob), _Pipe(blob)):
+            head = source.read(4)
+            stream = TensorStream(source, head)
+            [(_, mean)] = stream.means([3])
+            np.testing.assert_array_equal(mean.view(np.int64),
+                                          aggregate(tensor, 3).view(np.int64))
+            assert stream.sha256 == hashlib.sha256(blob).hexdigest()
+
+    def test_header_fields_and_single_pass(self):
+        tensor = _prob_tensor(np.random.default_rng(21), 3, 4, 2)
+        stream = TensorStream(io.BytesIO(_pcod_bytes(tensor)))
+        assert (stream.kind, stream.n_points, stream.n_classes,
+                stream.n_members) == (TensorKind.PROBABILITIES, 4, 2, 3)
+        with pytest.raises(RuntimeError):
+            stream.sha256
+        list(stream.means([3]))
+        with pytest.raises(RuntimeError):
+            list(stream.means([1]))
+
+    def test_k_above_members_fails_before_the_payload(self):
+        tensor = _prob_tensor(np.random.default_rng(22), 3, 4, 2)
+        source = io.BytesIO(_pcod_bytes(tensor))
+        stream = TensorStream(source)
+        with pytest.raises(ValidationError, match=r"^k must lie in 1\.\.3, got 4$"):
+            stream.means([1, 4])
+        assert source.tell() == 20
+
+    @pytest.mark.parametrize("row, message", [
+        ([0.9, 0.3, 0.0], r"member 4 point 9: probability row sums to 1\.19999"),
+        ([np.nan, 1.0, 0.0], "tensor values must be finite"),
+        ([1.5, -0.5, 0.0], r"probability entries must lie in \[0, 1\]"),
+    ])
+    def test_bad_member_message_matches_the_tensor_check(self, row, message):
+        tensor = _prob_tensor(np.random.default_rng(23), 6, 17, 3)
+        values, blob = _corrupt(tensor, 4, 9, row)
+        with pytest.raises(ValidationError, match=message) as direct:
+            PredictiveTensor(values, TensorKind.PROBABILITIES)
+        stream = TensorStream(io.BytesIO(blob))
+        means = stream.means([1, 4, 6])
+        # Members before the bad one still yield their means.
+        assert [k for k, _ in zip((1, 4), means)] == [1, 4]
+        with pytest.raises(ValidationError) as streamed:
+            next(means)
+        assert str(streamed.value) == str(direct.value)
+
+    def test_first_bad_row_is_reported(self):
+        tensor = _prob_tensor(np.random.default_rng(24), 2, 10, 3)
+        values = tensor.values.copy()
+        values[1, 2] = [0.5, 0.6, 0.0]   # a small excess, met first
+        values[1, 8] = [np.nan, 1.0, 0.0]
+        with pytest.raises(ValidationError,
+                           match="member 1 point 2: probability row sums to"):
+            PredictiveTensor(values, TensorKind.PROBABILITIES)
+        blob = bytearray(_pcod_bytes(tensor))
+        blob[20 + 4 * 30:] = values[1].astype("<f4").tobytes()
+        with pytest.raises(ValidationError,
+                           match="member 1 point 2: probability row sums to"):
+            list(TensorStream(io.BytesIO(bytes(blob))).means([2]))
+
+    def test_trailing_bytes_are_rejected(self):
+        tensor = _prob_tensor(np.random.default_rng(25), 2, 3, 2)
+        blob = _pcod_bytes(tensor) + bytes(8)
+        # A seekable source fails on its length, before any member is read.
+        with pytest.raises(TruncatedStreamError, match="^payload has 8 trailing bytes$"):
+            TensorStream(io.BytesIO(blob))
+        with pytest.raises(TruncatedStreamError, match="^payload has 8 trailing bytes$"):
+            list(TensorStream(_Pipe(blob)).means([2]))
+        with pytest.raises(TruncatedStreamError):
+            read_tensor(io.BytesIO(blob))
+
+    def test_truncated_pipe_names_the_bytes_that_arrived(self):
+        tensor = _prob_tensor(np.random.default_rng(26), 3, 5, 2)
+        blob = _pcod_bytes(tensor)[:-6]
+        stream = TensorStream(_Pipe(blob))
+        with pytest.raises(TruncatedStreamError,
+                           match="^payload truncated: got 114 of 120 bytes$"):
+            list(stream.means([1]))
+
+    def test_huge_header_on_a_pipe_allocates_only_what_arrives(self):
+        # 2**40 points x 8 classes x 20 members declares about 700 TB; the
+        # running sum is allocated only once a whole member block is in.
+        blob = _HEADER.pack(b"PCOD", 1, 0, 0, 2 ** 40, 8, 20) + bytes(64)
+        stream = TensorStream(_Pipe(blob, step=1 << 16))
+        declared = 4 * 2 ** 40 * 8 * 20
+        with pytest.raises(TruncatedStreamError,
+                           match=f"^payload truncated: got 64 of {declared} bytes$"):
+            list(stream.means([1, 20]))
