@@ -10,12 +10,12 @@ and how well the argmax labels segment (IoU, accuracy).
 from .errors import (CapacityError, FormatError, ParseError, PcoodError,
                      StructuralError, TruncatedStreamError, ValidationError)
 from .pointcloud import (ID_COLOR, OOD_COLOR, SEMANTIC3D_CLASS_COUNT,
-                         SEMANTIC3D_CLASS_NAMES, IdOodMask, LabeledCloud,
-                         parse_semantic3d, read_labels, write_idood_map)
+                         SEMANTIC3D_CLASS_NAMES, LabeledCloud, parse_semantic3d,
+                         read_labels, write_idood_map)
 from .predictive import (PredictiveTensor, TensorKind, TensorStream, aggregate,
-                         read_tensor, softmax_row, write_tensor)
-from .scores import (ScoreKind, entropy, msp_complement, read_scores_csv,
-                     score_distribution, score_domain, write_scores_csv)
+                         read_tensor, write_tensor)
+from .scores import (ScoreKind, read_scores_csv, score_distribution,
+                     score_domain, write_scores_csv)
 from .evaluation import (BinnedScoreHistogram, ConfusionMatrix, RocCurve,
                          SegMetrics, apply_threshold, argmax_labels,
                          confusion_accumulate, confusion_new, exact_auroc,
@@ -33,12 +33,11 @@ __all__ = [
     "CapacityError", "FormatError", "ParseError", "PcoodError",
     "StructuralError", "TruncatedStreamError", "ValidationError",
     "ID_COLOR", "OOD_COLOR", "SEMANTIC3D_CLASS_COUNT",
-    "SEMANTIC3D_CLASS_NAMES", "IdOodMask", "LabeledCloud",
+    "SEMANTIC3D_CLASS_NAMES", "LabeledCloud",
     "parse_semantic3d", "read_labels", "write_idood_map",
     "PredictiveTensor", "TensorKind", "TensorStream", "aggregate",
-    "read_tensor", "softmax_row", "write_tensor",
-    "ScoreKind", "entropy", "msp_complement",
-    "read_scores_csv", "score_distribution", "score_domain",
+    "read_tensor", "write_tensor",
+    "ScoreKind", "read_scores_csv", "score_distribution", "score_domain",
     "write_scores_csv",
     "BinnedScoreHistogram", "ConfusionMatrix", "RocCurve", "SegMetrics",
     "apply_threshold", "argmax_labels", "confusion_accumulate",

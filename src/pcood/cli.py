@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import sys
@@ -103,14 +102,6 @@ def _run_shards(fn, shard_args, workers: int):
         return list(pool.map(lambda args: fn(*args), shard_args))
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 @contextlib.contextmanager
 def _named(path: str):
     """Prefix the message of an input error raised in the block with `path`."""
@@ -134,6 +125,7 @@ class _HashedSource:
     def __init__(self, head: bytes, source):
         self._head, self._source = head, source
         self._digest = hashlib.sha256()
+        self._count = 0
 
     def read(self, size: int = -1) -> bytes:
         if self._head:
@@ -141,7 +133,12 @@ class _HashedSource:
         else:
             data = self._source.read(size)
         self._digest.update(data)
+        self._count += len(data)
         return data
+
+    def tell(self) -> int:
+        """Bytes handed out so far."""
+        return self._count
 
     @property
     def sha256(self) -> str:
@@ -166,6 +163,17 @@ def _open_scores_or_tensor(files: contextlib.ExitStack, path: str):
         return "scores", read_scores_csv(hashed), hashed
 
 
+def _read_text(path: str, read, *args):
+    """Parse the file at `path` as read(source, *args) in one hashed pass.
+
+    Returns (result, hashed): ``hashed.sha256`` is the digest of the bytes
+    parsed, so a pipe is read once. An input error is named by `path`.
+    """
+    with open(path, "rb") as f, _named(path):
+        hashed = _HashedSource(b"", f)
+        return read(hashed, *args), hashed
+
+
 def _open_pair(files: contextlib.ExitStack, args: argparse.Namespace):
     """Open --id and --ood as (form, id, ood, inputs): two tensors or two
     score CSVs, and the (role, path, hashed) entries for `_provenance`."""
@@ -188,18 +196,26 @@ def _open_pair(files: contextlib.ExitStack, args: argparse.Namespace):
 
 def _open_scene(files: contextlib.ExitStack, args: argparse.Namespace,
                 labels: str | None = None):
-    """Open --pred and load the --points cloud (with `labels`); sizes must match."""
+    """Open --pred and parse --points, and the `labels` file if given.
+
+    Returns (stream, cloud, truth, inputs): truth is the labels array, or
+    None without `labels`, and inputs the (role, path, hashed) entries for
+    `_provenance`. The cloud's size must match the tensor's.
+    """
     stream = _open_tensor(files, args.pred)
-    with open(args.points, "rb") as f, _named(args.points):
-        cloud = parse_semantic3d(f, class_count=stream.n_classes)
+    cloud, hashed = _read_text(args.points, parse_semantic3d)
+    inputs = [("points", args.points, hashed)]
+    truth = None
     if labels is not None:
-        with open(labels, "rb") as f, _named(labels):
-            cloud = dataclasses.replace(cloud, labels=read_labels(f))
+        truth, hashed = _read_text(labels, read_labels, len(cloud),
+                                   stream.n_classes)
+        inputs.append(("labels", labels, hashed))
     if len(cloud) != stream.n_points:
         raise ValidationError(
             f"cloud has {len(cloud)} points but tensor has {stream.n_points}"
         )
-    return stream, cloud
+    inputs.append(("pred", args.pred, stream))
+    return stream, cloud, truth, inputs
 
 
 def _k(args: argparse.Namespace, stream) -> int:
@@ -259,15 +275,13 @@ def _pooled_hist(id_scores: np.ndarray, ood_scores: np.ndarray,
 def _provenance(inputs) -> list:
     """Report entries of (role, path, hashed) inputs.
 
-    An input read once, a tensor stream or a score CSV, takes its digest
-    from that read (``hashed.sha256``); with hashed None the file at path
-    is hashed.
+    Every input is read once, and takes its digest from that read
+    (``hashed.sha256``).
     """
     entries = []
     for role, path, hashed in inputs:
-        digest = _sha256(path) if hashed is None else hashed.sha256
         entries.append((f"input_{role}", path))
-        entries.append((f"input_{role}_sha256", digest))
+        entries.append((f"input_{role}_sha256", hashed.sha256))
     return entries
 
 
@@ -375,18 +389,16 @@ def cmd_roc(args: argparse.Namespace) -> int:
 
 def cmd_iou(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as files:
-        stream, cloud = _open_scene(files, args, args.labels)
+        stream, _, truth, inputs = _open_scene(files, args, args.labels)
         k = _k(args, stream)
         [(_, [predicted])] = _per_k([(args.pred, stream)], [k], args.workers,
                                     argmax_labels)
     matrix = confusion_accumulate(confusion_new(stream.n_classes), predicted,
-                                  cloud.labels)
+                                  truth)
     metrics = seg_metrics(matrix)
 
     entries = [("command", "iou")]
-    entries += _provenance([("points", args.points, None),
-                            ("labels", args.labels, None),
-                            ("pred", args.pred, stream)])
+    entries += _provenance(inputs)
     entries += [("k", k), ("n_classes", stream.n_classes),
                 ("total_counted", matrix.total_counted),
                 ("ignored", matrix.ignored),
@@ -402,7 +414,7 @@ def cmd_iou(args: argparse.Namespace) -> int:
 def cmd_map(args: argparse.Namespace) -> int:
     kind = _KIND_FLAGS[args.kind]
     with contextlib.ExitStack() as files:
-        stream, cloud = _open_scene(files, args)
+        stream, cloud, _, _ = _open_scene(files, args)
         threshold = args.threshold
         if threshold is None:
             with open(args.roc, "rb") as f, _named(args.roc):
@@ -413,9 +425,9 @@ def cmd_map(args: argparse.Namespace) -> int:
         [(_, [values])] = _per_k([(args.pred, stream)], [_k(args, stream)],
                                  args.workers,
                                  lambda probs: score_distribution(probs, kind))
-    mask = apply_threshold(values, threshold)
+    flags = apply_threshold(values, threshold)
     with atomic_outputs([args.out]) as (sink,):
-        write_idood_map(cloud, mask, sink)
+        write_idood_map(cloud, flags, sink)
     return 0
 
 

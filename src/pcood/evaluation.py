@@ -22,7 +22,6 @@ import numpy as np
 
 from ._io import numbered_lines, write_text
 from .errors import ParseError, StructuralError, ValidationError
-from .pointcloud import IdOodMask
 from .scores import ScoreKind, score_domain
 
 DEFAULT_BIN_COUNT = 4096
@@ -372,12 +371,15 @@ def argmax_labels(probs: np.ndarray) -> np.ndarray:
     return np.argmax(probs, axis=1).astype(np.int64) + 1
 
 
-def apply_threshold(scores: np.ndarray, threshold: float) -> IdOodMask:
-    """Flag each point OOD (1) iff its score is at or above the threshold."""
+def apply_threshold(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Flag each point OOD (1) iff its score is at or above the threshold.
+
+    Returns a read-only uint8 array of 0 (ID) and 1 (OOD) flags.
+    """
     threshold = float(threshold)
     if not np.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold!r}")
-    return IdOodMask((np.asarray(scores) >= threshold).astype(np.uint8))
+    return _frozen((np.asarray(scores) >= threshold).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Clouds follow the Semantic3D ASCII conventions: one point per line with
 fields ``x y z intensity r g b``, plus an optional label file carrying
 one integer class id per line (0 marks unlabeled points, 1..C the
-classes). Columns are stored as numpy arrays and frozen after
-construction, so clouds can be shared across threads.
+classes). The readers are the only validators: the columns they return
+are read-only numpy arrays, so clouds can be shared across threads.
 """
 
 from __future__ import annotations
@@ -41,74 +41,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LabeledCloud:
-    """A point cloud with one class label per point (0 = unlabeled)."""
+    """A point cloud with one class label per point (0 = unlabeled).
+
+    The fields are read-only arrays as :func:`parse_semantic3d` decoded and
+    checked them; a cloud built by hand is not checked again.
+    """
 
     xyz: np.ndarray  # (N, 3) float64
-    intensity: np.ndarray  # (N,)
+    intensity: np.ndarray  # (N,) float64
     rgb: np.ndarray  # (N, 3) uint8
     labels: np.ndarray  # (N,) int64, values in 0..class_count
     class_count: int = SEMANTIC3D_CLASS_COUNT
 
-    def __post_init__(self):
-        xyz = np.array(self.xyz, dtype=np.float64, copy=True)
-        intensity = np.array(self.intensity, dtype=np.float64, copy=True)
-        rgb = np.array(self.rgb, dtype=np.int64, copy=True)
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
-        if xyz.ndim != 2 or xyz.shape[1] != 3:
-            raise StructuralError(f"xyz must have shape (N, 3), got {xyz.shape}")
-        n = xyz.shape[0]
-        if intensity.shape != (n,):
-            raise StructuralError(f"expected {n} intensities, got {intensity.shape}")
-        if rgb.shape != (n, 3):
-            raise StructuralError(f"rgb must have shape ({n}, 3), got {rgb.shape}")
-        if labels.shape != (n,):
-            raise StructuralError(f"{n} points but {labels.shape[0]} labels")
-        if self.class_count < 1:
-            raise ValidationError(f"class_count must be >= 1, got {self.class_count}")
-        if not np.isfinite(xyz).all() or not np.isfinite(intensity).all():
-            raise ValidationError("coordinates and intensities must be finite")
-        # Range-check before the uint8 cast so out-of-range values cannot wrap.
-        if rgb.size and (rgb.min() < 0 or rgb.max() > 255):
-            raise ValidationError("color components must lie in 0..255")
-        bad = np.nonzero((labels < 0) | (labels > self.class_count))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                f"label {int(labels[i])} at index {i} outside 0..{self.class_count}"
-            )
-        self.xyz = _frozen(xyz)
-        self.intensity = _frozen(intensity)
-        self.rgb = _frozen(rgb.astype(np.uint8))
-        self.labels = _frozen(labels)
-
     def __len__(self) -> int:
         return self.xyz.shape[0]
-
-
-@dataclass
-class IdOodMask:
-    """Per-point binary decision: 0 keeps a point in-distribution, 1 flags OOD."""
-
-    flags: np.ndarray
-
-    def __post_init__(self):
-        flags = np.array(self.flags, dtype=np.int64, copy=True)
-        if flags.ndim != 1:
-            raise StructuralError(f"mask must be one-dimensional, got shape {flags.shape}")
-        if flags.size and not np.isin(flags, (0, 1)).all():
-            raise ValidationError("mask entries must be 0 (ID) or 1 (OOD)")
-        self.flags = _frozen(flags.astype(np.uint8))
-
-    def __len__(self) -> int:
-        return self.flags.shape[0]
-
-    @property
-    def n_ood(self) -> int:
-        return int(self.flags.sum())
-
-    @property
-    def n_id(self) -> int:
-        return len(self) - self.n_ood
 
 
 # One decoded points row: x y z intensity as float64, r g b as int64.
@@ -191,14 +137,24 @@ def _labels_block(lineno: int, block):
     return _label_values(numbered_lines(block_lines(block), "labels line", lineno))
 
 
-def read_labels(stream) -> np.ndarray:
+def read_labels(stream, n_points: int, class_count: int) -> np.ndarray:
     """Read a Semantic3D labels file: one int64 per non-blank line.
 
-    Errors carry the 1-based line number of the offending line.
+    There must be one label per point of the cloud, each in
+    0..class_count. Errors carry the 1-based line number of the offending
+    line, or the index of the first label out of range. Returns a
+    read-only array.
     """
-    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+    labels = np.concatenate([np.zeros(0, dtype=np.int64)] + [
         np.asarray(_labels_block(lineno, block), dtype=np.int64)
         for lineno, block in iter_blocks(stream)])
+    if labels.shape[0] != n_points:
+        raise StructuralError(f"{n_points} points but {labels.shape[0]} labels")
+    bad = np.flatnonzero((labels < 0) | (labels > class_count))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"label {labels[i]} at index {i} outside 0..{class_count}")
+    return _frozen(labels)
 
 
 def parse_semantic3d(points_stream, labels_stream=None, *,
@@ -209,27 +165,29 @@ def parse_semantic3d(points_stream, labels_stream=None, *,
     fields. Errors carry the 1-based line number of the offending line.
     Without a labels file every point is marked unlabeled (0).
     """
-    data = np.concatenate([np.empty((0, 7))] + [
-        _points_block(lineno, block) for lineno, block in iter_blocks(points_stream)])
-    labels = (np.zeros(data.shape[0], dtype=np.int64) if labels_stream is None
-              else read_labels(labels_stream))
-    return LabeledCloud(data[:, :3], data[:, 3], data[:, 4:7].astype(np.int64),
+    data = _frozen(np.concatenate([np.empty((0, 7))] + [
+        _points_block(lineno, block) for lineno, block in iter_blocks(points_stream)]))
+    n = data.shape[0]
+    labels = (_frozen(np.zeros(n, dtype=np.int64)) if labels_stream is None
+              else read_labels(labels_stream, n, class_count))
+    return LabeledCloud(data[:, :3], data[:, 3], _frozen(data[:, 4:].astype(np.uint8)),
                         labels, class_count=class_count)
 
 
-def write_idood_map(cloud: LabeledCloud, mask: IdOodMask, sink) -> None:
-    """Write ``x y z r g b`` lines colorized by the ID/OOD decision.
+def write_idood_map(cloud: LabeledCloud, flags: np.ndarray, sink) -> None:
+    """Write ``x y z r g b`` lines colorized by the per-point ID/OOD flags.
 
-    ID points come out green (0, 255, 0) and OOD points red (255, 0, 0);
-    coordinates are printed with six decimal places.
+    Flag 0 (ID) points come out green (0, 255, 0) and flag 1 (OOD) points
+    red (255, 0, 0), as :func:`~pcood.evaluation.apply_threshold` sets
+    them; coordinates are printed with six decimal places.
     """
-    if len(mask) != len(cloud):
+    if len(flags) != len(cloud):
         raise StructuralError(
-            f"mask length {len(mask)} does not match cloud length {len(cloud)}"
+            f"mask length {len(flags)} does not match cloud length {len(cloud)}"
         )
     colors = ("%d %d %d" % ID_COLOR, "%d %d %d" % OOD_COLOR)
     for start in range(0, len(cloud), _WRITE_ROWS):
         stop = start + _WRITE_ROWS
-        rows = zip(cloud.xyz[start:stop].tolist(), mask.flags[start:stop].tolist())
+        rows = zip(cloud.xyz[start:stop].tolist(), flags[start:stop].tolist())
         write_text(sink, "".join(["%.6f %.6f %.6f %s\n" % (x, y, z, colors[flag])
                                   for (x, y, z), flag in rows]))

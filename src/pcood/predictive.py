@@ -134,18 +134,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return expd / sums
 
 
-def softmax_row(logits) -> np.ndarray:
-    """Numerically stable softmax of one row of logits (float64)."""
-    row = np.asarray(logits, dtype=np.float64)
-    if row.ndim != 1:
-        raise StructuralError(f"expected a single row of logits, got shape {row.shape}")
-    if row.size == 0:
-        raise ValidationError("cannot take softmax of an empty row")
-    if not np.isfinite(row).all():
-        raise ValidationError("logits must be finite")
-    return _softmax_rows(row.reshape(1, -1))[0]
-
-
 def _check_k(k: int, n_members: int) -> None:
     if not 1 <= k <= n_members:
         raise ValidationError(f"k must lie in 1..{n_members}, got {k}")
@@ -163,26 +151,18 @@ def _add_member(acc: np.ndarray, rows: np.ndarray, kind: TensorKind) -> None:
         acc += rows
 
 
-def aggregate(tensor: PredictiveTensor, k: int, start: int = 0,
-              stop: int | None = None) -> np.ndarray:
-    """Average the first k members over points [start, stop) of a tensor.
+def aggregate(tensor: PredictiveTensor, k: int) -> np.ndarray:
+    """Average the first k members of a tensor.
 
-    Returns the read-only (stop - start, C) float64 mean. Logit tensors
-    are converted with a per-row softmax before the mean, so averaging
-    always happens in probability space. With k=1 the result reproduces
-    member 0 exactly. Every row is computed on its own, so concatenating
-    the results over any partition of the points equals the full-range
-    result bit for bit.
+    Returns the read-only (N, C) float64 mean. Logit tensors are
+    converted with a per-row softmax before the mean, so averaging always
+    happens in probability space. With k=1 the result reproduces member 0
+    exactly.
     """
     _check_k(k, tensor.n_members)
-    stop = tensor.n_points if stop is None else stop
-    if not 0 <= start <= stop <= tensor.n_points:
-        raise ValidationError(
-            f"point range [{start}, {stop}) outside 0..{tensor.n_points}"
-        )
-    acc = np.zeros((stop - start, tensor.n_classes), dtype=np.float64)
+    acc = np.zeros((tensor.n_points, tensor.n_classes), dtype=np.float64)
     for m in range(k):
-        _add_member(acc, tensor.values[m, start:stop], tensor.kind)
+        _add_member(acc, tensor.values[m], tensor.kind)
     return _frozen(acc / float(k))
 
 

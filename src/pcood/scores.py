@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from ._io import block_lines, iter_blocks, load_block, numbered_lines, write_text
-from .errors import ParseError, StructuralError, ValidationError
-from .predictive import PROB_ROW_SUM_TOL
+from .errors import ParseError, ValidationError
 
 # Probabilities below this are treated as exact zeros in the entropy sum
 # so denormal-range entries cannot produce NaN through the logarithm.
@@ -48,37 +47,6 @@ def score_domain(kind: ScoreKind, n_classes: int) -> tuple[float, float]:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _checked_row(probs) -> np.ndarray:
-    row = np.asarray(probs, dtype=np.float64)
-    if row.ndim != 1:
-        raise StructuralError(f"expected a probability row, got shape {row.shape}")
-    if row.size == 0:
-        raise ValidationError("probability row is empty")
-    if not np.isfinite(row).all():
-        raise ValidationError("probability row must be finite")
-    if row.min() < 0.0:
-        raise ValidationError(f"negative probability {float(row.min())!r}")
-    total = float(row.sum())
-    if abs(total - 1.0) > PROB_ROW_SUM_TOL:
-        raise ValidationError(f"probability row sums to {total!r}, not 1")
-    return row
-
-
-def msp_complement(probs) -> float:
-    """1 minus the maximum softmax probability; 0 = fully confident."""
-    row = _checked_row(probs)
-    return float(1.0 - row.max())
-
-
-def entropy(probs) -> float:
-    """Shannon entropy (natural log) with the 0 ln 0 = 0 convention."""
-    from scipy.special import xlogy
-
-    row = _checked_row(probs)
-    row = np.where(row < ENTROPY_PROB_FLOOR, 0.0, row)
-    return float(max(-xlogy(row, row).sum(), 0.0))
 
 
 def score_distribution(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:

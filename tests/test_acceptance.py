@@ -27,9 +27,9 @@ import pytest
 
 from pcood import (GaussianPairSpec, PredictiveTensor, ScoreKind, TensorKind,
                    aggregate, analytic_auroc, confusion_accumulate,
-                   confusion_new, entropy, exact_auroc, hist_accumulate,
+                   confusion_new, exact_auroc, hist_accumulate,
                    hist_auroc, hist_merge, hist_new, hist_new_range,
-                   msp_complement, optimal_threshold, read_metrics_report,
+                   optimal_threshold, read_metrics_report,
                    roc_curve, sample_scores, score_distribution, seg_metrics,
                    synth_tensor, write_metrics_report, write_tensor)
 from pcood.cli import main as cli_main
@@ -195,6 +195,13 @@ def test_score_functions_hit_reference_values():
     one_hot[3] = 1.0
     uniform8 = np.full(8, 0.125)
     half = np.array([0.5, 0.5])
+
+    def msp_complement(row):
+        return float(score_distribution(row[np.newaxis], ScoreKind.MSP_COMPLEMENT)[0])
+
+    def entropy(row):
+        return float(score_distribution(row[np.newaxis], ScoreKind.ENTROPY)[0])
+
     devs = [
         abs(msp_complement(one_hot) - 0.0),
         abs(entropy(one_hot) - 0.0),

@@ -504,6 +504,32 @@ class TestIouCommand:
         assert run("iou", "--points", short, "--labels", short_labels,
                    "--pred", pred, "--out", tmp_path / "iou.txt") == 1
 
+    def test_piped_cloud_and_labels_report_their_own_digests(self, tmp_path):
+        points, labels_path, pred, _ = self._one_hot_setup(tmp_path)
+        by_path = tmp_path / "by_path.txt"
+        assert run("iou", "--points", points, "--labels", labels_path,
+                   "--pred", pred, "--out", by_path) == 0
+        pipes = {}
+        for path in (points, labels_path):
+            read_end, write_end = os.pipe()
+            with open(write_end, "wb") as w:  # both files fit a pipe buffer
+                w.write(path.read_bytes())
+            pipes[path] = read_end
+        try:
+            piped = {path: f"/dev/fd/{fd}" for path, fd in pipes.items()}
+            by_pipe = tmp_path / "by_pipe.txt"
+            assert run("iou", "--points", piped[points], "--labels",
+                       piped[labels_path], "--pred", pred, "--out", by_pipe) == 0
+        finally:
+            for fd in pipes.values():
+                os.close(fd)
+        expected = by_path.read_text()
+        for path in pipes:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert f"_sha256={digest}\n" in expected
+            expected = expected.replace(f"={path}\n", f"={piped[path]}\n")
+        assert by_pipe.read_text() == expected
+
     def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
         id_path, _, id_tensor, _ = tensor_pair
         n = id_tensor.n_points
@@ -533,12 +559,12 @@ class TestMapCommand:
                    "--threshold", "0.5", "--out", out) == 0
         scores = score_distribution(aggregate(id_tensor, 3),
                                     ScoreKind.MSP_COMPLEMENT)
-        mask = apply_threshold(scores, 0.5)
+        flags = apply_threshold(scores, 0.5)
         lines = out.read_text().splitlines()
         assert len(lines) == id_tensor.n_points
         green = sum(1 for line in lines if line.endswith("0 255 0"))
         red = sum(1 for line in lines if line.endswith("255 0 0"))
-        assert green == mask.n_id and red == mask.n_ood
+        assert red == int(flags.sum()) and green == len(flags) - red
 
     def test_roc_threshold_source(self, tmp_path, tensor_pair):
         id_path, ood_path, id_tensor, _ = tensor_pair
@@ -815,3 +841,80 @@ class TestStreamedTensors:
         assert by_pipe.read_text() == \
             by_path.read_text().replace(f"input_id={id_path}\n",
                                         f"input_id={pipe_path}\n")
+
+
+def _hostile_pcod(magic=b"PCOD", version=1, kind=0, reserved=0, c=3, k=2,
+                  declared_n=5, cut=None, tail=b"", bad=None):
+    """A PCOD blob of k members x 5 points x c classes of uniform rows, with
+    one field, entry or length made hostile."""
+    values = np.full((k, 5, c), 1.0 / c, dtype="<f4")
+    if bad is not None:
+        values[k - 1, 4, 0] = bad
+    blob = struct.pack("<4sHBBQHH", magic, version, kind, reserved, declared_n, c, k) \
+        + values.tobytes() + tail
+    return blob if cut is None else blob[:cut]
+
+
+# (blob, exit code of `score` on it): header errors and bad members are
+# validation errors (1); a stream longer or shorter than declared is an I/O
+# error (2), whether it is a file or a pipe.
+HOSTILE_PCOD = {
+    "empty": (b"", 2),
+    "header-3-bytes": (_hostile_pcod(cut=3), 2),
+    "header-19-bytes": (_hostile_pcod(cut=19), 2),
+    "bad-magic": (_hostile_pcod(magic=b"XCOD"), 1),
+    "bad-version": (_hostile_pcod(version=2), 1),
+    "bad-kind": (_hostile_pcod(kind=7), 1),
+    "reserved-byte": (_hostile_pcod(reserved=1), 1),
+    "one-class": (_hostile_pcod(c=1), 1),
+    "no-members": (_hostile_pcod(k=0), 1),
+    "oversized-header": (_hostile_pcod(declared_n=2 ** 60), 1),
+    "huge-header": (_hostile_pcod(declared_n=2 ** 40), 2),
+    "header-only": (_hostile_pcod(cut=20), 2),
+    "short-payload": (_hostile_pcod(cut=-4), 2),
+    "long-payload": (_hostile_pcod(tail=bytes(8)), 2),
+    "nan-member": (_hostile_pcod(bad=np.nan), 1),
+    "inf-member": (_hostile_pcod(bad=np.inf), 1),
+    "negative-member": (_hostile_pcod(bad=-0.5), 1),
+    "inf-logit-member": (_hostile_pcod(kind=1, bad=-np.inf), 1),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("command", ["score", "auroc", "map"])
+@pytest.mark.parametrize("name", sorted(HOSTILE_PCOD))
+def test_hostile_pcod_input_fails_cleanly(tmp_path, capsys, name, command, source):
+    """Every hostile tensor ends in exit 1 or 2 with one error line; an
+    exception escaping main would fail the test with its traceback."""
+    blob, score_code = HOSTILE_PCOD[name]
+    good = tmp_path / "good.pcod"
+    good.write_bytes(_hostile_pcod())
+    _write_points_file(tmp_path / "points.txt", 5)
+    if source == "file":
+        path = tmp_path / "hostile.pcod"
+        path.write_bytes(blob)
+        fd = None
+    else:
+        fd, write_end = os.pipe()
+        with open(write_end, "wb") as w:  # every blob fits a pipe buffer
+            w.write(blob)
+        path = f"/dev/fd/{fd}"
+    try:
+        argv = {"score": ["score", "--in", path, "--out", tmp_path / "out.csv"],
+                "auroc": ["auroc", "--id", path, "--ood", good,
+                          "--out", tmp_path / "out.txt"],
+                "map": ["map", "--points", tmp_path / "points.txt", "--pred", path,
+                        "--threshold", 0.5, "--out", tmp_path / "out.txt"]}[command]
+        code = run(*argv)
+    finally:
+        if fd is not None:
+            os.close(fd)
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: " if code == 1 else "io error: ")
+    # auroc reads a blob without the magic as a score CSV, and map may first
+    # find that the header's point count is not the cloud's.
+    if command == "score":
+        assert (code, err.split(": ")[1]) == (score_code, str(path))
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())

@@ -5,6 +5,7 @@ computed here: brute-force pairwise AUROC, exact-rational histogram
 AUROC, exhaustive threshold grid search, and per-class set counting.
 """
 
+import functools
 import io
 import math
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcood import (BinnedScoreHistogram, IdOodMask, ParseError, RocCurve,
+from pcood import (BinnedScoreHistogram, ParseError, RocCurve,
                    ScoreKind, StructuralError, ValidationError,
                    apply_threshold, argmax_labels, confusion_accumulate,
                    confusion_new, exact_auroc, hist_accumulate, hist_auroc,
@@ -482,23 +483,85 @@ class TestConfusion:
         assert metrics.mean_iou == 1.0
 
 
+# Scores that tie often, fall outside the histogram domain [-1, 2], or both.
+_SCORES = st.one_of(st.floats(-1.5, 2.5, allow_nan=False),
+                    st.integers(-2, 3).map(float))
+
+
+@st.composite
+def _partitioned(draw, elements, min_size=0):
+    """A list and the (start, stop) bounds of a partition of it into chunks,
+    some possibly empty, listed in a drawn order."""
+    values = draw(st.lists(elements, min_size=min_size, max_size=60))
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=6)))
+    bounds = [0, *cuts, len(values)]
+    return values, draw(st.permutations(list(zip(bounds, bounds[1:]))))
+
+
+class TestPartitionProperties:
+    """Shard-and-merge invariance, and histogram AUROC bracketing the exact."""
+
+    @settings(deadline=None)
+    @given(_partitioned(_SCORES), _partitioned(_SCORES), st.integers(2, 16))
+    def test_hist_merge_is_partition_invariant(self, id_part, ood_part, bins):
+        single = hist_new_range(-1.0, 2.0, bins)
+        parts = [single]
+        for (values, chunks), population in ((id_part, "id"), (ood_part, "ood")):
+            hist_accumulate(single, values, population)
+            parts += [hist_accumulate(hist_new_range(-1.0, 2.0, bins),
+                                      values[a:b], population) for a, b in chunks]
+        merged = functools.reduce(hist_merge, parts[1:])
+        np.testing.assert_array_equal(merged.counts_id, single.counts_id)
+        np.testing.assert_array_equal(merged.counts_ood, single.counts_ood)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda c: st.tuples(
+        st.just(c), _partitioned(st.tuples(st.integers(0, c), st.integers(1, c))))))
+    def test_confusion_is_partition_invariant(self, drawn):
+        c, (pairs, chunks) = drawn
+        truth = np.array([t for t, _ in pairs], dtype=np.int64)
+        pred = np.array([p for _, p in pairs], dtype=np.int64)
+        single = confusion_accumulate(confusion_new(c), pred, truth)
+        sharded = confusion_new(c)
+        for a, b in chunks:
+            confusion_accumulate(sharded, pred[a:b], truth[a:b])
+        np.testing.assert_array_equal(sharded.counts, single.counts)
+        assert sharded.ignored == single.ignored
+
+    @settings(deadline=None)
+    @given(st.lists(_SCORES, min_size=1, max_size=60),
+           st.lists(_SCORES, min_size=1, max_size=60), st.integers(2, 64))
+    def test_hist_auroc_within_the_bin_bound_of_exact(self, ids, oods, bins):
+        # Binning is monotone, so only ID/OOD pairs sharing a bin can be
+        # credited differently: 0.5 there, 0, 0.5 or 1 by the exact scores.
+        hist = hist_new_range(-1.0, 2.0, bins)
+        hist_accumulate(hist, ids, "id")
+        hist_accumulate(hist, oods, "ood")
+        shared = int(np.dot(hist.counts_id, hist.counts_ood))
+        bound = 0.5 * shared / (len(ids) * len(oods))
+        assert abs(hist_auroc(hist) - exact_auroc(ids, oods)) <= bound + 1e-12
+
+
 class TestApplyThreshold:
     def test_basic(self):
-        mask = apply_threshold(np.array([0.2, 0.8]), 0.5)
-        assert isinstance(mask, IdOodMask)
-        assert mask.flags.tolist() == [0, 1]
+        flags = apply_threshold(np.array([0.2, 0.8]), 0.5)
+        assert flags.dtype == np.uint8 and flags.tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            flags[0] = 1
 
     def test_boundary_is_ood(self):
-        assert apply_threshold(np.array([0.5]), 0.5).flags.tolist() == [1]
+        assert apply_threshold(np.array([0.5]), 0.5).tolist() == [1]
 
     def test_extreme_thresholds(self):
         values = np.array([0.0, 0.3, 0.5])
-        assert apply_threshold(values, -1.0).flags.tolist() == [1, 1, 1]
-        assert apply_threshold(values, 2.0).flags.tolist() == [0, 0, 0]
+        assert apply_threshold(values, -1.0).tolist() == [1, 1, 1]
+        assert apply_threshold(values, 2.0).tolist() == [0, 0, 0]
 
     def test_non_finite_threshold(self):
-        with pytest.raises(ValidationError):
-            apply_threshold(np.array([0.5]), float("nan"))
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ValidationError,
+                               match=f"^threshold must be finite, got {value}$"):
+                apply_threshold(np.array([0.5]), float(value))
 
 
 class TestReportFormats:

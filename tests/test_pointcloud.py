@@ -1,12 +1,13 @@
-"""Tests for Semantic3D parsing, cloud invariants, and ID/OOD map output."""
+"""Tests for Semantic3D parsing, the label checks, and ID/OOD map output."""
 
 import io
 
 import numpy as np
 import pytest
 
-from pcood import (IdOodMask, LabeledCloud, ParseError, StructuralError,
-                   ValidationError, parse_semantic3d, write_idood_map)
+from pcood import (LabeledCloud, ParseError, StructuralError, ValidationError,
+                   apply_threshold, parse_semantic3d, read_labels,
+                   write_idood_map)
 
 
 def _parse(points, labels=None, **kw):
@@ -99,47 +100,50 @@ class TestParse:
 
 class TestTypes:
     def test_cloud_shape_checks(self):
-        xyz = np.zeros((3, 3))
-        with pytest.raises(StructuralError):
-            LabeledCloud(xyz, np.zeros(2), np.zeros((3, 3)), np.zeros(3))
-        with pytest.raises(StructuralError):
-            LabeledCloud(xyz, np.zeros(3), np.zeros((2, 3)), np.zeros(3))
-        with pytest.raises(StructuralError):
-            LabeledCloud(xyz, np.zeros(3), np.zeros((3, 3)), np.zeros(2))
+        cloud = _parse("0 0 0 0 0 0 0\n1 1 1 1 1 1 1\n2 2 2 2 2 2 2\n", "1\n0\n2\n")
+        columns = (cloud.xyz, cloud.intensity, cloud.rgb, cloud.labels)
+        assert [(a.dtype, a.shape) for a in columns] == [
+            (np.float64, (3, 3)), (np.float64, (3,)), (np.uint8, (3, 3)),
+            (np.int64, (3,))]
+        with pytest.raises(StructuralError) as exc:
+            read_labels(io.BytesIO(b"1\n2\n"), 3, 8)
+        assert str(exc.value) == "3 points but 2 labels"
 
     def test_cloud_value_checks(self):
-        xyz = np.zeros((1, 3))
-        with pytest.raises(ValidationError):
-            LabeledCloud(np.full((1, 3), np.nan), np.zeros(1),
-                         np.zeros((1, 3)), np.zeros(1))
-        with pytest.raises(ValidationError):
-            LabeledCloud(xyz, np.zeros(1), np.full((1, 3), 300), np.zeros(1))
-        with pytest.raises(ValidationError):
-            LabeledCloud(xyz, np.zeros(1), np.zeros((1, 3)), np.array([9]))
+        with pytest.raises(ValidationError) as exc:
+            read_labels(io.BytesIO(b"1\n\n9\n-1\n"), 3, 8)
+        assert str(exc.value) == "label 9 at index 1 outside 0..8"
+        # The count is checked before the range.
+        with pytest.raises(StructuralError) as exc:
+            read_labels(io.BytesIO(b"9\n"), 3, 8)
+        assert str(exc.value) == "3 points but 1 labels"
+        with pytest.raises(ParseError, match="^points line 1: non-finite"):
+            _parse("nan 0 0 0 0 0 0\n")
+        with pytest.raises(ParseError, match="^points line 1: color r=300 outside"):
+            _parse("0 0 0 0 300 0 0\n")
 
     def test_cloud_is_frozen(self):
-        cloud = _random_cloud(np.random.default_rng(0), 4)
-        with pytest.raises(ValueError):
-            cloud.xyz[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            cloud.labels[0] = 1
+        cloud = _parse("1 2 3 4 5 6 7\n8 9 10 11 12 13 14\n", "1\n2\n")
+        unlabeled = _parse("1 2 3 4 5 6 7\n")
+        for column in (cloud.xyz, cloud.intensity, cloud.rgb, cloud.labels,
+                       unlabeled.labels):
+            with pytest.raises(ValueError):
+                column[0] = 1
 
     def test_mask_checks(self):
-        mask = IdOodMask([0, 1, 1, 0])
-        assert len(mask) == 4
-        assert mask.n_ood == 2
-        assert mask.n_id == 2
-        with pytest.raises(ValidationError):
-            IdOodMask([0, 2])
-        with pytest.raises(StructuralError):
-            IdOodMask([[0, 1]])
+        flags = apply_threshold(np.array([0.1, 0.9, 0.7, 0.2]), 0.5)
+        assert flags.tolist() == [0, 1, 1, 0]
+        cloud = _parse("0 0 0 0 0 0 0\n" * 4)
+        sink = io.BytesIO()
+        write_idood_map(cloud, flags, sink)
+        assert sink.getvalue().decode().count("255 0 0") == 2
 
 
 class TestIdOodMap:
     def test_color_convention(self):
         cloud = _parse("1 2 3 4 5 6 7\n8 9 10 11 12 13 14\n")
         sink = io.BytesIO()
-        write_idood_map(cloud, IdOodMask([0, 1]), sink)
+        write_idood_map(cloud, np.array([0, 1], dtype=np.uint8), sink)
         lines = sink.getvalue().decode().splitlines()
         assert len(lines) == 2
         assert lines[0].endswith("0 255 0")
@@ -148,27 +152,28 @@ class TestIdOodMap:
 
     def test_length_mismatch(self):
         cloud = _parse("1 2 3 4 5 6 7\n")
-        with pytest.raises(StructuralError):
-            write_idood_map(cloud, IdOodMask([0, 1]), io.BytesIO())
+        with pytest.raises(StructuralError) as exc:
+            write_idood_map(cloud, np.array([0, 1], dtype=np.uint8), io.BytesIO())
+        assert str(exc.value) == "mask length 2 does not match cloud length 1"
 
     def test_green_count_matches_mask(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             n = int(rng.integers(1, 40))
             cloud = _random_cloud(rng, n)
-            mask = IdOodMask(rng.integers(0, 2, size=n))
+            flags = rng.integers(0, 2, size=n).astype(np.uint8)
             sink = io.BytesIO()
-            write_idood_map(cloud, mask, sink)
+            write_idood_map(cloud, flags, sink)
             lines = sink.getvalue().decode().splitlines()
             greens = sum(1 for line in lines if line.endswith("0 255 0"))
             assert len(lines) == n
-            assert greens == mask.n_id
+            assert greens == n - int(flags.sum())
 
     def test_coordinates_round_trip_to_printed_precision(self):
         rng = np.random.default_rng(12)
         cloud = _random_cloud(rng, 64)
         sink = io.BytesIO()
-        write_idood_map(cloud, IdOodMask(np.zeros(64, dtype=int)), sink)
+        write_idood_map(cloud, np.zeros(64, dtype=np.uint8), sink)
         parsed = np.array([[float(f) for f in line.split()[:3]]
                            for line in sink.getvalue().decode().splitlines()])
         # 6 printed decimals bound the absolute error by 5e-7.
@@ -178,5 +183,5 @@ class TestIdOodMap:
         empty = LabeledCloud(np.zeros((0, 3)), np.zeros(0),
                              np.zeros((0, 3)), np.zeros(0))
         sink = io.BytesIO()
-        write_idood_map(empty, IdOodMask(np.zeros(0, dtype=int)), sink)
+        write_idood_map(empty, np.zeros(0, dtype=np.uint8), sink)
         assert sink.getvalue() == b""

@@ -9,10 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pcood import (ParseError, PredictiveTensor, ScoreKind, StructuralError,
-                   TensorKind, ValidationError, aggregate, entropy,
-                   exact_auroc, hist_accumulate, hist_auroc, hist_new,
-                   msp_complement, read_scores_csv, score_distribution,
-                   score_domain, write_scores_csv)
+                   TensorKind, ValidationError, aggregate, exact_auroc,
+                   hist_accumulate, hist_auroc, hist_new, read_scores_csv,
+                   score_distribution, score_domain, write_scores_csv)
 
 
 def _simplex_rows(rng, n, c):
@@ -20,7 +19,24 @@ def _simplex_rows(rng, n, c):
     return probs / probs.sum(axis=1, keepdims=True)
 
 
+def msp_complement(row) -> float:
+    return float(score_distribution(np.array([row], dtype=np.float64),
+                                    ScoreKind.MSP_COMPLEMENT)[0])
+
+
+def entropy(row) -> float:
+    return float(score_distribution(np.array([row], dtype=np.float64),
+                                    ScoreKind.ENTROPY)[0])
+
+
+def _reference_entropy(row) -> float:
+    """Shannon entropy in plain floats, 0 ln 0 = 0 below the score's floor."""
+    return -sum(p * math.log(p) for p in row if p >= 1e-12)
+
+
 class TestRowScores:
+    """Scores of one-row arrays; rows are checked only where tensors are."""
+
     def test_one_hot_is_zero_for_both(self):
         row = [1.0, 0.0, 0.0, 0.0]
         assert msp_complement(row) == 0.0
@@ -36,23 +52,25 @@ class TestRowScores:
         assert abs(msp_complement([0.7, 0.2, 0.1]) - 0.3) <= 1e-12
 
     def test_row_sum_tolerance(self):
-        msp_complement([0.7, 0.2, 0.1 + 9e-6])
+        def tensor(row):
+            return PredictiveTensor(np.array([[row]], dtype=np.float32),
+                                    TensorKind.PROBABILITIES)
+
+        tensor([0.7, 0.2, 0.1 + 9e-6])
         with pytest.raises(ValidationError,
-                           match=r"^probability row sums to 1\.09+, not 1$"):
-            msp_complement([0.7, 0.2, 0.2])
-        with pytest.raises(ValidationError):
-            entropy([0.7, 0.2, 0.2])
+                           match=r"^member 0 point 0: probability row sums to 1\.09+"):
+            tensor([0.7, 0.2, 0.2])
 
     def test_bad_rows(self):
-        with pytest.raises(ValidationError, match=r"^negative probability -0\.1$"):
-            msp_complement([-0.1, 1.1])
-        for row in ([0.5, np.nan], [-0.1, 1.1], []):
-            with pytest.raises(ValidationError):
-                msp_complement(row)
-            with pytest.raises(ValidationError):
-                entropy(row)
+        for row, message in (([-0.1, 1.1], "probability entries must lie in [0, 1]"),
+                             ([0.5, np.nan], "tensor values must be finite")):
+            with pytest.raises(ValidationError) as exc:
+                PredictiveTensor(np.array([[row]]), TensorKind.PROBABILITIES)
+            assert str(exc.value) == message
+        with pytest.raises(ValidationError):
+            PredictiveTensor(np.zeros((1, 1, 0)), TensorKind.PROBABILITIES)
         with pytest.raises(StructuralError):
-            entropy([[0.5, 0.5]])
+            PredictiveTensor(np.array([0.5, 0.5]), TensorKind.PROBABILITIES)
 
     def test_denormal_entries_do_not_produce_nan(self):
         row = [1.0, 5e-324, 0.0, 0.0]
@@ -101,10 +119,9 @@ class TestScoreDistribution:
         probs = _simplex_rows(rng, 64, 6)
         msp = score_distribution(probs, ScoreKind.MSP_COMPLEMENT)
         ent = score_distribution(probs, ScoreKind.ENTROPY)
-        np.testing.assert_array_equal(
-            msp, [msp_complement(row) for row in probs])
-        np.testing.assert_array_equal(
-            ent, [entropy(row) for row in probs])
+        np.testing.assert_array_equal(msp, [1.0 - max(row) for row in probs.tolist()])
+        np.testing.assert_allclose(
+            ent, [_reference_entropy(row) for row in probs.tolist()], rtol=0, atol=1e-12)
 
     def test_one_hot_and_uniform_rows(self):
         probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pcood import (IdOodMask, LabeledCloud, ParseError, ValidationError,
+from pcood import (LabeledCloud, ParseError, ValidationError,
                    parse_semantic3d, read_labels, read_scores_csv,
                    write_idood_map, write_scores_csv)
 from pcood import _io, pointcloud, scores
@@ -312,12 +312,15 @@ class TestHostileText:
 
     def test_labels_beyond_int64_name_the_line(self):
         top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
-        assert read_labels(io.BytesIO(f"{top}\n{bottom}\n".encode())).tolist() \
-            == [top, bottom]
+        # The extremes are read exactly; the class range check then names them.
+        for value in (top, bottom):
+            with pytest.raises(ValidationError) as exc:
+                read_labels(io.BytesIO(f"{value}\n".encode()), 1, 8)
+            assert str(exc.value) == f"label {value} at index 0 outside 0..8"
         for value in (top + 1, bottom - 1, "1_0" + "0" * 19):
             for size in (4, 1 << 22):
                 with _blocks_of(size), pytest.raises(ParseError) as exc:
-                    read_labels(io.BytesIO(f"1\n\n{value}\n".encode()))
+                    read_labels(io.BytesIO(f"1\n\n{value}\n".encode()), 2, 8)
                 assert str(exc.value) == \
                     f"labels line 3: label '{value}' outside int64"
 
@@ -346,7 +349,7 @@ class TestWriters:
         cloud = LabeledCloud(xyz, np.zeros(n), np.zeros((n, 3)), np.zeros(n))
         with mock.patch.object(pointcloud, "_WRITE_ROWS", 3):
             sink = io.BytesIO()
-            write_idood_map(cloud, IdOodMask(flags), sink)
+            write_idood_map(cloud, flags, sink)
         assert sink.getvalue() == self._reference_map(xyz, flags)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 50])
