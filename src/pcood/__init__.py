@@ -24,7 +24,7 @@ from .evaluation import (BinnedScoreHistogram, ConfusionMatrix, RocCurve,
                          read_metrics_report, read_roc_csv, roc_curve,
                          seg_metrics, write_metrics_report, write_roc_csv)
 from .synth import (GaussianPairSpec, analytic_auroc, sample_scores,
-                    sample_scores_chunk, synth_tensor, synth_tensor_blocks,
+                    sample_scores_chunk, synth_member, synth_tensor,
                     synth_true_classes)
 
 __version__ = "0.1.0"
@@ -46,6 +46,6 @@ __all__ = [
     "optimal_threshold", "read_metrics_report", "read_roc_csv", "roc_curve",
     "seg_metrics", "write_metrics_report", "write_roc_csv",
     "GaussianPairSpec", "analytic_auroc", "sample_scores",
-    "sample_scores_chunk", "synth_tensor", "synth_tensor_blocks",
+    "sample_scores_chunk", "synth_member", "synth_tensor",
     "synth_true_classes",
 ]

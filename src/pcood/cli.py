@@ -31,11 +31,12 @@ from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
                          seg_metrics, write_metrics_report, write_roc_csv,
                          read_roc_csv)
 from .pointcloud import parse_semantic3d, read_labels, write_idood_map
-from .predictive import (PredictiveTensor, TENSOR_MAGIC, TensorKind,
-                         TensorStream, write_tensor)
+from .predictive import (TENSOR_MAGIC, TensorKind, TensorStream,
+                         _check_member, write_header, write_member)
 from .scores import (ScoreKind, read_scores_csv, score_distribution,
                      write_scores_csv)
-from .synth import (GaussianPairSpec, sample_scores_chunk, synth_tensor_blocks)
+from .synth import (GaussianPairSpec, _check_tensor_args, sample_scores_chunk,
+                    synth_member)
 
 DEFAULT_K_SWEEP = (1, 5, 10, 15, 20)
 
@@ -289,19 +290,27 @@ def _provenance(inputs) -> list:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _write_member_checked(sink, path: str, rows: np.ndarray, member: int) -> None:
+    """Write one member of probabilities after the check a reader makes, so
+    pcood never writes a tensor it cannot read; an error names `path`."""
+    with _named(path):
+        _check_member(rows, TensorKind.PROBABILITIES, member)
+    write_member(sink, rows)
+
+
 def cmd_aggregate(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as files:
         stream = _open_tensor(files, args.input)
         k = _k(args, stream)
         [(_, [probs])] = _per_k([(args.input, stream)], [k], args.workers,
                                 lambda probs: probs)
-    out = PredictiveTensor(probs[np.newaxis].astype(np.float32),
-                           TensorKind.PROBABILITIES)
+    rows = probs.astype(np.float32)
     with atomic_outputs([args.out]) as (sink,):
-        write_tensor(out, sink)
-    dev = np.abs(np.sum(out.values[0], axis=-1, dtype=np.float64) - 1.0)
+        write_header(sink, TensorKind.PROBABILITIES, *rows.shape, 1)
+        _write_member_checked(sink, args.out, rows, 0)
+    dev = np.abs(np.sum(rows, axis=-1, dtype=np.float64) - 1.0)
     max_dev = float(dev.max()) if dev.size else 0.0
-    print(f"points={out.n_points} classes={out.n_classes} members_used={k} "
+    print(f"points={rows.shape[0]} classes={rows.shape[1]} members_used={k} "
           f"max_row_sum_dev={max_dev!r}")
     return 0
 
@@ -450,17 +459,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
             write_scores_csv(ood_scores, ood_sink)
         return 0
 
-    parts = _run_shards(
-        lambda a, b: synth_tensor_blocks(args.points, args.classes, args.members,
-                                         args.separability, args.seed, a, b),
-        _shards(args.points, args.workers), args.workers)
-    id_block = np.concatenate([p[0] for p in parts], axis=1)
-    ood_block = np.concatenate([p[1] for p in parts], axis=1)
-    id_tensor = PredictiveTensor(id_block, TensorKind.PROBABILITIES)
-    ood_tensor = PredictiveTensor(ood_block, TensorKind.PROBABILITIES)
-    with atomic_outputs([args.out_id, args.out_ood]) as (id_sink, ood_sink):
-        write_tensor(id_tensor, id_sink)
-        write_tensor(ood_tensor, ood_sink)
+    n, c = args.points, args.classes
+    _check_tensor_args(n, c, args.members, args.separability, args.seed)
+    paths = [args.out_id, args.out_ood]
+    with atomic_outputs(paths) as sinks:
+        for sink in sinks:
+            write_header(sink, TensorKind.PROBABILITIES, n, c, args.members)
+        for m in range(args.members):
+            parts = _run_shards(
+                lambda a, b: synth_member(n, c, args.separability, args.seed,
+                                          m, a, b),
+                _shards(n, args.workers), args.workers)
+            for i, (sink, path) in enumerate(zip(sinks, paths)):
+                rows = np.concatenate([part[i] for part in parts])
+                _write_member_checked(sink, path, rows, m)
     return 0
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._io import block_lines, iter_blocks, load_block, numbered_lines, write_text
 from .errors import ParseError, ValidationError
+from .predictive import _row_max
 
 # Probabilities below this are treated as exact zeros in the entropy sum
 # so denormal-range entries cannot produce NaN through the logarithm.
@@ -58,7 +59,8 @@ def score_distribution(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:
     """
     probs = np.asarray(probs, dtype=np.float64)
     if kind is ScoreKind.MSP_COMPLEMENT:
-        values = 1.0 - probs.max(axis=1)
+        values = _row_max(probs)
+        np.subtract(1.0, values, out=values)
     elif kind is ScoreKind.ENTROPY:
         from scipy.special import xlogy
 

@@ -60,8 +60,9 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 def _standard_normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     from scipy.special import ndtri
 
-    u = np.maximum(_uniforms(seed, stream, start, count), _UNIFORM_FLOOR)
-    return ndtri(u)
+    u = _uniforms(seed, stream, start, count)
+    np.maximum(u, _UNIFORM_FLOOR, out=u)
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -136,42 +137,43 @@ def synth_true_classes(n_points: int, n_classes: int, seed: int,
     return np.minimum((u * n_classes).astype(np.int64), n_classes - 1)
 
 
-def synth_tensor_blocks(n_points: int, n_classes: int, n_members: int,
-                        separability: float, seed: int,
-                        start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 probability blocks for points [start, stop) of both tensors.
+def synth_member(n_points: int, n_classes: int, separability: float,
+                 seed: int, m: int, start: int,
+                 stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 (ID, OOD) probability rows of member m for points [start, stop).
 
     Members share nothing: member m of the ID tensor adds `separability`
     to the true-class logit of standard-normal noise, the OOD tensor is
     the softmax of the noise alone. At separability 0 the two laws
     coincide; as it grows, ID rows approach one-hot while OOD rows keep
-    their moderate spread.
+    their moderate spread. The draws of member m sit at fixed counter
+    positions, so they depend neither on the member count nor on how the
+    points are split.
     """
-    _check_tensor_args(n_points, n_classes, n_members, separability, seed)
+    if m < 0:
+        raise ValidationError(f"member index must be >= 0, got {m}")
+    _check_tensor_args(n_points, n_classes, m + 1, separability, seed)
     if not 0 <= start <= stop <= n_points:
         raise ValidationError(f"chunk [{start}, {stop}) outside 0..{n_points}")
     count = stop - start
-    id_block = np.empty((n_members, count, n_classes), dtype=np.float32)
-    ood_block = np.empty((n_members, count, n_classes), dtype=np.float32)
-    true_cls = synth_true_classes(n_points, n_classes, seed, start, stop)
-    rows = np.arange(count)
-    for m in range(n_members):
-        base = (m * n_points + start) * n_classes
-        z = _standard_normals(seed, _STREAM_ID_NOISE, base,
-                              count * n_classes).reshape(count, n_classes)
-        z[rows, true_cls] += separability
-        id_block[m] = _softmax_rows(z)
-        z = _standard_normals(seed, _STREAM_OOD_NOISE, base,
-                              count * n_classes).reshape(count, n_classes)
-        ood_block[m] = _softmax_rows(z)
-    return id_block, ood_block
+    base = (m * n_points + start) * n_classes
+    z = _standard_normals(seed, _STREAM_ID_NOISE, base,
+                          count * n_classes).reshape(count, n_classes)
+    z[np.arange(count),
+      synth_true_classes(n_points, n_classes, seed, start, stop)] += separability
+    id_rows = _softmax_rows(z).astype(np.float32)
+    z = _standard_normals(seed, _STREAM_OOD_NOISE, base,
+                          count * n_classes).reshape(count, n_classes)
+    return id_rows, _softmax_rows(z).astype(np.float32)
 
 
 def synth_tensor(n_points: int, n_classes: int, n_members: int,
                  separability: float,
                  seed: int) -> tuple[PredictiveTensor, PredictiveTensor]:
     """Build the (ID, OOD) prediction tensor pair for a configuration."""
-    id_block, ood_block = synth_tensor_blocks(
-        n_points, n_classes, n_members, separability, seed, 0, n_points)
-    return (PredictiveTensor(id_block, TensorKind.PROBABILITIES),
-            PredictiveTensor(ood_block, TensorKind.PROBABILITIES))
+    _check_tensor_args(n_points, n_classes, n_members, separability, seed)
+    id_rows, ood_rows = zip(*(synth_member(n_points, n_classes, separability,
+                                           seed, m, 0, n_points)
+                              for m in range(n_members)))
+    return (PredictiveTensor(id_rows, TensorKind.PROBABILITIES),
+            PredictiveTensor(ood_rows, TensorKind.PROBABILITIES))

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,38 @@ class TestSynthCommand:
             outputs.append(out_id.read_bytes() + out_ood.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_peak_memory_does_not_grow_with_members(self, tmp_path):
+        # Members are written one at a time, so 16 members may not hold
+        # more than one extra member payload over 2. With one worker the
+        # peak repeats to the kilobyte. Three shard threads overlap their
+        # buffers by chance, by up to about 1 MB between runs; at most they
+        # add up to the one-worker peak, so they are held to the same bound.
+        n, c = 20000, 8
+
+        def peak(members, workers):
+            tracemalloc.start()
+            try:
+                assert run("synth", "tensor", "--points", n, "--classes", c,
+                           "--members", members, "--workers", workers,
+                           "--out-id", tmp_path / "id.pcod",
+                           "--out-ood", tmp_path / "ood.pcod") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2, 3)  # lazy imports, thread start-up and first allocations
+        bound = peak(2, 1) + 4 * n * c
+        assert peak(16, 1) <= bound
+        assert peak(16, 3) <= bound
+
+    def test_sizes_the_header_cannot_hold_are_rejected(self, tmp_path, capsys):
+        for flag, value in (("--classes", 2 ** 16), ("--members", 2 ** 16)):
+            out_id = tmp_path / "id.pcod"
+            assert run("synth", "tensor", "--points", 1, flag, value,
+                       "--out-id", out_id, "--out-ood", tmp_path / "ood.pcod") == 1
+            assert "a PCOD header cannot hold" in capsys.readouterr().err
+            assert not out_id.exists()
+
 
 class TestAggregateAndScore:
     def test_aggregate_k1_is_member_zero(self, tmp_path, tensor_pair, capsys):
@@ -267,6 +300,24 @@ class TestAggregateAndScore:
         agg = _read_tensor_file(out)
         want = aggregate(id_tensor, 3).astype(np.float32)
         np.testing.assert_array_equal(agg.values[0], want)
+
+    def test_aggregate_names_the_output_its_mean_would_break(self, tmp_path,
+                                                            capsys):
+        # Both members pass the 1e-5 row-sum check, but their mean rounded
+        # to float32 does not: aggregate must not blame its input, and must
+        # not write a tensor it could not read back.
+        path = tmp_path / "two.pcod"
+        path.write_bytes(struct.pack("<4sHBBQHH", b"PCOD", 1, 0, 0, 1, 2, 2)
+                         + np.array([0.5, 0.50000995, 0.49999997, 0.50001],
+                                    dtype="<f4").tobytes())
+        assert run("score", "--in", path, "--out", tmp_path / "s.csv") == 0
+        out = tmp_path / "agg.pcod"
+        capsys.readouterr()
+        assert run("aggregate", "--in", path, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: member 0 point 0: probability row sums to "
+            f"1.0000100135803223\n")
+        assert not out.exists()
 
     def test_score_matches_library(self, tmp_path, tensor_pair):
         id_path, _, id_tensor, _ = tensor_pair

@@ -7,12 +7,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcood import (CapacityError, FormatError, PredictiveTensor,
                    StructuralError, TensorKind, TensorStream,
                    TruncatedStreamError, ValidationError, aggregate,
                    read_tensor, write_tensor)
-from pcood.predictive import _softmax_rows
+from pcood.predictive import _row_max, _softmax_rows
 
 _HEADER = struct.Struct("<4sHBBQHH")
 
@@ -29,6 +31,45 @@ def _prob_tensor(rng, k, n, c):
 def softmax_row(logits):
     """The softmax of one row, through the (N, C) routine aggregate uses."""
     return _softmax_rows(np.array([logits], dtype=np.float64))[0]
+
+
+@st.composite
+def _row_arrays(draw, nan: bool):
+    """(N, C) float64 arrays with signed zeros, huge magnitudes and, if
+    `nan`, NaN entries."""
+    n, c = draw(st.integers(0, 5)), draw(st.integers(2, 17))
+    specials = [0.0, -0.0, 1e300, -1e300, 5e-324] + ([math.nan] if nan else [])
+    elements = st.sampled_from(specials) | st.floats(-1e300, 1e300)
+    values = draw(st.lists(elements, min_size=n * c, max_size=n * c))
+    return np.array(values, dtype=np.float64).reshape(n, c)
+
+
+class TestRowKernels:
+    """The row kernels against plain numpy, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_row_arrays(nan=True))
+    def test_row_max_is_the_numpy_max(self, x):
+        want = x.max(axis=1)
+        got = _row_max(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # A zero maximum may carry either sign; 1 - max cannot see it.
+        nonzero = want != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        assert (got[~nonzero] == 0.0).all()
+        assert (1.0 - got).tobytes() == (1.0 - want).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_row_arrays(nan=False), st.booleans())
+    def test_softmax_rows_is_the_numpy_softmax(self, x, single):
+        if single:  # float32 logits, as a logit tensor holds them
+            x = np.clip(x, -3e38, 3e38).astype(np.float32)
+        wide = x.astype(np.float64)
+        expd = np.exp(wide - wide.max(axis=1, keepdims=True))
+        want = expd / expd.sum(axis=1, keepdims=True)
+        got = _softmax_rows(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSoftmaxRow:

@@ -16,7 +16,7 @@ from scipy.stats import norm
 from pcood import (GaussianPairSpec, ScoreKind, ValidationError,
                    aggregate, analytic_auroc, exact_auroc,
                    sample_scores, sample_scores_chunk, score_distribution,
-                   synth_tensor, synth_tensor_blocks, synth_true_classes)
+                   synth_member, synth_tensor, synth_true_classes)
 
 
 def hanley_mcneil_se(auc, n1, n2):
@@ -163,20 +163,26 @@ class TestTensors:
         np.testing.assert_array_equal(a_ood.values, b_ood.values)
 
     def test_block_partition_invariance(self):
-        full_id, full_ood = synth_tensor_blocks(60, 4, 2, 1.5, 32, 0, 60)
         edges = [0, 7, 8, 33, 60]
-        parts = [synth_tensor_blocks(60, 4, 2, 1.5, 32, a, b)
-                 for a, b in zip(edges, edges[1:])]
-        np.testing.assert_array_equal(
-            np.concatenate([p[0] for p in parts], axis=1), full_id)
-        np.testing.assert_array_equal(
-            np.concatenate([p[1] for p in parts], axis=1), full_ood)
+        for m in (0, 1):
+            full_id, full_ood = synth_member(60, 4, 1.5, 32, m, 0, 60)
+            parts = [synth_member(60, 4, 1.5, 32, m, a, b)
+                     for a, b in zip(edges, edges[1:])]
+            np.testing.assert_array_equal(
+                np.concatenate([p[0] for p in parts]), full_id)
+            np.testing.assert_array_equal(
+                np.concatenate([p[1] for p in parts]), full_ood)
 
     def test_member_blocks_do_not_depend_on_member_count(self):
         one_id, one_ood = synth_tensor(50, 4, 1, 2.0, 33)
         many_id, many_ood = synth_tensor(50, 4, 3, 2.0, 33)
         np.testing.assert_array_equal(many_id.values[0], one_id.values[0])
         np.testing.assert_array_equal(many_ood.values[0], one_ood.values[0])
+        for m in range(3):
+            id_rows, ood_rows = synth_member(50, 4, 2.0, 33, m, 0, 50)
+            assert id_rows.dtype == ood_rows.dtype == np.float32
+            np.testing.assert_array_equal(id_rows, many_id.values[m])
+            np.testing.assert_array_equal(ood_rows, many_ood.values[m])
 
     def test_rows_are_probabilities(self):
         id_tensor, ood_tensor = synth_tensor(200, 8, 2, 3.0, 34)
@@ -231,5 +237,10 @@ class TestTensors:
             synth_tensor(10, 8, 1, float("inf"), 39)
         with pytest.raises(ValidationError):
             synth_tensor(10, 8, 1, 1.0, -3)
-        with pytest.raises(ValidationError):
-            synth_tensor_blocks(10, 8, 1, 1.0, 39, 4, 11)
+        for start, stop in ((4, 11), (-1, 3), (6, 5)):
+            with pytest.raises(ValidationError, match="outside 0..10"):
+                synth_member(10, 8, 1.0, 39, 0, start, stop)
+        with pytest.raises(ValidationError, match="member index"):
+            synth_member(10, 8, 1.0, 39, -1, 0, 10)
+        with pytest.raises(ValidationError, match="two classes"):
+            synth_member(10, 1, 1.0, 39, 0, 0, 10)
