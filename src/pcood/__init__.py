@@ -12,8 +12,7 @@ from .errors import (CapacityError, FormatError, ParseError, PcoodError,
 from .pointcloud import (ID_COLOR, OOD_COLOR, SEMANTIC3D_CLASS_COUNT,
                          SEMANTIC3D_CLASS_NAMES, LabeledCloud, parse_semantic3d,
                          read_labels, write_idood_map)
-from .predictive import (PredictiveTensor, TensorKind, TensorStream, aggregate,
-                         read_tensor, write_tensor)
+from .predictive import TensorKind, TensorStream, write_header, write_member
 from .scores import (ScoreKind, read_scores_csv, score_distribution,
                      score_domain, write_scores_csv)
 from .evaluation import (BinnedScoreHistogram, ConfusionMatrix, RocCurve,
@@ -24,8 +23,7 @@ from .evaluation import (BinnedScoreHistogram, ConfusionMatrix, RocCurve,
                          read_metrics_report, read_roc_csv, roc_curve,
                          seg_metrics, write_metrics_report, write_roc_csv)
 from .synth import (GaussianPairSpec, analytic_auroc, sample_scores,
-                    sample_scores_chunk, synth_member, synth_tensor,
-                    synth_true_classes)
+                    sample_scores_chunk, synth_member, synth_true_classes)
 
 __version__ = "0.1.0"
 
@@ -35,8 +33,7 @@ __all__ = [
     "ID_COLOR", "OOD_COLOR", "SEMANTIC3D_CLASS_COUNT",
     "SEMANTIC3D_CLASS_NAMES", "LabeledCloud",
     "parse_semantic3d", "read_labels", "write_idood_map",
-    "PredictiveTensor", "TensorKind", "TensorStream", "aggregate",
-    "read_tensor", "write_tensor",
+    "TensorKind", "TensorStream", "write_header", "write_member",
     "ScoreKind", "read_scores_csv", "score_distribution", "score_domain",
     "write_scores_csv",
     "BinnedScoreHistogram", "ConfusionMatrix", "RocCurve", "SegMetrics",
@@ -46,6 +43,5 @@ __all__ = [
     "optimal_threshold", "read_metrics_report", "read_roc_csv", "roc_curve",
     "seg_metrics", "write_metrics_report", "write_roc_csv",
     "GaussianPairSpec", "analytic_auroc", "sample_scores",
-    "sample_scores_chunk", "synth_member", "synth_tensor",
-    "synth_true_classes",
+    "sample_scores_chunk", "synth_member", "synth_true_classes",
 ]

@@ -1,4 +1,4 @@
-"""Small stream helpers shared by the parsers and writers."""
+"""Small stream and array helpers shared by the parsers and writers."""
 
 from __future__ import annotations
 
@@ -14,6 +14,12 @@ from .errors import ParseError
 # Characters (text streams) or bytes (binary streams) read per block by
 # iter_blocks; blocks are cut at a newline, so a block is about this long.
 _BLOCK_SIZE = 1 << 22
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark `arr` read-only and return it."""
+    arr.flags.writeable = False
+    return arr
 
 
 def numbered_lines(stream, where: str = "line", start: int = 1):

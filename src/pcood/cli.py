@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._io import atomic_outputs
-from .errors import TruncatedStreamError, ValidationError
+from .errors import ParseError, TruncatedStreamError, ValidationError
 from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
                          confusion_new, confusion_accumulate,
                          apply_threshold, argmax_labels, exact_auroc,
@@ -31,8 +31,8 @@ from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
                          seg_metrics, write_metrics_report, write_roc_csv,
                          read_roc_csv)
 from .pointcloud import parse_semantic3d, read_labels, write_idood_map
-from .predictive import (TENSOR_MAGIC, TensorKind, TensorStream,
-                         _check_member, write_header, write_member)
+from .predictive import (TENSOR_MAGIC, TensorKind, TensorStream, write_header,
+                         write_member)
 from .scores import (ScoreKind, read_scores_csv, score_distribution,
                      write_scores_csv)
 from .synth import (GaussianPairSpec, _check_tensor_args, sample_scores_chunk,
@@ -290,14 +290,6 @@ def _provenance(inputs) -> list:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _write_member_checked(sink, path: str, rows: np.ndarray, member: int) -> None:
-    """Write one member of probabilities after the check a reader makes, so
-    pcood never writes a tensor it cannot read; an error names `path`."""
-    with _named(path):
-        _check_member(rows, TensorKind.PROBABILITIES, member)
-    write_member(sink, rows)
-
-
 def cmd_aggregate(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as files:
         stream = _open_tensor(files, args.input)
@@ -307,7 +299,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     rows = probs.astype(np.float32)
     with atomic_outputs([args.out]) as (sink,):
         write_header(sink, TensorKind.PROBABILITIES, *rows.shape, 1)
-        _write_member_checked(sink, args.out, rows, 0)
+        with _named(args.out):
+            write_member(sink, rows, TensorKind.PROBABILITIES, 0)
     dev = np.abs(np.sum(rows, axis=-1, dtype=np.float64) - 1.0)
     max_dev = float(dev.max()) if dev.size else 0.0
     print(f"points={rows.shape[0]} classes={rows.shape[1]} members_used={k} "
@@ -430,7 +423,11 @@ def cmd_map(args: argparse.Namespace) -> int:
                 _, metadata = read_roc_csv(f)
                 if "youden_threshold" not in metadata:
                     raise ValidationError("no youden_threshold metadata")
-            threshold = float(metadata["youden_threshold"])
+                try:
+                    threshold = float(metadata["youden_threshold"])
+                except ValueError:
+                    raise ParseError(f"bad youden_threshold metadata: "
+                                     f"{metadata['youden_threshold']!r}") from None
         [(_, [values])] = _per_k([(args.pred, stream)], [_k(args, stream)],
                                  args.workers,
                                  lambda probs: score_distribution(probs, kind))
@@ -472,7 +469,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 _shards(n, args.workers), args.workers)
             for i, (sink, path) in enumerate(zip(sinks, paths)):
                 rows = np.concatenate([part[i] for part in parts])
-                _write_member_checked(sink, path, rows, m)
+                with _named(path):
+                    write_member(sink, rows, TensorKind.PROBABILITIES, m)
     return 0
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._io import numbered_lines, write_text
+from ._io import frozen, numbered_lines, write_text
 from .errors import ParseError, StructuralError, ValidationError
 from .scores import ScoreKind, score_domain
 
@@ -34,11 +34,6 @@ EXACT_MODE_MAX_POINTS = 10 ** 7
 TIE_RULE = "ties-credited-0.5"
 
 _POPULATIONS = ("id", "ood")
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def exact_auroc(id_scores, ood_scores) -> float:
@@ -228,9 +223,9 @@ class RocCurve:
             raise ValidationError(
                 f"auroc {self.auroc!r} does not match curve area {area!r}"
             )
-        self.thresholds = _frozen(thresholds)
-        self.fpr = _frozen(fpr)
-        self.tpr = _frozen(tpr)
+        self.thresholds = frozen(thresholds)
+        self.fpr = frozen(fpr)
+        self.tpr = frozen(tpr)
 
 
 def roc_curve(hist: BinnedScoreHistogram) -> RocCurve:
@@ -336,8 +331,8 @@ class SegMetrics:
     accuracy: float
 
     def __post_init__(self):
-        self.per_class_iou = _frozen(np.array(self.per_class_iou,
-                                              dtype=np.float64, copy=True))
+        self.per_class_iou = frozen(np.array(self.per_class_iou,
+                                             dtype=np.float64, copy=True))
 
 
 def seg_metrics(matrix: ConfusionMatrix) -> SegMetrics:
@@ -379,7 +374,7 @@ def apply_threshold(scores: np.ndarray, threshold: float) -> np.ndarray:
     threshold = float(threshold)
     if not np.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold!r}")
-    return _frozen((np.asarray(scores) >= threshold).astype(np.uint8))
+    return frozen((np.asarray(scores) >= threshold).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------

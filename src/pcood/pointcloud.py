@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import block_lines, iter_blocks, load_block, numbered_lines, write_text
+from ._io import (block_lines, frozen, iter_blocks, load_block, numbered_lines,
+                  write_text)
 from .errors import ParseError, StructuralError, ValidationError
 
 SEMANTIC3D_CLASS_COUNT = 8
@@ -34,14 +35,9 @@ ID_COLOR = (0, 255, 0)
 OOD_COLOR = (255, 0, 0)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass
 class LabeledCloud:
-    """A point cloud with one class label per point (0 = unlabeled).
+    """The points of a Semantic3D cloud; labels are read by :func:`read_labels`.
 
     The fields are read-only arrays as :func:`parse_semantic3d` decoded and
     checked them; a cloud built by hand is not checked again.
@@ -50,8 +46,6 @@ class LabeledCloud:
     xyz: np.ndarray  # (N, 3) float64
     intensity: np.ndarray  # (N,) float64
     rgb: np.ndarray  # (N, 3) uint8
-    labels: np.ndarray  # (N,) int64, values in 0..class_count
-    class_count: int = SEMANTIC3D_CLASS_COUNT
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
@@ -154,24 +148,18 @@ def read_labels(stream, n_points: int, class_count: int) -> np.ndarray:
     if bad.size:
         i = int(bad[0])
         raise ValidationError(f"label {labels[i]} at index {i} outside 0..{class_count}")
-    return _frozen(labels)
+    return frozen(labels)
 
 
-def parse_semantic3d(points_stream, labels_stream=None, *,
-                     class_count: int = SEMANTIC3D_CLASS_COUNT) -> LabeledCloud:
-    """Parse a Semantic3D points file and an optional labels file.
+def parse_semantic3d(points_stream) -> LabeledCloud:
+    """Parse a Semantic3D points file.
 
     Blank lines are skipped, tabs and repeated spaces both separate
     fields. Errors carry the 1-based line number of the offending line.
-    Without a labels file every point is marked unlabeled (0).
     """
-    data = _frozen(np.concatenate([np.empty((0, 7))] + [
+    data = frozen(np.concatenate([np.empty((0, 7))] + [
         _points_block(lineno, block) for lineno, block in iter_blocks(points_stream)]))
-    n = data.shape[0]
-    labels = (_frozen(np.zeros(n, dtype=np.int64)) if labels_stream is None
-              else read_labels(labels_stream, n, class_count))
-    return LabeledCloud(data[:, :3], data[:, 3], _frozen(data[:, 4:].astype(np.uint8)),
-                        labels, class_count=class_count)
+    return LabeledCloud(data[:, :3], data[:, 3], frozen(data[:, 4:].astype(np.uint8)))
 
 
 def write_idood_map(cloud: LabeledCloud, flags: np.ndarray, sink) -> None:

@@ -12,7 +12,9 @@ u64, class count u16, member count u16) followed by the float32 values
 laid out member-major. ``TensorStream`` reads such a file front to back
 once: it checks and hashes each member block as it arrives and keeps a
 float64 running sum, so the means for every k of a sweep cost one pass
-and memory of order N x C, whatever the member count.
+and memory of order N x C, whatever the member count. ``write_header``
+and ``write_member`` write one member at a time, with the same member
+check, so pcood never writes a tensor it cannot read.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import enum
 import hashlib
 import io
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapacityError, FormatError, StructuralError,
-                     TruncatedStreamError, ValidationError)
+from ._io import frozen
+from .errors import (CapacityError, FormatError, TruncatedStreamError,
+                     ValidationError)
 
 TENSOR_MAGIC = b"PCOD"
 TENSOR_VERSION = 1
@@ -50,11 +52,6 @@ class TensorKind(enum.Enum):
 
 _KIND_CODES = {TensorKind.PROBABILITIES: 0, TensorKind.LOGITS: 1}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _check_member(rows: np.ndarray, kind: TensorKind, member: int) -> None:
@@ -82,43 +79,6 @@ def _check_member(rows: np.ndarray, kind: TensorKind, member: int) -> None:
         f"member {member} point {i}: probability row sums to "
         f"{float(sums[i])!r}"
     )
-
-
-@dataclass
-class PredictiveTensor:
-    """(K, N, C) float32 member outputs, immutable after construction."""
-
-    values: np.ndarray
-    kind: TensorKind
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float32, copy=True, order="C")
-        if values.ndim != 3:
-            raise StructuralError(
-                f"tensor must have shape (members, points, classes), got {values.shape}"
-            )
-        if not isinstance(self.kind, TensorKind):
-            raise ValidationError(f"unknown tensor kind: {self.kind!r}")
-        k, _, c = values.shape
-        if k < 1:
-            raise ValidationError("tensor needs at least one member")
-        if c < 2:
-            raise ValidationError(f"tensor needs at least two classes, got {c}")
-        for m in range(k):
-            _check_member(values[m], self.kind, m)
-        self.values = _frozen(values)
-
-    @property
-    def n_members(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_points(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[2]
 
 
 def _row_max(rows: np.ndarray) -> np.ndarray:
@@ -151,38 +111,11 @@ def _check_k(k: int, n_members: int) -> None:
         raise ValidationError(f"k must lie in 1..{n_members}, got {k}")
 
 
-def _add_member(acc: np.ndarray, rows: np.ndarray, kind: TensorKind) -> None:
-    """acc += one member's rows in probability space, in float64.
-
-    Float32 entries widen to float64 exactly, so adding them directly
-    equals adding their float64 copy; ``_softmax_rows`` widens logits
-    before it subtracts.
-    """
-    if kind is TensorKind.LOGITS:
-        acc += _softmax_rows(rows)
-    else:
-        acc += rows
-
-
-def aggregate(tensor: PredictiveTensor, k: int) -> np.ndarray:
-    """Average the first k members of a tensor.
-
-    Returns the read-only (N, C) float64 mean. Logit tensors are
-    converted with a per-row softmax before the mean, so averaging always
-    happens in probability space. With k=1 the result reproduces member 0
-    exactly.
-    """
-    _check_k(k, tensor.n_members)
-    acc = np.zeros((tensor.n_points, tensor.n_classes), dtype=np.float64)
-    for m in range(k):
-        _add_member(acc, tensor.values[m], tensor.kind)
-    return _frozen(acc / float(k))
-
-
 def write_header(sink, kind: TensorKind, n_points: int, n_classes: int,
                  n_members: int) -> None:
     """Write the PCOD header; ``n_members`` calls of ``write_member`` follow."""
-    if not (n_points < 2 ** 64 and n_classes < 2 ** 16 and n_members < 2 ** 16):
+    if not (0 <= n_points < 2 ** 64 and 2 <= n_classes < 2 ** 16
+            and 1 <= n_members < 2 ** 16):
         raise ValidationError(
             f"a PCOD header cannot hold {n_members} members x {n_points} "
             f"points x {n_classes} classes")
@@ -190,19 +123,16 @@ def write_header(sink, kind: TensorKind, n_points: int, n_classes: int,
                             n_points, n_classes, n_members))
 
 
-def write_member(sink, rows: np.ndarray) -> None:
-    """Write one member's (N, C) rows in the PCOD layout."""
+def write_member(sink, rows: np.ndarray, kind: TensorKind, member: int) -> None:
+    """Write member `member`'s (N, C) rows in the PCOD layout.
+
+    The float32 rows get the check a reader makes first, so a bad row
+    raises ValidationError before any byte is written.
+    """
+    rows = np.ascontiguousarray(rows, dtype="<f4")
+    _check_member(rows, kind, member)
     # A flat byte view of the rows: no copy, and len() counts bytes.
-    flat = np.ascontiguousarray(rows, dtype="<f4").reshape(-1)
-    sink.write(memoryview(flat.view(np.uint8)))
-
-
-def write_tensor(tensor: PredictiveTensor, sink) -> None:
-    """Serialize a tensor to a binary sink in the PCOD layout."""
-    write_header(sink, tensor.kind, tensor.n_points, tensor.n_classes,
-                 tensor.n_members)
-    for m in range(tensor.n_members):
-        write_member(sink, tensor.values[m])
+    sink.write(memoryview(rows.reshape(-1).view(np.uint8)))
 
 
 def _read_upto(source, nbytes: int) -> bytes:
@@ -308,9 +238,11 @@ class TensorStream:
         """Yield ``(k, mean of the first k members)`` for each distinct k.
 
         The ks are checked against the member count now; the pass runs as
-        the result is iterated, in increasing k. Each mean is the
-        read-only (N, C) float64 array ``aggregate(tensor, k)`` returns,
-        bit for bit. Every member, also past the largest k, is checked;
+        the result is iterated, in increasing k. Each mean is a read-only
+        (N, C) float64 array: the float64 sum of the first k members in
+        member order, logits through a per-row softmax, divided by k. So
+        averaging always happens in probability space, and k=1 gives
+        member 0 exactly. Every member, also past the largest k, is checked;
         members past it are not added. After the last mean the rest of
         the stream is read, so iterate to the end for ``sha256``.
         """
@@ -326,12 +258,11 @@ class TensorStream:
             if m < last:
                 if acc is None:
                     acc = np.zeros(block.shape, dtype=np.float64)
-                _add_member(acc, block, self.kind)
+                # Float32 entries widen to float64 exactly, so adding them
+                # directly equals adding their float64 copy; _softmax_rows
+                # widens logits before it subtracts.
+                acc += (_softmax_rows(block) if self.kind is TensorKind.LOGITS
+                        else block)
             if m + 1 in wanted:
-                yield m + 1, _frozen(acc / float(m + 1))
+                yield m + 1, frozen(acc / float(m + 1))
 
-
-def read_tensor(source) -> PredictiveTensor:
-    """Read a PCOD tensor from a binary source; round-trips are lossless."""
-    stream = TensorStream(source)
-    return PredictiveTensor(list(stream._blocks()), stream.kind)

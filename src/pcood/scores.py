@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from ._io import block_lines, iter_blocks, load_block, numbered_lines, write_text
+from ._io import (block_lines, frozen, iter_blocks, load_block, numbered_lines,
+                  write_text)
 from .errors import ParseError, ValidationError
 from .predictive import _row_max
 
@@ -45,17 +46,13 @@ def score_domain(kind: ScoreKind, n_classes: int) -> tuple[float, float]:
     raise ValidationError(f"unknown score kind: {kind!r}")
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def score_distribution(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:
     """Score every row of an (N, C) probability array, preserving point order.
 
-    The rows are trusted to be probabilities: pass the output of
-    :func:`~pcood.predictive.aggregate`, whose tensor was validated on
-    construction. Returns a read-only float64 array of N scores.
+    The rows are trusted to be probabilities: pass a mean from
+    :meth:`~pcood.predictive.TensorStream.means`, whose members were
+    checked as they were read. Returns a read-only float64 array of N
+    scores.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if kind is ScoreKind.MSP_COMPLEMENT:
@@ -68,7 +65,7 @@ def score_distribution(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:
         values = np.maximum(-xlogy(clamped, clamped).sum(axis=1), 0.0)
     else:
         raise ValidationError(f"unknown score kind: {kind!r}")
-    return _frozen(values)
+    return frozen(values)
 
 
 def write_scores_csv(scores, sink) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ValidationError
-from .predictive import PredictiveTensor, TensorKind, _softmax_rows
+from .predictive import _softmax_rows
 
 # Stream ids keep the draws of unrelated quantities independent.
 _STREAM_ID_SCORES = 0
@@ -166,14 +166,3 @@ def synth_member(n_points: int, n_classes: int, separability: float,
                           count * n_classes).reshape(count, n_classes)
     return id_rows, _softmax_rows(z).astype(np.float32)
 
-
-def synth_tensor(n_points: int, n_classes: int, n_members: int,
-                 separability: float,
-                 seed: int) -> tuple[PredictiveTensor, PredictiveTensor]:
-    """Build the (ID, OOD) prediction tensor pair for a configuration."""
-    _check_tensor_args(n_points, n_classes, n_members, separability, seed)
-    id_rows, ood_rows = zip(*(synth_member(n_points, n_classes, separability,
-                                           seed, m, 0, n_points)
-                              for m in range(n_members)))
-    return (PredictiveTensor(id_rows, TensorKind.PROBABILITIES),
-            PredictiveTensor(ood_rows, TensorKind.PROBABILITIES))

@@ -187,13 +187,15 @@ def make_inputs() -> None:
     """Write the inputs: small, seeded, and exercising the parsers' edges."""
     import numpy as np
 
-    from pcood import PredictiveTensor, TensorKind, cli, write_tensor
+    from pcood import TensorKind, cli, write_header, write_member
 
     rng = np.random.default_rng(20221)
 
     def tensor(path, values, kind):
         with open(GOLDEN / path, "wb") as f:
-            write_tensor(PredictiveTensor(values, kind), f)
+            write_header(f, kind, *values.shape[1:], values.shape[0])
+            for m, rows in enumerate(values):
+                write_member(f, rows, kind, m)
 
     shape = (N_MEMBERS, N_POINTS, N_CLASSES)
     for name, boost in (("id", 3.0), ("ood", 0.5)):

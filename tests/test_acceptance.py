@@ -25,13 +25,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pcood import (GaussianPairSpec, PredictiveTensor, ScoreKind, TensorKind,
-                   aggregate, analytic_auroc, confusion_accumulate,
-                   confusion_new, exact_auroc, hist_accumulate,
-                   hist_auroc, hist_merge, hist_new, hist_new_range,
-                   optimal_threshold, read_metrics_report,
+from pcodref import pcod_bytes, stream_means, synth_pair
+from pcood import (GaussianPairSpec, ScoreKind, analytic_auroc,
+                   confusion_accumulate, confusion_new, exact_auroc,
+                   hist_accumulate, hist_auroc, hist_merge, hist_new,
+                   hist_new_range, optimal_threshold, read_metrics_report,
                    roc_curve, sample_scores, score_distribution, seg_metrics,
-                   synth_tensor, write_metrics_report, write_tensor)
+                   write_metrics_report)
 from pcood.cli import main as cli_main
 
 GAUSS_N = 10 ** 6
@@ -45,10 +45,11 @@ def _gauss_spec(delta_mu: float) -> GaussianPairSpec:
 
 
 def _simplex_tensor(n_points, n_classes, n_members, seed):
+    """Float32 (K, N, C) probability members, normalized in float64."""
     rng = np.random.default_rng(seed)
     raw = rng.exponential(size=(n_members, n_points, n_classes))
     raw /= raw.sum(axis=-1, keepdims=True)
-    return PredictiveTensor(raw.astype(np.float32), TensorKind.PROBABILITIES)
+    return raw.astype(np.float32)
 
 
 def test_exact_auroc_equals_bruteforce_pairwise_oracle():
@@ -157,11 +158,11 @@ def _fixture_histograms():
     hist_accumulate(h, np.array([0.8, 0.4]), "ood")
     fixtures.append(("3-vs-2 with one tie", h))
 
-    id_tensor, ood_tensor = synth_tensor(3000, 8, 2, 2.0, 72)
+    id_blob, ood_blob = synth_pair(3000, 8, 2, 2.0, 72)
     h = hist_new(ScoreKind.ENTROPY, 8, 512)
-    hist_accumulate(h, score_distribution(aggregate(id_tensor, 2),
+    hist_accumulate(h, score_distribution(stream_means(id_blob, [2])[2],
                                           ScoreKind.ENTROPY), "id")
-    hist_accumulate(h, score_distribution(aggregate(ood_tensor, 2),
+    hist_accumulate(h, score_distribution(stream_means(ood_blob, [2])[2],
                                           ScoreKind.ENTROPY), "ood")
     fixtures.append(("entropy-kind tensor scores", h))
     return fixtures
@@ -218,29 +219,26 @@ def test_score_functions_hit_reference_values():
 
 def test_aggregation_prefix_consistency_and_row_sums():
     """Prefix-k equality, the two-member hand average, and 1e-6 row sums."""
-    tensor = _simplex_tensor(500, 8, 20, 73)
+    values = _simplex_tensor(500, 8, 20, 73)
+    full = stream_means(pcod_bytes(values), range(1, 21))
     worst_prefix = 0.0
     for k in range(1, 21):
-        full = aggregate(tensor, k)
-        prefix = PredictiveTensor(tensor.values[:k], TensorKind.PROBABILITIES)
-        worst_prefix = max(worst_prefix,
-                           float(np.abs(full - aggregate(prefix, k)).max()))
+        prefix = stream_means(pcod_bytes(values[:k]), [k])[k]
+        worst_prefix = max(worst_prefix, float(np.abs(full[k] - prefix).max()))
     assert worst_prefix <= 1e-12
 
-    two = PredictiveTensor(np.array([[[0.6, 0.4]], [[0.2, 0.8]]],
-                                    dtype=np.float32),
-                           TensorKind.PROBABILITIES)
-    averaged = aggregate(two, 2)[0]
+    two = np.array([[[0.6, 0.4]], [[0.2, 0.8]]], dtype=np.float32)
+    averaged = stream_means(pcod_bytes(two), [2])[2][0]
     # The mean of the stored member rows is exact in float64 ...
-    stored = two.values.astype(np.float64)
+    stored = two.astype(np.float64)
     arithmetic_dev = float(np.abs(averaged - (stored[0, 0] + stored[1, 0]) / 2.0).max())
     assert arithmetic_dev <= 1e-12
     # ... and lands on the decimal target within float32 representation.
     decimal_dev = float(np.abs(averaged - np.array([0.4, 0.6])).max())
     assert decimal_dev <= 1e-6
 
-    big = _simplex_tensor(100_000, 8, 20, 74)
-    sums = aggregate(big, 20).sum(axis=-1)
+    big = pcod_bytes(_simplex_tensor(100_000, 8, 20, 74))
+    sums = stream_means(big, [20])[20].sum(axis=-1)
     worst_sum = float(np.abs(sums - 1.0).max())
     assert worst_sum <= 1e-6
     print(f"\n[PASS] aggregation: prefix dev {worst_prefix!r}, hand fixture "
@@ -286,12 +284,10 @@ def test_segmentation_fixture_and_random_label_oracle():
 def test_cli_outputs_are_byte_identical_across_worker_counts(tmp_path):
     """Each subcommand, run twice at workers 1 and 8: identical bytes."""
     work = tmp_path
-    id_tensor, ood_tensor = synth_tensor(197, 8, 4, 2.0, 76)
+    id_blob, ood_blob = synth_pair(197, 8, 4, 2.0, 76)
     id_path, ood_path = work / "id.pcod", work / "ood.pcod"
-    with open(id_path, "wb") as f:
-        write_tensor(id_tensor, f)
-    with open(ood_path, "wb") as f:
-        write_tensor(ood_tensor, f)
+    id_path.write_bytes(id_blob)
+    ood_path.write_bytes(ood_blob)
 
     rng = np.random.default_rng(77)
     points = work / "points.txt"

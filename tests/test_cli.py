@@ -22,26 +22,15 @@ import numpy as np
 import pytest
 
 import pcood
-from pcood import (ScoreKind, TensorKind, PredictiveTensor, ValidationError,
-                   aggregate, apply_threshold, exact_auroc,
-                   read_metrics_report, read_roc_csv, read_scores_csv,
-                   read_tensor, score_distribution, synth_tensor,
-                   write_tensor)
+from pcodref import HEADER, members, pcod_bytes, reference_mean, synth_pair
+from pcood import (ScoreKind, TensorKind, ValidationError, apply_threshold,
+                   exact_auroc, read_metrics_report, read_roc_csv,
+                   read_scores_csv, score_distribution, write_member)
 from pcood.cli import main
 
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
-
-
-def _write_tensor_file(path, tensor):
-    with open(path, "wb") as f:
-        write_tensor(tensor, f)
-
-
-def _read_tensor_file(path):
-    with open(path, "rb") as f:
-        return read_tensor(f)
 
 
 def _read_report(path):
@@ -66,12 +55,12 @@ def _write_labels_file(path, labels):
 
 @pytest.fixture
 def tensor_pair(tmp_path):
-    id_tensor, ood_tensor = synth_tensor(80, 6, 3, 2.5, 101)
+    id_blob, ood_blob = synth_pair(80, 6, 3, 2.5, 101)
     id_path = tmp_path / "id.pcod"
     ood_path = tmp_path / "ood.pcod"
-    _write_tensor_file(id_path, id_tensor)
-    _write_tensor_file(ood_path, ood_tensor)
-    return id_path, ood_path, id_tensor, ood_tensor
+    id_path.write_bytes(id_blob)
+    ood_path.write_bytes(ood_blob)
+    return id_path, ood_path, id_blob, ood_blob
 
 
 class TestExitCodes:
@@ -85,11 +74,9 @@ class TestExitCodes:
         assert run("score", "--in", bad, "--out", tmp_path / "out.csv") == 1
 
     def test_truncated_tensor_is_io_error(self, tmp_path):
-        tensor, _ = synth_tensor(10, 4, 1, 1.0, 5)
-        buf = io.BytesIO()
-        write_tensor(tensor, buf)
+        blob, _ = synth_pair(10, 4, 1, 1.0, 5)
         cut = tmp_path / "cut.pcod"
-        cut.write_bytes(buf.getvalue()[:-8])
+        cut.write_bytes(blob[:-8])
         assert run("score", "--in", cut, "--out", tmp_path / "out.csv") == 2
 
     def test_oversized_header_is_io_error(self, tmp_path, capsys):
@@ -219,11 +206,9 @@ class TestSynthCommand:
         assert run("synth", "tensor", "--points", 60, "--classes", 6,
                    "--members", 3, "--separability", "2.0", "--seed", 9,
                    "--out-id", out_id, "--out-ood", out_ood) == 0
-        want_id, want_ood = synth_tensor(60, 6, 3, 2.0, 9)
-        np.testing.assert_array_equal(_read_tensor_file(out_id).values,
-                                      want_id.values)
-        np.testing.assert_array_equal(_read_tensor_file(out_ood).values,
-                                      want_ood.values)
+        want_id, want_ood = synth_pair(60, 6, 3, 2.0, 9)
+        assert out_id.read_bytes() == want_id
+        assert out_ood.read_bytes() == want_ood
 
     def test_scores_round_trip(self, tmp_path):
         out_id = tmp_path / "id.csv"
@@ -284,22 +269,21 @@ class TestSynthCommand:
 
 class TestAggregateAndScore:
     def test_aggregate_k1_is_member_zero(self, tmp_path, tensor_pair, capsys):
-        id_path, _, id_tensor, _ = tensor_pair
+        id_path, _, id_blob, _ = tensor_pair
         out = tmp_path / "agg.pcod"
         assert run("aggregate", "--in", id_path, "--out", out, "--k", 1) == 0
-        agg = _read_tensor_file(out)
-        assert agg.n_members == 1
-        np.testing.assert_array_equal(agg.values[0], id_tensor.values[0])
+        agg = out.read_bytes()
+        assert HEADER.unpack(agg[:20])[2:] == (0, 0, 80, 6, 1)
+        np.testing.assert_array_equal(members(agg)[0], members(id_blob)[0])
         diag = capsys.readouterr().out
         assert "points=80" in diag and "members_used=1" in diag
 
     def test_aggregate_default_uses_all_members(self, tmp_path, tensor_pair):
-        id_path, _, id_tensor, _ = tensor_pair
+        id_path, _, id_blob, _ = tensor_pair
         out = tmp_path / "agg.pcod"
         assert run("aggregate", "--in", id_path, "--out", out) == 0
-        agg = _read_tensor_file(out)
-        want = aggregate(id_tensor, 3).astype(np.float32)
-        np.testing.assert_array_equal(agg.values[0], want)
+        want = reference_mean(id_blob, 3).astype(np.float32)
+        np.testing.assert_array_equal(members(out.read_bytes())[0], want)
 
     def test_aggregate_names_the_output_its_mean_would_break(self, tmp_path,
                                                             capsys):
@@ -320,13 +304,13 @@ class TestAggregateAndScore:
         assert not out.exists()
 
     def test_score_matches_library(self, tmp_path, tensor_pair):
-        id_path, _, id_tensor, _ = tensor_pair
+        id_path, _, id_blob, _ = tensor_pair
         out = tmp_path / "scores.csv"
         assert run("score", "--in", id_path, "--out", out,
                    "--kind", "entropy", "--k", 2) == 0
         with open(out, "rb") as f:
             got = read_scores_csv(f)
-        want = score_distribution(aggregate(id_tensor, 2), ScoreKind.ENTROPY)
+        want = score_distribution(reference_mean(id_blob, 2), ScoreKind.ENTROPY)
         np.testing.assert_array_equal(got, want)
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
@@ -360,20 +344,20 @@ class TestAurocCommand:
         assert float(_read_report(out)["auroc"]) == 0.5
 
     def test_tensor_sweep_matches_library(self, tmp_path, tensor_pair):
-        id_path, ood_path, id_tensor, ood_tensor = tensor_pair
+        id_path, ood_path, id_blob, ood_blob = tensor_pair
         out = tmp_path / "r.txt"
         assert run("auroc", "--id", id_path, "--ood", ood_path, "--out", out,
                    "--k-list", "1,2,3", "--kind", "msp") == 0
         report = _read_report(out)
         for k in (1, 2, 3):
-            ids = score_distribution(aggregate(id_tensor, k),
+            ids = score_distribution(reference_mean(id_blob, k),
                                      ScoreKind.MSP_COMPLEMENT)
-            oods = score_distribution(aggregate(ood_tensor, k),
+            oods = score_distribution(reference_mean(ood_blob, k),
                                       ScoreKind.MSP_COMPLEMENT)
             assert float(report[f"auroc_k{k}"]) == exact_auroc(ids, oods)
 
     def test_default_k_is_all_members(self, tmp_path, tensor_pair):
-        id_path, ood_path, id_tensor, ood_tensor = tensor_pair
+        id_path, ood_path, _, _ = tensor_pair
         out = tmp_path / "r.txt"
         assert run("auroc", "--id", id_path, "--ood", ood_path,
                    "--out", out) == 0
@@ -438,7 +422,7 @@ class TestAurocCommand:
 
 class TestRocCommand:
     def test_curve_and_threshold_round_trip(self, tmp_path, tensor_pair):
-        id_path, ood_path, id_tensor, ood_tensor = tensor_pair
+        id_path, ood_path, _, _ = tensor_pair
         out = tmp_path / "roc.csv"
         assert run("roc", "--id", id_path, "--ood", ood_path, "--out", out,
                    "--kind", "entropy", "--bins", 256) == 0
@@ -488,8 +472,7 @@ class TestIouCommand:
         hot = np.where(labels > 0, labels - 1, 0)
         probs[0, np.arange(n), hot] = 1.0
         pred = tmp_path / "pred.pcod"
-        _write_tensor_file(pred, PredictiveTensor(probs,
-                                                  TensorKind.PROBABILITIES))
+        pred.write_bytes(pcod_bytes(probs))
         points = tmp_path / "points.txt"
         _write_points_file(points, n, seed=seed)
         labels_path = tmp_path / "labels.txt"
@@ -582,8 +565,8 @@ class TestIouCommand:
         assert by_pipe.read_text() == expected
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
-        id_path, _, id_tensor, _ = tensor_pair
-        n = id_tensor.n_points
+        id_path, _, id_blob, _ = tensor_pair
+        n = members(id_blob).shape[1]
         rng = np.random.default_rng(14)
         points = tmp_path / "points.txt"
         _write_points_file(points, n)
@@ -602,23 +585,23 @@ class TestIouCommand:
 class TestMapCommand:
     def test_explicit_threshold_matches_library_mask(self, tmp_path,
                                                      tensor_pair):
-        id_path, _, id_tensor, _ = tensor_pair
+        id_path, _, id_blob, _ = tensor_pair
         points = tmp_path / "points.txt"
-        _write_points_file(points, id_tensor.n_points)
+        _write_points_file(points, 80)
         out = tmp_path / "map.txt"
         assert run("map", "--points", points, "--pred", id_path,
                    "--threshold", "0.5", "--out", out) == 0
-        scores = score_distribution(aggregate(id_tensor, 3),
+        scores = score_distribution(reference_mean(id_blob, 3),
                                     ScoreKind.MSP_COMPLEMENT)
         flags = apply_threshold(scores, 0.5)
         lines = out.read_text().splitlines()
-        assert len(lines) == id_tensor.n_points
+        assert len(lines) == 80
         green = sum(1 for line in lines if line.endswith("0 255 0"))
         red = sum(1 for line in lines if line.endswith("255 0 0"))
         assert red == int(flags.sum()) and green == len(flags) - red
 
     def test_roc_threshold_source(self, tmp_path, tensor_pair):
-        id_path, ood_path, id_tensor, _ = tensor_pair
+        id_path, ood_path, _, _ = tensor_pair
         roc_out = tmp_path / "roc.csv"
         assert run("roc", "--id", id_path, "--ood", ood_path,
                    "--out", roc_out) == 0
@@ -626,7 +609,7 @@ class TestMapCommand:
             _, metadata = read_roc_csv(f)
         threshold = float(metadata["youden_threshold"])
         points = tmp_path / "points.txt"
-        _write_points_file(points, id_tensor.n_points)
+        _write_points_file(points, 80)
         from_roc = tmp_path / "map_roc.txt"
         explicit = tmp_path / "map_thr.txt"
         assert run("map", "--points", points, "--pred", id_path,
@@ -635,10 +618,28 @@ class TestMapCommand:
                    "--threshold", threshold, "--out", explicit) == 0
         assert from_roc.read_bytes() == explicit.read_bytes()
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
-        id_path, _, id_tensor, _ = tensor_pair
+    def test_malformed_roc_threshold_names_the_roc_file(self, tmp_path,
+                                                        tensor_pair, capsys):
+        id_path, ood_path, _, _ = tensor_pair
+        roc = tmp_path / "roc.csv"
+        assert run("roc", "--id", id_path, "--ood", ood_path, "--out", roc) == 0
+        roc.write_text("".join(
+            "# youden_threshold=abc\n" if line.startswith("# youden_threshold=")
+            else line for line in roc.read_text().splitlines(keepends=True)))
         points = tmp_path / "points.txt"
-        _write_points_file(points, id_tensor.n_points)
+        _write_points_file(points, 80)
+        out = tmp_path / "map.txt"
+        capsys.readouterr()
+        assert run("map", "--points", points, "--pred", id_path, "--roc", roc,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == \
+            f"error: {roc}: bad youden_threshold metadata: 'abc'\n"
+        assert not out.exists()
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
+        id_path, _, _, _ = tensor_pair
+        points = tmp_path / "points.txt"
+        _write_points_file(points, 80)
         blobs = []
         for workers in (1, 8):
             out = tmp_path / f"map{workers}.txt"
@@ -666,7 +667,7 @@ class TestScoreTensorConsistency:
                 == float(_read_report(via_tensor)["auroc_k2"]))
 
 
-# Rows that PredictiveTensor accepts (row sums within 1e-5 of 1) although
+# Rows that the member check accepts (row sums within 1e-5 of 1) although
 # float32 rounding moves them off the simplex: C=2 rows summing to 1+8e-6,
 # and C=3 rows of entries one ulp below 1/3, whose MSP complement lies
 # above the 1 - 1/3 the domain allows.
@@ -683,8 +684,7 @@ class TestNearUniformRows:
         row = _EDGE_ROWS[request.param]
         values = np.tile(row, (2, 5, 1))
         path = tmp_path / "edge.pcod"
-        _write_tensor_file(path, PredictiveTensor(values,
-                                                  TensorKind.PROBABILITIES))
+        path.write_bytes(pcod_bytes(values))
         points = tmp_path / "points.txt"
         _write_points_file(points, 5)
         return path, points, 1.0 - float(row.max())
@@ -782,11 +782,11 @@ class TestStreamedTensors:
     def test_bad_member_fails_as_the_tensor_check_does(self, tmp_path,
                                                        tensor_pair, capsys,
                                                        workers):
-        id_path, ood_path, _, ood_tensor = tensor_pair
-        values = ood_tensor.values.copy()
+        id_path, ood_path, _, ood_blob = tensor_pair
+        values = members(ood_blob).copy()
         values[2, 40] = [0.9, 0.3, 0.0, 0.0, 0.0, 0.0]
         with pytest.raises(ValidationError) as direct:
-            PredictiveTensor(values, TensorKind.PROBABILITIES)
+            write_member(io.BytesIO(), values[2], TensorKind.PROBABILITIES, 2)
         bad = tmp_path / "bad.pcod"
         with open(ood_path, "rb") as f:
             header = f.read(20)

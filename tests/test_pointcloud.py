@@ -10,41 +10,40 @@ from pcood import (LabeledCloud, ParseError, StructuralError, ValidationError,
                    write_idood_map)
 
 
-def _parse(points, labels=None, **kw):
-    points_stream = io.BytesIO(points.encode())
-    labels_stream = io.BytesIO(labels.encode()) if labels is not None else None
-    return parse_semantic3d(points_stream, labels_stream, **kw)
+def _parse(points):
+    return parse_semantic3d(io.BytesIO(points.encode()))
 
 
-def _random_cloud(rng, n, class_count=8):
+def _parse_labeled(points, labels, class_count=8):
+    """A cloud and the labels read for it, as ``iou`` reads them."""
+    cloud = _parse(points)
+    return cloud, read_labels(io.BytesIO(labels.encode()), len(cloud), class_count)
+
+
+def _random_cloud(rng, n):
     xyz = rng.normal(scale=50.0, size=(n, 3))
     intensity = rng.uniform(0, 2048, size=n)
     rgb = rng.integers(0, 256, size=(n, 3))
-    labels = rng.integers(0, class_count + 1, size=n)
-    return LabeledCloud(xyz, intensity, rgb, labels, class_count=class_count)
+    return LabeledCloud(xyz, intensity, rgb)
 
 
 class TestParse:
     def test_single_line_with_label(self):
-        cloud = _parse("1.0 2.0 3.0 100 255 0 0\n", "5\n")
+        cloud, labels = _parse_labeled("1.0 2.0 3.0 100 255 0 0\n", "5\n")
         assert len(cloud) == 1
         assert cloud.xyz.tolist() == [[1.0, 2.0, 3.0]]
         assert cloud.intensity.tolist() == [100.0]
         assert cloud.rgb.tolist() == [[255, 0, 0]]
-        assert cloud.labels[0] == 5
+        assert labels[0] == 5
 
     def test_empty_stream(self):
         assert len(_parse("")) == 0
 
-    def test_missing_labels_default_to_zero(self):
-        cloud = _parse("0 0 0 0 1 2 3\n4 4 4 4 5 6 7\n")
-        assert cloud.labels.tolist() == [0, 0]
-
     def test_blank_lines_and_tabs_tolerated(self):
         text = "1\t2\t3\t4\t5\t6\t7\n\n   \n-1 -2 -3 0 0 0 0\n\n"
-        cloud = _parse(text, "3\n\n0\n")
+        cloud, labels = _parse_labeled(text, "3\n\n0\n")
         assert len(cloud) == 2
-        assert cloud.labels.tolist() == [3, 0]
+        assert labels.tolist() == [3, 0]
 
     def test_wrong_field_count_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -73,25 +72,25 @@ class TestParse:
     def test_label_count_mismatch(self):
         points = "0 0 0 0 0 0 0\n" * 3
         with pytest.raises(StructuralError):
-            _parse(points, "1\n2\n")
+            _parse_labeled(points, "1\n2\n")
 
     def test_bad_label_token(self):
         with pytest.raises(ParseError, match="labels line 1"):
-            _parse("0 0 0 0 0 0 0\n", "x\n")
+            _parse_labeled("0 0 0 0 0 0 0\n", "x\n")
         with pytest.raises(ParseError, match="labels line 1"):
-            _parse("0 0 0 0 0 0 0\n", "1 2\n")
+            _parse_labeled("0 0 0 0 0 0 0\n", "1 2\n")
 
     def test_label_outside_class_range(self):
         with pytest.raises(ValidationError):
-            _parse("0 0 0 0 0 0 0\n", "9\n")
+            _parse_labeled("0 0 0 0 0 0 0\n", "9\n")
         with pytest.raises(ValidationError):
-            _parse("0 0 0 0 0 0 0\n", "-1\n")
+            _parse_labeled("0 0 0 0 0 0 0\n", "-1\n")
 
     def test_custom_class_count(self):
-        cloud = _parse("0 0 0 0 0 0 0\n", "3\n", class_count=3)
-        assert cloud.class_count == 3
+        _, labels = _parse_labeled("0 0 0 0 0 0 0\n", "3\n", class_count=3)
+        assert labels.tolist() == [3]
         with pytest.raises(ValidationError):
-            _parse("0 0 0 0 0 0 0\n", "4\n", class_count=3)
+            _parse_labeled("0 0 0 0 0 0 0\n", "4\n", class_count=3)
 
     def test_text_stream_also_accepted(self):
         cloud = parse_semantic3d(io.StringIO("1 2 3 4 5 6 7\n"))
@@ -100,8 +99,9 @@ class TestParse:
 
 class TestTypes:
     def test_cloud_shape_checks(self):
-        cloud = _parse("0 0 0 0 0 0 0\n1 1 1 1 1 1 1\n2 2 2 2 2 2 2\n", "1\n0\n2\n")
-        columns = (cloud.xyz, cloud.intensity, cloud.rgb, cloud.labels)
+        cloud, labels = _parse_labeled("0 0 0 0 0 0 0\n1 1 1 1 1 1 1\n2 2 2 2 2 2 2\n",
+                                       "1\n0\n2\n")
+        columns = (cloud.xyz, cloud.intensity, cloud.rgb, labels)
         assert [(a.dtype, a.shape) for a in columns] == [
             (np.float64, (3, 3)), (np.float64, (3,)), (np.uint8, (3, 3)),
             (np.int64, (3,))]
@@ -123,10 +123,8 @@ class TestTypes:
             _parse("0 0 0 0 300 0 0\n")
 
     def test_cloud_is_frozen(self):
-        cloud = _parse("1 2 3 4 5 6 7\n8 9 10 11 12 13 14\n", "1\n2\n")
-        unlabeled = _parse("1 2 3 4 5 6 7\n")
-        for column in (cloud.xyz, cloud.intensity, cloud.rgb, cloud.labels,
-                       unlabeled.labels):
+        cloud, labels = _parse_labeled("1 2 3 4 5 6 7\n8 9 10 11 12 13 14\n", "1\n2\n")
+        for column in (cloud.xyz, cloud.intensity, cloud.rgb, labels):
             with pytest.raises(ValueError):
                 column[0] = 1
 
@@ -180,8 +178,7 @@ class TestIdOodMap:
         np.testing.assert_allclose(parsed, cloud.xyz, rtol=0, atol=5.1e-7)
 
     def test_empty_cloud_writes_nothing(self):
-        empty = LabeledCloud(np.zeros((0, 3)), np.zeros(0),
-                             np.zeros((0, 3)), np.zeros(0))
+        empty = LabeledCloud(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 3)))
         sink = io.BytesIO()
         write_idood_map(empty, np.zeros(0, dtype=np.uint8), sink)
         assert sink.getvalue() == b""

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pcood import (ParseError, PredictiveTensor, ScoreKind, StructuralError,
-                   TensorKind, ValidationError, aggregate, exact_auroc,
+from pcodref import pcod_bytes
+from pcood import (ParseError, ScoreKind, TensorKind, TensorStream,
+                   ValidationError, exact_auroc, write_header, write_member,
                    hist_accumulate, hist_auroc, hist_new, read_scores_csv,
                    score_distribution, score_domain, write_scores_csv)
 
@@ -52,25 +53,24 @@ class TestRowScores:
         assert abs(msp_complement([0.7, 0.2, 0.1]) - 0.3) <= 1e-12
 
     def test_row_sum_tolerance(self):
-        def tensor(row):
-            return PredictiveTensor(np.array([[row]], dtype=np.float32),
-                                    TensorKind.PROBABILITIES)
+        def member(row):
+            write_member(io.BytesIO(), np.array([row], dtype=np.float32),
+                         TensorKind.PROBABILITIES, 0)
 
-        tensor([0.7, 0.2, 0.1 + 9e-6])
+        member([0.7, 0.2, 0.1 + 9e-6])
         with pytest.raises(ValidationError,
                            match=r"^member 0 point 0: probability row sums to 1\.09+"):
-            tensor([0.7, 0.2, 0.2])
+            member([0.7, 0.2, 0.2])
 
     def test_bad_rows(self):
         for row, message in (([-0.1, 1.1], "probability entries must lie in [0, 1]"),
                              ([0.5, np.nan], "tensor values must be finite")):
             with pytest.raises(ValidationError) as exc:
-                PredictiveTensor(np.array([[row]]), TensorKind.PROBABILITIES)
+                write_member(io.BytesIO(), np.array([row]),
+                             TensorKind.PROBABILITIES, 0)
             assert str(exc.value) == message
         with pytest.raises(ValidationError):
-            PredictiveTensor(np.zeros((1, 1, 0)), TensorKind.PROBABILITIES)
-        with pytest.raises(StructuralError):
-            PredictiveTensor(np.array([0.5, 0.5]), TensorKind.PROBABILITIES)
+            write_header(io.BytesIO(), TensorKind.PROBABILITIES, 1, 0, 1)
 
     def test_denormal_entries_do_not_produce_nan(self):
         row = [1.0, 5e-324, 0.0, 0.0]
@@ -184,35 +184,31 @@ def _probability_row(draw, c):
 
 @st.composite
 def _accepted_tensors(draw):
-    """Probability tensors that PredictiveTensor accepts."""
+    """PCOD bytes of probability members that the writer accepts."""
     k, n, c = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(2, 9))
     rows = [draw(_probability_row(c)) for _ in range(k * n)]
     try:
-        return PredictiveTensor(np.reshape(rows, (k, n, c)),
-                                TensorKind.PROBABILITIES)
+        return pcod_bytes(np.reshape(rows, (k, n, c)))
     except ValidationError:
         assume(False)
 
 
 class TestValidatedTensorsScore:
-    """A tensor validated on read is trusted all the way to the AUROC."""
+    """A tensor checked on write and read is trusted all the way to the AUROC."""
 
     @settings(max_examples=300, deadline=None)
     @given(_accepted_tensors())
-    @example(PredictiveTensor(np.full((1, 2, 2), 0.500004, dtype=np.float32),
-                              TensorKind.PROBABILITIES))
-    @example(PredictiveTensor(
-        np.full((2, 3, 3), np.nextafter(np.float32(1 / 3), np.float32(0))),
-        TensorKind.PROBABILITIES))
-    def test_accepted_tensor_goes_through_every_stage(self, tensor):
-        c = tensor.n_classes
-        for k in range(1, tensor.n_members + 1):
-            probs = aggregate(tensor, k)
+    @example(pcod_bytes(np.full((1, 2, 2), 0.500004, dtype=np.float32)))
+    @example(pcod_bytes(
+        np.full((2, 3, 3), np.nextafter(np.float32(1 / 3), np.float32(0)))))
+    def test_accepted_tensor_goes_through_every_stage(self, blob):
+        stream = TensorStream(io.BytesIO(blob))
+        for _, probs in stream.means(range(1, stream.n_members + 1)):
             for kind in ScoreKind:
                 values = score_distribution(probs, kind)
-                assert values.shape == (tensor.n_points,)
+                assert values.shape == (stream.n_points,)
                 assert np.isfinite(values).all()
-                hist = hist_new(kind, c)
+                hist = hist_new(kind, stream.n_classes)
                 hist_accumulate(hist, values, "id")
                 hist_accumulate(hist, values, "ood")
                 assert hist_auroc(hist) == 0.5

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from pcodref import members, stream_means, synth_pair
 from pcood import (GaussianPairSpec, ScoreKind, ValidationError,
-                   aggregate, analytic_auroc, exact_auroc,
-                   sample_scores, sample_scores_chunk, score_distribution,
-                   synth_member, synth_tensor, synth_true_classes)
+                   analytic_auroc, exact_auroc, sample_scores,
+                   sample_scores_chunk, score_distribution, synth_member,
+                   synth_true_classes)
+from pcood.synth import _check_tensor_args
 
 
 def hanley_mcneil_se(auc, n1, n2):
@@ -157,10 +159,7 @@ class TestTrueClasses:
 
 class TestTensors:
     def test_deterministic(self):
-        a_id, a_ood = synth_tensor(40, 6, 3, 2.0, 31)
-        b_id, b_ood = synth_tensor(40, 6, 3, 2.0, 31)
-        np.testing.assert_array_equal(a_id.values, b_id.values)
-        np.testing.assert_array_equal(a_ood.values, b_ood.values)
+        assert synth_pair(40, 6, 3, 2.0, 31) == synth_pair(40, 6, 3, 2.0, 31)
 
     def test_block_partition_invariance(self):
         edges = [0, 7, 8, 33, 60]
@@ -174,43 +173,40 @@ class TestTensors:
                 np.concatenate([p[1] for p in parts]), full_ood)
 
     def test_member_blocks_do_not_depend_on_member_count(self):
-        one_id, one_ood = synth_tensor(50, 4, 1, 2.0, 33)
-        many_id, many_ood = synth_tensor(50, 4, 3, 2.0, 33)
-        np.testing.assert_array_equal(many_id.values[0], one_id.values[0])
-        np.testing.assert_array_equal(many_ood.values[0], one_ood.values[0])
+        one_id, one_ood = map(members, synth_pair(50, 4, 1, 2.0, 33))
+        many_id, many_ood = map(members, synth_pair(50, 4, 3, 2.0, 33))
+        np.testing.assert_array_equal(many_id[0], one_id[0])
+        np.testing.assert_array_equal(many_ood[0], one_ood[0])
         for m in range(3):
             id_rows, ood_rows = synth_member(50, 4, 2.0, 33, m, 0, 50)
             assert id_rows.dtype == ood_rows.dtype == np.float32
-            np.testing.assert_array_equal(id_rows, many_id.values[m])
-            np.testing.assert_array_equal(ood_rows, many_ood.values[m])
+            np.testing.assert_array_equal(id_rows, many_id[m])
+            np.testing.assert_array_equal(ood_rows, many_ood[m])
 
     def test_rows_are_probabilities(self):
-        id_tensor, ood_tensor = synth_tensor(200, 8, 2, 3.0, 34)
-        for tensor in (id_tensor, ood_tensor):
-            assert tensor.values.dtype == np.float32
-            assert tensor.values.min() >= 0.0
-            sums = tensor.values.sum(axis=-1, dtype=np.float64)
+        for values in map(members, synth_pair(200, 8, 2, 3.0, 34)):
+            assert values.dtype == np.float32
+            assert values.min() >= 0.0
+            sums = values.sum(axis=-1, dtype=np.float64)
             assert np.abs(sums - 1.0).max() <= 1e-5
 
     def test_id_and_ood_use_separate_noise(self):
-        id_tensor, ood_tensor = synth_tensor(30, 4, 1, 0.0, 35)
-        assert not np.array_equal(id_tensor.values, ood_tensor.values)
+        id_values, ood_values = map(members, synth_pair(30, 4, 1, 0.0, 35))
+        assert not np.array_equal(id_values, ood_values)
 
     def test_zero_separability_gives_chance_auroc(self):
         n = 20000
-        id_tensor, ood_tensor = synth_tensor(n, 8, 1, 0.0, 36)
         scores = []
-        for tensor in (id_tensor, ood_tensor):
-            dist = aggregate(tensor, 1)
+        for blob in synth_pair(n, 8, 1, 0.0, 36):
+            dist = stream_means(blob, [1])[1]
             scores.append(score_distribution(dist, ScoreKind.MSP_COMPLEMENT))
         auroc = exact_auroc(scores[0], scores[1])
         assert abs(auroc - 0.5) <= 5 * hanley_mcneil_se(0.5, n, n)
 
     def test_high_separability_is_nearly_perfect(self):
-        id_tensor, ood_tensor = synth_tensor(2000, 8, 2, 50.0, 37)
         scores = []
-        for tensor in (id_tensor, ood_tensor):
-            dist = aggregate(tensor, 2)
+        for blob in synth_pair(2000, 8, 2, 50.0, 37):
+            dist = stream_means(blob, [2])[2]
             scores.append(score_distribution(dist, ScoreKind.ENTROPY))
         auroc = exact_auroc(scores[0], scores[1])
         assert auroc >= 0.995
@@ -218,25 +214,23 @@ class TestTensors:
     def test_separability_orders_auroc(self):
         aurocs = []
         for sep in (0.5, 2.0, 6.0):
-            id_tensor, ood_tensor = synth_tensor(3000, 8, 1, sep, 38)
             pair = []
-            for tensor in (id_tensor, ood_tensor):
-                dist = aggregate(tensor, 1)
+            for blob in synth_pair(3000, 8, 1, sep, 38):
+                dist = stream_means(blob, [1])[1]
                 pair.append(score_distribution(dist, ScoreKind.MSP_COMPLEMENT))
             aurocs.append(exact_auroc(pair[0], pair[1]))
         assert aurocs[0] < aurocs[1] < aurocs[2]
 
     def test_argument_validation(self):
+        with pytest.raises(ValidationError, match="n_points must be >= 0"):
+            synth_member(-1, 8, 1.0, 39, 0, 0, 0)
+        # `synth tensor` checks its member count before it writes a header.
+        with pytest.raises(ValidationError, match="at least one member"):
+            _check_tensor_args(10, 8, 0, 1.0, 39)
         with pytest.raises(ValidationError):
-            synth_tensor(-1, 8, 1, 1.0, 39)
+            synth_member(10, 8, float("inf"), 39, 0, 0, 10)
         with pytest.raises(ValidationError):
-            synth_tensor(10, 1, 1, 1.0, 39)
-        with pytest.raises(ValidationError):
-            synth_tensor(10, 8, 0, 1.0, 39)
-        with pytest.raises(ValidationError):
-            synth_tensor(10, 8, 1, float("inf"), 39)
-        with pytest.raises(ValidationError):
-            synth_tensor(10, 8, 1, 1.0, -3)
+            synth_member(10, 8, 1.0, -3, 0, 0, 10)
         for start, stop in ((4, 11), (-1, 3), (6, 5)):
             with pytest.raises(ValidationError, match="outside 0..10"):
                 synth_member(10, 8, 1.0, 39, 0, start, stop)

@@ -22,9 +22,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pcood import (LabeledCloud, ParseError, ValidationError,
-                   parse_semantic3d, read_labels, read_scores_csv,
-                   write_idood_map, write_scores_csv)
+from pcood import (SEMANTIC3D_CLASS_COUNT, LabeledCloud, ParseError,
+                   ValidationError, parse_semantic3d, read_labels,
+                   read_scores_csv, write_idood_map, write_scores_csv)
 from pcood import _io, pointcloud, scores
 
 
@@ -56,11 +56,11 @@ def _outcome(fn):
         # Labels beyond int64 are a ParseError naming the line on either
         # path: numpy rejects the block, and the line parser range-checks.
         return type(exc).__name__, str(exc)
-    if isinstance(result, LabeledCloud):
-        result = (result.xyz, result.intensity, result.rgb, result.labels)
-    else:
-        result = (result,)
-    return tuple((a.dtype.str, a.shape, _bits(a).tobytes()) for a in result)
+    arrays = []
+    for part in result if isinstance(result, tuple) else (result,):
+        arrays += ([part.xyz, part.intensity, part.rgb]
+                   if isinstance(part, LabeledCloud) else [part])
+    return tuple((a.dtype.str, a.shape, _bits(a).tobytes()) for a in arrays)
 
 
 def _both_ways(fn, data: bytes, block_size: int):
@@ -77,9 +77,15 @@ def _points(data):
     return parse_semantic3d(io.BytesIO(data))
 
 
+def _cloud_and_labels(points, labels):
+    """A parsed cloud and the labels read for it, from two streams."""
+    cloud = parse_semantic3d(points)
+    return cloud, read_labels(labels, len(cloud), SEMANTIC3D_CLASS_COUNT)
+
+
 def _points_and_labels(points):
     def parse(labels):
-        return parse_semantic3d(io.BytesIO(points), io.BytesIO(labels))
+        return _cloud_and_labels(io.BytesIO(points), io.BytesIO(labels))
     return parse
 
 
@@ -274,7 +280,7 @@ class TestBlocks:
         csv = "# run 1\nindex,score\n0,0.25\n1,1_0\n"
         for size in (3, 1 << 22):
             with _blocks_of(size):
-                a = parse_semantic3d(io.StringIO(points), io.StringIO("1\n\n2\n"))
+                a = _cloud_and_labels(io.StringIO(points), io.StringIO("1\n\n2\n"))
                 b = _points_and_labels(points.encode())(b"1\n\n2\n")
                 assert _outcome(lambda: a) == _outcome(lambda: b)
                 assert read_scores_csv(io.StringIO(csv)).tolist() == [0.25, 10.0]
@@ -286,7 +292,8 @@ class TestBlocks:
             for size in (1, 1 << 22):
                 with _blocks_of(size):
                     assert len(_points(data)) == 0
-                    assert len(_points_and_labels(b"")(data)) == 0
+                    cloud, labels = _points_and_labels(b"")(data)
+                    assert len(cloud) == labels.size == 0
                     assert read_scores_csv(io.BytesIO(b"index,score\n" + data)).size == 0
 
 
@@ -346,7 +353,7 @@ class TestWriters:
         xyz = rng.normal(scale=100.0, size=(n, 3))
         xyz[:n // 2] *= 1e-9
         flags = rng.integers(0, 2, size=n)
-        cloud = LabeledCloud(xyz, np.zeros(n), np.zeros((n, 3)), np.zeros(n))
+        cloud = LabeledCloud(xyz, np.zeros(n), np.zeros((n, 3)))
         with mock.patch.object(pointcloud, "_WRITE_ROWS", 3):
             sink = io.BytesIO()
             write_idood_map(cloud, flags, sink)
