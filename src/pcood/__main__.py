@@ -1,5 +1,20 @@
+"""Entry point of ``python -m pcood`` and of the ``pcood`` console script."""
+
+import os
 import sys
 
-from .cli import main
 
-sys.exit(main())
+def main(argv=None) -> int:
+    """Run the command line without BLAS thread pools.
+
+    pcood calls no BLAS routine, yet the OpenBLAS that numpy and scipy
+    each load starts a spinning thread unless this is set before numpy is
+    imported. A value already in the environment wins.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .cli import main as cli_main
+    return cli_main(argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -610,7 +610,3 @@ def main(argv=None) -> int:
     except (TruncatedStreamError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -54,6 +54,12 @@ _KIND_CODES = {TensorKind.PROBABILITIES: 0, TensorKind.LOGITS: 1}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 
+def _kind_code(kind: TensorKind) -> int:
+    if not isinstance(kind, TensorKind):
+        raise ValidationError(f"tensor kind must be a TensorKind, got {kind!r}")
+    return _KIND_CODES[kind]
+
+
 def _check_member(rows: np.ndarray, kind: TensorKind, member: int) -> None:
     """Check the (N, C) rows of one member; raise ValidationError for the
     first bad row."""
@@ -114,12 +120,13 @@ def _check_k(k: int, n_members: int) -> None:
 def write_header(sink, kind: TensorKind, n_points: int, n_classes: int,
                  n_members: int) -> None:
     """Write the PCOD header; ``n_members`` calls of ``write_member`` follow."""
+    code = _kind_code(kind)
     if not (0 <= n_points < 2 ** 64 and 2 <= n_classes < 2 ** 16
             and 1 <= n_members < 2 ** 16):
         raise ValidationError(
             f"a PCOD header cannot hold {n_members} members x {n_points} "
             f"points x {n_classes} classes")
-    sink.write(_HEADER.pack(TENSOR_MAGIC, TENSOR_VERSION, _KIND_CODES[kind], 0,
+    sink.write(_HEADER.pack(TENSOR_MAGIC, TENSOR_VERSION, code, 0,
                             n_points, n_classes, n_members))
 
 
@@ -129,6 +136,7 @@ def write_member(sink, rows: np.ndarray, kind: TensorKind, member: int) -> None:
     The float32 rows get the check a reader makes first, so a bad row
     raises ValidationError before any byte is written.
     """
+    _kind_code(kind)
     rows = np.ascontiguousarray(rows, dtype="<f4")
     _check_member(rows, kind, member)
     # A flat byte view of the rows: no copy, and len() counts bytes.

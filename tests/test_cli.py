@@ -8,6 +8,7 @@ and rerun idempotence are asserted on actual output bytes.
 
 import hashlib
 import io
+import json
 import os
 import shutil
 import struct
@@ -51,6 +52,24 @@ def _write_points_file(path, n, seed=0):
 
 def _write_labels_file(path, labels):
     path.write_text("\n".join(str(int(v)) for v in labels) + "\n")
+
+
+def _pcod_env():
+    """Environment for a child `python -m pcood` that imports this pcood."""
+    env = dict(os.environ)
+    src = str(Path(pcood.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _console_entry():
+    """(module, function) of the pyproject.toml [project.scripts] entry."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        entry = tomllib.load(f)["project"]["scripts"]["pcood"]
+    module, _, func = entry.partition(":")
+    return module, func
 
 
 @pytest.fixture
@@ -167,10 +186,7 @@ class TestExitCodes:
     def test_module_and_console_entry_points(self, tmp_path):
         # Children import the pcood this process imported, not an
         # installed copy that may be stale.
-        env = dict(os.environ)
-        src = str(Path(pcood.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
+        env = _pcod_env()
         proc = subprocess.run([sys.executable, "-m", "pcood", "--help"],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0
@@ -178,11 +194,7 @@ class TestExitCodes:
 
         # The console script an installer writes for the declared
         # [project.scripts] entry: import the target, exit with its result.
-        tomllib = pytest.importorskip("tomllib")
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        with open(pyproject, "rb") as f:
-            entry = tomllib.load(f)["project"]["scripts"]["pcood"]
-        module, _, func = entry.partition(":")
+        module, func = _console_entry()
         script = tmp_path / "pcood"
         script.write_text(f"import sys\n"
                           f"from {module} import {func}\n"
@@ -197,6 +209,63 @@ class TestExitCodes:
             proc = subprocess.run([installed, "--help"], capture_output=True,
                                   text=True, env=env)
             assert proc.returncode == 0
+
+
+class TestProcessStart:
+    """What a fresh process pays before pcood does any work."""
+
+    def test_import_pcood_loads_submodules_on_first_use(self):
+        script = (
+            "import json, sys\n"
+            "import pcood\n"
+            "heavy = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+            "star = {}\n"
+            "exec('from pcood import *', star)\n"
+            "try:\n"
+            "    pcood.no_such_name\n"
+            "    unknown = None\n"
+            "except AttributeError as exc:\n"
+            "    unknown = str(exc)\n"
+            "print(json.dumps({'heavy': heavy, 'all': pcood.__all__,\n"
+            "                  'star': sorted(set(star) - {'__builtins__'}),\n"
+            "                  'dir': dir(pcood), 'unknown': unknown}))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=_pcod_env())
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen["heavy"] == []
+        assert len(set(seen["all"])) == len(seen["all"]) > 0
+        assert seen["star"] == sorted(seen["all"])
+        assert set(seen["all"]) <= set(seen["dir"])
+        assert seen["unknown"] == "module 'pcood' has no attribute 'no_such_name'"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts threads in /proc/self/task")
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_console_entry_runs_numpy_and_scipy_on_one_thread(self, preset):
+        module, func = _console_entry()
+        script = (
+            "import json, os\n"
+            f"from {module} import {func}\n"
+            "try:\n"
+            f"    {func}(['roc', '--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "import scipy.special\n"
+            "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
+            "                  os.environ['OPENBLAS_NUM_THREADS']]))\n")
+        env = _pcod_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        threads, value = json.loads(proc.stdout.splitlines()[-1])
+        if preset is None:
+            assert (threads, value) == (1, "1")
+        else:
+            assert value == preset
 
 
 class TestSynthCommand:
@@ -734,14 +803,6 @@ def test_bad_row_message_prints_plain_floats(tmp_path, capsys):
     assert err == (f"error: {bad}: member 0 point 1: probability row sums to "
                    f"{float(np.float32(0.7)) + float(np.float32(0.2))!r}\n")
     assert "np." not in err
-
-
-def _pcod_env():
-    """Environment for a child `python -m pcood` that imports this pcood."""
-    env = dict(os.environ)
-    src = str(Path(pcood.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
 
 
 class TestStreamedTensors:

@@ -145,6 +145,17 @@ class TestTensorValidation:
         with pytest.raises(FormatError):
             TensorStream(io.BytesIO(HEADER.pack(b"PCOD", 1, 0, 0, 3, 4, 0)))
 
+    @pytest.mark.parametrize("kind", ["probabilities", "logits", 0, None])
+    def test_kind_that_is_no_tensor_kind_writes_nothing(self, kind):
+        # A kind's value, even one naming a TensorKind, is not a kind.
+        message = f"^tensor kind must be a TensorKind, got {kind!r}$"
+        sink = io.BytesIO()
+        with pytest.raises(ValidationError, match=message):
+            write_header(sink, kind, 2, 3, 1)
+        with pytest.raises(ValidationError, match=message):
+            write_member(sink, np.full((2, 3), 1 / 3), kind, 0)
+        assert sink.getvalue() == b""
+
     def test_probability_invariants(self):
         write_member(io.BytesIO(), np.full((1, 2), 0.5, dtype=np.float32), PROBS, 0)
         for row in ([0.7, 0.2], [1.5, -0.5], [np.nan, 1.0]):
