@@ -40,6 +40,11 @@ from .synth import (GaussianPairSpec, _check_tensor_args, sample_scores_chunk,
 
 DEFAULT_K_SWEEP = (1, 5, 10, 15, 20)
 
+# Rows of a mean formed and scored at a time, so the mean and the scoring
+# temporaries stay tile-sized instead of N x C. Tiles of 4096 to 8192 rows
+# of 8 classes scored fastest, cache-resident.
+_TILE_ROWS = 1 << 12
+
 _KIND_FLAGS = {"msp": ScoreKind.MSP_COMPLEMENT, "entropy": ScoreKind.ENTROPY}
 
 
@@ -229,21 +234,27 @@ def _per_k(streams, ks, workers: int, fn):
 
     `streams` holds (path, TensorStream) pairs, read in step in one pass;
     an input error met on the way is named by its path. fn runs on the
-    point shards of each mean as soon as it is formed, and its results are
-    joined in point order.
+    row tiles of each mean, formed from the member sum tile by tile within
+    each point shard, and its results are joined in point order. fn must
+    work row by row, so the tiling cannot change a bit of its results.
     """
-    passes = [(path, stream.means(ks)) for path, stream in streams]
+    passes = [(path, stream.sums(ks)) for path, stream in streams]
     for k in sorted(set(ks)):
         results = []
-        for path, means in passes:
+        for path, sums in passes:
             with _named(path):
-                _, mean = next(means)
-            results.append(np.concatenate(_run_shards(
-                lambda a, b: fn(mean[a:b]), _shards(len(mean), workers), workers)))
+                _, total = next(sums)
+
+            def shard(a, b):
+                return [fn(total[t:min(t + _TILE_ROWS, b)] / k)
+                        for t in range(a, b, _TILE_ROWS) or [a]]
+
+            results.append(np.concatenate([tile for part in _run_shards(
+                shard, _shards(len(total), workers), workers) for tile in part]))
         yield k, results
-    for path, means in passes:
+    for path, sums in passes:
         with _named(path):
-            next(means, None)  # reads and checks the rest of the stream
+            next(sums, None)  # reads and checks the rest of the stream
 
 
 def _pooled_hist(id_scores: np.ndarray, ood_scores: np.ndarray,
@@ -294,9 +305,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as files:
         stream = _open_tensor(files, args.input)
         k = _k(args, stream)
-        [(_, [probs])] = _per_k([(args.input, stream)], [k], args.workers,
-                                lambda probs: probs)
-    rows = probs.astype(np.float32)
+        [(_, [rows])] = _per_k([(args.input, stream)], [k], args.workers,
+                               lambda probs: probs.astype(np.float32))
     with atomic_outputs([args.out]) as (sink,):
         write_header(sink, TensorKind.PROBABILITIES, *rows.shape, 1)
         with _named(args.out):

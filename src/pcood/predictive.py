@@ -11,7 +11,7 @@ header (magic ``PCOD``, version u16, kind u8, reserved u8, point count
 u64, class count u16, member count u16) followed by the float32 values
 laid out member-major. ``TensorStream`` reads such a file front to back
 once: it checks and hashes each member block as it arrives and keeps a
-float64 running sum, so the means for every k of a sweep cost one pass
+float64 running sum, so the sums for every k of a sweep cost one pass
 and memory of order N x C, whatever the member count. ``write_header``
 and ``write_member`` write one member at a time, with the same member
 check, so pcood never writes a tensor it cannot read.
@@ -44,6 +44,33 @@ _READ_CHUNK = 1 << 24
 # validated tensor (member averages, scores) is trusted downstream.
 PROB_ROW_SUM_TOL = 1e-5
 
+# The float32 row-sum screen of _check_member accepts a member when every
+# float32 row sum s32 has |s32 - 1| <= TOL - C * _SCREEN_MARGIN_PER_CLASS,
+# TOL being PROB_ROW_SUM_TOL. That margin bounds |s32 - s64|, where s64 is
+# the float64 sum the exact check computes, so a screened member also
+# passes |s64 - 1| <= TOL:
+# - Any summation order of C terms rounds each term through at most
+#   n = C - 1 additions, so a sum in precision u is off the exact sum S by
+#   at most g(n, u) * sum|x| = g(n, u) * S for entries in [0, 1], where
+#   g(n, u) = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+#   Algorithms, 2nd ed., section 4.2). Subnormal sums are exact and no sum
+#   of C <= 2**16 entries of at most 1 overflows, so the bound holds
+#   throughout.
+# - The screen runs only while the margin is below the tolerance, that is
+#   C <= 41, so n u32 <= 40 * 2**-24 < 2.4e-6 and g(n, u) < 1.000003 n u.
+# - A screened row has s32 <= 1 + TOL, so
+#   S <= s32 / (1 - g(n, u32)) < 1.00002.
+# - Then |s32 - s64| <= (g(n, u32) + g(n, u64)) * S
+#   < 1.00002 * 1.000003 * n * (2**-24 + 2**-53) < C * 2**-23.
+# The margin of C * 2**-22 is twice that bound; the slack also covers
+# the rounding of the limit itself and of s32 - 1 (exact for s32 in
+# [0.5, 2] by Sterbenz's lemma, and far outside the limit otherwise).
+_SCREEN_MARGIN_PER_CLASS = 2.0 ** -22
+# Widest rows for which _row_max takes column passes. Over 10**5 rows the
+# passes lose to max(axis=1) from C = 18 (float64) and C = 32 (float32);
+# on cache-sized tiles they win to C = 48.
+_COLUMN_PASS_MAX_CLASSES = 16
+
 
 class TensorKind(enum.Enum):
     PROBABILITIES = "probabilities"
@@ -69,10 +96,19 @@ def _check_member(rows: np.ndarray, kind: TensorKind, member: int) -> None:
         if not np.isfinite(rows).all():
             raise ValidationError("tensor values must be finite")
         return
+    # min/max propagate NaN, so in-range extremes also rule out NaN and inf.
+    in_range = rows.min() >= 0.0 and rows.max() <= 1.0
+    limit = PROB_ROW_SUM_TOL - _SCREEN_MARGIN_PER_CLASS * rows.shape[1]
+    if in_range and limit > 0.0:
+        # A member passes the screen only if it passes the float64 check
+        # below, so the screen changes no outcome and no message.
+        sums32 = np.einsum("ij->i", rows)
+        if 1.0 - float(sums32.min()) <= limit and \
+                float(sums32.max()) - 1.0 <= limit:
+            return
     sums = np.sum(rows, axis=-1, dtype=np.float64)
     off = np.abs(sums - 1.0) > PROB_ROW_SUM_TOL
-    # min/max propagate NaN, so in-range extremes also rule out NaN and inf.
-    if rows.min() >= 0.0 and rows.max() <= 1.0 and not off.any():
+    if in_range and not off.any():
         return
     nonfinite = ~np.isfinite(rows).all(axis=-1)
     outside = ((rows < 0.0) | (rows > 1.0)).any(axis=-1)
@@ -92,9 +128,12 @@ def _row_max(rows: np.ndarray) -> np.ndarray:
 
     Equal to ``rows.max(axis=1)``, NaN included; only the sign of a zero
     maximum may differ, which no caller can see (``1.0 - 0.0`` and
-    ``exp(x - 0.0)`` do not depend on it). C column passes of
-    ``np.maximum`` beat the reduction over short rows about threefold.
+    ``exp(x - 0.0)`` do not depend on it). Up to ``_COLUMN_PASS_MAX_CLASSES``
+    columns, C passes of ``np.maximum`` beat the reduction; over wider
+    rows the strided column reads lose to it.
     """
+    if rows.shape[1] > _COLUMN_PASS_MAX_CLASSES:
+        return rows.max(axis=1)
     out = rows[:, 0].copy()
     for j in range(1, rows.shape[1]):
         np.maximum(out, rows[:, j], out=out)
@@ -143,7 +182,7 @@ def write_member(sink, rows: np.ndarray, kind: TensorKind, member: int) -> None:
     sink.write(memoryview(rows.reshape(-1).view(np.uint8)))
 
 
-def _read_upto(source, nbytes: int) -> bytes:
+def _read_upto(source, nbytes: int) -> bytearray:
     """Up to nbytes from source, fewer only where it ends; read in chunks."""
     parts = []
     while nbytes:
@@ -152,7 +191,18 @@ def _read_upto(source, nbytes: int) -> bytes:
             break
         parts.append(chunk)
         nbytes -= len(chunk)
-    return b"".join(parts)
+    return bytearray().join(parts)
+
+
+def _read_into(source, buf: bytearray) -> int:
+    """Fill buf from source; return the bytes read, fewer only where it ends."""
+    view, got = memoryview(buf), 0
+    while got < len(buf):
+        n = source.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    return got
 
 
 def _length_error(got: int, declared: int) -> TruncatedStreamError:
@@ -170,10 +220,13 @@ class TensorStream:
     also checks that exactly the declared payload follows, so a short or
     overlong file fails before any member is read; a pipe is read in
     chunks of at most ``_READ_CHUNK`` bytes and fails where it ends, so no
-    allocation is ever sized by the header alone. ``means`` then makes the
+    allocation is ever sized by the header alone. ``sums`` then makes the
     single pass, and ``sha256`` is the digest of every byte it read.
     ``head`` holds bytes already read from the start of the source, for a
     caller that sniffed the magic of a pipe.
+
+    The source must have ``read`` and ``readinto``, as every binary
+    ``io`` stream does: members are read into one reused buffer.
     """
 
     def __init__(self, source, head: bytes = b""):
@@ -203,7 +256,8 @@ class TensorStream:
         if self._payload_bytes > _MAX_PAYLOAD_BYTES:
             raise CapacityError(f"declared payload of {self._payload_bytes} "
                                 f"bytes exceeds the supported size")
-        if source.seekable():
+        self._length_checked = source.seekable()
+        if self._length_checked:
             pos = source.tell()
             available = source.seek(0, io.SEEK_END) - pos
             source.seek(pos)
@@ -216,61 +270,71 @@ class TensorStream:
 
     @property
     def sha256(self) -> str:
-        """Hex digest of the header and payload, once ``means`` has ended."""
+        """Hex digest of the header and payload, once ``sums`` has ended."""
         if not self._done:
             raise RuntimeError("the tensor stream has not been read to its end")
         return self._digest.hexdigest()
 
-    def _blocks(self):
-        """Yield each member's unchecked (N, C) float32 block, hashed."""
+    def sums(self, ks):
+        """Yield ``(k, sum of the first k members)`` for each distinct k.
+
+        The ks are checked against the member count now; the pass runs as
+        the result is iterated, in increasing k. Each sum is the (N, C)
+        float64 sum of the first k members in member order, logits through
+        a per-row softmax, so ``total / k`` is the mean in probability
+        space, and k=1 gives member 0 exactly. ``total`` is a read-only
+        view of the running sum, which the pass overwrites when iteration
+        advances: use it, or copy it, before asking for the next k.
+        Every member, also past the largest k, is checked; members past it
+        are not added. After the last sum the rest of the stream is read,
+        so iterate to the end for ``sha256``.
+        """
+        for k in ks:
+            _check_k(k, self.n_members)
+        return self._sums(set(ks))
+
+    def _sums(self, wanted):
         if self._started:
             raise RuntimeError("a tensor stream can be read only once")
         self._started = True
+        last = max(wanted, default=0)
+        acc = total = None
         block_bytes = 4 * self.n_points * self.n_classes
+        # One buffer holds every block. A source whose length was checked
+        # holds the declared payload, so the buffer is allocated whole; a
+        # pipe's first block is read in chunks, so the buffer grows only
+        # with the bytes that arrive.
+        if self._length_checked:
+            buf = bytearray(block_bytes)
+            got = _read_into(self._source, buf)
+        else:
+            buf = _read_upto(self._source, block_bytes)
+            got = len(buf)
         for m in range(self.n_members):
-            data = _read_upto(self._source, block_bytes)
-            if len(data) < block_bytes:
-                raise _length_error(m * block_bytes + len(data),
-                                    self._payload_bytes)
-            self._digest.update(data)
-            yield np.frombuffer(data, dtype="<f4").reshape(self.n_points,
-                                                           self.n_classes)
+            if m:
+                got = _read_into(self._source, buf)
+            if got < block_bytes:
+                raise _length_error(m * block_bytes + got, self._payload_bytes)
+            self._digest.update(buf)
+            block = frozen(np.frombuffer(buf, dtype="<f4")).reshape(
+                self.n_points, self.n_classes)
+            _check_member(block, self.kind, m)
+            if m < last:
+                if acc is None:
+                    acc = np.zeros(block.shape, dtype=np.float64)
+                    total = frozen(acc.view())
+                # Float32 entries widen to float64 exactly, so adding them
+                # directly equals adding their float64 copy; _softmax_rows
+                # widens logits before it subtracts.
+                acc += (_softmax_rows(block) if self.kind is TensorKind.LOGITS
+                        else block)
+            if m + 1 == self.n_members:
+                del block, buf  # free the buffer before the caller scores
+            if m + 1 in wanted:
+                yield m + 1, total
         extra = 0
         while chunk := self._source.read(_READ_CHUNK):
             extra += len(chunk)
         if extra:
             raise _length_error(self._payload_bytes + extra, self._payload_bytes)
         self._done = True
-
-    def means(self, ks):
-        """Yield ``(k, mean of the first k members)`` for each distinct k.
-
-        The ks are checked against the member count now; the pass runs as
-        the result is iterated, in increasing k. Each mean is a read-only
-        (N, C) float64 array: the float64 sum of the first k members in
-        member order, logits through a per-row softmax, divided by k. So
-        averaging always happens in probability space, and k=1 gives
-        member 0 exactly. Every member, also past the largest k, is checked;
-        members past it are not added. After the last mean the rest of
-        the stream is read, so iterate to the end for ``sha256``.
-        """
-        for k in ks:
-            _check_k(k, self.n_members)
-        return self._means(set(ks))
-
-    def _means(self, wanted):
-        last = max(wanted, default=0)
-        acc = None
-        for m, block in enumerate(self._blocks()):
-            _check_member(block, self.kind, m)
-            if m < last:
-                if acc is None:
-                    acc = np.zeros(block.shape, dtype=np.float64)
-                # Float32 entries widen to float64 exactly, so adding them
-                # directly equals adding their float64 copy; _softmax_rows
-                # widens logits before it subtracts.
-                acc += (_softmax_rows(block) if self.kind is TensorKind.LOGITS
-                        else block)
-            if m + 1 in wanted:
-                yield m + 1, frozen(acc / float(m + 1))
-

@@ -49,10 +49,10 @@ def score_domain(kind: ScoreKind, n_classes: int) -> tuple[float, float]:
 def score_distribution(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:
     """Score every row of an (N, C) probability array, preserving point order.
 
-    The rows are trusted to be probabilities: pass a mean from
-    :meth:`~pcood.predictive.TensorStream.means`, whose members were
-    checked as they were read. Returns a read-only float64 array of N
-    scores.
+    The rows are trusted to be probabilities: pass a mean ``total / k``
+    from :meth:`~pcood.predictive.TensorStream.sums`, whose members were
+    checked as they were read. Each score depends on its own row alone.
+    Returns a read-only float64 array of N scores.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if kind is ScoreKind.MSP_COMPLEMENT:

@@ -1,9 +1,10 @@
-"""PCOD tensors for the tests, and the reference member mean.
+"""PCOD tensors for the tests, and the reference member mean and check.
 
 Tensors are written with pcood's writer (``write_header`` and
-``write_member``) and read back with ``TensorStream``. The decoder and the
-mean here share no code with pcood's reader: they are the independent
-reference that streamed means are held to, bit for bit.
+``write_member``) and read back with ``TensorStream``. The decoder, the
+mean and the row check here share no code with pcood's reader: they are
+the independent reference that streamed means are held to, bit for bit,
+and member checks message for message.
 """
 
 import io
@@ -13,6 +14,7 @@ import numpy as np
 
 from pcood import (TensorKind, TensorStream, synth_member, write_header,
                    write_member)
+from pcood.predictive import PROB_ROW_SUM_TOL
 
 HEADER = struct.Struct("<4sHBBQHH")
 
@@ -61,4 +63,27 @@ def reference_mean(blob, k) -> np.ndarray:
 
 def stream_means(blob, ks) -> dict:
     """``{k: mean}`` for each distinct k of one TensorStream pass over the bytes."""
-    return dict(TensorStream(io.BytesIO(blob)).means(ks))
+    return {k: total / k for k, total in TensorStream(io.BytesIO(blob)).sums(ks)}
+
+
+def reference_check(rows, member):
+    """The message of the first bad row of a probability member, or None.
+
+    The float64 rule row by row: a row is bad if an entry is not finite,
+    lies outside [0, 1], or its float64 row sum is off 1 by more than
+    ``PROB_ROW_SUM_TOL``; the first of these that holds names the fault.
+    """
+    sums = np.sum(rows, axis=-1, dtype=np.float64)
+    nonfinite = ~np.isfinite(rows).all(axis=-1)
+    outside = ((rows < 0.0) | (rows > 1.0)).any(axis=-1)
+    off = np.abs(sums - 1.0) > PROB_ROW_SUM_TOL
+    bad = np.flatnonzero(nonfinite | outside | off)
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if nonfinite[i]:
+        return "tensor values must be finite"
+    if outside[i]:
+        return "probability entries must lie in [0, 1]"
+    return (f"member {member} point {i}: probability row sums to "
+            f"{float(sums[i])!r}")

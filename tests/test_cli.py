@@ -18,15 +18,20 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcood
 from pcodref import HEADER, members, pcod_bytes, reference_mean, synth_pair
-from pcood import (ScoreKind, TensorKind, ValidationError, apply_threshold,
-                   exact_auroc, read_metrics_report, read_roc_csv,
-                   read_scores_csv, score_distribution, write_member)
+from pcood import (ScoreKind, TensorKind, TensorStream, ValidationError,
+                   apply_threshold, argmax_labels, exact_auroc,
+                   read_metrics_report, read_roc_csv, read_scores_csv,
+                   score_distribution, write_member)
+from pcood import cli
 from pcood.cli import main
 
 
@@ -393,6 +398,63 @@ class TestAggregateAndScore:
             assert run("score", "--in", id_path, "--out", csv,
                        "--workers", workers) == 0
             blobs.append(agg.read_bytes() + csv.read_bytes())
+        assert blobs[0] == blobs[1]
+
+
+@st.composite
+def _small_tensors(draw):
+    """PCOD bytes of 1-4 members of 0-150 points, probabilities or logits."""
+    k, n, c = draw(st.integers(1, 4)), draw(st.integers(0, 150)), draw(st.integers(2, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    logits = rng.normal(scale=draw(st.sampled_from([0.5, 4.0])), size=(k, n, c))
+    if draw(st.booleans()):
+        return pcod_bytes(logits, TensorKind.LOGITS)
+    expd = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return pcod_bytes(expd / expd.sum(axis=-1, keepdims=True))
+
+
+_ROW_FNS = {
+    "msp": lambda probs: score_distribution(probs, ScoreKind.MSP_COMPLEMENT),
+    "entropy": lambda probs: score_distribution(probs, ScoreKind.ENTROPY),
+    "argmax": argmax_labels,
+    "mean": lambda probs: probs,
+}
+
+
+def _per_k_bits(blob, fn, workers, tile_rows):
+    """The int64 bits of _per_k's results at every k, in `tile_rows` tiles."""
+    stream = TensorStream(io.BytesIO(blob))
+    with mock.patch.object(cli, "_TILE_ROWS", tile_rows):
+        return [result.view(np.int64) for _, results in cli._per_k(
+            [("t", stream)], range(1, stream.n_members + 1), workers, fn)
+            for result in results]
+
+
+class TestTiledScoring:
+    """Means are scored in row tiles; the tile size moves no bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_small_tensors(), st.integers(1, 97), st.sampled_from([1, 3]))
+    def test_any_tile_size_gives_the_bits_of_one_tile(self, blob, tile_rows,
+                                                      workers):
+        for fn in _ROW_FNS.values():
+            want = _per_k_bits(blob, fn, 1, 1 << 20)
+            got = _per_k_bits(blob, fn, workers, tile_rows)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("tile_rows", [1, 7, 97])
+    def test_aggregate_output_does_not_depend_on_the_tile(self, tmp_path,
+                                                          tensor_pair, tile_rows):
+        id_path, _, _, _ = tensor_pair
+        blobs = []
+        for rows in (tile_rows, 1 << 20):
+            out = tmp_path / f"agg{rows}.pcod"
+            with mock.patch.object(cli, "_TILE_ROWS", rows):
+                assert run("aggregate", "--in", id_path, "--out", out,
+                           "--workers", 3) == 0
+            blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
 

@@ -12,14 +12,16 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcodref import HEADER, members, pcod_bytes, reference_mean, stream_means
+from pcodref import (HEADER, members, pcod_bytes, reference_check,
+                     reference_mean, stream_means)
 from pcood import (CapacityError, FormatError, TensorKind, TensorStream,
                    TruncatedStreamError, ValidationError, write_header,
                    write_member)
-from pcood.predictive import _row_max, _softmax_rows
+from pcood.predictive import (PROB_ROW_SUM_TOL, _check_member, _row_max,
+                              _softmax_rows)
 
 PROBS, LOGITS = TensorKind.PROBABILITIES, TensorKind.LOGITS
 
@@ -52,7 +54,7 @@ def softmax_row(logits):
 def _row_arrays(draw, nan: bool):
     """(N, C) float64 arrays with signed zeros, huge magnitudes and, if
     `nan`, NaN entries."""
-    n, c = draw(st.integers(0, 5)), draw(st.integers(2, 17))
+    n, c = draw(st.integers(0, 5)), draw(st.integers(2, 64))
     specials = [0.0, -0.0, 1e300, -1e300, 5e-324] + ([math.nan] if nan else [])
     elements = st.sampled_from(specials) | st.floats(-1e300, 1e300)
     values = draw(st.lists(elements, min_size=n * c, max_size=n * c))
@@ -85,6 +87,49 @@ class TestRowKernels:
         got = _softmax_rows(x)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _rows_at_the_tolerance(draw):
+    """(N, C) float32 rows in [0, 1] whose float64 sums lie a few float32
+    ulps of their last entry on either side of 1 - TOL or 1 + TOL."""
+    c = draw(st.sampled_from([2, 8, 17, 64, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        target = 1.0 + draw(st.sampled_from([-1, 1])) * PROB_ROW_SUM_TOL
+        weights = rng.random(c)
+        head = (weights[1:] * (target / weights.sum())).astype(np.float32)
+        last = np.float32(target - math.fsum(head.tolist()))
+        shift = draw(st.integers(-8, 8))
+        for _ in range(abs(shift)):
+            last = np.nextafter(last, np.float32(shift))
+        rows.append(rng.permutation(np.append(head, last)))
+    return np.array(rows, dtype=np.float32)
+
+
+class TestRowSumScreen:
+    """The float32 row-sum screen changes no check outcome and no message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_rows_at_the_tolerance(), st.integers(0, 30))
+    # Float64 row sums off 1 by 1.0015e-5 and 1.0006e-5, rejected, whose
+    # float32 sums (einsum, numpy 2.4, x86-64) lie inside the tolerance.
+    @example(np.array([
+        [0.21307016909122467, 0.12106054276227951, 0.024519985541701317,
+         0.157087042927742, 0.15465441346168518, 0.05520396679639816,
+         0.10974744707345963, 0.16464641690254211],
+        [0.311257928609848, 0.0762673169374466, 0.08436189591884613,
+         0.2500166893005371, 0.21460551023483276, 0.04838653281331062,
+         0.010538454167544842, 0.004575678147375584]], dtype=np.float32), 0)
+    def test_check_is_the_float64_rule(self, rows, member):
+        want = reference_check(rows, member)
+        if want is None:
+            _check_member(rows, PROBS, member)
+        else:
+            with pytest.raises(ValidationError) as got:
+                _check_member(rows, PROBS, member)
+            assert str(got.value) == want
 
 
 class TestSoftmaxRow:
@@ -127,7 +172,7 @@ class TestSoftmaxRow:
             sink.write(values.astype("<f4").tobytes())
             sink.seek(0)
             with pytest.raises(ValidationError, match="^tensor values must be finite$"):
-                list(TensorStream(sink).means([1]))
+                list(TensorStream(sink).sums([1]))
         with pytest.raises(ValidationError):
             write_header(io.BytesIO(), LOGITS, 1, 0, 1)
 
@@ -208,10 +253,16 @@ class TestAggregate:
                                       member.astype(np.float64))
 
     def test_result_is_a_frozen_float64_array(self):
-        mean = stream_means(_prob_tensor(np.random.default_rng(4), 2, 5, 3), [2])[2]
-        assert mean.dtype == np.float64 and mean.shape == (5, 3)
+        blob = _prob_tensor(np.random.default_rng(4), 2, 5, 3)
+        sums = TensorStream(io.BytesIO(blob)).sums([1, 2])
+        _, first = next(sums)
+        assert first.dtype == np.float64 and first.shape == (5, 3)
         with pytest.raises(ValueError):
-            mean[0, 0] = 0.5
+            first[0, 0] = 0.5
+        # One running sum: advancing the pass overwrites the view.
+        _, second = next(sums)
+        assert np.shares_memory(first, second)
+        _same_bits(first / 2, reference_mean(blob, 2))
 
     def test_two_member_symmetry(self):
         blob = pcod_bytes([[[1.0, 0.0]], [[0.0, 1.0]]])
@@ -258,7 +309,7 @@ class TestAggregate:
         blob = _prob_tensor(np.random.default_rng(9), 3, 4, 2)
         for k in (0, 4):
             with pytest.raises(ValidationError):
-                TensorStream(io.BytesIO(blob)).means([k])
+                TensorStream(io.BytesIO(blob)).sums([k])
 
 
 class TestTensorFormat:
@@ -268,8 +319,8 @@ class TestTensorFormat:
         stream = TensorStream(io.BytesIO(blob))
         assert stream.kind is kind
         ks = range(1, len(values) + 1)
-        for k, mean in stream.means(ks):
-            _same_bits(mean, reference_mean(blob, k))
+        for k, total in stream.sums(ks):
+            _same_bits(total / k, reference_mean(blob, k))
 
     def test_round_trip_probabilities(self):
         self._round_trip(_prob_values(np.random.default_rng(10), 2, 3, 4), PROBS)
@@ -331,8 +382,8 @@ class TestTensorFormat:
         blob = pcod_bytes(np.zeros((2, 0, 3), dtype=np.float32))
         stream = TensorStream(io.BytesIO(blob))
         assert (stream.n_points, stream.n_classes, stream.n_members) == (0, 3, 2)
-        [(_, mean)] = stream.means([2])
-        assert mean.shape == (0, 3)
+        [(_, total)] = stream.sums([2])
+        assert total.shape == (0, 3)
 
 
 class _Pipe(io.RawIOBase):
@@ -371,7 +422,7 @@ def _corrupt(values, member, point, row):
 class TestTensorStream:
     @pytest.mark.parametrize("logits", [False, True])
     def test_every_mean_is_aggregate_bit_for_bit(self, logits, tmp_path):
-        # Every k-member mean equals the reference sum over k, from every
+        # Every k-member sum over k equals the reference mean, from every
         # kind of source, with or without a head read by the caller.
         rng = np.random.default_rng(20)
         if logits:
@@ -381,11 +432,12 @@ class TestTensorStream:
         for head_size in (0, 4):
             for source in _sources(blob, tmp_path / "t.pcod"):
                 stream = TensorStream(source, source.read(head_size))
-                got = list(stream.means([6, 1, 3, 6, 2]))
-                assert [k for k, _ in got] == [1, 2, 3, 6]
-                for k, mean in got:
-                    assert not mean.flags.writeable
-                    _same_bits(mean, reference_mean(blob, k))
+                got = []
+                for k, total in stream.sums([6, 1, 3, 6, 2]):
+                    assert not total.flags.writeable
+                    _same_bits(total / k, reference_mean(blob, k))
+                    got.append(k)
+                assert got == [1, 2, 3, 6]
                 assert stream.sha256 == hashlib.sha256(blob).hexdigest()
 
     def test_head_read_by_the_caller_starts_the_stream(self):
@@ -393,8 +445,8 @@ class TestTensorStream:
         for source in (io.BytesIO(blob), _Pipe(blob)):
             head = source.read(4)
             stream = TensorStream(source, head)
-            [(_, mean)] = stream.means([3])
-            _same_bits(mean, reference_mean(blob, 3))
+            [(_, total)] = stream.sums([3])
+            _same_bits(total / 3, reference_mean(blob, 3))
             assert stream.sha256 == hashlib.sha256(blob).hexdigest()
 
     def test_header_fields_and_single_pass(self):
@@ -404,15 +456,15 @@ class TestTensorStream:
                 stream.n_members) == (TensorKind.PROBABILITIES, 4, 2, 3)
         with pytest.raises(RuntimeError):
             stream.sha256
-        list(stream.means([3]))
+        list(stream.sums([3]))
         with pytest.raises(RuntimeError):
-            list(stream.means([1]))
+            list(stream.sums([1]))
 
     def test_k_above_members_fails_before_the_payload(self):
         source = io.BytesIO(_prob_tensor(np.random.default_rng(22), 3, 4, 2))
         stream = TensorStream(source)
         with pytest.raises(ValidationError, match=r"^k must lie in 1\.\.3, got 4$"):
-            stream.means([1, 4])
+            stream.sums([1, 4])
         assert source.tell() == 20
 
     @pytest.mark.parametrize("row, message", [
@@ -426,11 +478,11 @@ class TestTensorStream:
         with pytest.raises(ValidationError, match=message) as direct:
             write_member(io.BytesIO(), values[4], PROBS, 4)
         stream = TensorStream(io.BytesIO(blob))
-        means = stream.means([1, 4, 6])
-        # Members before the bad one still yield their means.
-        assert [k for k, _ in zip((1, 4), means)] == [1, 4]
+        sums = stream.sums([1, 4, 6])
+        # Members before the bad one still yield their sums.
+        assert [k for k, _ in zip((1, 4), sums)] == [1, 4]
         with pytest.raises(ValidationError) as streamed:
-            next(means)
+            next(sums)
         assert str(streamed.value) == str(direct.value)
 
     def test_first_bad_row_is_reported(self):
@@ -442,7 +494,7 @@ class TestTensorStream:
             write_member(io.BytesIO(), values[1], PROBS, 1)
         with pytest.raises(ValidationError,
                            match="member 1 point 2: probability row sums to"):
-            list(TensorStream(io.BytesIO(blob)).means([2]))
+            list(TensorStream(io.BytesIO(blob)).sums([2]))
 
     def test_trailing_bytes_are_rejected(self):
         blob = _prob_tensor(np.random.default_rng(25), 2, 3, 2) + bytes(8)
@@ -450,14 +502,14 @@ class TestTensorStream:
         with pytest.raises(TruncatedStreamError, match="^payload has 8 trailing bytes$"):
             TensorStream(io.BytesIO(blob))
         with pytest.raises(TruncatedStreamError, match="^payload has 8 trailing bytes$"):
-            list(TensorStream(_Pipe(blob)).means([2]))
+            list(TensorStream(_Pipe(blob)).sums([2]))
 
     def test_truncated_pipe_names_the_bytes_that_arrived(self):
         blob = _prob_tensor(np.random.default_rng(26), 3, 5, 2)[:-6]
         stream = TensorStream(_Pipe(blob))
         with pytest.raises(TruncatedStreamError,
                            match="^payload truncated: got 114 of 120 bytes$"):
-            list(stream.means([1]))
+            list(stream.sums([1]))
 
     def test_huge_header_on_a_pipe_allocates_only_what_arrives(self):
         # 2**40 points x 8 classes x 20 members declares about 700 TB; the
@@ -467,4 +519,4 @@ class TestTensorStream:
         declared = 4 * 2 ** 40 * 8 * 20
         with pytest.raises(TruncatedStreamError,
                            match=f"^payload truncated: got 64 of {declared} bytes$"):
-            list(stream.means([1, 20]))
+            list(stream.sums([1, 20]))

@@ -203,7 +203,8 @@ class TestValidatedTensorsScore:
         np.full((2, 3, 3), np.nextafter(np.float32(1 / 3), np.float32(0)))))
     def test_accepted_tensor_goes_through_every_stage(self, blob):
         stream = TensorStream(io.BytesIO(blob))
-        for _, probs in stream.means(range(1, stream.n_members + 1)):
+        for k, total in stream.sums(range(1, stream.n_members + 1)):
+            probs = total / k
             for kind in ScoreKind:
                 values = score_distribution(probs, kind)
                 assert values.shape == (stream.n_points,)
