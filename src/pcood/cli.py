@@ -40,9 +40,9 @@ from .synth import (GaussianPairSpec, _check_tensor_args, sample_scores_chunk,
 
 DEFAULT_K_SWEEP = (1, 5, 10, 15, 20)
 
-# Rows of a mean formed and scored at a time, so the mean and the scoring
-# temporaries stay tile-sized instead of N x C. Tiles of 4096 to 8192 rows
-# of 8 classes scored fastest, cache-resident.
+# Most rows of a mean formed and scored at a time, so the mean and the
+# scoring temporaries stay tile-sized instead of N x C. Tiles of 4096 to
+# 8192 rows of 8 classes scored fastest, cache-resident.
 _TILE_ROWS = 1 << 12
 
 _KIND_FLAGS = {"msp": ScoreKind.MSP_COMPLEMENT, "entropy": ScoreKind.ENTROPY}
@@ -246,8 +246,11 @@ def _per_k(streams, ks, workers: int, fn):
                 _, total = next(sums)
 
             def shard(a, b):
-                return [fn(total[t:min(t + _TILE_ROWS, b)] / k)
-                        for t in range(a, b, _TILE_ROWS) or [a]]
+                # Tiles are cut from the worker's own rows, so a worker
+                # runs one task and no tile crosses into another shard.
+                rows = total[a:b]
+                return [fn(tile / k) for tile in np.array_split(
+                    rows, max(1, -(-len(rows) // _TILE_ROWS)))]
 
             results.append(np.concatenate([tile for part in _run_shards(
                 shard, _shards(len(total), workers), workers) for tile in part]))

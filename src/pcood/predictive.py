@@ -66,10 +66,6 @@ PROB_ROW_SUM_TOL = 1e-5
 # the rounding of the limit itself and of s32 - 1 (exact for s32 in
 # [0.5, 2] by Sterbenz's lemma, and far outside the limit otherwise).
 _SCREEN_MARGIN_PER_CLASS = 2.0 ** -22
-# Widest rows for which _row_max takes column passes. Over 10**5 rows the
-# passes lose to max(axis=1) from C = 18 (float64) and C = 32 (float32);
-# on cache-sized tiles they win to C = 48.
-_COLUMN_PASS_MAX_CLASSES = 16
 
 
 class TensorKind(enum.Enum):
@@ -128,12 +124,9 @@ def _row_max(rows: np.ndarray) -> np.ndarray:
 
     Equal to ``rows.max(axis=1)``, NaN included; only the sign of a zero
     maximum may differ, which no caller can see (``1.0 - 0.0`` and
-    ``exp(x - 0.0)`` do not depend on it). Up to ``_COLUMN_PASS_MAX_CLASSES``
-    columns, C passes of ``np.maximum`` beat the reduction; over wider
-    rows the strided column reads lose to it.
+    ``exp(x - 0.0)`` do not depend on it). C column passes of
+    ``np.maximum`` beat the reduction over short rows about threefold.
     """
-    if rows.shape[1] > _COLUMN_PASS_MAX_CLASSES:
-        return rows.max(axis=1)
     out = rows[:, 0].copy()
     for j in range(1, rows.shape[1]):
         np.maximum(out, rows[:, j], out=out)
@@ -182,22 +175,30 @@ def write_member(sink, rows: np.ndarray, kind: TensorKind, member: int) -> None:
     sink.write(memoryview(rows.reshape(-1).view(np.uint8)))
 
 
-def _read_upto(source, nbytes: int) -> bytearray:
-    """Up to nbytes from source, fewer only where it ends; read in chunks."""
-    parts = []
-    while nbytes:
-        chunk = source.read(min(nbytes, _READ_CHUNK))
-        if not chunk:
+def _read_upto(source, nbytes: int) -> np.ndarray:
+    """Up to nbytes from source as a uint8 array, fewer only where it ends.
+
+    The array grows in place by at most ``_READ_CHUNK`` bytes before each
+    read into its tail, so it holds no more than one chunk beyond the bytes
+    that arrived, however large nbytes is. (A bytearray cannot grow without
+    a temporary of the added size before Python 3.14.)
+    """
+    buf = np.empty(0, dtype=np.uint8)
+    while len(buf) < nbytes:
+        got = len(buf)
+        buf.resize(min(nbytes, got + _READ_CHUNK), refcheck=False)
+        got += _read_into(source, buf[got:])
+        if got < len(buf):
+            buf.resize(got, refcheck=False)
             break
-        parts.append(chunk)
-        nbytes -= len(chunk)
-    return bytearray().join(parts)
+    return buf
 
 
-def _read_into(source, buf: bytearray) -> int:
-    """Fill buf from source; return the bytes read, fewer only where it ends."""
+def _read_into(source, buf) -> int:
+    """Fill the writable buffer buf from source; return the bytes read,
+    fewer only where it ends."""
     view, got = memoryview(buf), 0
-    while got < len(buf):
+    while got < len(view):
         n = source.readinto(view[got:])
         if not n:
             break
@@ -233,7 +234,7 @@ class TensorStream:
         self._source = source
         self._digest = hashlib.sha256()
         self._started = self._done = False
-        header = head + _read_upto(source, _HEADER.size - len(head))
+        header = head + _read_upto(source, _HEADER.size - len(head)).tobytes()
         if len(header) < _HEADER.size:
             raise TruncatedStreamError(
                 f"header truncated: got {len(header)} of {_HEADER.size} bytes"
@@ -256,8 +257,7 @@ class TensorStream:
         if self._payload_bytes > _MAX_PAYLOAD_BYTES:
             raise CapacityError(f"declared payload of {self._payload_bytes} "
                                 f"bytes exceeds the supported size")
-        self._length_checked = source.seekable()
-        if self._length_checked:
+        if source.seekable():
             pos = source.tell()
             available = source.seek(0, io.SEEK_END) - pos
             source.seek(pos)
@@ -300,16 +300,10 @@ class TensorStream:
         last = max(wanted, default=0)
         acc = total = None
         block_bytes = 4 * self.n_points * self.n_classes
-        # One buffer holds every block. A source whose length was checked
-        # holds the declared payload, so the buffer is allocated whole; a
-        # pipe's first block is read in chunks, so the buffer grows only
-        # with the bytes that arrive.
-        if self._length_checked:
-            buf = bytearray(block_bytes)
-            got = _read_into(self._source, buf)
-        else:
-            buf = _read_upto(self._source, block_bytes)
-            got = len(buf)
+        # One buffer holds every block: it grows with the bytes of the
+        # first block as they arrive, and each later block is read into it.
+        buf = _read_upto(self._source, block_bytes)
+        got = len(buf)
         for m in range(self.n_members):
             if m:
                 got = _read_into(self._source, buf)

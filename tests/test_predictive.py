@@ -264,6 +264,15 @@ class TestAggregate:
         assert np.shares_memory(first, second)
         _same_bits(first / 2, reference_mean(blob, 2))
 
+    def test_collected_sums_all_hold_the_last_sum(self):
+        # The contract of sums(): collecting the pass without dividing
+        # keeps one array, the sum of the largest k, under every k.
+        blob = _prob_tensor(np.random.default_rng(5), 3, 5, 3)
+        got = dict(TensorStream(io.BytesIO(blob)).sums([1, 2, 3]))
+        assert list(got) == [1, 2, 3]
+        assert got[1] is got[2] is got[3]
+        _same_bits(got[1] / 3, reference_mean(blob, 3))
+
     def test_two_member_symmetry(self):
         blob = pcod_bytes([[[1.0, 0.0]], [[0.0, 1.0]]])
         np.testing.assert_array_equal(stream_means(blob, [2])[2],
