@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("CapacityError", "FormatError", "ParseError", "PcoodError",
                "StructuralError", "TruncatedStreamError", "ValidationError"),
-    "pointcloud": ("ID_COLOR", "OOD_COLOR", "SEMANTIC3D_CLASS_COUNT",
-                   "SEMANTIC3D_CLASS_NAMES", "LabeledCloud",
-                   "parse_semantic3d", "read_labels", "write_idood_map"),
+    "pointcloud": ("ID_COLOR", "OOD_COLOR", "parse_semantic3d", "read_labels",
+                   "write_idood_map"),
     "predictive": ("TensorKind", "TensorStream", "write_header",
                    "write_member"),
     "scores": ("ScoreKind", "read_scores_csv", "score_distribution",
@@ -28,10 +27,10 @@ _EXPORTS = {
                    "confusion_accumulate", "confusion_new", "exact_auroc",
                    "hist_accumulate", "hist_auroc", "hist_merge", "hist_new",
                    "hist_new_range", "optimal_threshold",
-                   "read_metrics_report", "read_roc_csv", "roc_curve",
+                   "read_roc_csv", "roc_curve",
                    "seg_metrics", "write_metrics_report", "write_roc_csv"),
-    "synth": ("GaussianPairSpec", "analytic_auroc", "sample_scores",
-              "sample_scores_chunk", "synth_member", "synth_true_classes"),
+    "synth": ("GaussianPairSpec", "analytic_auroc", "sample_scores_chunk",
+              "synth_member", "synth_true_classes"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

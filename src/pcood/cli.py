@@ -204,9 +204,10 @@ def _open_scene(files: contextlib.ExitStack, args: argparse.Namespace,
                 labels: str | None = None):
     """Open --pred and parse --points, and the `labels` file if given.
 
-    Returns (stream, cloud, truth, inputs): truth is the labels array, or
-    None without `labels`, and inputs the (role, path, hashed) entries for
-    `_provenance`. The cloud's size must match the tensor's.
+    Returns (stream, cloud, truth, inputs): cloud is the (N, 3) xyz array,
+    truth the labels array, or None without `labels`, and inputs the
+    (role, path, hashed) entries for `_provenance`. The cloud's size must
+    match the tensor's.
     """
     stream = _open_tensor(files, args.pred)
     cloud, hashed = _read_text(args.points, parse_semantic3d)
@@ -234,9 +235,10 @@ def _per_k(streams, ks, workers: int, fn):
 
     `streams` holds (path, TensorStream) pairs, read in step in one pass;
     an input error met on the way is named by its path. fn runs on the
-    row tiles of each mean, formed from the member sum tile by tile within
-    each point shard, and its results are joined in point order. fn must
-    work row by row, so the tiling cannot change a bit of its results.
+    row tiles of each mean, formed from the member sum tile by tile and
+    spread over the workers, and its results are joined in point order.
+    fn must work row by row, so the tiling cannot change a bit of its
+    results.
     """
     passes = [(path, stream.sums(ks)) for path, stream in streams]
     for k in sorted(set(ks)):
@@ -244,16 +246,11 @@ def _per_k(streams, ks, workers: int, fn):
         for path, sums in passes:
             with _named(path):
                 _, total = next(sums)
-
-            def shard(a, b):
-                # Tiles are cut from the worker's own rows, so a worker
-                # runs one task and no tile crosses into another shard.
-                rows = total[a:b]
-                return [fn(tile / k) for tile in np.array_split(
-                    rows, max(1, -(-len(rows) // _TILE_ROWS)))]
-
-            results.append(np.concatenate([tile for part in _run_shards(
-                shard, _shards(len(total), workers), workers) for tile in part]))
+            # Cut from this sum's own length: streams may differ in N.
+            tiles = [(a, a + _TILE_ROWS)
+                     for a in range(0, len(total), _TILE_ROWS)] or [(0, 0)]
+            results.append(np.concatenate(_run_shards(
+                lambda a, b: fn(total[a:b] / k), tiles, workers)))
         yield k, results
     for path, sums in passes:
         with _named(path):
@@ -404,7 +401,8 @@ def cmd_roc(args: argparse.Namespace) -> int:
 
 def cmd_iou(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as files:
-        stream, _, truth, inputs = _open_scene(files, args, args.labels)
+        stream, cloud, truth, inputs = _open_scene(files, args, args.labels)
+        del cloud  # iou writes no point, so the xyz is not held in the pass
         k = _k(args, stream)
         [(_, [predicted])] = _per_k([(args.pred, stream)], [k], args.workers,
                                     argmax_labels)

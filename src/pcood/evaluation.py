@@ -401,20 +401,6 @@ def write_metrics_report(entries, sink) -> None:
     write_text(sink, "\n".join(lines) + "\n")
 
 
-def read_metrics_report(source) -> dict:
-    """Parse a key=value report back into an ordered dict of strings."""
-    entries = {}
-    for lineno, line in numbered_lines(source):
-        text = line.strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ParseError(f"line {lineno}: expected key=value, got {text!r}")
-        key, _, value = text.partition("=")
-        entries[key] = value
-    return entries
-
-
 def write_roc_csv(curve: RocCurve, sink, metadata=()) -> None:
     """Write ``threshold,fpr,tpr`` rows plus a trailing metadata block.
 

@@ -1,16 +1,17 @@
-"""Labeled point cloud ingestion and ID/OOD map output.
+"""Semantic3D point and label ingestion, and ID/OOD map output.
 
 Clouds follow the Semantic3D ASCII conventions: one point per line with
 fields ``x y z intensity r g b``, plus an optional label file carrying
 one integer class id per line (0 marks unlabeled points, 1..C the
-classes). The readers are the only validators: the columns they return
-are read-only numpy arrays, so clouds can be shared across threads.
+classes). The readers are the only validators. The points reader checks
+all seven fields of each line and keeps only the coordinates, the one
+column the map writes. What the readers return are read-only numpy
+arrays, so they can be shared across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,37 +19,9 @@ from ._io import (block_lines, frozen, iter_blocks, load_block, numbered_lines,
                   write_text)
 from .errors import ParseError, StructuralError, ValidationError
 
-SEMANTIC3D_CLASS_COUNT = 8
-SEMANTIC3D_CLASS_NAMES = (
-    "Manmade terrain",
-    "Natural terrain",
-    "High vegetation",
-    "Low vegetation",
-    "Buildings",
-    "Hardscapes",
-    "Scanning artefacts",
-    "Cars",
-)
-
 # Colors for the rendered ID/OOD map.
 ID_COLOR = (0, 255, 0)
 OOD_COLOR = (255, 0, 0)
-
-
-@dataclass
-class LabeledCloud:
-    """The points of a Semantic3D cloud; labels are read by :func:`read_labels`.
-
-    The fields are read-only arrays as :func:`parse_semantic3d` decoded and
-    checked them; a cloud built by hand is not checked again.
-    """
-
-    xyz: np.ndarray  # (N, 3) float64
-    intensity: np.ndarray  # (N,) float64
-    rgb: np.ndarray  # (N, 3) uint8
-
-    def __len__(self) -> int:
-        return self.xyz.shape[0]
 
 
 # One decoded points row: x y z intensity as float64, r g b as int64.
@@ -62,7 +35,8 @@ _WRITE_ROWS = 1 << 16
 
 
 def _point_rows(numbered) -> list:
-    """The line parser for points: one 7-tuple per non-blank numbered line."""
+    """The line parser for points: one (x, y, z) per non-blank numbered line,
+    after all seven fields of the line passed their checks."""
     rows = []
     for lineno, line in numbered:
         fields = line.split()
@@ -83,7 +57,7 @@ def _point_rows(numbered) -> list:
         for name, v in (("r", r), ("g", g), ("b", b)):
             if not 0 <= v <= 255:
                 raise ParseError(f"points line {lineno}: color {name}={v} outside 0..255")
-        rows.append((x, y, z, inten, r, g, b))
+        rows.append((x, y, z))
     return rows
 
 
@@ -105,22 +79,23 @@ def _label_values(numbered) -> list:
 
 
 def _points_block(lineno: int, block) -> np.ndarray:
-    """Decode one block of points as an (n, 7) float64 array.
+    """Decode one block of points as an (n, 3) float64 xyz array.
 
-    numpy's reader decodes the block; where it rejects the block, or a row
-    fails the line parser's checks, the line parser reruns on the block and
-    either raises its error or returns the rows numpy could not read.
+    numpy's reader decodes all seven fields of the block; where it rejects
+    the block, or a row fails the line parser's checks, the line parser
+    reruns on the block and either raises its error or returns the rows
+    numpy could not read. Intensity and color go with the block.
     """
     rec = load_block(block, _POINT_DTYPE)
     if rec is not None:
-        data = np.empty((rec.shape[0], 7))
-        for j, name in enumerate(_POINT_DTYPE.names):
-            data[:, j] = rec[name]
-        rgb = data[:, 4:]
-        if np.isfinite(data[:, :4]).all() and ((rgb >= 0) & (rgb <= 255)).all():
-            return data
+        xyz = np.empty((rec.shape[0], 3))
+        for j, name in enumerate("xyz"):
+            xyz[:, j] = rec[name]
+        if (np.isfinite(xyz).all() and np.isfinite(rec["intensity"]).all()
+                and all(((rec[c] >= 0) & (rec[c] <= 255)).all() for c in "rgb")):
+            return xyz
     rows = _point_rows(numbered_lines(block_lines(block), "points line", lineno))
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 7)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 3)
 
 
 def _labels_block(lineno: int, block):
@@ -151,23 +126,25 @@ def read_labels(stream, n_points: int, class_count: int) -> np.ndarray:
     return frozen(labels)
 
 
-def parse_semantic3d(points_stream) -> LabeledCloud:
-    """Parse a Semantic3D points file.
+def parse_semantic3d(points_stream) -> np.ndarray:
+    """Parse a Semantic3D points file into a read-only (N, 3) float64 xyz array.
 
     Blank lines are skipped, tabs and repeated spaces both separate
-    fields. Errors carry the 1-based line number of the offending line.
+    fields. Every line must hold seven fields: finite coordinates and
+    intensity, and r g b integers in 0..255; only the coordinates are
+    kept. Errors carry the 1-based line number of the offending line.
     """
-    data = frozen(np.concatenate([np.empty((0, 7))] + [
+    return frozen(np.concatenate([np.empty((0, 3))] + [
         _points_block(lineno, block) for lineno, block in iter_blocks(points_stream)]))
-    return LabeledCloud(data[:, :3], data[:, 3], frozen(data[:, 4:].astype(np.uint8)))
 
 
-def write_idood_map(cloud: LabeledCloud, flags: np.ndarray, sink) -> None:
+def write_idood_map(cloud: np.ndarray, flags: np.ndarray, sink) -> None:
     """Write ``x y z r g b`` lines colorized by the per-point ID/OOD flags.
 
-    Flag 0 (ID) points come out green (0, 255, 0) and flag 1 (OOD) points
-    red (255, 0, 0), as :func:`~pcood.evaluation.apply_threshold` sets
-    them; coordinates are printed with six decimal places.
+    `cloud` is the (N, 3) xyz array of :func:`parse_semantic3d`. Flag 0
+    (ID) points come out green (0, 255, 0) and flag 1 (OOD) points red
+    (255, 0, 0), as :func:`~pcood.evaluation.apply_threshold` sets them;
+    coordinates are printed with six decimal places.
     """
     if len(flags) != len(cloud):
         raise StructuralError(
@@ -176,6 +153,6 @@ def write_idood_map(cloud: LabeledCloud, flags: np.ndarray, sink) -> None:
     colors = ("%d %d %d" % ID_COLOR, "%d %d %d" % OOD_COLOR)
     for start in range(0, len(cloud), _WRITE_ROWS):
         stop = start + _WRITE_ROWS
-        rows = zip(cloud.xyz[start:stop].tolist(), flags[start:stop].tolist())
+        rows = zip(cloud[start:stop].tolist(), flags[start:stop].tolist())
         write_text(sink, "".join(["%.6f %.6f %.6f %s\n" % (x, y, z, colors[flag])
                                   for (x, y, z), flag in rows]))

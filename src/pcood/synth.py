@@ -112,12 +112,6 @@ def sample_scores_chunk(spec: GaussianPairSpec, population: str,
     return mu + sigma * _standard_normals(spec.seed, stream, start, stop - start)
 
 
-def sample_scores(spec: GaussianPairSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the full (id_scores, ood_scores) pair for a spec."""
-    return (sample_scores_chunk(spec, "id", 0, spec.n_id),
-            sample_scores_chunk(spec, "ood", 0, spec.n_ood))
-
-
 def _check_tensor_args(n_points, n_classes, n_members, separability, seed):
     if n_points < 0:
         raise ValidationError(f"n_points must be >= 0, got {n_points}")

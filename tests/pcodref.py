@@ -1,4 +1,5 @@
-"""PCOD tensors for the tests, and the reference member mean and check.
+"""PCOD tensors for the tests, the reference member mean and check, and
+the readers of what the tests draw and report.
 
 Tensors are written with pcood's writer (``write_header`` and
 ``write_member``) and read back with ``TensorStream``. The decoder, the
@@ -12,8 +13,8 @@ import struct
 
 import numpy as np
 
-from pcood import (TensorKind, TensorStream, synth_member, write_header,
-                   write_member)
+from pcood import (TensorKind, TensorStream, sample_scores_chunk, synth_member,
+                   write_header, write_member)
 from pcood.predictive import PROB_ROW_SUM_TOL
 
 HEADER = struct.Struct("<4sHBBQHH")
@@ -87,3 +88,23 @@ def reference_check(rows, member):
         return "probability entries must lie in [0, 1]"
     return (f"member {member} point {i}: probability row sums to "
             f"{float(sums[i])!r}")
+
+
+def sample_pair(spec):
+    """The full (ID, OOD) score draws of a GaussianPairSpec, as ``synth scores``
+    writes them."""
+    return (sample_scores_chunk(spec, "id", 0, spec.n_id),
+            sample_scores_chunk(spec, "ood", 0, spec.n_ood))
+
+
+def read_report(source) -> dict:
+    """The ``key=value`` lines of a binary metrics report, as an ordered dict
+    of strings; blank lines are skipped, and any other line must hold ``=``."""
+    entries = {}
+    for lineno, line in enumerate(source.read().decode("utf-8").split("\n"), 1):
+        text = line.strip()
+        if text:
+            key, sep, value = text.partition("=")
+            assert sep, f"line {lineno}: expected key=value, got {text!r}"
+            entries[key] = value
+    return entries

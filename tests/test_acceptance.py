@@ -25,13 +25,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pcodref import pcod_bytes, stream_means, synth_pair
+from pcodref import (pcod_bytes, read_report, sample_pair, stream_means,
+                     synth_pair)
 from pcood import (GaussianPairSpec, ScoreKind, analytic_auroc,
                    confusion_accumulate, confusion_new, exact_auroc,
                    hist_accumulate, hist_auroc, hist_merge, hist_new,
-                   hist_new_range, optimal_threshold, read_metrics_report,
-                   roc_curve, sample_scores, score_distribution, seg_metrics,
-                   write_metrics_report)
+                   hist_new_range, optimal_threshold, roc_curve,
+                   score_distribution, seg_metrics, write_metrics_report)
 from pcood.cli import main as cli_main
 
 GAUSS_N = 10 ** 6
@@ -81,8 +81,8 @@ def test_exact_auroc_equals_bruteforce_pairwise_oracle():
 def test_gaussian_pipeline_auroc_matches_analytic_value():
     """10^6 points per side: unit shift within 0.76025 +- 0.002, null at 0.5."""
     t0 = time.perf_counter()
-    shifted = exact_auroc(*sample_scores(_gauss_spec(1.0)))
-    null = exact_auroc(*sample_scores(_gauss_spec(0.0)))
+    shifted = exact_auroc(*sample_pair(_gauss_spec(1.0)))
+    null = exact_auroc(*sample_pair(_gauss_spec(0.0)))
     elapsed = time.perf_counter() - t0
     assert abs(shifted - 0.76025) <= 0.002
     assert abs(null - 0.5) <= 0.002
@@ -94,7 +94,7 @@ def test_gaussian_pipeline_auroc_matches_analytic_value():
 
 def test_streaming_histogram_matches_exact_and_merges_bit_identically():
     """4096-bin AUROC within 5e-3 of exact; 16-shard merge is lossless."""
-    ids, oods = sample_scores(_gauss_spec(1.0))
+    ids, oods = sample_pair(_gauss_spec(1.0))
     exact = exact_auroc(ids, oods)
     lo = float(min(ids.min(), oods.min()))
     hi = float(max(ids.max(), oods.max()))
@@ -402,7 +402,7 @@ def test_report_values_parse_back_bit_exactly(tmp_path):
     with open(path, "wb") as f:
         write_metrics_report(entries, f)
     with open(path, "rb") as f:
-        back = read_metrics_report(f)
+        back = read_report(f)
     for key, value in entries:
         if isinstance(value, float):
             assert float(back[key]) == value, key

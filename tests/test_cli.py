@@ -26,10 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcood
-from pcodref import HEADER, members, pcod_bytes, reference_mean, synth_pair
+from pcodref import (HEADER, members, pcod_bytes, read_report, reference_mean,
+                     synth_pair)
 from pcood import (ScoreKind, TensorKind, TensorStream, ValidationError,
-                   apply_threshold, argmax_labels, exact_auroc,
-                   read_metrics_report, read_roc_csv, read_scores_csv,
+                   apply_threshold, argmax_labels, exact_auroc, hist_accumulate,
+                   hist_auroc, hist_new, read_roc_csv, read_scores_csv,
                    score_distribution, write_member)
 from pcood import cli
 from pcood.cli import main
@@ -41,7 +42,7 @@ def run(*argv) -> int:
 
 def _read_report(path):
     with open(path, "rb") as f:
-        return read_metrics_report(f)
+        return read_report(f)
 
 
 def _write_points_file(path, n, seed=0):
@@ -591,6 +592,43 @@ class TestRocCommand:
                        "--out", out, "--workers", workers) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestUnequalPointCounts:
+    """An ID and an OOD tensor of different N, each more than one tile long:
+    each stream's scores must be tiled over its own points."""
+
+    @pytest.mark.parametrize("n_id, n_ood", [(5000, 9000), (9000, 5000)])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_auroc_and_roc_match_the_reference(self, tmp_path, n_id, n_ood,
+                                               workers):
+        assert min(n_id, n_ood) > cli._TILE_ROWS
+        id_blob = synth_pair(n_id, 4, 2, 1.0, 31)[0]
+        ood_blob = synth_pair(n_ood, 4, 2, 1.0, 32)[1]
+        id_path, ood_path = tmp_path / "id.pcod", tmp_path / "ood.pcod"
+        id_path.write_bytes(id_blob)
+        ood_path.write_bytes(ood_blob)
+        kind = ScoreKind.ENTROPY
+        ids, oods = (score_distribution(reference_mean(blob, 2), kind)
+                     for blob in (id_blob, ood_blob))
+        hist = hist_new(kind, 4, 256)
+        hist_accumulate(hist, ids, "id")
+        hist_accumulate(hist, oods, "ood")
+        want = {"exact": exact_auroc(ids, oods), "hist": hist_auroc(hist)}
+        pair = ["--id", id_path, "--ood", ood_path, "--kind", "entropy",
+                "--bins", 256, "--workers", workers]
+        for mode in ("exact", "hist"):
+            out = tmp_path / f"{mode}.txt"
+            assert run("auroc", *pair, "--mode", mode, "--out", out) == 0
+            report = _read_report(out)
+            assert (report["n_id"], report["n_ood"]) == (str(n_id), str(n_ood))
+            assert float(report["auroc_k2"]) == want[mode]
+        out = tmp_path / "roc.csv"
+        assert run("roc", *pair, "--out", out) == 0
+        with open(out, "rb") as f:
+            curve, metadata = read_roc_csv(f)
+        assert (metadata["n_id"], metadata["n_ood"]) == (str(n_id), str(n_ood))
+        assert curve.auroc == want["hist"]
 
 
 class TestIouCommand:

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from pcood import (LabeledCloud, ParseError, StructuralError, ValidationError,
+from pcood import (ParseError, StructuralError, ValidationError,
                    apply_threshold, parse_semantic3d, read_labels,
                    write_idood_map)
 
@@ -20,24 +20,17 @@ def _parse_labeled(points, labels, class_count=8):
     return cloud, read_labels(io.BytesIO(labels.encode()), len(cloud), class_count)
 
 
-def _random_cloud(rng, n):
-    xyz = rng.normal(scale=50.0, size=(n, 3))
-    intensity = rng.uniform(0, 2048, size=n)
-    rgb = rng.integers(0, 256, size=(n, 3))
-    return LabeledCloud(xyz, intensity, rgb)
-
-
 class TestParse:
     def test_single_line_with_label(self):
         cloud, labels = _parse_labeled("1.0 2.0 3.0 100 255 0 0\n", "5\n")
         assert len(cloud) == 1
-        assert cloud.xyz.tolist() == [[1.0, 2.0, 3.0]]
-        assert cloud.intensity.tolist() == [100.0]
-        assert cloud.rgb.tolist() == [[255, 0, 0]]
+        assert cloud.tolist() == [[1.0, 2.0, 3.0]]
         assert labels[0] == 5
 
     def test_empty_stream(self):
-        assert len(_parse("")) == 0
+        cloud = _parse("")
+        assert (cloud.dtype, cloud.shape) == (np.float64, (0, 3))
+        assert not cloud.flags.writeable
 
     def test_blank_lines_and_tabs_tolerated(self):
         text = "1\t2\t3\t4\t5\t6\t7\n\n   \n-1 -2 -3 0 0 0 0\n\n"
@@ -101,10 +94,8 @@ class TestTypes:
     def test_cloud_shape_checks(self):
         cloud, labels = _parse_labeled("0 0 0 0 0 0 0\n1 1 1 1 1 1 1\n2 2 2 2 2 2 2\n",
                                        "1\n0\n2\n")
-        columns = (cloud.xyz, cloud.intensity, cloud.rgb, labels)
-        assert [(a.dtype, a.shape) for a in columns] == [
-            (np.float64, (3, 3)), (np.float64, (3,)), (np.uint8, (3, 3)),
-            (np.int64, (3,))]
+        assert [(a.dtype, a.shape) for a in (cloud, labels)] == [
+            (np.float64, (3, 3)), (np.int64, (3,))]
         with pytest.raises(StructuralError) as exc:
             read_labels(io.BytesIO(b"1\n2\n"), 3, 8)
         assert str(exc.value) == "3 points but 2 labels"
@@ -124,7 +115,7 @@ class TestTypes:
 
     def test_cloud_is_frozen(self):
         cloud, labels = _parse_labeled("1 2 3 4 5 6 7\n8 9 10 11 12 13 14\n", "1\n2\n")
-        for column in (cloud.xyz, cloud.intensity, cloud.rgb, labels):
+        for column in (cloud, labels):
             with pytest.raises(ValueError):
                 column[0] = 1
 
@@ -158,7 +149,7 @@ class TestIdOodMap:
         rng = np.random.default_rng(11)
         for _ in range(5):
             n = int(rng.integers(1, 40))
-            cloud = _random_cloud(rng, n)
+            cloud = rng.normal(scale=50.0, size=(n, 3))
             flags = rng.integers(0, 2, size=n).astype(np.uint8)
             sink = io.BytesIO()
             write_idood_map(cloud, flags, sink)
@@ -169,16 +160,16 @@ class TestIdOodMap:
 
     def test_coordinates_round_trip_to_printed_precision(self):
         rng = np.random.default_rng(12)
-        cloud = _random_cloud(rng, 64)
+        cloud = rng.normal(scale=50.0, size=(64, 3))
         sink = io.BytesIO()
         write_idood_map(cloud, np.zeros(64, dtype=np.uint8), sink)
         parsed = np.array([[float(f) for f in line.split()[:3]]
                            for line in sink.getvalue().decode().splitlines()])
         # 6 printed decimals bound the absolute error by 5e-7.
-        np.testing.assert_allclose(parsed, cloud.xyz, rtol=0, atol=5.1e-7)
+        np.testing.assert_allclose(parsed, cloud, rtol=0, atol=5.1e-7)
 
     def test_empty_cloud_writes_nothing(self):
-        empty = LabeledCloud(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 3)))
+        empty = np.zeros((0, 3))
         sink = io.BytesIO()
         write_idood_map(empty, np.zeros(0, dtype=np.uint8), sink)
         assert sink.getvalue() == b""

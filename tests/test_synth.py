@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from pcodref import members, stream_means, synth_pair
+from pcodref import members, sample_pair, stream_means, synth_pair
 from pcood import (GaussianPairSpec, ScoreKind, ValidationError,
-                   analytic_auroc, exact_auroc, sample_scores,
-                   sample_scores_chunk, score_distribution, synth_member,
-                   synth_true_classes)
+                   analytic_auroc, exact_auroc, sample_scores_chunk,
+                   score_distribution, synth_member, synth_true_classes)
 from pcood.synth import _check_tensor_args
 
 
@@ -86,8 +85,8 @@ class TestAnalyticAuroc:
 
 class TestSampling:
     def test_deterministic(self):
-        a_id, a_ood = sample_scores(_spec())
-        b_id, b_ood = sample_scores(_spec())
+        a_id, a_ood = sample_pair(_spec())
+        b_id, b_ood = sample_pair(_spec())
         np.testing.assert_array_equal(a_id, b_id)
         np.testing.assert_array_equal(a_ood, b_ood)
 
@@ -106,9 +105,9 @@ class TestSampling:
                                       full[13:42])
 
     def test_populations_and_seeds_are_independent(self):
-        id_scores, ood_scores = sample_scores(_spec(mu_ood=0.0))
+        id_scores, ood_scores = sample_pair(_spec(mu_ood=0.0))
         assert not np.array_equal(id_scores, ood_scores)
-        other_id, _ = sample_scores(_spec(seed=12))
+        other_id, _ = sample_pair(_spec(seed=12))
         assert not np.array_equal(id_scores, other_id)
 
     def test_moments_match_spec(self):
@@ -121,7 +120,7 @@ class TestSampling:
     def test_empirical_auroc_converges_to_analytic(self):
         for n in (1000, 20000):
             spec = _spec(n_id=n, n_ood=n, seed=1234)
-            ids, oods = sample_scores(spec)
+            ids, oods = sample_pair(spec)
             target = analytic_auroc(spec)
             se = hanley_mcneil_se(target, n, n)
             assert abs(exact_auroc(ids, oods) - target) <= 5 * se

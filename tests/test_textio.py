@@ -22,8 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pcood import (SEMANTIC3D_CLASS_COUNT, LabeledCloud, ParseError,
-                   ValidationError, parse_semantic3d, read_labels,
+from pcood import (ParseError, ValidationError, parse_semantic3d, read_labels,
                    read_scores_csv, write_idood_map, write_scores_csv)
 from pcood import _io, pointcloud, scores
 
@@ -56,10 +55,7 @@ def _outcome(fn):
         # Labels beyond int64 are a ParseError naming the line on either
         # path: numpy rejects the block, and the line parser range-checks.
         return type(exc).__name__, str(exc)
-    arrays = []
-    for part in result if isinstance(result, tuple) else (result,):
-        arrays += ([part.xyz, part.intensity, part.rgb]
-                   if isinstance(part, LabeledCloud) else [part])
+    arrays = result if isinstance(result, tuple) else (result,)
     return tuple((a.dtype.str, a.shape, _bits(a).tobytes()) for a in arrays)
 
 
@@ -80,7 +76,7 @@ def _points(data):
 def _cloud_and_labels(points, labels):
     """A parsed cloud and the labels read for it, from two streams."""
     cloud = parse_semantic3d(points)
-    return cloud, read_labels(labels, len(cloud), SEMANTIC3D_CLASS_COUNT)
+    return cloud, read_labels(labels, len(cloud), 8)
 
 
 def _points_and_labels(points):
@@ -265,7 +261,7 @@ class TestBlocks:
         x = "1." + "0" * 100
         with _blocks_of(8):
             cloud = _points(f"{x} 2 3 4 5 6 7\n8 9 10 11 12 13 14".encode())
-        assert cloud.xyz.tolist() == [[1.0, 2.0, 3.0], [8.0, 9.0, 10.0]]
+        assert cloud.tolist() == [[1.0, 2.0, 3.0], [8.0, 9.0, 10.0]]
 
     def test_iter_blocks_cuts_at_newlines(self):
         with _blocks_of(5):
@@ -331,10 +327,25 @@ class TestHostileText:
                 assert str(exc.value) == \
                     f"labels line 3: label '{value}' outside int64"
 
+    @pytest.mark.parametrize("row, message", [
+        (b"0 0 0 nan 0 0 0", "points line 2: non-finite coordinate or intensity"),
+        (b"0 0 0 -1e400 0 0 0", "points line 2: non-finite coordinate or intensity"),
+        (b"0 0 0 0 256 0 0", "points line 2: color r=256 outside 0..255"),
+        (b"0 0 0 0 0 0 -1", "points line 2: color b=-1 outside 0..255"),
+    ])
+    def test_unkept_columns_are_still_checked(self, row, message):
+        # numpy decodes each of these rows; its block check must send the
+        # block to the line parser, which names the line.
+        data = b"1 2 3 4 5 6 7\n" + row + b"\n"
+        assert _io.load_block(data, pointcloud._POINT_DTYPE) is not None
+        for parser in (_blocks_of(1 << 22), _line_parser_only()):
+            with parser, pytest.raises(ParseError) as exc:
+                _points(data)
+            assert str(exc.value) == message
+
     def test_python_only_syntax_still_accepted(self):
         cloud = _points("1_0 ２ 3 4\xa05 6\r7\n".encode())
-        assert cloud.xyz.tolist() == [[10.0, 2.0, 3.0]]
-        assert cloud.rgb.tolist() == [[5, 6, 7]]
+        assert cloud.tolist() == [[10.0, 2.0, 3.0]]
         assert _scores(b"index,score\n0 , 1_5\n").tolist() == [15.0]
 
 
@@ -353,10 +364,9 @@ class TestWriters:
         xyz = rng.normal(scale=100.0, size=(n, 3))
         xyz[:n // 2] *= 1e-9
         flags = rng.integers(0, 2, size=n)
-        cloud = LabeledCloud(xyz, np.zeros(n), np.zeros((n, 3)))
         with mock.patch.object(pointcloud, "_WRITE_ROWS", 3):
             sink = io.BytesIO()
-            write_idood_map(cloud, flags, sink)
+            write_idood_map(xyz, flags, sink)
         assert sink.getvalue() == self._reference_map(xyz, flags)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 50])
