@@ -72,6 +72,8 @@ def _check_args(args: argparse.Namespace) -> None:
     if k is not None and k < 1:
         raise ValidationError(f"--k must be >= 1, got {k}")
     k_list = getattr(args, "k_list", None)
+    if k is not None and k_list is not None:
+        raise ValidationError("--k and --k-list exclude each other")
     if k_list is not None and any(k < 1 for k in k_list):
         raise ValidationError(f"--k-list entries must be >= 1, got {k_list}")
     bins = getattr(args, "bins", DEFAULT_BIN_COUNT)
@@ -432,6 +434,10 @@ def cmd_map(args: argparse.Namespace) -> int:
         if threshold is None:
             with open(args.roc, "rb") as f, _named(args.roc):
                 _, metadata = read_roc_csv(f)
+                if metadata.get("kind") != kind.value:
+                    raise ValidationError(
+                        f"ROC kind is {metadata.get('kind')!r}, but "
+                        f"--kind {args.kind} needs {kind.value!r}")
                 if "youden_threshold" not in metadata:
                     raise ValidationError("no youden_threshold metadata")
                 try:

@@ -2,11 +2,11 @@
 
 AUROC is the probability that a randomly chosen OOD point scores above
 a randomly chosen ID point, with ties credited 0.5 (the Mann-Whitney
-rank form). It is computed either exactly by sorting the pooled scores
-or in a streaming fashion from mergeable per-population count
-histograms; the histogram route keeps memory flat no matter how many
-points are accumulated and is bit-deterministic under any partitioning
-of the input.
+rank form). It is computed either exactly, by binary search of each
+OOD score among the sorted ID scores, or in a streaming fashion from
+mergeable per-population count histograms; the histogram route keeps
+memory flat no matter how many points are accumulated and is
+bit-deterministic under any partitioning of the input.
 
 Both histogram AUROC and the ROC curve's area are evaluated in exact
 integer arithmetic (one float division at the very end), which makes
@@ -39,13 +39,11 @@ _POPULATIONS = ("id", "ood")
 def exact_auroc(id_scores, ood_scores) -> float:
     """Tie-credited Mann-Whitney statistic P(ood > id) + 0.5 P(ood = id).
 
-    Computed from midranks via one argsort of the pooled scores: a run
-    of equal scores starting at 0-based position s with length L holds
-    ranks s+1..s+L, whose mean is s + (L + 1) / 2, and each OOD score in
-    the run takes it. Only the count of OOD scores per run enters, so the
-    order the sort leaves within a run does not matter. The rank sums are taken in integer
-    arithmetic, so the result is the exactly rounded value of the
-    underlying rational number.
+    Computed by counting: with U the tie-credited Mann-Whitney count,
+    2U is the sum over OOD scores o of (#ID < o) + (#ID <= o). With the
+    ID scores sorted, those two counts are the left and right insertion
+    points of o, found by binary search. The count is an exact integer,
+    so the result is the exactly rounded value of 2U / (2nm).
     """
     ids = np.asarray(id_scores, dtype=np.float64).ravel()
     oods = np.asarray(ood_scores, dtype=np.float64).ravel()
@@ -53,17 +51,11 @@ def exact_auroc(id_scores, ood_scores) -> float:
         raise ValidationError("both populations must be non-empty")
     if not np.isfinite(ids).all() or not np.isfinite(oods).all():
         raise ValidationError("scores must be finite")
-    n, m = ids.size, oods.size
-    pooled = np.concatenate([ids, oods])
-    order = np.argsort(pooled)
-    ranked = pooled[order]
-    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    ood_in_run = np.add.reduceat((order >= n).astype(np.int64), starts)
-    lengths = np.diff(starts, append=n + m)
-    # Twice the 1-based midrank sum of the OOD population; exact as an int.
-    double_ranks = int(np.dot(ood_in_run, 2 * starts + lengths + 1))
-    double_u = double_ranks - m * (m + 1)
-    return double_u / (2 * n * m)
+    ids, oods = np.sort(ids), np.sort(oods)
+    double_u = 0
+    for side in ("left", "right"):
+        double_u += int(np.searchsorted(ids, oods, side).sum())
+    return double_u / (2 * ids.size * oods.size)
 
 
 @dataclass
@@ -162,17 +154,6 @@ def hist_merge(a: BinnedScoreHistogram,
                                 a.counts_ood + b.counts_ood)
 
 
-def _double_rank_credit(counts_id, counts_ood) -> int:
-    # 2 * sum_b ood_b * (id_below(b) + 0.5 * id_b), kept in exact ints.
-    below = 0
-    acc = 0
-    for id_b, ood_b in zip(counts_id.tolist(), counts_ood.tolist()):
-        if ood_b:
-            acc += ood_b * (2 * below + id_b)
-        below += id_b
-    return acc
-
-
 def hist_auroc(hist: BinnedScoreHistogram) -> float:
     """Mann-Whitney over bins, crediting within-bin ties 0.5.
 
@@ -182,7 +163,14 @@ def hist_auroc(hist: BinnedScoreHistogram) -> float:
     n_id, n_ood = hist.n_id, hist.n_ood
     if n_id == 0 or n_ood == 0:
         raise ValidationError("both populations need at least one accumulated point")
-    return _double_rank_credit(hist.counts_id, hist.counts_ood) / (2 * n_id * n_ood)
+    # 2 * sum_b ood_b * (id_below(b) + 0.5 * id_b), kept in exact ints.
+    below = 0
+    double_u = 0
+    for id_b, ood_b in zip(hist.counts_id.tolist(), hist.counts_ood.tolist()):
+        if ood_b:
+            double_u += ood_b * (2 * below + id_b)
+        below += id_b
+    return double_u / (2 * n_id * n_ood)
 
 
 @dataclass
@@ -230,9 +218,8 @@ class RocCurve:
 
 def roc_curve(hist: BinnedScoreHistogram) -> RocCurve:
     """Build the ROC curve of a histogram; its area is the tie-credited AUROC."""
+    auroc = hist_auroc(hist)
     n_id, n_ood = hist.n_id, hist.n_ood
-    if n_id == 0 or n_ood == 0:
-        raise ValidationError("both populations need at least one accumulated point")
     b = hist.bin_count
     width = (hist.domain_hi - hist.domain_lo) / b
     thresholds = hist.domain_lo + width * np.arange(b - 1, -1, -1, dtype=np.float64)
@@ -240,7 +227,6 @@ def roc_curve(hist: BinnedScoreHistogram) -> RocCurve:
     tail_ood = np.cumsum(hist.counts_ood[::-1])
     fpr = np.concatenate(([0.0], tail_id / n_id))
     tpr = np.concatenate(([0.0], tail_ood / n_ood))
-    auroc = _double_rank_credit(hist.counts_id, hist.counts_ood) / (2 * n_id * n_ood)
     return RocCurve(thresholds, fpr, tpr, auroc)
 
 

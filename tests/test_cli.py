@@ -148,6 +148,16 @@ class TestExitCodes:
         assert run(*args) == 1
         assert run(*args, "--threshold", "0.5", "--roc", tmp_path / "r.csv") == 1
 
+    def test_k_and_k_list_exclude_each_other(self, tmp_path, tensor_pair,
+                                             capsys):
+        id_path, ood_path, _, _ = tensor_pair
+        out = tmp_path / "r.txt"
+        assert run("auroc", "--id", id_path, "--ood", ood_path, "--k", "3",
+                   "--k-list", "1,2", "--out", out) == 1
+        assert capsys.readouterr().err == \
+            "error: --k and --k-list exclude each other\n"
+        assert not out.exists()
+
     def test_empty_population_is_validation_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("index,score\n")
@@ -804,6 +814,41 @@ class TestMapCommand:
         assert capsys.readouterr().err == \
             f"error: {roc}: bad youden_threshold metadata: 'abc'\n"
         assert not out.exists()
+
+    def test_roc_of_another_kind_is_rejected(self, tmp_path, tensor_pair,
+                                             capsys):
+        id_path, ood_path, _, _ = tensor_pair
+        roc = tmp_path / "roc.csv"
+        assert run("roc", "--id", id_path, "--ood", ood_path, "--out", roc,
+                   "--kind", "entropy") == 0
+        points = tmp_path / "points.txt"
+        _write_points_file(points, 80)
+        out = tmp_path / "map.txt"
+        capsys.readouterr()
+        assert run("map", "--points", points, "--pred", id_path, "--roc", roc,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {roc}: ROC kind is 'entropy', but --kind msp needs "
+            f"'msp_complement'\n")
+        assert not out.exists()
+        assert run("map", "--points", points, "--pred", id_path, "--roc", roc,
+                   "--kind", "entropy", "--out", out) == 0
+
+    def test_roc_without_kind_is_rejected(self, tmp_path, tensor_pair, capsys):
+        id_path, ood_path, _, _ = tensor_pair
+        roc = tmp_path / "roc.csv"
+        assert run("roc", "--id", id_path, "--ood", ood_path, "--out", roc) == 0
+        roc.write_text("".join(
+            line for line in roc.read_text().splitlines(keepends=True)
+            if not line.startswith("# kind=")))
+        points = tmp_path / "points.txt"
+        _write_points_file(points, 80)
+        capsys.readouterr()
+        assert run("map", "--points", points, "--pred", id_path, "--roc", roc,
+                   "--out", tmp_path / "map.txt") == 1
+        assert capsys.readouterr().err == (
+            f"error: {roc}: ROC kind is None, but --kind msp needs "
+            f"'msp_complement'\n")
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
         id_path, _, _, _ = tensor_pair

@@ -8,6 +8,7 @@ AUROC, exhaustive threshold grid search, and per-class set counting.
 import functools
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -121,8 +122,12 @@ class TestExactAuroc:
             b = rng.integers(0, 10, size=30) / 4.0
             assert abs(exact_auroc(a, b) + exact_auroc(b, a) - 1.0) <= 1e-12
 
-    # Integer scores from a narrow range, so most pairs tie.
-    _TIE_HEAVY = st.lists(st.integers(-3, 3), min_size=1, max_size=40)
+    # Integer scores from a narrow range, so most pairs tie, plus signed
+    # zeros (which compare equal), the smallest subnormal and the extremes.
+    _TIE_HEAVY = st.lists(
+        st.one_of(st.integers(-3, 3).map(float),
+                  st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308])),
+        min_size=1, max_size=40)
 
     @settings(max_examples=300, deadline=None)
     @given(_TIE_HEAVY, _TIE_HEAVY)
@@ -146,6 +151,22 @@ class TestExactAuroc:
         base = exact_auroc(ids, oods)
         assert exact_auroc(np.exp(ids), np.exp(oods)) == base
         assert exact_auroc(3.0 * ids - 10.0, 3.0 * oods - 10.0) == base
+
+    def test_peak_memory_per_pooled_point(self):
+        # Two sorted copies and one insertion-point array take 12 B per
+        # pooled point for equal populations; the bound leaves no room for
+        # a pooled argsort pass (about 56 B).
+        rng = np.random.default_rng(34)
+        ids = rng.normal(size=200_000)
+        oods = rng.normal(0.5, 1.0, size=200_000)
+        exact_auroc(ids[:10], oods[:10])  # first-call allocations
+        tracemalloc.start()
+        try:
+            exact_auroc(ids, oods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (ids.size + oods.size)
 
     def test_bad_inputs(self):
         with pytest.raises(ValidationError):
