@@ -22,6 +22,21 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def stacked(parts, out: np.ndarray) -> np.ndarray:
+    """Append each array of `parts` to the empty array `out` along axis 0.
+
+    `out` grows in place as each part arrives, so the rows are never held
+    twice, as a list of parts and as their concatenation. Returns `out`.
+    """
+    for part in parts:
+        n = len(out)
+        out.resize((n + len(part), *out.shape[1:]), refcheck=False)
+        out[n:] = part
+        # Drop it before the next part is decoded.
+        del part
+    return out
+
+
 def numbered_lines(stream, where: str = "line", start: int = 1):
     """Yield ``(line number, line)`` from a text or binary stream.
 
@@ -90,12 +105,12 @@ def load_block(block, dtype: np.dtype, delimiter: str | None = None):
         return None
 
 
-def write_text(sink, text: str) -> None:
-    """Write a string to either a text or a binary sink."""
+def write_text(sink, text: str | bytes) -> None:
+    """Write a string, or ASCII bytes, to either a text or a binary sink."""
     try:
         sink.write(text)
     except TypeError:
-        sink.write(text.encode("utf-8"))
+        sink.write(text.encode("utf-8") if isinstance(text, str) else text.decode("ascii"))
 
 
 @contextlib.contextmanager

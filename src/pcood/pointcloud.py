@@ -11,12 +11,13 @@ arrays, so they can be shared across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from ._io import (block_lines, frozen, iter_blocks, load_block, numbered_lines,
-                  write_text)
+                  stacked, write_text)
 from .errors import ParseError, StructuralError, ValidationError
 
 # Colors for the rendered ID/OOD map.
@@ -30,8 +31,9 @@ _POINT_DTYPE = np.dtype([(name, np.float64) for name in ("x", "y", "z", "intensi
 _LABEL_DTYPE = np.dtype([("label", np.int64)])
 _INT64 = np.iinfo(np.int64)
 
-# Points formatted per write in write_idood_map.
-_WRITE_ROWS = 1 << 16
+# Points formatted per write in write_idood_map: about 0.5 MiB of
+# temporaries per chunk, and faster than longer chunks.
+_WRITE_ROWS = 1 << 12
 
 
 def _point_rows(numbered) -> list:
@@ -114,9 +116,9 @@ def read_labels(stream, n_points: int, class_count: int) -> np.ndarray:
     line, or the index of the first label out of range. Returns a
     read-only array.
     """
-    labels = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        np.asarray(_labels_block(lineno, block), dtype=np.int64)
-        for lineno, block in iter_blocks(stream)])
+    blocks = iter_blocks(stream)
+    labels = stacked((_labels_block(lineno, block) for lineno, block in blocks),
+                     np.empty(0, dtype=np.int64))
     if labels.shape[0] != n_points:
         raise StructuralError(f"{n_points} points but {labels.shape[0]} labels")
     bad = np.flatnonzero((labels < 0) | (labels > class_count))
@@ -134,8 +136,85 @@ def parse_semantic3d(points_stream) -> np.ndarray:
     intensity, and r g b integers in 0..255; only the coordinates are
     kept. Errors carry the 1-based line number of the offending line.
     """
-    return frozen(np.concatenate([np.empty((0, 3))] + [
-        _points_block(lineno, block) for lineno, block in iter_blocks(points_stream)]))
+    blocks = iter_blocks(points_stream)
+    return frozen(stacked((_points_block(lineno, block) for lineno, block in blocks),
+                          np.empty((0, 3))))
+
+
+@functools.cache
+def _digit_words():
+    """The word tables of _map_chunk: each entry is up to 4 ASCII bytes,
+    NUL-padded into one uint32, so a row is a fixed number of words.
+
+    Returns (sign, groups, fraction, colors):
+    - sign[g + 5 * s]: "-" if s, then the digit g of 1..4 (none for 0);
+    - groups[k], groups[1000 + k], groups[2000 + k]: the 3-digit group k
+      zero-padded, without leading zeros, and without leading zeros but
+      "0" for k == 0;
+    - fraction[k], fraction[1000 + k]: ".ddd" and "ddd " for k;
+    - colors[flag]: the ID or OOD colour and the newline, in 3 words.
+    """
+    k = np.arange(1000)
+    digits = np.stack([k // 100, k // 10 % 10, k % 10], axis=1).astype(np.uint8) + ord("0")
+    nul = np.zeros((1000, 1), dtype=np.uint8)
+    padded = np.hstack([digits, nul])
+    lead = padded.copy()
+    lead[:, 0][k < 100] = 0
+    lead[:, 1][k < 10] = 0
+    lead0 = lead.copy()
+    lead[0, 2] = 0
+    fraction = np.vstack([np.hstack([np.full_like(nul, ord(".")), digits]),
+                          np.hstack([digits, np.full_like(nul, ord(" "))])])
+    g = np.arange(10) % 5
+    sign = np.zeros((10, 4), dtype=np.uint8)
+    sign[5:, 0] = ord("-")
+    sign[:, 1] = np.where(g > 0, g + ord("0"), 0)
+    colors = b"".join(("%d %d %d\n" % c).encode().ljust(12, b"\0")
+                      for c in (ID_COLOR, OOD_COLOR))
+    return (*(frozen(t.view(np.uint32)[:, 0])
+              for t in (sign, np.vstack([padded, lead, lead0]), fraction)),
+            np.frombuffer(colors, dtype=np.uint32).reshape(2, 3))
+
+
+def _map_chunk(xyz: np.ndarray, flags: np.ndarray) -> bytes | None:
+    """The map lines of float64 (n, 3) `xyz` and 0/1 `flags` as ASCII bytes,
+    equal to "%.6f" per coordinate; None where a value is outside the
+    domain this kernel spells exactly.
+
+    "%.6f" prints the exact binary value v rounded to an integer count of
+    1e-6, half to even. y = v * 1e6 is the double nearest the exact
+    product. Below 2**52 every half-integer is a double, so no half-integer
+    lies strictly between the exact product and y; if y is not itself a
+    half-integer, rint(|y|) is the correctly rounded count. Exact ties
+    (1/128), |v| >= 2**52 / 1e6 and NaN or inf fall outside.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.abs(xyz * 1e6)
+        count = np.rint(y)
+        if not ((y < 2.0 ** 52).all() and (np.abs(y - count) != 0.5).all()):
+            return None
+    sign, groups, fraction, colors = _digit_words()
+    count = count.astype(np.int64)
+    whole = count // 1_000_000
+    frac = count - whole * 1_000_000
+    billions = whole // 1_000_000_000
+    rest = whole - billions * 1_000_000_000
+    millions = rest // 1_000_000
+    rest -= millions * 1_000_000
+    thousands = rest // 1000
+    units = rest - thousands * 1000
+    frac_hi = frac // 1000
+    n = len(xyz)
+    words = np.empty((n, 21), dtype=np.uint32)
+    coords = words[:, :18].reshape(n, 3, 6)
+    coords[..., 0] = sign[billions + 5 * np.signbit(xyz)]
+    coords[..., 1] = groups[millions + 1000 * (whole < 1_000_000_000)]
+    coords[..., 2] = groups[thousands + 1000 * (whole < 1_000_000)]
+    coords[..., 3] = groups[units + 2000 * (whole < 1000)]
+    coords[..., 4] = fraction[frac_hi]
+    coords[..., 5] = fraction[1000 + frac - frac_hi * 1000]
+    words[:, 18:] = colors[flags]
+    return words.tobytes().translate(None, b"\0")
 
 
 def write_idood_map(cloud: np.ndarray, flags: np.ndarray, sink) -> None:
@@ -144,15 +223,26 @@ def write_idood_map(cloud: np.ndarray, flags: np.ndarray, sink) -> None:
     `cloud` is the (N, 3) xyz array of :func:`parse_semantic3d`. Flag 0
     (ID) points come out green (0, 255, 0) and flag 1 (OOD) points red
     (255, 0, 0), as :func:`~pcood.evaluation.apply_threshold` sets them;
-    coordinates are printed with six decimal places.
+    any other flag raises ``ValidationError`` before a byte is written.
+    Coordinates are printed as ``"%.6f"`` prints them.
     """
     if len(flags) != len(cloud):
         raise StructuralError(
             f"mask length {len(flags)} does not match cloud length {len(cloud)}"
         )
+    flags = np.asarray(flags)
+    bad = np.flatnonzero((flags != 0) & (flags != 1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"flag {flags[i]} at index {i} is not 0 or 1")
+    flags = flags.astype(np.uint8, copy=False)
     colors = ("%d %d %d" % ID_COLOR, "%d %d %d" % OOD_COLOR)
     for start in range(0, len(cloud), _WRITE_ROWS):
         stop = start + _WRITE_ROWS
-        rows = zip(cloud[start:stop].tolist(), flags[start:stop].tolist())
-        write_text(sink, "".join(["%.6f %.6f %.6f %s\n" % (x, y, z, colors[flag])
-                                  for (x, y, z), flag in rows]))
+        xyz = np.asarray(cloud[start:stop], dtype=np.float64)
+        chunk = _map_chunk(xyz, flags[start:stop])
+        if chunk is None:
+            rows = zip(xyz.tolist(), flags[start:stop].tolist())
+            chunk = "".join(["%.6f %.6f %.6f %s\n" % (x, y, z, colors[flag])
+                             for (x, y, z), flag in rows])
+        write_text(sink, chunk)

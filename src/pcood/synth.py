@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import ValidationError
 from .predictive import _softmax_rows
@@ -48,6 +47,9 @@ def _check_seed(seed: int) -> int:
 
 def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     """Uniform [0, 1) draws at absolute indices [start, start + count)."""
+    # Imported here: numpy.random costs every other command about 10 ms.
+    from numpy.random import Generator, Philox
+
     bitgen = Philox(key=np.array([seed, stream], dtype=np.uint64))
     bitgen.advance(start // _BLOCK)
     gen = Generator(bitgen)

@@ -145,6 +145,24 @@ class TestIdOodMap:
             write_idood_map(cloud, np.array([0, 1], dtype=np.uint8), io.BytesIO())
         assert str(exc.value) == "mask length 2 does not match cloud length 1"
 
+    @pytest.mark.parametrize("flags, message", [
+        (np.array([0, 1, -1, 2]), "flag -1 at index 2 is not 0 or 1"),
+        (np.array([1, 2, 0, 0]), "flag 2 at index 1 is not 0 or 1"),
+        (np.array([0, 0, 0, 256]), "flag 256 at index 3 is not 0 or 1"),
+    ])
+    def test_flag_outside_0_1_rejected_before_writing(self, flags, message):
+        sink = io.BytesIO()
+        with pytest.raises(ValidationError) as exc:
+            write_idood_map(np.zeros((4, 3)), flags, sink)
+        assert str(exc.value) == message
+        assert sink.getvalue() == b""
+
+    def test_bool_flags_accepted(self):
+        sink = io.BytesIO()
+        write_idood_map(np.zeros((2, 3)), np.array([True, False]), sink)
+        assert sink.getvalue() == b"0.000000 0.000000 0.000000 255 0 0\n" \
+                                  b"0.000000 0.000000 0.000000 0 255 0\n"
+
     def test_green_count_matches_mask(self):
         rng = np.random.default_rng(11)
         for _ in range(5):

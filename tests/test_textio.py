@@ -10,9 +10,11 @@ Arrays must be bitwise equal, or the errors identical.
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -281,6 +283,27 @@ class TestBlocks:
                 assert _outcome(lambda: a) == _outcome(lambda: b)
                 assert read_scores_csv(io.StringIO(csv)).tolist() == [0.25, 10.0]
 
+    def test_parsed_arrays_are_not_held_twice(self):
+        # The readers grow one array block by block. With 64 KiB blocks,
+        # what a block holds while it is decoded is small, so the traced
+        # peak is the result plus a few blocks, not the result twice.
+        n = 200_000
+        rng = np.random.default_rng(8)
+        xyz = rng.uniform(-100, 100, size=(n, 3)).tolist()
+        points = io.BytesIO("".join("%.3f %.3f %.3f 1 2 3 4\n" % tuple(row)
+                                    for row in xyz).encode())
+        labels = io.BytesIO("".join("%d\n" % v for v in rng.integers(0, 9, n).tolist()).encode())
+        for read in (lambda: parse_semantic3d(points), lambda: read_labels(labels, n, 8)):
+            with _blocks_of(1 << 16):
+                tracemalloc.start()
+                try:
+                    result = read()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert len(result) == n
+            assert peak < result.nbytes + 16 * (1 << 16)
+
     @pytest.mark.parametrize("data", [b"", b"\n", b" \n\t\n", b"\x1c\n\r\n", b"\x0c"])
     def test_blank_inputs_give_no_rows_and_no_warning(self, data):
         with warnings.catch_warnings():
@@ -349,14 +372,82 @@ class TestHostileText:
         assert _scores(b"index,score\n0 , 1_5\n").tolist() == [15.0]
 
 
+def _steps(x: float, n: int) -> float:
+    """The double n steps above x (below it for negative n)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# Coordinates where a vectorised "%.6f" could go wrong: any double (NaN,
+# inf and the huge included), signed zeros and subnormals, the exact ties
+# k/128, doubles next to (k + 0.5)e-6 whose product with 1e6 may round to a
+# half-integer, the bound 2**52 / 1e6 of the exact domain, and the carries
+# of 10**m - 5e-7 into the integer part.
+map_values = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.integers(-2 ** 30, 2 ** 30).map(lambda k: k / 128),
+    st.builds(lambda k, n: _steps((k + 0.5) * 1e-6, n),
+              st.integers(-2 ** 45, 2 ** 45), st.integers(-2, 2)),
+    st.builds(lambda n, sign: sign * _steps(2.0 ** 52 / 1e6, n),
+              st.integers(-8, 8), st.sampled_from([1, -1])),
+    st.builds(lambda m, n, sign: sign * _steps(10.0 ** m - 5e-7, n),
+              st.integers(0, 9), st.integers(-3, 3), st.sampled_from([1, -1])),
+)
+
+
 class TestWriters:
-    """The writers emit the bytes of per-row f-string formatting."""
+    """The writers emit the bytes of per-row Python formatting."""
 
     @staticmethod
     def _reference_map(xyz, flags):
-        lines = [f"{x:.6f} {y:.6f} {z:.6f} " + ("255 0 0" if f else "0 255 0")
-                 for (x, y, z), f in zip(xyz.tolist(), flags.tolist())]
-        return ("\n".join(lines) + "\n" if lines else "").encode()
+        return "".join(["%.6f %.6f %.6f %s\n" % (x, y, z, "255 0 0" if f else "0 255 0")
+                        for (x, y, z), f in zip(xyz.tolist(), flags.tolist())]).encode()
+
+    @staticmethod
+    def _maps(xyz, flags, rows):
+        """The map written to a binary and to a text sink, in chunks of rows."""
+        binary, text = io.BytesIO(), io.StringIO()
+        with mock.patch.object(pointcloud, "_WRITE_ROWS", rows):
+            write_idood_map(xyz, flags, binary)
+            write_idood_map(xyz, flags, text)
+        return binary.getvalue(), text.getvalue().encode()
+
+    @PROPERTY
+    @given(st.lists(st.tuples(map_values, map_values, map_values, st.integers(0, 1)),
+                    max_size=24),
+           st.integers(1, 5))
+    @example([(3.5e-06, 4.5e-06, 1 / 128, 0), (-0.0, -1e-9, 999999.9999995, 1)], 1)
+    @example([(4503599627.370495, -4503599627.370496, 4.5e9, 1)], 2)
+    def test_map_matches_percent_format(self, rows, chunk):
+        xyz = np.array([row[:3] for row in rows], dtype=np.float64).reshape(-1, 3)
+        flags = np.array([row[3] for row in rows], dtype=np.uint8)
+        binary, text = self._maps(xyz, flags, chunk)
+        assert binary == text == self._reference_map(xyz, flags)
+
+    def test_map_mixes_fast_and_fallback_chunks(self):
+        # One row per chunk: the tie 1/128 and 1e300 go to the per-row
+        # formatter, the other rows to the vectorised kernel.
+        xyz = np.array([[0.25, -1.5, 3.0], [1 / 128, 2.0, 0.0],
+                        [-0.0, -1e-9, 999999.9999996], [1e300, 0.0, 0.0]])
+        flags = np.array([0, 1, 0, 1], dtype=np.uint8)
+        spelled = []
+
+        def spy(*args):
+            spelled.append(kernel(*args))
+            return spelled[-1]
+
+        kernel = pointcloud._map_chunk
+        with mock.patch.object(pointcloud, "_map_chunk", spy):
+            binary, text = self._maps(xyz, flags, 1)
+        assert [chunk is None for chunk in spelled] == [False, True, False, True] * 2
+        assert binary == text == self._reference_map(xyz, flags)
+        assert binary.startswith(b"0.250000 -1.500000 3.000000 0 255 0\n"
+                                 b"0.007812 2.000000 0.000000 255 0 0\n"
+                                 b"-0.000000 -0.000000 1000000.000000 0 255 0\n")
 
     @pytest.mark.parametrize("n", [0, 1, 7, 50])
     def test_map_blocks(self, n):
@@ -364,10 +455,8 @@ class TestWriters:
         xyz = rng.normal(scale=100.0, size=(n, 3))
         xyz[:n // 2] *= 1e-9
         flags = rng.integers(0, 2, size=n)
-        with mock.patch.object(pointcloud, "_WRITE_ROWS", 3):
-            sink = io.BytesIO()
-            write_idood_map(xyz, flags, sink)
-        assert sink.getvalue() == self._reference_map(xyz, flags)
+        binary, text = self._maps(xyz, flags, 3)
+        assert binary == text == self._reference_map(xyz, flags)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 50])
     def test_scores_blocks(self, n):
@@ -381,6 +470,14 @@ class TestWriters:
         with mock.patch.object(scores, "_WRITE_ROWS", 3):
             write_scores_csv(values, text)
         assert text.getvalue().encode() == sink.getvalue()
+
+
+def test_cli_import_does_not_load_numpy_random():
+    src = Path(_io.__file__).resolve().parents[1]
+    code = "import sys, pcood.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_import_does_not_load_scipy():
