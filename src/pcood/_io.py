@@ -13,7 +13,7 @@ from .errors import ParseError
 
 # Characters (text streams) or bytes (binary streams) read per block by
 # iter_blocks; blocks are cut at a newline, so a block is about this long.
-_BLOCK_SIZE = 1 << 22
+_BLOCK_SIZE = 1 << 20
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:

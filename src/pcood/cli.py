@@ -25,8 +25,9 @@ from ._io import atomic_outputs
 from .errors import ParseError, TruncatedStreamError, ValidationError
 from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
                          confusion_new, confusion_accumulate,
-                         apply_threshold, argmax_labels, exact_auroc,
-                         hist_accumulate, hist_auroc, hist_merge, hist_new,
+                         apply_threshold, argmax_labels, check_threshold,
+                         exact_auroc, hist_accumulate, hist_auroc, hist_bins,
+                         hist_merge, hist_new,
                          hist_new_range, optimal_threshold, roc_curve,
                          seg_metrics, write_metrics_report, write_roc_csv,
                          read_roc_csv)
@@ -63,8 +64,11 @@ _PATH_ROLES = {
 def _check_args(args: argparse.Namespace) -> None:
     """Reject flag values no run can use, before any file is opened."""
     sc = args.subcommand
-    if sc == "map" and (args.threshold is None) == (args.roc is None):
-        raise ValidationError("map needs exactly one of --threshold or --roc")
+    if sc == "map":
+        if (args.threshold is None) == (args.roc is None):
+            raise ValidationError("map needs exactly one of --threshold or --roc")
+        if args.threshold is not None:
+            check_threshold(args.threshold)
     for role in _PATH_ROLES[sc]:
         if getattr(args, "input" if role == "in" else role) == "":
             raise ValidationError(f"{sc}: empty path for {role}")
@@ -286,6 +290,11 @@ def _pooled_hist(id_scores: np.ndarray, ood_scores: np.ndarray,
     return functools.reduce(hist_merge, parts)
 
 
+def _bins(kind: ScoreKind, n_classes: int, bins: int):
+    """The bin of a score in the histogram `_pooled_hist` builds for tensors."""
+    return functools.partial(hist_bins, hist_new(kind, n_classes, bins))
+
+
 def _provenance(inputs) -> list:
     """Report entries of (role, path, hashed) inputs.
 
@@ -356,9 +365,11 @@ def cmd_auroc(args: argparse.Namespace) -> int:
             rows = [("auroc", auroc(id_data, ood_data))]
         else:
             ks = args.k_list or [_k(args, id_data)]
+            # A histogram needs only each score's bin; exact needs its bits.
+            decide = _bins(kind, n_classes, args.bins) if mode == "hist" else None
             values = {k: auroc(*scores) for k, scores in _per_k(
                 [(args.id, id_data), (args.ood, ood_data)], ks, args.workers,
-                lambda probs: score_distribution(probs, kind))}
+                lambda probs: score_distribution(probs, kind, decide))}
             rows = [(f"auroc_k{k}", values[k]) for k in ks]
 
     entries = [("command", "auroc")]
@@ -382,9 +393,10 @@ def cmd_roc(args: argparse.Namespace) -> int:
             id_scores, ood_scores = id_data, ood_data
         else:
             n_classes, k = id_data.n_classes, _k(args, id_data)
+            decide = _bins(kind, n_classes, args.bins)
             [(_, [id_scores, ood_scores])] = _per_k(
                 [(args.id, id_data), (args.ood, ood_data)], [k], args.workers,
-                lambda probs: score_distribution(probs, kind))
+                lambda probs: score_distribution(probs, kind, decide))
     hist = _pooled_hist(id_scores, ood_scores, n_classes, kind, args.bins,
                         args.workers)
     curve = roc_curve(hist)
@@ -445,9 +457,11 @@ def cmd_map(args: argparse.Namespace) -> int:
                 except ValueError:
                     raise ParseError(f"bad youden_threshold metadata: "
                                      f"{metadata['youden_threshold']!r}") from None
-        [(_, [values])] = _per_k([(args.pred, stream)], [_k(args, stream)],
-                                 args.workers,
-                                 lambda probs: score_distribution(probs, kind))
+            check_threshold(threshold)
+        decide = functools.partial(apply_threshold, threshold=threshold)
+        [(_, [values])] = _per_k(
+            [(args.pred, stream)], [_k(args, stream)], args.workers,
+            lambda probs: score_distribution(probs, kind, decide))
     flags = apply_threshold(values, threshold)
     with atomic_outputs([args.out]) as (sink,):
         write_idood_map(cloud, flags, sink)

@@ -114,6 +114,19 @@ def hist_new_range(domain_lo: float, domain_hi: float,
                                 np.zeros(bin_count, dtype=np.int64))
 
 
+def hist_bins(hist: BinnedScoreHistogram, scores) -> np.ndarray:
+    """The int64 bin floor((s - lo) / (hi - lo) * B) of each score s,
+    clamped into [0, B - 1].
+
+    A monotone function of the score: a larger score never lands in a
+    lower bin.
+    """
+    width = hist.domain_hi - hist.domain_lo
+    idx = np.floor((np.asarray(scores, dtype=np.float64) - hist.domain_lo)
+                   / width * hist.bin_count)
+    return np.clip(idx, 0, hist.bin_count - 1).astype(np.int64)
+
+
 def hist_accumulate(hist: BinnedScoreHistogram, scores,
                     population: str) -> BinnedScoreHistogram:
     """Bin scores into one population's counts; returns the same histogram.
@@ -126,10 +139,7 @@ def hist_accumulate(hist: BinnedScoreHistogram, scores,
     values = np.asarray(scores, dtype=np.float64).ravel()
     if values.size and not np.isfinite(values).all():
         raise ValidationError("scores must be finite")
-    width = hist.domain_hi - hist.domain_lo
-    idx = np.floor((values - hist.domain_lo) / width * hist.bin_count)
-    idx = np.clip(idx, 0, hist.bin_count - 1).astype(np.int64)
-    counts = np.bincount(idx, minlength=hist.bin_count)
+    counts = np.bincount(hist_bins(hist, values), minlength=hist.bin_count)
     if population == "id":
         hist.counts_id += counts
     else:
@@ -357,10 +367,16 @@ def apply_threshold(scores: np.ndarray, threshold: float) -> np.ndarray:
 
     Returns a read-only uint8 array of 0 (ID) and 1 (OOD) flags.
     """
+    threshold = check_threshold(threshold)
+    return frozen((np.asarray(scores) >= threshold).astype(np.uint8))
+
+
+def check_threshold(threshold) -> float:
+    """Return the threshold as a float; it must be finite."""
     threshold = float(threshold)
     if not np.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold!r}")
-    return frozen((np.asarray(scores) >= threshold).astype(np.uint8))
+    return threshold
 
 
 # ---------------------------------------------------------------------------

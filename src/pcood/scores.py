@@ -10,18 +10,43 @@ a uniform row, and rank points the same way for C = 2, so a single
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 
 import numpy as np
 
 from ._io import (block_lines, frozen, iter_blocks, load_block, numbered_lines,
-                  write_text)
+                  stacked, write_text)
 from .errors import ParseError, ValidationError
 from .predictive import _row_max
 
 # Probabilities below this are treated as exact zeros in the entropy sum
 # so denormal-range entries cannot produce NaN through the logarithm.
 ENTROPY_PROB_FLOOR = 1e-12
+
+# Entropy is defined by scipy's xlogy, which calls libm's log. numpy's log
+# is not a drop-in for it: on an AVX-512 build of numpy 2.4 it differs
+# from libm's by 1 ulp on 0.2-0.35% of inputs, while xlogy(x, x) equals
+# x * math.log(x) on 2M of 2M inputs. So numpy's log only screens: it
+# decides the rows whose decision the margin C * _ENTROPY_MARGIN_PER_CLASS
+# cannot move, and every other row gets its exact score. (synth keeps
+# scipy's ndtri for the same reason: a stand-in would have to match its
+# bits.) The margin bounds |h - e|, where h is a row's numpy-log entropy
+# and e its xlogy entropy:
+# - For a row of entries p_i in [0, 1] whose sum is within
+#   PROB_ROW_SUM_TOL of 1, S = sum |p_i log p_i| <= (1 + 1e-5) ln C.
+# - np.log is within k ulp of libm's log (k = 1 measured; the margin
+#   assumes k <= 4, and a test checks it), so with both products rounded
+#   each term differs by at most (k + 1) 2**-52 |p_i log p_i|.
+# - Both sums add C terms in the same order, each off its exact sum by at
+#   most g(C - 1, 2**-53) S (Higham, section 4.2), g(n, u) = n u / (1 - n u).
+# - So |h - e| <= (k + C) 2**-52 S, within 1e-12 relative; negating and
+#   the clamp at 0 do not widen it. At k = 4 that is at most
+#   1.00002 (C + 4) ln(C) 2**-52.
+# The margin C * 2**-40 is over 300 times that bound for every C <= 2**16;
+# the slack also covers the rounding of h - margin and h + margin, at most
+# half an ulp of h <= 12.
+_ENTROPY_MARGIN_PER_CLASS = 2.0 ** -40
 
 _SCORE_HEADER = "index,score"
 # One decoded score CSV row.
@@ -46,26 +71,55 @@ def score_domain(kind: ScoreKind, n_classes: int) -> tuple[float, float]:
     raise ValidationError(f"unknown score kind: {kind!r}")
 
 
-def score_distribution(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:
+def score_distribution(probs: np.ndarray, kind: ScoreKind,
+                       decide=None) -> np.ndarray:
     """Score every row of an (N, C) probability array, preserving point order.
 
     The rows are trusted to be probabilities: pass a mean ``total / k``
     from :meth:`~pcood.predictive.TensorStream.sums`, whose members were
     checked as they were read. Each score depends on its own row alone.
     Returns a read-only float64 array of N scores.
+
+    ``decide``, if given, is what the caller does with the scores: a
+    nondecreasing function from an array of scores to an array of
+    decisions, such as a histogram bin or an OOD flag. Entropy is then
+    computed with numpy's log and without scipy, except on rows near a
+    boundary of ``decide``, which get their exact score. A score may then
+    differ from the exact one in its last bits, but ``decide`` gives it
+    the exact score's decision. MSP scores are exact either way.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if kind is ScoreKind.MSP_COMPLEMENT:
         values = _row_max(probs)
         np.subtract(1.0, values, out=values)
     elif kind is ScoreKind.ENTROPY:
-        from scipy.special import xlogy
-
         clamped = np.where(probs < ENTROPY_PROB_FLOOR, 0.0, probs)
-        values = np.maximum(-xlogy(clamped, clamped).sum(axis=1), 0.0)
+        if decide is None:
+            values = _exact_entropy(clamped)
+        else:
+            values = _screened_entropy(clamped, decide)
     else:
         raise ValidationError(f"unknown score kind: {kind!r}")
     return frozen(values)
+
+
+def _exact_entropy(clamped: np.ndarray) -> np.ndarray:
+    """Entropy of each row of floored probabilities, by scipy's xlogy."""
+    from scipy.special import xlogy
+
+    return np.maximum(-xlogy(clamped, clamped).sum(axis=1), 0.0)
+
+
+def _screened_entropy(clamped: np.ndarray, decide) -> np.ndarray:
+    """Entropy by numpy's log, exact on rows whose decision it could move."""
+    terms = np.log(clamped, out=np.zeros_like(clamped), where=clamped > 0.0)
+    np.multiply(clamped, terms, out=terms)
+    values = np.maximum(-terms.sum(axis=1), 0.0)
+    margin = clamped.shape[1] * _ENTROPY_MARGIN_PER_CLASS
+    unsure = decide(values - margin) != decide(values + margin)
+    if unsure.any():
+        values[unsure] = _exact_entropy(clamped[unsure])
+    return values
 
 
 def write_scores_csv(scores, sink) -> None:
@@ -147,18 +201,16 @@ def read_scores_csv(source) -> np.ndarray:
 
     Blank lines and ``#`` comment lines are skipped; scores must be finite.
     """
-    parts = [np.zeros(0)]
-    count = 0
-    header_seen = False
-    for lineno, block in iter_blocks(source):
-        if not header_seen:
-            found = _after_header(lineno, block)
-            if found is None:
-                continue
-            lineno, block = found
-            header_seen = True
-        parts.append(_scores_block(lineno, block, count))
-        count += len(parts[-1])
-    if not header_seen:
+    values = np.empty(0)
+    blocks = iter_blocks(source)
+    for lineno, block in blocks:
+        found = _after_header(lineno, block)
+        if found is not None:
+            break
+    else:
         raise ParseError("missing 'index,score' header")
-    return np.concatenate(parts)
+    blocks = itertools.chain([found], blocks)
+    # values grows as each block is stacked, so its length is the index
+    # the next block's first row must have.
+    return stacked((_scores_block(lineno, block, len(values))
+                    for lineno, block in blocks), values)

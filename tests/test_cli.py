@@ -284,6 +284,36 @@ class TestProcessStart:
             assert value == preset
 
 
+class TestEntropyWithoutScipy:
+    """Commands that only decide with entropy scores do not import scipy."""
+
+    def test_decisions_leave_scipy_unloaded(self, tmp_path, tensor_pair):
+        id_path, ood_path, _, _ = tensor_pair
+        points = tmp_path / "points.txt"
+        _write_points_file(points, 80)
+        roc = tmp_path / "roc.csv"
+        entropy = ["--kind", "entropy"]
+        runs = [
+            (["roc", "--id", id_path, "--ood", ood_path, "--out", roc, *entropy], False),
+            (["map", "--points", points, "--pred", id_path, "--roc", roc,
+              "--out", tmp_path / "map.txt", *entropy], False),
+            (["auroc", "--id", id_path, "--ood", ood_path, "--mode", "hist",
+              "--out", tmp_path / "auroc.txt", *entropy], False),
+            # Scores are written bit for bit, so they are exact.
+            (["score", "--in", id_path, "--out", tmp_path / "s.csv", *entropy], True),
+        ]
+        script = ("import json, sys\n"
+                  "from pcood.cli import main\n"
+                  "code = main(json.loads(sys.argv[1]))\n"
+                  "print(json.dumps([code, 'scipy' in sys.modules]))\n")
+        for argv, loads_scipy in runs:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps([str(a) for a in argv])],
+                capture_output=True, text=True, env=_pcod_env())
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == [0, loads_scipy], argv[0]
+
+
 class TestSynthCommand:
     def test_tensor_outputs_match_library(self, tmp_path):
         out_id = tmp_path / "id.pcod"
@@ -849,6 +879,33 @@ class TestMapCommand:
         assert capsys.readouterr().err == (
             f"error: {roc}: ROC kind is None, but --kind msp needs "
             f"'msp_complement'\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_is_rejected_before_reading(self, tmp_path,
+                                                             capsys, value):
+        assert run("map", "--points", tmp_path / "missing.txt", "--pred",
+                   tmp_path / "missing.pcod", "--threshold", value,
+                   "--out", tmp_path / "map.txt") == 1
+        assert capsys.readouterr().err == \
+            f"error: threshold must be finite, got {value}\n"
+
+    def test_non_finite_roc_threshold_is_rejected_before_the_pass(
+            self, tmp_path, tensor_pair, capsys):
+        id_path, ood_path, id_blob, _ = tensor_pair
+        roc = tmp_path / "roc.csv"
+        assert run("roc", "--id", id_path, "--ood", ood_path, "--out", roc) == 0
+        roc.write_text("".join(
+            "# youden_threshold=nan\n" if line.startswith("# youden_threshold=")
+            else line for line in roc.read_text().splitlines(keepends=True)))
+        # The last value is NaN, which only the tensor pass would find.
+        pred = tmp_path / "bad.pcod"
+        pred.write_bytes(id_blob[:-4] + np.float32(np.nan).tobytes())
+        points = tmp_path / "points.txt"
+        _write_points_file(points, 80)
+        capsys.readouterr()
+        assert run("map", "--points", points, "--pred", pred, "--roc", roc,
+                   "--out", tmp_path / "map.txt") == 1
+        assert capsys.readouterr().err == "error: threshold must be finite, got nan\n"
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
         id_path, _, _, _ = tensor_pair

@@ -44,6 +44,21 @@ def _line_parser_only():
         yield
 
 
+def _cloud_text(rng, n) -> bytes:
+    """A Semantic3D cloud of n points with random coordinates."""
+    xyz = rng.uniform(-100, 100, size=(n, 3)).tolist()
+    return "".join("%.3f %.3f %.3f 1 2 3 4\n" % tuple(row) for row in xyz).encode()
+
+
+def _traced_peak(fn):
+    """fn's result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _bits(arr):
     arr = np.ascontiguousarray(arr)
     return arr.view(np.int64) if arr.dtype == np.float64 else arr
@@ -289,20 +304,26 @@ class TestBlocks:
         # peak is the result plus a few blocks, not the result twice.
         n = 200_000
         rng = np.random.default_rng(8)
-        xyz = rng.uniform(-100, 100, size=(n, 3)).tolist()
-        points = io.BytesIO("".join("%.3f %.3f %.3f 1 2 3 4\n" % tuple(row)
-                                    for row in xyz).encode())
+        points = io.BytesIO(_cloud_text(rng, n))
         labels = io.BytesIO("".join("%d\n" % v for v in rng.integers(0, 9, n).tolist()).encode())
-        for read in (lambda: parse_semantic3d(points), lambda: read_labels(labels, n, 8)):
+        csv = io.BytesIO()
+        write_scores_csv(rng.uniform(size=n), csv)
+        csv.seek(0)
+        for read in (lambda: parse_semantic3d(points), lambda: read_labels(labels, n, 8),
+                     lambda: read_scores_csv(csv)):
             with _blocks_of(1 << 16):
-                tracemalloc.start()
-                try:
-                    result = read()
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                result, peak = _traced_peak(read)
             assert len(result) == n
             assert peak < result.nbytes + 16 * (1 << 16)
+
+    def test_default_block_bounds_the_parse_peak(self):
+        # Decoding a block holds about six times its size in temporaries
+        # (the str, its line list, loadtxt's rows); 1 MiB blocks keep that
+        # near 6 MiB on a cloud of several blocks.
+        points = io.BytesIO(_cloud_text(np.random.default_rng(9), 200_000))
+        assert len(points.getvalue()) > 4 << 20
+        result, peak = _traced_peak(lambda: parse_semantic3d(points))
+        assert peak < result.nbytes + (8 << 20)
 
     @pytest.mark.parametrize("data", [b"", b"\n", b" \n\t\n", b"\x1c\n\r\n", b"\x0c"])
     def test_blank_inputs_give_no_rows_and_no_warning(self, data):
