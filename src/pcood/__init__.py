@@ -29,8 +29,8 @@ _EXPORTS = {
                    "hist_new_range", "optimal_threshold",
                    "read_roc_csv", "roc_curve",
                    "seg_metrics", "write_metrics_report", "write_roc_csv"),
-    "synth": ("GaussianPairSpec", "analytic_auroc", "sample_scores_chunk",
-              "synth_member", "synth_true_classes"),
+    "synth": ("GaussianPairSpec", "sample_scores_chunk", "synth_member",
+              "synth_true_classes"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

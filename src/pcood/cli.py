@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import functools
 import hashlib
 import sys
@@ -41,10 +42,14 @@ from .synth import (GaussianPairSpec, _check_tensor_args, sample_scores_chunk,
 
 DEFAULT_K_SWEEP = (1, 5, 10, 15, 20)
 
-# Most rows of a mean formed and scored at a time, so the mean and the
-# scoring temporaries stay tile-sized instead of N x C. Tiles of 4096 to
-# 8192 rows of 8 classes scored fastest, cache-resident.
+# Rows per task of `_run_shards`: a mean is formed and scored, and synth
+# rows are drawn, a tile at a time, so temporaries stay tile-sized instead
+# of N x C. Tiles of 4096 to 8192 rows of 8 classes scored fastest,
+# cache-resident.
 _TILE_ROWS = 1 << 12
+
+# Most histogram bins: two int64 count arrays of 8 MiB each.
+_MAX_BINS = 1 << 20
 
 _KIND_FLAGS = {"msp": ScoreKind.MSP_COMPLEMENT, "entropy": ScoreKind.ENTROPY}
 
@@ -83,6 +88,8 @@ def _check_args(args: argparse.Namespace) -> None:
     bins = getattr(args, "bins", DEFAULT_BIN_COUNT)
     if bins < 2:
         raise ValidationError(f"--bins must be >= 2, got {bins}")
+    if bins > _MAX_BINS:
+        raise ValidationError(f"--bins must be at most {_MAX_BINS}, got {bins}")
     if args.workers < 1:
         raise ValidationError(f"--workers must be >= 1, got {args.workers}")
 
@@ -91,27 +98,19 @@ def _check_args(args: argparse.Namespace) -> None:
 # Shared machinery
 # ---------------------------------------------------------------------------
 
-def _shards(total: int, workers: int):
-    """Split range(total) into at most `workers` contiguous [start, stop)."""
-    if total <= 0:
-        return [(0, 0)]
-    workers = max(1, min(workers, total))
-    base, extra = divmod(total, workers)
-    bounds = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
+def _run_shards(fn, n_rows: int, workers: int):
+    """fn(a, b) over the _TILE_ROWS row tiles [a, b) of range(n_rows), in
+    tile order; n_rows 0 is the one empty tile (0, 0).
 
-
-def _run_shards(fn, shard_args, workers: int):
-    """Apply fn over shard argument tuples, preserving shard order."""
-    if workers <= 1 or len(shard_args) <= 1:
-        return [fn(*args) for args in shard_args]
+    The tiles are the same for every worker count: `workers` sets only
+    how many threads share them, so it cannot move a bit of the results.
+    """
+    tiles = [(a, min(a + _TILE_ROWS, n_rows))
+             for a in range(0, n_rows, _TILE_ROWS)] or [(0, 0)]
+    if workers <= 1 or len(tiles) <= 1:
+        return [fn(a, b) for a, b in tiles]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda args: fn(*args), shard_args))
+        return list(pool.map(fn, *zip(*tiles)))
 
 
 @contextlib.contextmanager
@@ -241,10 +240,9 @@ def _per_k(streams, ks, workers: int, fn):
 
     `streams` holds (path, TensorStream) pairs, read in step in one pass;
     an input error met on the way is named by its path. fn runs on the
-    row tiles of each mean, formed from the member sum tile by tile and
-    spread over the workers, and its results are joined in point order.
-    fn must work row by row, so the tiling cannot change a bit of its
-    results.
+    `_run_shards` tiles of each mean, formed from the member sum tile by
+    tile, and its results are joined in point order. fn must work row by
+    row, so the tiling cannot change a bit of its results.
     """
     passes = [(path, stream.sums(ks)) for path, stream in streams]
     for k in sorted(set(ks)):
@@ -253,46 +251,34 @@ def _per_k(streams, ks, workers: int, fn):
             with _named(path):
                 _, total = next(sums)
             # Cut from this sum's own length: streams may differ in N.
-            tiles = [(a, a + _TILE_ROWS)
-                     for a in range(0, len(total), _TILE_ROWS)] or [(0, 0)]
             results.append(np.concatenate(_run_shards(
-                lambda a, b: fn(total[a:b] / k), tiles, workers)))
+                lambda a, b: fn(total[a:b] / k), len(total), workers)))
         yield k, results
     for path, sums in passes:
         with _named(path):
             next(sums, None)  # reads and checks the rest of the stream
 
 
-def _pooled_hist(id_scores: np.ndarray, ood_scores: np.ndarray,
-                 n_classes: int | None, kind: ScoreKind, bins: int,
-                 workers: int):
-    """One histogram of both populations, merged in shard order.
-
-    Tensor scores are binned over the score domain of `n_classes`; raw
-    score CSVs (n_classes None) over their pooled range.
-    """
-    if n_classes is not None:
-        factory = lambda: hist_new(kind, n_classes, bins)
-    else:
-        if id_scores.size == 0 or ood_scores.size == 0:
-            raise ValidationError("both populations must be non-empty")
-        lo = float(min(id_scores.min(), ood_scores.min()))
-        hi = float(max(id_scores.max(), ood_scores.max()))
-        if not lo < hi:
-            hi = lo + 1.0  # all scores identical; a single occupied bin is fine
-        factory = lambda: hist_new_range(lo, hi, bins)
-    shard_args = [(values[a:b], population)
-                  for values, population in ((id_scores, "id"), (ood_scores, "ood"))
-                  for a, b in _shards(values.shape[0], workers)]
-    parts = _run_shards(lambda values, population:
-                        hist_accumulate(factory(), values, population),
-                        shard_args, workers)
-    return functools.reduce(hist_merge, parts)
+def _empty_hist(form: str, kind: ScoreKind, id_data, ood_data, bins: int):
+    """The empty histogram a pair is binned in: a tensor pair's over the
+    score domain of its class count, a score CSV pair's over its pooled
+    range."""
+    if form == "tensor":
+        return hist_new(kind, id_data.n_classes, bins)
+    if id_data.size == 0 or ood_data.size == 0:
+        raise ValidationError("both populations must be non-empty")
+    lo = float(min(id_data.min(), ood_data.min()))
+    hi = float(max(id_data.max(), ood_data.max()))
+    if not lo < hi:
+        hi = lo + 1.0  # all scores identical; a single occupied bin is fine
+    return hist_new_range(lo, hi, bins)
 
 
-def _bins(kind: ScoreKind, n_classes: int, bins: int):
-    """The bin of a score in the histogram `_pooled_hist` builds for tensors."""
-    return functools.partial(hist_bins, hist_new(kind, n_classes, bins))
+def _pooled_hist(id_scores: np.ndarray, ood_scores: np.ndarray, empty):
+    """One histogram of both populations in the binning of `empty`, which
+    stays empty: each population is counted in a copy of its own."""
+    return hist_merge(hist_accumulate(copy.deepcopy(empty), id_scores, "id"),
+                      hist_accumulate(copy.deepcopy(empty), ood_scores, "ood"))
 
 
 def _provenance(inputs) -> list:
@@ -346,27 +332,27 @@ def cmd_auroc(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as files:
         form, id_data, ood_data, inputs = _open_pair(files, args)
         if form == "scores":
-            n_classes = None
             n_id, n_ood = id_data.shape[0], ood_data.shape[0]
         else:
-            n_classes = id_data.n_classes
             n_id, n_ood = id_data.n_points, ood_data.n_points
         mode = args.mode
         if mode == "auto":
             mode = "exact" if n_id + n_ood <= EXACT_MODE_MAX_POINTS else "hist"
+        empty = decide = None
+        if mode == "hist":
+            empty = _empty_hist(form, kind, id_data, ood_data, args.bins)
+            # A histogram needs only each score's bin; exact needs its bits.
+            decide = functools.partial(hist_bins, empty)
 
         def auroc(id_scores, ood_scores):
             if mode == "exact":
                 return exact_auroc(id_scores, ood_scores)
-            return hist_auroc(_pooled_hist(id_scores, ood_scores, n_classes,
-                                           kind, args.bins, args.workers))
+            return hist_auroc(_pooled_hist(id_scores, ood_scores, empty))
 
         if form == "scores":
             rows = [("auroc", auroc(id_data, ood_data))]
         else:
             ks = args.k_list or [_k(args, id_data)]
-            # A histogram needs only each score's bin; exact needs its bits.
-            decide = _bins(kind, n_classes, args.bins) if mode == "hist" else None
             values = {k: auroc(*scores) for k, scores in _per_k(
                 [(args.id, id_data), (args.ood, ood_data)], ks, args.workers,
                 lambda probs: score_distribution(probs, kind, decide))}
@@ -388,17 +374,17 @@ def cmd_roc(args: argparse.Namespace) -> int:
     kind = _KIND_FLAGS[args.kind]
     with contextlib.ExitStack() as files:
         form, id_data, ood_data, inputs = _open_pair(files, args)
+        empty = _empty_hist(form, kind, id_data, ood_data, args.bins)
         if form == "scores":
-            n_classes = k = None
+            k = None
             id_scores, ood_scores = id_data, ood_data
         else:
-            n_classes, k = id_data.n_classes, _k(args, id_data)
-            decide = _bins(kind, n_classes, args.bins)
+            k = _k(args, id_data)
+            decide = functools.partial(hist_bins, empty)
             [(_, [id_scores, ood_scores])] = _per_k(
                 [(args.id, id_data), (args.ood, ood_data)], [k], args.workers,
                 lambda probs: score_distribution(probs, kind, decide))
-    hist = _pooled_hist(id_scores, ood_scores, n_classes, kind, args.bins,
-                        args.workers)
+    hist = _pooled_hist(id_scores, ood_scores, empty)
     curve = roc_curve(hist)
     threshold, j = optimal_threshold(curve)
     metadata = [("kind", kind.value), ("bins", args.bins),
@@ -440,24 +426,26 @@ def cmd_iou(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     kind = _KIND_FLAGS[args.kind]
+    # The threshold is settled before the scene is opened: a bad ROC fails
+    # without a read of the tensor or the cloud.
+    threshold = args.threshold
+    if threshold is None:
+        with open(args.roc, "rb") as f, _named(args.roc):
+            _, metadata = read_roc_csv(f)
+            if metadata.get("kind") != kind.value:
+                raise ValidationError(
+                    f"ROC kind is {metadata.get('kind')!r}, but "
+                    f"--kind {args.kind} needs {kind.value!r}")
+            if "youden_threshold" not in metadata:
+                raise ValidationError("no youden_threshold metadata")
+            try:
+                threshold = float(metadata["youden_threshold"])
+            except ValueError:
+                raise ParseError(f"bad youden_threshold metadata: "
+                                 f"{metadata['youden_threshold']!r}") from None
+        check_threshold(threshold)
     with contextlib.ExitStack() as files:
         stream, cloud, _, _ = _open_scene(files, args)
-        threshold = args.threshold
-        if threshold is None:
-            with open(args.roc, "rb") as f, _named(args.roc):
-                _, metadata = read_roc_csv(f)
-                if metadata.get("kind") != kind.value:
-                    raise ValidationError(
-                        f"ROC kind is {metadata.get('kind')!r}, but "
-                        f"--kind {args.kind} needs {kind.value!r}")
-                if "youden_threshold" not in metadata:
-                    raise ValidationError("no youden_threshold metadata")
-                try:
-                    threshold = float(metadata["youden_threshold"])
-                except ValueError:
-                    raise ParseError(f"bad youden_threshold metadata: "
-                                     f"{metadata['youden_threshold']!r}") from None
-            check_threshold(threshold)
         decide = functools.partial(apply_threshold, threshold=threshold)
         [(_, [values])] = _per_k(
             [(args.pred, stream)], [_k(args, stream)], args.workers,
@@ -478,7 +466,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         def draw(population, n):
             return np.concatenate(_run_shards(
                 lambda a, b: sample_scores_chunk(spec, population, a, b),
-                _shards(n, args.workers), args.workers))
+                n, args.workers))
 
         id_scores = draw("id", spec.n_id)
         ood_scores = draw("ood", spec.n_ood)
@@ -490,18 +478,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
     n, c = args.points, args.classes
     _check_tensor_args(n, c, args.members, args.separability, args.seed)
     paths = [args.out_id, args.out_ood]
+    # Each member's (ID, OOD) rows, filled tile by tile; reused per member.
+    rows = [np.empty((n, c), dtype=np.float32) for _ in paths]
+
+    def fill(m, a, b):
+        rows[0][a:b], rows[1][a:b] = synth_member(n, c, args.separability,
+                                                  args.seed, m, a, b)
+
     with atomic_outputs(paths) as sinks:
         for sink in sinks:
             write_header(sink, TensorKind.PROBABILITIES, n, c, args.members)
         for m in range(args.members):
-            parts = _run_shards(
-                lambda a, b: synth_member(n, c, args.separability, args.seed,
-                                          m, a, b),
-                _shards(n, args.workers), args.workers)
-            for i, (sink, path) in enumerate(zip(sinks, paths)):
-                rows = np.concatenate([part[i] for part in parts])
+            _run_shards(functools.partial(fill, m), n, args.workers)
+            for sink, path, member in zip(sinks, paths, rows):
                 with _named(path):
-                    write_member(sink, rows, TensorKind.PROBABILITIES, m)
+                    write_member(sink, member, TensorKind.PROBABILITIES, m)
     return 0
 
 

@@ -390,16 +390,20 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _report_line(key, value) -> str:
+    """The ``key=value`` text of one report or ROC metadata entry; neither
+    side may hold a line break, and the key no ``=``."""
+    if "=" in key or "\n" in key or not key:
+        raise ValidationError(f"bad report key: {key!r}")
+    text = format_value(value)
+    if "\n" in text:
+        raise ValidationError(f"report value for {key!r} spans lines")
+    return f"{key}={text}"
+
+
 def write_metrics_report(entries, sink) -> None:
     """Write ordered (key, value) pairs as ``key=value`` lines."""
-    lines = []
-    for key, value in entries:
-        if "=" in key or "\n" in key or not key:
-            raise ValidationError(f"bad report key: {key!r}")
-        text = format_value(value)
-        if "\n" in text:
-            raise ValidationError(f"report value for {key!r} spans lines")
-        lines.append(f"{key}={text}")
+    lines = [_report_line(key, value) for key, value in entries]
     write_text(sink, "\n".join(lines) + "\n")
 
 
@@ -409,16 +413,16 @@ def write_roc_csv(curve: RocCurve, sink, metadata=()) -> None:
     Row i pairs thresholds[i] with curve point i + 1; the (0, 0) corner
     is implicit. Floats use repr, so parse-back is bit-exact. The
     metadata block holds ``# key=value`` lines (score kind, bin count,
-    tie rule, auroc, and anything the caller appends).
+    tie rule, auroc, and anything the caller appends), each checked as a
+    report line is.
     """
     lines = ["threshold,fpr,tpr"]
     t = curve.thresholds.tolist()
     f = curve.fpr[1:].tolist()
     p = curve.tpr[1:].tolist()
     lines.extend(f"{t[i]!r},{f[i]!r},{p[i]!r}" for i in range(len(t)))
-    lines.append(f"# auroc={curve.auroc!r}")
-    for key, value in metadata:
-        lines.append(f"# {key}={format_value(value)}")
+    lines.extend(f"# {_report_line(key, value)}"
+                 for key, value in [("auroc", curve.auroc), *metadata])
     write_text(sink, "\n".join(lines) + "\n")
 
 
@@ -437,6 +441,8 @@ def read_roc_csv(source) -> tuple[RocCurve, dict]:
             if "=" not in body:
                 raise ParseError(f"line {lineno}: bad metadata line {text!r}")
             key, _, value = body.partition("=")
+            if key in metadata:
+                raise ParseError(f"line {lineno}: repeated metadata key {key!r}")
             metadata[key] = value
             continue
         if not header_seen:

@@ -90,12 +90,6 @@ class GaussianPairSpec:
         _check_seed(self.seed)
 
 
-def analytic_auroc(spec: GaussianPairSpec) -> float:
-    """Closed-form AUROC of the two Gaussians: Phi(dmu / sqrt(s1^2 + s2^2))."""
-    z = (spec.mu_ood - spec.mu_id) / math.hypot(spec.sigma_id, spec.sigma_ood)
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
 def sample_scores_chunk(spec: GaussianPairSpec, population: str,
                         start: int, stop: int) -> np.ndarray:
     """Scores at indices [start, stop) of one population.

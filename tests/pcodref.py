@@ -1,5 +1,6 @@
-"""PCOD tensors for the tests, the reference member mean and check, and
-the readers of what the tests draw and report.
+"""PCOD tensors for the tests, the reference member mean and check, the
+closed-form Gaussian AUROC, and the readers of what the tests draw and
+report.
 
 Tensors are written with pcood's writer (``write_header`` and
 ``write_member``) and read back with ``TensorStream``. The decoder, the
@@ -9,6 +10,7 @@ and member checks message for message.
 """
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -88,6 +90,13 @@ def reference_check(rows, member):
         return "probability entries must lie in [0, 1]"
     return (f"member {member} point {i}: probability row sums to "
             f"{float(sums[i])!r}")
+
+
+def analytic_auroc(spec) -> float:
+    """Closed-form AUROC of a GaussianPairSpec's two Gaussians:
+    Phi(dmu / sqrt(s1^2 + s2^2)), the oracle empirical AUROCs are held to."""
+    z = (spec.mu_ood - spec.mu_id) / math.hypot(spec.sigma_id, spec.sigma_ood)
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
 def sample_pair(spec):

@@ -25,13 +25,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pcodref import (pcod_bytes, read_report, sample_pair, stream_means,
-                     synth_pair)
-from pcood import (GaussianPairSpec, ScoreKind, analytic_auroc,
-                   confusion_accumulate, confusion_new, exact_auroc,
-                   hist_accumulate, hist_auroc, hist_merge, hist_new,
-                   hist_new_range, optimal_threshold, roc_curve,
-                   score_distribution, seg_metrics, write_metrics_report)
+from pcodref import (analytic_auroc, pcod_bytes, read_report, sample_pair,
+                     stream_means, synth_pair)
+from pcood import (GaussianPairSpec, ScoreKind, confusion_accumulate,
+                   confusion_new, exact_auroc, hist_accumulate, hist_auroc,
+                   hist_merge, hist_new, hist_new_range, optimal_threshold,
+                   roc_curve, score_distribution, seg_metrics,
+                   write_metrics_report)
 from pcood.cli import main as cli_main
 
 GAUSS_N = 10 ** 6

@@ -184,7 +184,7 @@ class TestExitCodes:
         assert run("auroc", "--id", id_path, "--ood", csv,
                    "--out", tmp_path / "r.txt") == 1
 
-    def test_bad_numeric_flags(self, tmp_path, tensor_pair):
+    def test_bad_numeric_flags(self, tmp_path, tensor_pair, capsys):
         id_path, ood_path, _, _ = tensor_pair
         out = tmp_path / "r.txt"
         assert run("auroc", "--id", id_path, "--ood", ood_path, "--out", out,
@@ -193,6 +193,13 @@ class TestExitCodes:
                    "--bins", "1") == 1
         assert run("auroc", "--id", id_path, "--ood", ood_path, "--out", out,
                    "--workers", "0") == 1
+        # Rejected before two count arrays of that size are allocated.
+        capsys.readouterr()
+        assert run("roc", "--id", id_path, "--ood", ood_path, "--out", out,
+                   "--bins", 10 ** 12) == 1
+        assert capsys.readouterr().err == \
+            "error: --bins must be at most 1048576, got 1000000000000\n"
+        assert not out.exists()
 
     def test_failed_run_leaves_no_output(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -350,17 +357,19 @@ class TestSynthCommand:
         assert outputs[0] == outputs[1]
 
     def test_peak_memory_does_not_grow_with_members(self, tmp_path):
-        # Members are written one at a time, so 16 members may not hold
-        # more than one extra member payload over 2. With one worker the
-        # peak repeats to the kilobyte. Three shard threads overlap their
-        # buffers by chance, by up to about 1 MB between runs; at most they
-        # add up to the one-worker peak, so they are held to the same bound.
+        # Members are filled one at a time into one reused (N, C) float32
+        # array per output, so 16 members may not hold more than one extra
+        # member payload over 2, and a point adds its two float32 rows (64 B
+        # at C = 8) and little else. With one worker the peak repeats to
+        # the kilobyte. A worker holds about four float64 tile arrays of
+        # draws and softmax temporaries while it fills a tile, so three
+        # workers may hold two tiles' worth more than one.
         n, c = 20000, 8
 
-        def peak(members, workers):
+        def peak(points, members, workers):
             tracemalloc.start()
             try:
-                assert run("synth", "tensor", "--points", n, "--classes", c,
+                assert run("synth", "tensor", "--points", points, "--classes", c,
                            "--members", members, "--workers", workers,
                            "--out-id", tmp_path / "id.pcod",
                            "--out-ood", tmp_path / "ood.pcod") == 0
@@ -368,10 +377,12 @@ class TestSynthCommand:
             finally:
                 tracemalloc.stop()
 
-        peak(2, 3)  # lazy imports, thread start-up and first allocations
-        bound = peak(2, 1) + 4 * n * c
-        assert peak(16, 1) <= bound
-        assert peak(16, 3) <= bound
+        peak(n, 2, 3)  # lazy imports, thread start-up and first allocations
+        bound = peak(n, 2, 1) + 4 * n * c
+        assert peak(n, 16, 1) <= bound
+        assert peak(n, 16, 3) <= bound + 2 * 4 * cli._TILE_ROWS * c * 8
+        growth = (peak(4 * n, 2, 1) - peak(n, 2, 1)) / (3 * n)
+        assert growth <= 80
 
     def test_sizes_the_header_cannot_hold_are_rejected(self, tmp_path, capsys):
         for flag, value in (("--classes", 2 ** 16), ("--members", 2 ** 16)):
@@ -488,15 +499,45 @@ class TestTiledScoring:
     @pytest.mark.parametrize("tile_rows", [1, 7, 97])
     def test_aggregate_output_does_not_depend_on_the_tile(self, tmp_path,
                                                           tensor_pair, tile_rows):
-        id_path, _, _, _ = tensor_pair
-        blobs = []
-        for rows in (tile_rows, 1 << 20):
-            out = tmp_path / f"agg{rows}.pcod"
+        # Every command that tiles its points, and the commands that bin
+        # their scores, at 1 and 3 workers against one tile on one worker.
+        id_path, ood_path, _, _ = tensor_pair
+        id_csv, ood_csv = tmp_path / "id.csv", tmp_path / "ood.csv"
+        assert run("score", "--in", id_path, "--out", id_csv) == 0
+        assert run("score", "--in", ood_path, "--out", ood_csv) == 0
+        tensors = ["--id", id_path, "--ood", ood_path]
+        csvs = ["--id", id_csv, "--ood", ood_csv]
+        commands = {
+            "agg.pcod": ["aggregate", "--in", id_path],
+            "score.csv": ["score", "--in", id_path, "--kind", "entropy"],
+            "roc_tensors.csv": ["roc", *tensors, "--kind", "entropy"],
+            "roc_csvs.csv": ["roc", *csvs],
+            "auroc_tensors.txt": ["auroc", *tensors, "--mode", "hist",
+                                  "--k-list", "1,3"],
+            "auroc_csvs.txt": ["auroc", *csvs, "--mode", "hist"],
+        }
+
+        def outputs(rows, workers):
+            out = tmp_path / f"{rows}-{workers}"
+            out.mkdir()
             with mock.patch.object(cli, "_TILE_ROWS", rows):
-                assert run("aggregate", "--in", id_path, "--out", out,
-                           "--workers", 3) == 0
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
+                for name, argv in commands.items():
+                    assert run(*argv, "--out", out / name,
+                               "--workers", workers) == 0
+                assert run("synth", "tensor", "--points", 80, "--classes", 5,
+                           "--members", 2, "--seed", 6, "--workers", workers,
+                           "--out-id", out / "synth_id.pcod",
+                           "--out-ood", out / "synth_ood.pcod") == 0
+                assert run("synth", "scores", "--n-id", 300, "--n-ood", 200,
+                           "--seed", 6, "--workers", workers,
+                           "--out-id", out / "synth_id.csv",
+                           "--out-ood", out / "synth_ood.csv") == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        want = outputs(1 << 20, 1)
+        assert len(want) == len(commands) + 4
+        for workers in (1, 3):
+            assert outputs(tile_rows, workers) == want
 
 
 class TestAurocCommand:
@@ -622,6 +663,18 @@ class TestRocCommand:
             curve, metadata = read_roc_csv(f)
         assert abs(curve.auroc - 0.76025) <= 0.04
         assert "k" not in metadata
+
+    def test_path_that_breaks_a_line_is_rejected(self, tmp_path, tensor_pair,
+                                                capsys):
+        # Written as is, the path would add a metadata line of its own.
+        id_path, ood_path, _, _ = tensor_pair
+        forged = tmp_path / "a\n# youden_threshold=0.0"
+        shutil.copy(id_path, forged)
+        out = tmp_path / "roc.csv"
+        assert run("roc", "--id", forged, "--ood", ood_path, "--out", out) == 1
+        assert capsys.readouterr().err == \
+            "error: report value for 'input_id' spans lines\n"
+        assert not out.exists()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
         id_path, ood_path, _, _ = tensor_pair
@@ -857,10 +910,14 @@ class TestMapCommand:
         capsys.readouterr()
         assert run("map", "--points", points, "--pred", id_path, "--roc", roc,
                    "--out", out) == 1
-        assert capsys.readouterr().err == (
-            f"error: {roc}: ROC kind is 'entropy', but --kind msp needs "
-            f"'msp_complement'\n")
+        message = (f"error: {roc}: ROC kind is 'entropy', but --kind msp "
+                   f"needs 'msp_complement'\n")
+        assert capsys.readouterr().err == message
         assert not out.exists()
+        # The ROC is read first: its error wins over a missing scene.
+        assert run("map", "--points", tmp_path / "missing.txt", "--pred",
+                   tmp_path / "missing.pcod", "--roc", roc, "--out", out) == 1
+        assert capsys.readouterr().err == message
         assert run("map", "--points", points, "--pred", id_path, "--roc", roc,
                    "--kind", "entropy", "--out", out) == 0
 

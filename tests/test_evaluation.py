@@ -620,6 +620,14 @@ class TestReportFormats:
         assert metadata["kind"] == "entropy"
         assert float(metadata["youden_threshold"]) == 1.25
 
+    def test_roc_csv_rejects_a_repeated_metadata_key(self):
+        # A second value after the first must not take its place unseen.
+        text = (b"threshold,fpr,tpr\n0.5,1.0,1.0\n# auroc=0.5\n"
+                b"# youden_threshold=0.5\n# youden_threshold=0.0\n")
+        with pytest.raises(ParseError, match="^line 5: repeated metadata key "
+                                             "'youden_threshold'$"):
+            read_roc_csv(io.BytesIO(text))
+
     def test_roc_csv_errors(self):
         with pytest.raises(ParseError):
             read_roc_csv(io.BytesIO(b"0.5,0.1,0.2\n"))

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from pcodref import members, sample_pair, stream_means, synth_pair
-from pcood import (GaussianPairSpec, ScoreKind, ValidationError,
-                   analytic_auroc, exact_auroc, sample_scores_chunk,
-                   score_distribution, synth_member, synth_true_classes)
+from pcodref import (analytic_auroc, members, sample_pair, stream_means,
+                     synth_pair)
+from pcood import (GaussianPairSpec, ScoreKind, ValidationError, exact_auroc,
+                   sample_scores_chunk, score_distribution, synth_member,
+                   synth_true_classes)
 from pcood.synth import _check_tensor_args
 
 
