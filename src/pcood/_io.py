@@ -14,6 +14,8 @@ from .errors import ParseError
 # Characters (text streams) or bytes (binary streams) read per block by
 # iter_blocks; blocks are cut at a newline, so a block is about this long.
 _BLOCK_SIZE = 1 << 20
+# Characters of input text an error message quotes.
+_QUOTE_CHARS = 80
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
@@ -35,6 +37,15 @@ def stacked(parts, out: np.ndarray) -> np.ndarray:
         # Drop it before the next part is decoded.
         del part
     return out
+
+
+def quoted(text: str) -> str:
+    """repr of input text for an error message, cut to its first
+    ``_QUOTE_CHARS`` characters with "..." after a cut, so that a huge line
+    makes a short message."""
+    if len(text) > _QUOTE_CHARS:
+        return repr(text[:_QUOTE_CHARS]) + "..."
+    return repr(text)
 
 
 def numbered_lines(stream, where: str = "line", start: int = 1):

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._io import atomic_outputs
+from ._io import atomic_outputs, quoted
 from .errors import ParseError, TruncatedStreamError, ValidationError
 from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
                          confusion_new, confusion_accumulate,
@@ -432,17 +432,18 @@ def cmd_map(args: argparse.Namespace) -> int:
     if threshold is None:
         with open(args.roc, "rb") as f, _named(args.roc):
             _, metadata = read_roc_csv(f)
-            if metadata.get("kind") != kind.value:
+            found = metadata.get("kind")
+            if found != kind.value:
                 raise ValidationError(
-                    f"ROC kind is {metadata.get('kind')!r}, but "
-                    f"--kind {args.kind} needs {kind.value!r}")
+                    f"ROC kind is {found if found is None else quoted(found)}, "
+                    f"but --kind {args.kind} needs {kind.value!r}")
             if "youden_threshold" not in metadata:
                 raise ValidationError("no youden_threshold metadata")
             try:
                 threshold = float(metadata["youden_threshold"])
             except ValueError:
                 raise ParseError(f"bad youden_threshold metadata: "
-                                 f"{metadata['youden_threshold']!r}") from None
+                                 f"{quoted(metadata['youden_threshold'])}") from None
         check_threshold(threshold)
     with contextlib.ExitStack() as files:
         stream, cloud, _, _ = _open_scene(files, args)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._io import frozen, numbered_lines, write_text
+from ._io import frozen, numbered_lines, quoted, write_text
 from .errors import ParseError, StructuralError, ValidationError
 from .scores import ScoreKind, score_domain
 
@@ -384,9 +384,10 @@ def check_threshold(threshold) -> float:
 # ---------------------------------------------------------------------------
 
 def format_value(value) -> str:
-    """Render a report value; floats use repr for lossless parse-back."""
+    """Render a report value; floats, numpy float64 among them, use float's
+    repr for lossless parse-back."""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -439,28 +440,28 @@ def read_roc_csv(source) -> tuple[RocCurve, dict]:
         if text.startswith("#"):
             body = text.lstrip("#").strip()
             if "=" not in body:
-                raise ParseError(f"line {lineno}: bad metadata line {text!r}")
+                raise ParseError(f"line {lineno}: bad metadata line {quoted(text)}")
             key, _, value = body.partition("=")
             if key in metadata:
-                raise ParseError(f"line {lineno}: repeated metadata key {key!r}")
+                raise ParseError(f"line {lineno}: repeated metadata key {quoted(key)}")
             metadata[key] = value
             continue
         if not header_seen:
             if text != "threshold,fpr,tpr":
                 raise ParseError(
-                    f"line {lineno}: expected header 'threshold,fpr,tpr', got {text!r}"
+                    f"line {lineno}: expected header 'threshold,fpr,tpr', got {quoted(text)}"
                 )
             header_seen = True
             continue
         parts = text.split(",")
         if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 3 fields, got {text!r}")
+            raise ParseError(f"line {lineno}: expected 3 fields, got {quoted(text)}")
         try:
             thresholds.append(float(parts[0]))
             fpr.append(float(parts[1]))
             tpr.append(float(parts[2]))
         except ValueError:
-            raise ParseError(f"line {lineno}: malformed row {text!r}") from None
+            raise ParseError(f"line {lineno}: malformed row {quoted(text)}") from None
     if not header_seen:
         raise ParseError("missing 'threshold,fpr,tpr' header")
     if "auroc" not in metadata:
@@ -468,6 +469,6 @@ def read_roc_csv(source) -> tuple[RocCurve, dict]:
     try:
         auroc = float(metadata["auroc"])
     except ValueError:
-        raise ParseError(f"bad auroc metadata: {metadata['auroc']!r}") from None
+        raise ParseError(f"bad auroc metadata: {quoted(metadata['auroc'])}") from None
     curve = RocCurve(np.array(thresholds), np.array(fpr), np.array(tpr), auroc)
     return curve, metadata

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ._io import (block_lines, frozen, iter_blocks, load_block, numbered_lines,
-                  stacked, write_text)
+                  quoted, stacked, write_text)
 from .errors import ParseError, StructuralError, ValidationError
 
 # Colors for the rendered ID/OOD map.
@@ -53,7 +53,7 @@ def _point_rows(numbered) -> list:
             x, y, z, inten = (float(f) for f in fields[:4])
             r, g, b = (int(f) for f in fields[4:])
         except ValueError:
-            raise ParseError(f"points line {lineno}: malformed field in {line!r}") from None
+            raise ParseError(f"points line {lineno}: malformed field in {quoted(line)}") from None
         if not all(math.isfinite(v) for v in (x, y, z, inten)):
             raise ParseError(f"points line {lineno}: non-finite coordinate or intensity")
         for name, v in (("r", r), ("g", g), ("b", b)):
@@ -73,9 +73,9 @@ def _label_values(numbered) -> list:
         try:
             value = int(text)
         except ValueError:
-            raise ParseError(f"labels line {lineno}: not an integer: {text!r}") from None
+            raise ParseError(f"labels line {lineno}: not an integer: {quoted(text)}") from None
         if not _INT64.min <= value <= _INT64.max:
-            raise ParseError(f"labels line {lineno}: label {text!r} outside int64")
+            raise ParseError(f"labels line {lineno}: label {quoted(text)} outside int64")
         values.append(value)
     return values
 

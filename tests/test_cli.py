@@ -131,6 +131,23 @@ class TestExitCodes:
                    "--out", tmp_path / "r.txt") == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
+    @pytest.mark.parametrize("head, message", [
+        (b"", "line 1: expected header 'index,score', got"),
+        (b"index,score\n0,0.5\n1,0.25\n", "line 4: expected 'index,score', got"),
+    ])
+    def test_huge_score_line_makes_a_short_error(self, tmp_path, head, message):
+        # The message quotes 80 characters of the 10 MB line, not all of it.
+        good = tmp_path / "good.csv"
+        good.write_text("index,score\n0,0.5\n1,0.25\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(head + b"a" * (10 << 20) + b"\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcood", "auroc", "--id", str(good), "--ood", str(bad),
+             "--out", str(tmp_path / "r.txt")], capture_output=True, env=_pcod_env())
+        assert proc.returncode == 1
+        assert len(proc.stderr) <= 1024
+        assert proc.stderr.decode() == f"error: {bad}: {message} {'a' * 80!r}...\n"
+
     def test_usage_errors_exit_one(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run()
@@ -936,6 +953,22 @@ class TestMapCommand:
         assert capsys.readouterr().err == (
             f"error: {roc}: ROC kind is None, but --kind msp needs "
             f"'msp_complement'\n")
+
+    @pytest.mark.parametrize("metadata, message", [
+        ("# kind=X", "ROC kind is {}, but --kind msp needs 'msp_complement'"),
+        ("# kind=msp_complement\n# youden_threshold=X", "bad youden_threshold metadata: {}"),
+    ])
+    def test_roc_metadata_errors_quote_at_most_80_characters(self, tmp_path, capsys,
+                                                             metadata, message):
+        long = "x" * 10_000
+        roc = tmp_path / "roc.csv"
+        roc.write_text("threshold,fpr,tpr\n0.5,1.0,1.0\n# auroc=0.5\n"
+                       + metadata.replace("X", long) + "\n")
+        assert run("map", "--points", tmp_path / "missing.txt", "--pred",
+                   tmp_path / "missing.pcod", "--roc", roc,
+                   "--out", tmp_path / "map.txt") == 1
+        assert capsys.readouterr().err == \
+            f"error: {roc}: {message.format(repr(long[:80]) + '...')}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_threshold_is_rejected_before_reading(self, tmp_path,

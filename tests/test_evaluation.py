@@ -620,6 +620,31 @@ class TestReportFormats:
         assert metadata["kind"] == "entropy"
         assert float(metadata["youden_threshold"]) == 1.25
 
+    def test_numpy_floats_are_written_as_floats(self):
+        # Under numpy 2, repr(np.float64(0.5)) is "np.float64(0.5)".
+        sink = io.BytesIO()
+        write_metrics_report([("auroc", np.float64(0.5))], sink)
+        assert sink.getvalue() == b"auroc=0.5\n"
+        curve = roc_curve(_gauss_hist(np.random.default_rng(48), bins=4))
+        sink = io.BytesIO()
+        write_roc_csv(curve, sink, metadata=[("youden_threshold", np.float64(0.25))])
+        assert sink.getvalue().decode().splitlines()[-1] == "# youden_threshold=0.25"
+
+    @pytest.mark.parametrize("text, message, quoted", [
+        ("threshold,fpr,tpr\n# X\n", "line 2: bad metadata line {}", "# X"),
+        ("threshold,fpr,tpr\n# X=1\n# X=2\n", "line 3: repeated metadata key {}", "X"),
+        ("X\n", "line 1: expected header 'threshold,fpr,tpr', got {}", "X"),
+        ("threshold,fpr,tpr\nX\n", "line 2: expected 3 fields, got {}", "X"),
+        ("threshold,fpr,tpr\n0.5,X,1\n", "line 2: malformed row {}", "0.5,X,1"),
+        ("threshold,fpr,tpr\n# auroc=X\n", "bad auroc metadata: {}", "X"),
+    ])
+    def test_roc_csv_errors_quote_at_most_80_characters(self, text, message, quoted):
+        long = "x" * 10_000
+        with pytest.raises(ParseError) as exc:
+            read_roc_csv(io.StringIO(text.replace("X", long)))
+        cut = quoted.replace("X", long)[:80]
+        assert str(exc.value) == message.format(repr(cut) + "...")
+
     def test_roc_csv_rejects_a_repeated_metadata_key(self):
         # A second value after the first must not take its place unseen.
         text = (b"threshold,fpr,tpr\n0.5,1.0,1.0\n# auroc=0.5\n"

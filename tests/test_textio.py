@@ -12,6 +12,7 @@ import contextlib
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -371,6 +372,24 @@ class TestHostileText:
                 assert str(exc.value) == \
                     f"labels line 3: label '{value}' outside int64"
 
+    @pytest.mark.parametrize("parse, text, message, quoted", [
+        (_points, "0 0 0 0 0 0 0\nxX 0 0 0 0 0 0\n", "points line 2: malformed field in {}",
+         "xX 0 0 0 0 0 0"),
+        (_points_and_labels(b"0 0 0 0 0 0 0\n" * 2), "1\nxX\n",
+         "labels line 2: not an integer: {}", "xX"),
+        (_points_and_labels(b"0 0 0 0 0 0 0\n" * 2), "1\n1X\n",
+         "labels line 2: label {} outside int64", "1X"),
+        (_scores, "xX\n", "line 1: expected header 'index,score', got {}", "xX"),
+        (_scores, "index,score\nxX\n", "line 2: expected 'index,score', got {}", "xX"),
+        (_scores, "index,score\n0,xX\n", "line 2: malformed row {}", "0,xX"),
+    ])
+    def test_errors_quote_at_most_80_characters(self, parse, text, message, quoted):
+        long = "9" * 1000
+        with pytest.raises(ParseError) as exc:
+            parse(text.replace("X", long).encode())
+        cut = quoted.replace("X", long)[:80]
+        assert str(exc.value) == message.format(repr(cut) + "...")
+
     @pytest.mark.parametrize("row, message", [
         (b"0 0 0 nan 0 0 0", "points line 2: non-finite coordinate or intensity"),
         (b"0 0 0 -1e400 0 0 0", "points line 2: non-finite coordinate or intensity"),
@@ -398,6 +417,52 @@ def _steps(x: float, n: int) -> float:
     for _ in range(abs(n)):
         x = math.nextafter(x, math.copysign(math.inf, n))
     return x
+
+
+def _digit_ties(d: int, k: int, n: int) -> float:
+    """An odd multiple of 2**-k in [10**d, 10**(d + 1)), the n-th (cycling).
+
+    With s = 16 - d, k = s + 1 puts V = |v| 10**s half-way between two
+    integers, and k = s makes V an integer ending in 5: the exact ties of
+    the score writer's digit search."""
+    lo = math.ceil(math.ldexp(10.0 ** d, k))
+    hi = min(math.floor(math.ldexp(10.0 ** (d + 1), k)), 2 ** 53)
+    return math.ldexp(lo + (n % ((hi - lo) // 2)) * 2 | 1, -k)
+
+
+def _adversarial_scores() -> list:
+    """Every power of 2 and of 10 a double holds, and 1e-4 and 1e16, each
+    with the doubles up to two steps away; signed zeros, NaN and infinities;
+    and ties of the digit search in every decade of the positional form."""
+    anchors = [2.0 ** k for k in range(-1074, 1024)]
+    anchors += [float(f"1e{k}") for k in range(-323, 309)] + [1e-4, 1e16]
+    values = [_steps(x, n) for x in anchors for n in range(-2, 3)]
+    values += [0.0, -0.0, math.nan, math.inf, -math.inf]
+    values += [_digit_ties(d, 16 - d + half, n)
+               for d in range(-4, 16) for half in (0, 1) for n in range(0, 300, 7)]
+    return values + [-v for v in values]
+
+
+# Scores where a vectorised repr could go wrong: any double and any bit
+# pattern (NaN, inf and subnormals included), signed zeros, the ends 1e-4
+# and 1e16 of repr's positional form and their neighbours, powers of 2 and
+# of 10 and their neighbours, decimals of 1 to 17 significant digits, and
+# the exact ties of the digit search.
+score_values = st.one_of(
+    st.floats(width=64),
+    st.integers(0, 2 ** 64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.builds(lambda x, n, sign: sign * _steps(x, n), st.sampled_from([1e-4, 1e16]),
+              st.integers(-3, 3), st.sampled_from([1, -1])),
+    st.builds(lambda k, n: _steps(2.0 ** k, n), st.integers(-1074, 1023), st.integers(-2, 2)),
+    st.builds(lambda k, n: _steps(float(f"1e{k}"), n), st.integers(-323, 308),
+              st.integers(-2, 2)),
+    st.builds(lambda digits, k, sign: sign * float(f"{digits}e{k}"),
+              st.integers(1, 10 ** 17 - 1), st.integers(-25, 16), st.sampled_from([1, -1])),
+    st.builds(lambda d, half, n, sign: sign * _digit_ties(d, 16 - d + half, n),
+              st.integers(-4, 15), st.integers(0, 1), st.integers(0, 2 ** 40),
+              st.sampled_from([1, -1])),
+)
 
 
 # Coordinates where a vectorised "%.6f" could go wrong: any double (NaN,
@@ -491,6 +556,55 @@ class TestWriters:
         with mock.patch.object(scores, "_WRITE_ROWS", 3):
             write_scores_csv(values, text)
         assert text.getvalue().encode() == sink.getvalue()
+
+    @staticmethod
+    def _reference_scores(values, start=0) -> bytes:
+        return "".join([f"{i},{v!r}\n"
+                        for i, v in enumerate(values.tolist(), start)]).encode()
+
+    @PROPERTY
+    @given(st.lists(score_values, max_size=40), st.sampled_from([1, 3, None]))
+    @example([1 + 3 * 2.0 ** -17, -8.000045776367188, 0.001, 9999999999999998.0,
+              1e16, 1e-4, 9.999999999999999e-05, -0.0], 1)
+    def test_scores_match_repr(self, values, rows):
+        # rows None is the default tile.
+        values = np.array(values, dtype=np.float64)
+        binary, text = io.BytesIO(), io.StringIO()
+        with mock.patch.object(scores, "_WRITE_ROWS", rows or scores._WRITE_ROWS):
+            write_scores_csv(values, binary)
+            write_scores_csv(values, text)
+        expected = b"index,score\n" + self._reference_scores(values)
+        assert binary.getvalue() == text.getvalue().encode() == expected
+
+    def test_adversarial_scores_match_repr(self):
+        values = np.array(_adversarial_scores())
+        assert scores._score_chunk(values, 0) == self._reference_scores(values)
+
+    @pytest.mark.parametrize("start", [1, 95, 998, 9996, 10 ** 8 - 3,
+                                       10 ** 12 - 1, 10 ** 18 - 5])
+    def test_score_rows_index_from_any_start(self, start):
+        values = np.array([0.5, -1.25, 1e-5, 0.1, -0.0, math.nan, 3.0, 7e15, 1.5e-4])
+        assert scores._score_chunk(values, start) == self._reference_scores(values, start)
+
+    def test_scores_outside_the_domain_go_to_repr(self):
+        # The kernel spells every row in its domain; repr writes only the
+        # others: a power of two, values printed with an exponent, NaN and
+        # infinities, and an exact tie of the digit search.
+        tie = 1 + 3 * 2.0 ** -17
+        spelled = [0.1, -2.5, 9999999999999998.0, 1e-4, -0.0, 0.0, 123.456,
+                   1 + 2.0 ** -52, -9.87654321e15]
+        others = [0.5, 1e-5, -1e16, 1e300, math.nan, math.inf, -math.inf, 5e-324, tie]
+        values = np.array(spelled + others)
+        seen = []
+
+        def spy(value):
+            seen.append(value)
+            return repr(value)
+
+        with mock.patch.object(scores, "repr", spy, create=True):
+            text = scores._score_chunk(values, 0)
+        assert text == self._reference_scores(values)
+        assert [repr(v) for v in seen] == [repr(v) for v in others]
 
 
 def test_cli_import_does_not_load_numpy_random():
