@@ -17,6 +17,7 @@ import contextlib
 import copy
 import functools
 import hashlib
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,8 +38,8 @@ from .predictive import (TENSOR_MAGIC, TensorKind, TensorStream, write_header,
                          write_member)
 from .scores import (ScoreKind, read_scores_csv, score_distribution,
                      write_scores_csv)
-from .synth import (GaussianPairSpec, _check_tensor_args, sample_scores_chunk,
-                    synth_member)
+from .synth import (GaussianPairSpec, _check_tensor_args, _ndtri_for,
+                    sample_scores_chunk, synth_member)
 
 DEFAULT_K_SWEEP = (1, 5, 10, 15, 20)
 
@@ -54,7 +55,8 @@ _MAX_BINS = 1 << 20
 _KIND_FLAGS = {"msp": ScoreKind.MSP_COMPLEMENT, "entropy": ScoreKind.ENTROPY}
 
 
-# Path arguments per subcommand, in the order empty ones are reported.
+# Path arguments per subcommand, inputs before outputs, in the order empty
+# ones are reported.
 _PATH_ROLES = {
     "aggregate": ("in", "out"),
     "score": ("in", "out"),
@@ -66,6 +68,14 @@ _PATH_ROLES = {
 }
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths `a` and `b` name one file: by device and inode where
+    both exist, by their resolved paths where one does not."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _check_args(args: argparse.Namespace) -> None:
     """Reject flag values no run can use, before any file is opened."""
     sc = args.subcommand
@@ -74,9 +84,21 @@ def _check_args(args: argparse.Namespace) -> None:
             raise ValidationError("map needs exactly one of --threshold or --roc")
         if args.threshold is not None:
             check_threshold(args.threshold)
+    paths = []
     for role in _PATH_ROLES[sc]:
-        if getattr(args, "input" if role == "in" else role) == "":
+        path = getattr(args, "input" if role == "in" else role)
+        if path == "":
             raise ValidationError(f"{sc}: empty path for {role}")
+        if path is not None:
+            paths.append((role, path))
+    # An output written over an input or another output would lose it.
+    for j, (role, path) in enumerate(paths):
+        if role.startswith("out"):
+            for other, other_path in paths[:j]:
+                if _same_file(path, other_path):
+                    raise ValidationError(
+                        f"{sc}: --{role.replace('_', '-')} and "
+                        f"--{other.replace('_', '-')} name the same file")
     k = getattr(args, "k", None)
     if k is not None and k < 1:
         raise ValidationError(f"--k must be >= 1, got {k}")
@@ -463,10 +485,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
             mu_id=args.mu_id, sigma_id=args.sigma_id,
             mu_ood=args.mu_ood, sigma_ood=args.sigma_ood,
             n_id=args.n_id, n_ood=args.n_ood, seed=args.seed)
+        ndtri = _ndtri_for(spec.n_id + spec.n_ood)
 
         def draw(population, n):
             return np.concatenate(_run_shards(
-                lambda a, b: sample_scores_chunk(spec, population, a, b),
+                lambda a, b: sample_scores_chunk(spec, population, a, b,
+                                                 ndtri=ndtri),
                 n, args.workers))
 
         id_scores = draw("id", spec.n_id)
@@ -478,13 +502,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     n, c = args.points, args.classes
     _check_tensor_args(n, c, args.members, args.separability, args.seed)
+    ndtri = _ndtri_for(2 * args.members * n * c)
     paths = [args.out_id, args.out_ood]
     # Each member's (ID, OOD) rows, filled tile by tile; reused per member.
     rows = [np.empty((n, c), dtype=np.float32) for _ in paths]
 
     def fill(m, a, b):
         rows[0][a:b], rows[1][a:b] = synth_member(n, c, args.separability,
-                                                  args.seed, m, a, b)
+                                                  args.seed, m, a, b,
+                                                  ndtri=ndtri)
 
     with atomic_outputs(paths) as sinks:
         for sink in sinks:

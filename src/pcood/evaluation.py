@@ -415,15 +415,20 @@ def write_roc_csv(curve: RocCurve, sink, metadata=()) -> None:
     is implicit. Floats use repr, so parse-back is bit-exact. The
     metadata block holds ``# key=value`` lines (score kind, bin count,
     tie rule, auroc, and anything the caller appends), each checked as a
-    report line is.
+    report line is. No key may repeat, as :func:`read_roc_csv` refuses one.
     """
+    entries = [("auroc", curve.auroc), *metadata]
+    seen = set()
+    for key, _ in entries:
+        if key in seen:
+            raise ValidationError(f"repeated metadata key: {key!r}")
+        seen.add(key)
     lines = ["threshold,fpr,tpr"]
     t = curve.thresholds.tolist()
     f = curve.fpr[1:].tolist()
     p = curve.tpr[1:].tolist()
     lines.extend(f"{t[i]!r},{f[i]!r},{p[i]!r}" for i in range(len(t)))
-    lines.extend(f"# {_report_line(key, value)}"
-                 for key, value in [("auroc", curve.auroc), *metadata])
+    lines.extend(f"# {_report_line(key, value)}" for key, value in entries)
     write_text(sink, "\n".join(lines) + "\n")
 
 

@@ -30,10 +30,10 @@ ENTROPY_PROB_FLOOR = 1e-12
 # from libm's by 1 ulp on 0.2-0.35% of inputs, while xlogy(x, x) equals
 # x * math.log(x) on 2M of 2M inputs. So numpy's log only screens: it
 # decides the rows whose decision the margin C * _ENTROPY_MARGIN_PER_CLASS
-# cannot move, and every other row gets its exact score. (synth keeps
-# scipy's ndtri for the same reason: a stand-in would have to match its
-# bits.) The margin bounds |h - e|, where h is a row's numpy-log entropy
-# and e its xlogy entropy:
+# cannot move, and every other row gets its exact score. (synth's own
+# ndtri takes its logs from math.log for the same reason.) The margin
+# bounds |h - e|, where h is a row's numpy-log entropy and e its xlogy
+# entropy:
 # - For a row of entries p_i in [0, 1] whose sum is within
 #   PROB_ROW_SUM_TOL of 1, S = sum |p_i log p_i| <= (1 + 1e-5) ln C.
 # - np.log is within k ulp of libm's log (k = 1 measured; the margin
@@ -228,22 +228,15 @@ def _fill_quads(x: np.ndarray, out: np.ndarray, quads: np.ndarray) -> None:
         x = high
 
 
-def _score_chunk(values: np.ndarray, start: int) -> bytes:
-    """The score CSV rows of float64 `values`, the first indexed `start`, as
-    ASCII bytes equal to f"{i},{value!r}\\n" per row.
+def _shortest(a: np.ndarray):
+    """repr's digits of each |v| in `a` that lies in the domain of the
+    comment above, where every other entry is 0.
 
-    Rows in the domain of the comment above are spelled by the kernel; the
-    others are written by repr into the same fixed-width row. A row is, in
-    uint32 words: the index's leading digits, its last two digits with ","
-    and the sign, the integer part with ".", the fraction, and the newline;
-    NUL padding, leading zeros and trailing zeros are dropped at the end.
+    Returns (X, s, j, tie): the digits are X * 10**-s, X the multiple of
+    10**j that repr prints, and tie marks the rows whose V lies exactly
+    halfway between two multiples, left to repr.
     """
-    pow10, tens, _, _, quads, dots, commas, int_masks, frac_masks = _repr_tables()
-    n = len(values)
-    a = np.abs(values)
-    zero = a == 0.0
-    fast = zero | ((a >= 1e-4) & (a < 1e16) & (values.view(np.int64) & _MANTISSA != 0))
-    a = np.where(fast, a, 0.0)
+    pow10, tens, *_ = _repr_tables()
     s = 16 - np.floor(np.log10(np.where(a > 0.0, a, 0.1))).astype(np.int64)
     p, e = _times_ten_to(a, s)
     low = (p < 1e16) | ((p == 1e16) & (e < 0.0))
@@ -269,18 +262,39 @@ def _score_chunk(values: np.ndarray, start: int) -> bytes:
     r = big % unit
     rf = r + frac
     half = 0.5 * unit
-    fast &= rf != half
-    x = big - r + (rf > half) * unit
+    return big - r + (rf > half) * unit, s, j, rf == half
 
-    # Split X * 10**-s into its integer part and its 20-digit fraction.
-    scale = pow10[np.minimum(s, 18)]
-    whole = x // scale
-    fraction = x - whole * scale
-    int_digits = np.maximum(17 - s + (x == 10 ** 17), 1)
-    frac_digits = np.maximum(s - j, 1)
-    int_words = 1 + int(int_digits.max()) // 4
+
+def _score_chunk(values: np.ndarray, start: int) -> bytes:
+    """The score CSV rows of float64 `values`, the first indexed `start`, as
+    ASCII bytes equal to f"{i},{value!r}\\n" per row.
+
+    Rows in the domain of the comment above are spelled by the kernel; the
+    others are written by repr into the same fixed-width row, and a tile
+    with no row in the domain skips the kernel's digit search. A row is, in
+    uint32 words: the index's leading digits, its last two digits with ","
+    and the sign, the integer part with ".", the fraction, and the newline;
+    NUL padding, leading zeros and trailing zeros are dropped at the end.
+    """
+    pow10, _, _, _, quads, dots, commas, int_masks, frac_masks = _repr_tables()
+    n = len(values)
+    a = np.abs(values)
+    fast = (a == 0.0) | ((a >= 1e-4) & (a < 1e16)
+                         & (values.view(np.int64) & _MANTISSA != 0))
     # The number's words also hold a repr row of up to 24 characters.
-    frac_words = max(-(-int(s.max()) // 4), 6 - int_words)
+    int_words, frac_words = 1, 5
+    spell = bool(fast.any())
+    if spell:
+        x, s, j, tie = _shortest(np.where(fast, a, 0.0))
+        fast &= ~tie
+        # Split X * 10**-s into its integer part and its 20-digit fraction.
+        scale = pow10[np.minimum(s, 18)]
+        whole = x // scale
+        fraction = x - whole * scale
+        int_digits = np.maximum(17 - s + (x == 10 ** 17), 1)
+        frac_digits = np.maximum(s - j, 1)
+        int_words = 1 + int(int_digits.max()) // 4
+        frac_words = max(-(-int(s.max()) // 4), 6 - int_words)
     stop = start + n
     index_words = max((len(str(stop - 1)) + 1) // 4, 1)
     words = np.empty((n, index_words + int_words + frac_words + 2), dtype=np.uint32)
@@ -288,15 +302,17 @@ def _score_chunk(values: np.ndarray, start: int) -> bytes:
     lead = index // 100
     _fill_quads(lead, words[:, :index_words], quads)
     words[:, index_words] = commas[index - lead * 100 + 100 * np.signbit(values)]
-    c = index_words + 1
-    lead = whole // 1000
-    _fill_quads(lead, words[:, c:c + int_words - 1], quads)
-    words[:, c + int_words - 1] = dots[whole - lead * 1000]
-    words[:, c:c + int_words] &= np.take(int_masks, int_digits, axis=0)[:, 5 - int_words:]
-    c += int_words
-    _fill_quads(fraction, words[:, c:c + frac_words], quads)
-    words[:, c:c + frac_words] &= np.take(frac_masks, 21 * s + frac_digits,
-                                          axis=0)[:, 5 - frac_words:]
+    if spell:
+        c = index_words + 1
+        lead = whole // 1000
+        _fill_quads(lead, words[:, c:c + int_words - 1], quads)
+        words[:, c + int_words - 1] = dots[whole - lead * 1000]
+        words[:, c:c + int_words] &= np.take(int_masks, int_digits,
+                                             axis=0)[:, 5 - int_words:]
+        c += int_words
+        _fill_quads(fraction, words[:, c:c + frac_words], quads)
+        words[:, c:c + frac_words] &= np.take(frac_masks, 21 * s + frac_digits,
+                                              axis=0)[:, 5 - frac_words:]
     words[:, -1] = np.frombuffer(b"\n\0\0\0", dtype=np.uint32)
     text = words.view(np.uint8)
     # Index digit q (0 = units) is a leading zero on the rows below 10**q.

@@ -5,7 +5,10 @@ stream) and addressed by absolute value index: a worker producing
 indices [a, b) positions the counter at a and draws b - a values, so
 any partitioning of the index space reproduces bit-identical output.
 Normal deviates come from the inverse CDF of one uniform draw per
-index, with no rejection loop that could desynchronize shards.
+index, with no rejection loop that could desynchronize shards. That
+inverse CDF has the bits of scipy.special.ndtri; a run of up to 2**21
+draws takes them from a numpy port of the same code (_ndtri), and does
+not load scipy.
 
 Gaussian score pairs have a closed-form AUROC, which makes them the
 ground-truth oracle for the evaluation pipeline.
@@ -59,12 +62,114 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return gen.random(count)
 
 
-def _standard_normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    from scipy.special import ndtri
+# _ndtri is Cephes' ndtri (S. L. Moshier, Cephes Math Library, ndtri.c),
+# the code scipy.special.ndtri runs, with its coefficients, its reflection
+# at 1 - e**-2 and its order of operations, so it gives scipy's bits:
+# - Away from the tails it uses only +, -, * and /, each rounded once
+#   to nearest in numpy as in C.
+# - In the tails it takes two logs, and these come from libm through
+#   math.log, the log scipy calls: numpy's own log is 1 ulp off libm's
+#   on some inputs (with it, 719 of 12,000,000 Philox draws differed).
+# This holds only if scipy's build contracts no a * x + b into one fused
+# multiply-add; the differential tests check that it gives scipy's bits on
+# over 10**7 draws, bit patterns and the branch edges.
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+# For z = sqrt(-2 log y) in [2, 8), i.e. y down to e**-32.
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# For z in [8, 64).
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_SQRT_2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189
 
+# Most normals a synth command draws with _ndtri; above it, the command
+# loads scipy for its ndtri. On a 2-vCPU x86-64 machine, in process, _ndtri
+# cost about 106 ns more per draw than scipy's (0.075 s against 0.011 s for
+# 2 x 300k draws in 4096-draw tiles), and importing scipy.special about
+# 0.3 s of CPU (0.445 s against 0.150 s for numpy alone), so _ndtri is the
+# cheaper one up to about 2.8M draws; 2**21 leaves room for a slower libm
+# log or Python call.
+_PORT_MAX_DRAWS = 1 << 21
+
+
+def _ratio(x: np.ndarray, p, q) -> np.ndarray:
+    """Cephes' (x * polevl(x, p)) / p1evl(x, q), by Horner's rule."""
+    num = np.full_like(x, p[0])
+    for c in p[1:]:
+        num *= x
+        num += c
+    den = x + q[0]
+    for c in q[1:]:
+        den *= x
+        den += c
+    num *= x
+    num /= den
+    return num
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """libm's log of each entry, through math.log."""
+    return np.array(list(map(math.log, x.tolist())), dtype=np.float64)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """scipy.special.ndtri of each float64 in the open interval (0, 1)."""
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    central = y > _EXP_M2
+    c = y[central] - 0.5
+    out = np.empty_like(y)
+    out[central] = (c + c * _ratio(c * c, _NDTRI_P0, _NDTRI_Q0)) * _SQRT_2PI
+    tail = np.flatnonzero(~central)
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x1 = _ratio(z, _NDTRI_P1, _NDTRI_Q1)
+    far = np.flatnonzero(x >= 8.0)
+    if far.size:
+        x1[far] = _ratio(z[far], _NDTRI_P2, _NDTRI_Q2)
+    x = (x - _libm_log(x) / x) - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+def _ndtri_for(draws: int):
+    """The inverse normal CDF for a run of `draws` normal draws: _ndtri up
+    to _PORT_MAX_DRAWS draws, scipy.special.ndtri above. The two give the
+    same bits, so the choice moves no output."""
+    if draws <= _PORT_MAX_DRAWS:
+        return _ndtri
+    from scipy.special import ndtri
+    return ndtri
+
+
+def _standard_normals(seed: int, stream: int, start: int, count: int,
+                      ndtri=None) -> np.ndarray:
+    if ndtri is None:
+        ndtri = _ndtri_for(count)
     u = _uniforms(seed, stream, start, count)
     np.maximum(u, _UNIFORM_FLOOR, out=u)
-    return ndtri(u, out=u)
+    return ndtri(u)
 
 
 @dataclass(frozen=True)
@@ -91,11 +196,13 @@ class GaussianPairSpec:
 
 
 def sample_scores_chunk(spec: GaussianPairSpec, population: str,
-                        start: int, stop: int) -> np.ndarray:
+                        start: int, stop: int, *, ndtri=None) -> np.ndarray:
     """Scores at indices [start, stop) of one population.
 
     Chunking is free: concatenating chunks over any partition of
-    [0, n) equals the single full draw bit for bit.
+    [0, n) equals the single full draw bit for bit. ``ndtri`` is the
+    inverse normal CDF to draw with, by default the one for the draw count;
+    every choice gives the same bits.
     """
     if population == "id":
         n, mu, sigma, stream = spec.n_id, spec.mu_id, spec.sigma_id, _STREAM_ID_SCORES
@@ -105,7 +212,8 @@ def sample_scores_chunk(spec: GaussianPairSpec, population: str,
         raise ValidationError(f"population must be 'id' or 'ood', got {population!r}")
     if not 0 <= start <= stop <= n:
         raise ValidationError(f"chunk [{start}, {stop}) outside population of {n}")
-    return mu + sigma * _standard_normals(spec.seed, stream, start, stop - start)
+    return mu + sigma * _standard_normals(spec.seed, stream, start,
+                                          stop - start, ndtri)
 
 
 def _check_tensor_args(n_points, n_classes, n_members, separability, seed):
@@ -128,8 +236,8 @@ def synth_true_classes(n_points: int, n_classes: int, seed: int,
 
 
 def synth_member(n_points: int, n_classes: int, separability: float,
-                 seed: int, m: int, start: int,
-                 stop: int) -> tuple[np.ndarray, np.ndarray]:
+                 seed: int, m: int, start: int, stop: int, *,
+                 ndtri=None) -> tuple[np.ndarray, np.ndarray]:
     """Float32 (ID, OOD) probability rows of member m for points [start, stop).
 
     Members share nothing: member m of the ID tensor adds `separability`
@@ -138,7 +246,7 @@ def synth_member(n_points: int, n_classes: int, separability: float,
     coincide; as it grows, ID rows approach one-hot while OOD rows keep
     their moderate spread. The draws of member m sit at fixed counter
     positions, so they depend neither on the member count nor on how the
-    points are split.
+    points are split. ``ndtri`` is as in :func:`sample_scores_chunk`.
     """
     if m < 0:
         raise ValidationError(f"member index must be >= 0, got {m}")
@@ -147,12 +255,12 @@ def synth_member(n_points: int, n_classes: int, separability: float,
         raise ValidationError(f"chunk [{start}, {stop}) outside 0..{n_points}")
     count = stop - start
     base = (m * n_points + start) * n_classes
-    z = _standard_normals(seed, _STREAM_ID_NOISE, base,
-                          count * n_classes).reshape(count, n_classes)
+    z = _standard_normals(seed, _STREAM_ID_NOISE, base, count * n_classes,
+                          ndtri).reshape(count, n_classes)
     z[np.arange(count),
       synth_true_classes(n_points, n_classes, seed, start, stop)] += separability
     id_rows = _softmax_rows(z).astype(np.float32)
-    z = _standard_normals(seed, _STREAM_OOD_NOISE, base,
-                          count * n_classes).reshape(count, n_classes)
+    z = _standard_normals(seed, _STREAM_OOD_NOISE, base, count * n_classes,
+                          ndtri).reshape(count, n_classes)
     return id_rows, _softmax_rows(z).astype(np.float32)
 

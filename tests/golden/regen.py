@@ -13,9 +13,10 @@ Usage:
 
 A change that rewrites expected.json changes the bytes pcood produces;
 say which cases changed and why. Cases whose name starts with ``synth-``
-depend on numpy's Philox generator and on ``scipy.special.ndtri``, so an
-upgrade of either moves only those. Help texts depend on Python's
-argparse and are taken at 80 columns.
+depend on numpy's Philox generator and on the bits of
+``scipy.special.ndtri``, which synth's own port reproduces with libm's
+``log``, so an upgrade of either moves only those. Help texts depend on
+Python's argparse and are taken at 80 columns.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from pcood import (ScoreKind, TensorKind, TensorStream, ValidationError,
                    apply_threshold, argmax_labels, exact_auroc, hist_accumulate,
                    hist_auroc, hist_new, read_roc_csv, read_scores_csv,
                    score_distribution, write_member)
-from pcood import cli
+from pcood import cli, synth
 from pcood.cli import main
 
 
@@ -147,6 +147,42 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert len(proc.stderr) <= 1024
         assert proc.stderr.decode() == f"error: {bad}: {message} {'a' * 80!r}...\n"
+
+    @pytest.mark.parametrize("argv, roles", [
+        (["aggregate", "--in", "id.pcod", "--out", "id.pcod"], "--out and --in"),
+        (["score", "--in", "id.pcod", "--out", "./id.pcod"], "--out and --in"),
+        (["auroc", "--id", "id.pcod", "--ood", "ood.pcod", "--out", "id.pcod"],
+         "--out and --id"),
+        # A hard link names the file by another path.
+        (["roc", "--id", "id.pcod", "--ood", "ood.pcod", "--out", "link.pcod"],
+         "--out and --ood"),
+        (["iou", "--points", "p.txt", "--labels", "l.txt", "--pred", "id.pcod",
+          "--out", "l.txt"], "--out and --labels"),
+        (["map", "--points", "p.txt", "--pred", "id.pcod", "--threshold", "0.5",
+          "--out", "sub/../p.txt"], "--out and --points"),
+        (["map", "--points", "p.txt", "--pred", "id.pcod", "--roc", "roc.csv",
+          "--out", "roc.csv"], "--out and --roc"),
+        # Neither output exists yet: their resolved paths are compared.
+        (["synth", "scores", "--n-id", "5", "--n-ood", "5", "--out-id", "x.csv",
+          "--out-ood", "./x.csv"], "--out-ood and --out-id"),
+        (["synth", "tensor", "--points", "5", "--out-id", "t.pcod",
+          "--out-ood", "sub/../t.pcod"], "--out-ood and --out-id"),
+    ])
+    def test_output_naming_an_input_or_output_is_rejected(
+            self, tmp_path, tensor_pair, monkeypatch, capsys, argv, roles):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        _write_points_file(tmp_path / "p.txt", 80)
+        _write_labels_file(tmp_path / "l.txt", np.ones(80))
+        (tmp_path / "roc.csv").write_text("threshold,fpr,tpr\n# auroc=0.5\n")
+        os.link(tmp_path / "ood.pcod", tmp_path / "link.pcod")
+        before = {path.name: path.read_bytes()
+                  for path in tmp_path.iterdir() if path.is_file()}
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: {argv[0]}: {roles} name the same file\n"
+        assert {path.name: path.read_bytes()
+                for path in tmp_path.iterdir() if path.is_file()} == before
 
     def test_usage_errors_exit_one(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -373,6 +409,51 @@ class TestSynthCommand:
             outputs.append(out_id.read_bytes() + out_ood.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_both_sides_of_the_ndtri_cut_off_write_the_same_bytes(
+            self, tmp_path, monkeypatch):
+        # At cut-off 0 every draw goes through scipy's ndtri, at 2**63 through
+        # synth's own; both must give the outputs the same bytes.
+        commands = [
+            ["synth", "scores", "--n-id", 9000, "--n-ood", 5000, "--seed", 4],
+            ["synth", "tensor", "--points", 5000, "--classes", 3, "--members",
+             2, "--separability", "1.5", "--seed", 6],
+        ]
+        port = mock.Mock(wraps=synth._ndtri)
+        monkeypatch.setattr(synth, "_ndtri", port)
+        for command in commands:
+            outputs = set()
+            for cut_off in (0, 2 ** 63):
+                monkeypatch.setattr(synth, "_PORT_MAX_DRAWS", cut_off)
+                for workers in (1, 3):
+                    port.reset_mock()
+                    out_id, out_ood = tmp_path / "id.out", tmp_path / "ood.out"
+                    assert run(*command, "--workers", workers, "--out-id",
+                               out_id, "--out-ood", out_ood) == 0
+                    assert port.called == (cut_off > 0)
+                    outputs.add(out_id.read_bytes() + out_ood.read_bytes())
+            assert len(outputs) == 1
+
+    def test_scipy_loads_only_above_the_ndtri_cut_off(self, tmp_path):
+        # 2 x 300k scores (the oracle) draw below 2**21 normals; a tensor of
+        # 2 x 4 members x 65537 points x 4 classes draws just above it.
+        runs = [
+            (["synth", "scores", "--n-id", 300000, "--n-ood", 300000], False),
+            (["synth", "tensor", "--points", 65537, "--classes", 4,
+              "--members", 4], True),
+        ]
+        script = ("import json, sys\n"
+                  "from pcood.cli import main\n"
+                  "code = main(json.loads(sys.argv[1]))\n"
+                  "print(json.dumps([code, 'scipy' in sys.modules]))\n")
+        for argv, loads_scipy in runs:
+            argv += ["--workers", 2, "--out-id", tmp_path / "a.out",
+                     "--out-ood", tmp_path / "b.out"]
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps([str(a) for a in argv])],
+                capture_output=True, text=True, env=_pcod_env())
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == [0, loads_scipy], argv[1]
+
     def test_peak_memory_does_not_grow_with_members(self, tmp_path):
         # Members are filled one at a time into one reused (N, C) float32
         # array per output, so 16 members may not hold more than one extra
@@ -394,7 +475,9 @@ class TestSynthCommand:
             finally:
                 tracemalloc.stop()
 
-        peak(n, 2, 3)  # lazy imports, thread start-up and first allocations
+        # Lazy imports, scipy's among them (16 members draw above the
+        # cut-off of synth's own ndtri), thread start-up and first allocations.
+        peak(n, 16, 3)
         bound = peak(n, 2, 1) + 4 * n * c
         assert peak(n, 16, 1) <= bound
         assert peak(n, 16, 3) <= bound + 2 * 4 * cli._TILE_ROWS * c * 8

@@ -653,6 +653,19 @@ class TestReportFormats:
                                              "'youden_threshold'$"):
             read_roc_csv(io.BytesIO(text))
 
+    @pytest.mark.parametrize("metadata, key", [
+        ([("kind", "msp_complement"), ("kind", "entropy")], "kind"),
+        ([("auroc", 0.5)], "auroc"),
+    ])
+    def test_roc_csv_writer_refuses_a_repeated_metadata_key(self, metadata, key):
+        # read_roc_csv refuses such a file, so it is never written.
+        curve = roc_curve(_gauss_hist(np.random.default_rng(48), bins=4))
+        sink = io.BytesIO()
+        with pytest.raises(ValidationError,
+                           match=f"^repeated metadata key: '{key}'$"):
+            write_roc_csv(curve, sink, metadata)
+        assert sink.getvalue() == b""
+
     def test_roc_csv_errors(self):
         with pytest.raises(ParseError):
             read_roc_csv(io.BytesIO(b"0.5,0.1,0.2\n"))

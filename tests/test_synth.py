@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import norm
 
 from pcodref import (analytic_auroc, members, sample_pair, stream_means,
@@ -18,7 +21,8 @@ from pcodref import (analytic_auroc, members, sample_pair, stream_means,
 from pcood import (GaussianPairSpec, ScoreKind, ValidationError, exact_auroc,
                    sample_scores_chunk, score_distribution, synth_member,
                    synth_true_classes)
-from pcood.synth import _check_tensor_args
+from pcood.synth import (_EXP_M2, _PORT_MAX_DRAWS, _UNIFORM_FLOOR,
+                         _check_tensor_args, _ndtri, _ndtri_for, _uniforms)
 
 
 def hanley_mcneil_se(auc, n1, n2):
@@ -238,3 +242,67 @@ class TestTensors:
             synth_member(10, 8, 1.0, 39, -1, 0, 10)
         with pytest.raises(ValidationError, match="two classes"):
             synth_member(10, 1, 1.0, 39, 0, 0, 10)
+
+
+# The largest double below 1, as a bit pattern.
+_BELOW_ONE = int(np.float64(1.0 - 2.0 ** -53).view(np.int64))
+# The floor of the uniforms, the least double, the edges of the tails
+# (e**-2 and its reflection) and of the far tail (e**-32, where
+# sqrt(-2 log y) = 8), the centre and the largest uniform.
+_NDTRI_ANCHORS = (2.0 ** -53, 5e-324, math.exp(-32), math.exp(-2), _EXP_M2,
+                  1.0 - _EXP_M2, 1.0 - math.exp(-2), 0.5, 1.0 - 2.0 ** -53)
+
+
+def _in_unit_interval(bits) -> np.ndarray:
+    """The doubles of int64 bit patterns `bits` that lie in (0, 1)."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits[(bits > 0) & (bits <= _BELOW_ONE)].view(np.float64)
+
+
+def _philox_uniforms(seed, stream, start, count):
+    """The uniforms _standard_normals feeds its inverse CDF."""
+    return np.maximum(_uniforms(seed, stream, start, count), _UNIFORM_FLOOR)
+
+
+def _near_anchors(steps) -> np.ndarray:
+    """The doubles `offset` steps from anchor `a`, for (a, offset) in steps."""
+    return _in_unit_interval([np.float64(a).view(np.int64) + offset
+                              for a, offset in steps])
+
+
+def _assert_scipy_bits(u):
+    u = np.asarray(u, dtype=np.float64)
+    np.testing.assert_array_equal(_ndtri(u).view(np.int64),
+                                  scipy_ndtri(u).view(np.int64))
+
+
+class TestNdtriPort:
+    """synth's numpy ndtri gives scipy.special.ndtri's bits."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(1, _BELOW_ONE), min_size=1, max_size=64)
+        .map(_in_unit_interval),
+        st.builds(_philox_uniforms, st.integers(0, 2 ** 64 - 1),
+                  st.sampled_from([0, 1, 3, 4]), st.integers(0, 2 ** 40),
+                  st.integers(1, 5000)),
+        st.lists(st.tuples(st.sampled_from(_NDTRI_ANCHORS),
+                           st.integers(-50, 50)), min_size=1, max_size=16)
+        .map(_near_anchors)))
+    def test_bit_patterns_philox_draws_and_branch_edges(self, u):
+        _assert_scipy_bits(u)
+
+    def test_every_neighbour_of_a_branch_edge(self):
+        u = _near_anchors([(a, offset) for a in _NDTRI_ANCHORS
+                           for offset in range(-50, 51)])
+        assert u.size >= 800
+        _assert_scipy_bits(u)
+
+    def test_ten_million_philox_draws(self):
+        for seed in range(1, 11):
+            _assert_scipy_bits(_philox_uniforms(seed, (0, 1, 3, 4)[seed % 4],
+                                                0, 1 << 20))
+
+    def test_cut_off(self):
+        assert _ndtri_for(1) is _ndtri_for(_PORT_MAX_DRAWS) is _ndtri
+        assert _ndtri_for(_PORT_MAX_DRAWS + 1) is scipy_ndtri

@@ -606,6 +606,30 @@ class TestWriters:
         assert text == self._reference_scores(values)
         assert [repr(v) for v in seen] == [repr(v) for v in others]
 
+    def test_a_tile_with_no_row_in_the_domain_skips_the_digit_search(self):
+        # Scores printed with an exponent, such as the 1 - MSP of confident
+        # rows, and non-finite ones: each row is one repr call, with no
+        # digit search; one row in the domain brings the search back.
+        rng = np.random.default_rng(17)
+        values = np.concatenate([10.0 ** rng.uniform(-9, -5, 300),
+                                 [1e16, -2e-300, 5e-324, math.nan, -math.inf]])
+        calls = []
+
+        def spy(value):
+            calls.append(value)
+            return repr(value)
+
+        searched = mock.Mock(wraps=scores._shortest)
+        with mock.patch.object(scores, "repr", spy, create=True), \
+                mock.patch.object(scores, "_shortest", searched):
+            text = scores._score_chunk(values, 40)
+            assert searched.call_count == 0
+            mixed = scores._score_chunk(np.append(values, 0.3), 40)
+            assert searched.call_count == 1
+        assert text == self._reference_scores(values, 40)
+        assert mixed == self._reference_scores(np.append(values, 0.3), 40)
+        assert len(calls) == 2 * len(values)
+
 
 def test_cli_import_does_not_load_numpy_random():
     src = Path(_io.__file__).resolve().parents[1]
