@@ -31,7 +31,7 @@ ENTROPY_PROB_FLOOR = 1e-12
 # x * math.log(x) on 2M of 2M inputs. So numpy's log only screens: it
 # decides the rows whose decision the margin C * _ENTROPY_MARGIN_PER_CLASS
 # cannot move, and every other row gets its exact score. (synth's own
-# ndtri takes its logs from math.log for the same reason.) The margin
+# ndtri takes its logs from libm's log for the same reason.) The margin
 # bounds |h - e|, where h is a row's numpy-log entropy and e its xlogy
 # entropy:
 # - For a row of entries p_i in [0, 1] whose sum is within

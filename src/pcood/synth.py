@@ -16,6 +16,7 @@ ground-truth oracle for the evaluation pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,9 +68,10 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 # at 1 - e**-2 and its order of operations, so it gives scipy's bits:
 # - Away from the tails it uses only +, -, * and /, each rounded once
 #   to nearest in numpy as in C.
-# - In the tails it takes two logs, and these come from libm through
-#   math.log, the log scipy calls: numpy's own log is 1 ulp off libm's
-#   on some inputs (with it, 719 of 12,000,000 Philox draws differed).
+# - In the tails it takes two logs, and these come from libm, the log
+#   scipy calls (see _libm_log): numpy's vectorized log is 1 ulp off
+#   libm's on some inputs (with it, 719 of 12,000,000 Philox draws
+#   differed).
 # This holds only if scipy's build contracts no a * x + b into one fused
 # multiply-add; the differential tests check that it gives scipy's bits on
 # over 10**7 draws, bit patterns and the branch edges.
@@ -103,14 +105,53 @@ _NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
 _SQRT_2PI = 2.50662827463100050242E0
 _EXP_M2 = 0.13533528323661269189
 
+# Draws _ndtri works on at a time, so its temporaries stay small whatever
+# the tile.
+_NDTRI_BLOCK = 1 << 12
+
 # Most normals a synth command draws with _ndtri; above it, the command
-# loads scipy for its ndtri. On a 2-vCPU x86-64 machine, in process, _ndtri
-# cost about 106 ns more per draw than scipy's (0.075 s against 0.011 s for
-# 2 x 300k draws in 4096-draw tiles), and importing scipy.special about
-# 0.3 s of CPU (0.445 s against 0.150 s for numpy alone), so _ndtri is the
-# cheaper one up to about 2.8M draws; 2**21 leaves room for a slower libm
-# log or Python call.
+# loads scipy for its ndtri. On a 2-vCPU x86-64 machine, in process, 2 x
+# 300k draws in 4096-draw tiles cost _ndtri 0.020 s against 0.010 s for
+# scipy's (about 17 ns more per draw), or 0.062 s with the math.log
+# fallback of _libm_log (about 86 ns more), and importing scipy.special
+# cost about 0.3 s of CPU (0.445 s against 0.150 s for numpy alone). So
+# _ndtri is the cheaper one up to about 18M draws, or 3.4M on the
+# fallback; 2**21 keeps it the cheaper one on either path.
 _PORT_MAX_DRAWS = 1 << 21
+
+# Tail inputs (y below e**-2, and sqrt(-2 log y) in [2, 64)) on which
+# numpy's AVX-512 float64 log is 1 ulp off libm's.
+_LOG_PROBES = (0.125728554452994, 0.12303875267716988, 0.020270657999841055,
+               41.960307769650946, 40.72369920103487, 35.785230484522465)
+
+
+def _strided_log(x: np.ndarray) -> np.ndarray:
+    """np.log of the 1-D array x, read with a positive stride and written
+    with a negative one (numpy would reverse a loop with both negative)."""
+    x = np.ascontiguousarray(x)
+    return np.log(x, out=np.empty(x.size)[::-1])
+
+
+@functools.cache
+def _strided_log_is_libm() -> bool:
+    """Whether _strided_log gives math.log's bits on _LOG_PROBES."""
+    return (_strided_log(np.array(_LOG_PROBES)).tolist()
+            == list(map(math.log, _LOG_PROBES)))
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """libm's log of each entry of x.
+
+    numpy (2.4, x86-64) takes its vectorized log only when no operand has
+    a negative stride; for an output with a negative stride it calls libm's
+    log entry by entry, about 35 times faster than math.log through Python.
+    That is numpy's choice, not its promise, so it is checked once on inputs
+    where the vectorized log is off, and math.log is the fallback. numpy
+    ignores the stride of a one-entry array, so one entry takes math.log.
+    """
+    if x.size > 1 and _strided_log_is_libm():
+        return _strided_log(x)
+    return np.array(list(map(math.log, x.tolist())), dtype=np.float64)
 
 
 def _ratio(x: np.ndarray, p, q) -> np.ndarray:
@@ -128,28 +169,53 @@ def _ratio(x: np.ndarray, p, q) -> np.ndarray:
     return num
 
 
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    """libm's log of each entry, through math.log."""
-    return np.array(list(map(math.log, x.tolist())), dtype=np.float64)
-
-
-def _ndtri(u: np.ndarray) -> np.ndarray:
-    """scipy.special.ndtri of each float64 in the open interval (0, 1)."""
-    upper = u > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - u, u)
-    central = y > _EXP_M2
-    c = y[central] - 0.5
-    out = np.empty_like(y)
-    out[central] = (c + c * _ratio(c * c, _NDTRI_P0, _NDTRI_Q0)) * _SQRT_2PI
-    tail = np.flatnonzero(~central)
-    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+def _ndtri_tails(t: np.ndarray) -> np.ndarray:
+    """ndtri of each t below e**-2 or above 1 - e**-2."""
+    # min(t, 1 - t) is Cephes' reflection, and a tail result is never 0, so
+    # taking the sign of t - 0.5 is its negation of the lower tail.
+    x = _libm_log(np.minimum(t, 1.0 - t))
+    x *= -2.0
+    np.sqrt(x, out=x)
     z = 1.0 / x
     x1 = _ratio(z, _NDTRI_P1, _NDTRI_Q1)
     far = np.flatnonzero(x >= 8.0)
     if far.size:
         x1[far] = _ratio(z[far], _NDTRI_P2, _NDTRI_Q2)
-    x = (x - _libm_log(x) / x) - x1
-    out[tail] = np.where(upper[tail], x, -x)
+    x0 = _libm_log(x)
+    x0 /= x
+    np.subtract(x, x0, out=x0)
+    x0 -= x1
+    return np.copysign(x0, t - 0.5, out=x0)
+
+
+def _ndtri_block(y: np.ndarray) -> None:
+    """Overwrite each float64 in (0, 1) of the 1-D array y with its ndtri."""
+    central = (y > _EXP_M2) & (y <= 1.0 - _EXP_M2)
+    mid, tail = np.flatnonzero(central), np.flatnonzero(~central)
+    t = y[tail]
+    c = y[mid]
+    c -= 0.5
+    r = _ratio(c * c, _NDTRI_P0, _NDTRI_Q0)
+    r *= c
+    r += c
+    r *= _SQRT_2PI
+    y[mid] = r
+    y[tail] = _ndtri_tails(t)
+
+
+def _ndtri(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """scipy.special.ndtri(u, out=out) for float64 u in the open interval
+    (0, 1); out may be u."""
+    if out is None:
+        out = u.copy()
+    elif out is not u:
+        np.copyto(out, u)
+    y = out if out.flags.c_contiguous else out.copy()
+    flat = y.reshape(-1)
+    for a in range(0, flat.size, _NDTRI_BLOCK):
+        _ndtri_block(flat[a:a + _NDTRI_BLOCK])
+    if y is not out:
+        out[...] = y
     return out
 
 
@@ -169,7 +235,7 @@ def _standard_normals(seed: int, stream: int, start: int, count: int,
         ndtri = _ndtri_for(count)
     u = _uniforms(seed, stream, start, count)
     np.maximum(u, _UNIFORM_FLOOR, out=u)
-    return ndtri(u)
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)

@@ -454,14 +454,17 @@ class TestSynthCommand:
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout) == [0, loads_scipy], argv[1]
 
-    def test_peak_memory_does_not_grow_with_members(self, tmp_path):
+    def test_peak_memory_does_not_grow_with_members(self, tmp_path,
+                                                   monkeypatch):
         # Members are filled one at a time into one reused (N, C) float32
         # array per output, so 16 members may not hold more than one extra
         # member payload over 2, and a point adds its two float32 rows (64 B
         # at C = 8) and little else. With one worker the peak repeats to
         # the kilobyte. A worker holds about four float64 tile arrays of
         # draws and softmax temporaries while it fills a tile, so three
-        # workers may hold two tiles' worth more than one.
+        # workers may hold two tiles' worth more than one. The runs of one
+        # comparison draw with one ndtri: every run with scipy's (cut-off
+        # 0), then every run with synth's own (cut-off 2**63).
         n, c = 20000, 8
 
         def peak(points, members, workers):
@@ -475,14 +478,15 @@ class TestSynthCommand:
             finally:
                 tracemalloc.stop()
 
-        # Lazy imports, scipy's among them (16 members draw above the
-        # cut-off of synth's own ndtri), thread start-up and first allocations.
-        peak(n, 16, 3)
-        bound = peak(n, 2, 1) + 4 * n * c
-        assert peak(n, 16, 1) <= bound
-        assert peak(n, 16, 3) <= bound + 2 * 4 * cli._TILE_ROWS * c * 8
-        growth = (peak(4 * n, 2, 1) - peak(n, 2, 1)) / (3 * n)
-        assert growth <= 80
+        for cut_off in (0, 2 ** 63):
+            monkeypatch.setattr(synth, "_PORT_MAX_DRAWS", cut_off)
+            # Lazy imports, thread start-up and first allocations.
+            peak(n, 16, 3)
+            bound = peak(n, 2, 1) + 4 * n * c
+            assert peak(n, 16, 1) <= bound
+            assert peak(n, 16, 3) <= bound + 2 * 4 * cli._TILE_ROWS * c * 8
+            growth = (peak(4 * n, 2, 1) - peak(n, 2, 1)) / (3 * n)
+            assert growth <= 80
 
     def test_sizes_the_header_cannot_hold_are_rejected(self, tmp_path, capsys):
         for flag, value in (("--classes", 2 ** 16), ("--members", 2 ** 16)):

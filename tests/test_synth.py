@@ -8,6 +8,7 @@ counts irrelevant to the output.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from pcodref import (analytic_auroc, members, sample_pair, stream_means,
 from pcood import (GaussianPairSpec, ScoreKind, ValidationError, exact_auroc,
                    sample_scores_chunk, score_distribution, synth_member,
                    synth_true_classes)
-from pcood.synth import (_EXP_M2, _PORT_MAX_DRAWS, _UNIFORM_FLOOR,
-                         _check_tensor_args, _ndtri, _ndtri_for, _uniforms)
+from pcood import synth
+from pcood.synth import (_EXP_M2, _LOG_PROBES, _PORT_MAX_DRAWS,
+                         _UNIFORM_FLOOR, _check_tensor_args, _ndtri,
+                         _ndtri_for, _uniforms)
 
 
 def hanley_mcneil_se(auc, n1, n2):
@@ -272,8 +275,11 @@ def _near_anchors(steps) -> np.ndarray:
 
 def _assert_scipy_bits(u):
     u = np.asarray(u, dtype=np.float64)
-    np.testing.assert_array_equal(_ndtri(u).view(np.int64),
-                                  scipy_ndtri(u).view(np.int64))
+    want = scipy_ndtri(u).view(np.int64)
+    np.testing.assert_array_equal(_ndtri(u).view(np.int64), want)
+    v = u.copy()
+    assert _ndtri(v, out=v) is v
+    np.testing.assert_array_equal(v.view(np.int64), want)
 
 
 class TestNdtriPort:
@@ -302,6 +308,40 @@ class TestNdtriPort:
         for seed in range(1, 11):
             _assert_scipy_bits(_philox_uniforms(seed, (0, 1, 3, 4)[seed % 4],
                                                 0, 1 << 20))
+
+    def test_math_log_fallback_gives_the_same_bits(self, monkeypatch):
+        monkeypatch.setattr(synth, "_strided_log_is_libm", lambda: False)
+        _assert_scipy_bits(_philox_uniforms(12, 3, 0, 1 << 16))
+        _assert_scipy_bits(_near_anchors([(a, offset) for a in _NDTRI_ANCHORS
+                                          for offset in range(-50, 51)]))
+
+    def test_log_probes(self):
+        probes = np.array(_LOG_PROBES)
+        libm = [math.log(p) for p in _LOG_PROBES]
+        assert synth._libm_log(probes).tolist() == libm
+        # One entry at a time, and in arrays of every length up to 6.
+        for n in range(1, probes.size + 1):
+            assert synth._libm_log(probes[:n]).tolist() == libm[:n]
+            assert synth._libm_log(probes[-n:]).tolist() == libm[-n:]
+        if np.log(probes).tolist() == libm:
+            pytest.skip("numpy's contiguous log is libm's here")
+        # Where numpy's contiguous log is off, the check rejects it.
+        with mock.patch.object(synth, "_strided_log", np.log):
+            assert not synth._strided_log_is_libm.__wrapped__()
+
+    def test_any_shape_and_layout(self):
+        base = _philox_uniforms(5, 0, 0, 6000).reshape(60, 100)
+        for view in (lambda a: a, lambda a: a.T, lambda a: a[::-1, ::3],
+                     lambda a: a[::2]):
+            v = view(base.copy())
+            want = scipy_ndtri(v).view(np.int64)
+            np.testing.assert_array_equal(_ndtri(v).view(np.int64), want)
+            assert _ndtri(v, out=v) is v
+            np.testing.assert_array_equal(v.view(np.int64), want)
+        out = np.empty((100, 60)).T
+        assert _ndtri(base, out=out) is out
+        np.testing.assert_array_equal(out.view(np.int64),
+                                      scipy_ndtri(base).view(np.int64))
 
     def test_cut_off(self):
         assert _ndtri_for(1) is _ndtri_for(_PORT_MAX_DRAWS) is _ndtri
