@@ -28,7 +28,7 @@ from .errors import ParseError, TruncatedStreamError, ValidationError
 from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
                          confusion_new, confusion_accumulate,
                          apply_threshold, argmax_labels, check_threshold,
-                         exact_auroc, hist_accumulate, hist_auroc, hist_bins,
+                         exact_auroc, hist_accumulate, hist_auroc,
                          hist_merge, hist_new,
                          hist_new_range, optimal_threshold, roc_curve,
                          seg_metrics, write_metrics_report, write_roc_csv,
@@ -360,11 +360,8 @@ def cmd_auroc(args: argparse.Namespace) -> int:
         mode = args.mode
         if mode == "auto":
             mode = "exact" if n_id + n_ood <= EXACT_MODE_MAX_POINTS else "hist"
-        empty = decide = None
-        if mode == "hist":
-            empty = _empty_hist(form, kind, id_data, ood_data, args.bins)
-            # A histogram needs only each score's bin; exact needs its bits.
-            decide = functools.partial(hist_bins, empty)
+        empty = (_empty_hist(form, kind, id_data, ood_data, args.bins)
+                 if mode == "hist" else None)
 
         def auroc(id_scores, ood_scores):
             if mode == "exact":
@@ -377,7 +374,7 @@ def cmd_auroc(args: argparse.Namespace) -> int:
             ks = args.k_list or [_k(args, id_data)]
             values = {k: auroc(*scores) for k, scores in _per_k(
                 [(args.id, id_data), (args.ood, ood_data)], ks, args.workers,
-                lambda probs: score_distribution(probs, kind, decide))}
+                lambda probs: score_distribution(probs, kind))}
             rows = [(f"auroc_k{k}", values[k]) for k in ks]
 
     entries = [("command", "auroc")]
@@ -402,10 +399,9 @@ def cmd_roc(args: argparse.Namespace) -> int:
             id_scores, ood_scores = id_data, ood_data
         else:
             k = _k(args, id_data)
-            decide = functools.partial(hist_bins, empty)
             [(_, [id_scores, ood_scores])] = _per_k(
                 [(args.id, id_data), (args.ood, ood_data)], [k], args.workers,
-                lambda probs: score_distribution(probs, kind, decide))
+                lambda probs: score_distribution(probs, kind))
     hist = _pooled_hist(id_scores, ood_scores, empty)
     curve = roc_curve(hist)
     threshold, j = optimal_threshold(curve)
@@ -469,10 +465,9 @@ def cmd_map(args: argparse.Namespace) -> int:
         check_threshold(threshold)
     with contextlib.ExitStack() as files:
         stream, cloud, _, _ = _open_scene(files, args)
-        decide = functools.partial(apply_threshold, threshold=threshold)
         [(_, [values])] = _per_k(
             [(args.pred, stream)], [_k(args, stream)], args.workers,
-            lambda probs: score_distribution(probs, kind, decide))
+            lambda probs: score_distribution(probs, kind))
     flags = apply_threshold(values, threshold)
     with atomic_outputs([args.out]) as (sink,):
         write_idood_map(cloud, flags, sink)

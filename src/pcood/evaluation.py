@@ -81,6 +81,12 @@ class BinnedScoreHistogram:
             raise ValidationError(
                 f"domain [{self.domain_lo!r}, {self.domain_hi!r}] is not an interval"
             )
+        # Binning divides by the width, so it must be a finite double too.
+        if not np.isfinite(float(self.domain_hi) - float(self.domain_lo)):
+            raise ValidationError(
+                f"domain [{self.domain_lo!r}, {self.domain_hi!r}] is wider than "
+                f"the largest double"
+            )
         for name in ("counts_id", "counts_ood"):
             counts = np.array(getattr(self, name), dtype=np.int64, copy=True)
             if counts.shape != (self.bin_count,):
@@ -114,19 +120,6 @@ def hist_new_range(domain_lo: float, domain_hi: float,
                                 np.zeros(bin_count, dtype=np.int64))
 
 
-def hist_bins(hist: BinnedScoreHistogram, scores) -> np.ndarray:
-    """The int64 bin floor((s - lo) / (hi - lo) * B) of each score s,
-    clamped into [0, B - 1].
-
-    A monotone function of the score: a larger score never lands in a
-    lower bin.
-    """
-    width = hist.domain_hi - hist.domain_lo
-    idx = np.floor((np.asarray(scores, dtype=np.float64) - hist.domain_lo)
-                   / width * hist.bin_count)
-    return np.clip(idx, 0, hist.bin_count - 1).astype(np.int64)
-
-
 def hist_accumulate(hist: BinnedScoreHistogram, scores,
                     population: str) -> BinnedScoreHistogram:
     """Bin scores into one population's counts; returns the same histogram.
@@ -139,7 +132,10 @@ def hist_accumulate(hist: BinnedScoreHistogram, scores,
     values = np.asarray(scores, dtype=np.float64).ravel()
     if values.size and not np.isfinite(values).all():
         raise ValidationError("scores must be finite")
-    counts = np.bincount(hist_bins(hist, values), minlength=hist.bin_count)
+    idx = np.floor((values - hist.domain_lo) / (hist.domain_hi - hist.domain_lo)
+                   * hist.bin_count)
+    idx = np.clip(idx, 0, hist.bin_count - 1).astype(np.int64)
+    counts = np.bincount(idx, minlength=hist.bin_count)
     if population == "id":
         hist.counts_id += counts
     else:

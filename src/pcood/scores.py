@@ -25,30 +25,6 @@ from .predictive import _row_max
 # so denormal-range entries cannot produce NaN through the logarithm.
 ENTROPY_PROB_FLOOR = 1e-12
 
-# Entropy is defined by scipy's xlogy, which calls libm's log. numpy's log
-# is not a drop-in for it: on an AVX-512 build of numpy 2.4 it differs
-# from libm's by 1 ulp on 0.2-0.35% of inputs, while xlogy(x, x) equals
-# x * math.log(x) on 2M of 2M inputs. So numpy's log only screens: it
-# decides the rows whose decision the margin C * _ENTROPY_MARGIN_PER_CLASS
-# cannot move, and every other row gets its exact score. (synth's own
-# ndtri takes its logs from libm's log for the same reason.) The margin
-# bounds |h - e|, where h is a row's numpy-log entropy and e its xlogy
-# entropy:
-# - For a row of entries p_i in [0, 1] whose sum is within
-#   PROB_ROW_SUM_TOL of 1, S = sum |p_i log p_i| <= (1 + 1e-5) ln C.
-# - np.log is within k ulp of libm's log (k = 1 measured; the margin
-#   assumes k <= 4, and a test checks it), so with both products rounded
-#   each term differs by at most (k + 1) 2**-52 |p_i log p_i|.
-# - Both sums add C terms in the same order, each off its exact sum by at
-#   most g(C - 1, 2**-53) S (Higham, section 4.2), g(n, u) = n u / (1 - n u).
-# - So |h - e| <= (k + C) 2**-52 S, within 1e-12 relative; negating and
-#   the clamp at 0 do not widen it. At k = 4 that is at most
-#   1.00002 (C + 4) ln(C) 2**-52.
-# The margin C * 2**-40 is over 300 times that bound for every C <= 2**16;
-# the slack also covers the rounding of h - margin and h + margin, at most
-# half an ulp of h <= 12.
-_ENTROPY_MARGIN_PER_CLASS = 2.0 ** -40
-
 _SCORE_HEADER = "index,score"
 # One decoded score CSV row.
 _SCORE_DTYPE = np.dtype([("index", np.int64), ("score", np.float64)])
@@ -72,55 +48,75 @@ def score_domain(kind: ScoreKind, n_classes: int) -> tuple[float, float]:
     raise ValidationError(f"unknown score kind: {kind!r}")
 
 
-def score_distribution(probs: np.ndarray, kind: ScoreKind,
-                       decide=None) -> np.ndarray:
+def score_distribution(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:
     """Score every row of an (N, C) probability array, preserving point order.
 
     The rows are trusted to be probabilities: pass a mean ``total / k``
     from :meth:`~pcood.predictive.TensorStream.sums`, whose members were
     checked as they were read. Each score depends on its own row alone.
     Returns a read-only float64 array of N scores.
-
-    ``decide``, if given, is what the caller does with the scores: a
-    nondecreasing function from an array of scores to an array of
-    decisions, such as a histogram bin or an OOD flag. Entropy is then
-    computed with numpy's log and without scipy, except on rows near a
-    boundary of ``decide``, which get their exact score. A score may then
-    differ from the exact one in its last bits, but ``decide`` gives it
-    the exact score's decision. MSP scores are exact either way.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if kind is ScoreKind.MSP_COMPLEMENT:
         values = _row_max(probs)
         np.subtract(1.0, values, out=values)
     elif kind is ScoreKind.ENTROPY:
-        clamped = np.where(probs < ENTROPY_PROB_FLOOR, 0.0, probs)
-        if decide is None:
-            values = _exact_entropy(clamped)
-        else:
-            values = _screened_entropy(clamped, decide)
+        values = _exact_entropy(np.where(probs < ENTROPY_PROB_FLOOR, 0.0, probs))
     else:
         raise ValidationError(f"unknown score kind: {kind!r}")
     return frozen(values)
 
 
+# Entropy is -sum c log c over a row's floored entries c, with 0 log 0 = 0,
+# as scipy's xlogy(c, c) gives it with libm's log. numpy's vectorized log is
+# not libm's: on an AVX-512 build of numpy 2.4 it is 1 ulp off on 0.2-0.35%
+# of inputs, which moves the last bits of some scores. So the logs come from
+# _libm_log, which synth's ndtri uses for the same reason. _LOG_PROBES are
+# inputs on which that vectorized log is 1 ulp off.
+_LOG_PROBES = (0.125728554452994, 0.12303875267716988, 0.020270657999841055,
+               41.960307769650946, 40.72369920103487, 35.785230484522465)
+
+
+def _strided_log(x: np.ndarray) -> np.ndarray:
+    """np.log of the 1-D array x, read with a positive stride and written
+    with a negative one (numpy would reverse a loop with both negative)."""
+    x = np.ascontiguousarray(x)
+    return np.log(x, out=np.empty(x.size)[::-1])
+
+
+@functools.cache
+def _strided_log_is_libm() -> bool:
+    """Whether _strided_log gives math.log's bits on _LOG_PROBES."""
+    return (_strided_log(np.array(_LOG_PROBES)).tolist()
+            == list(map(math.log, _LOG_PROBES)))
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """libm's log of each entry of the 1-D array x.
+
+    numpy (2.4, x86-64) takes its vectorized log only when no operand has
+    a negative stride; for an output with a negative stride it calls libm's
+    log entry by entry, about 35 times faster than math.log through Python.
+    That is numpy's choice, not its promise, so it is checked once on inputs
+    where the vectorized log is off, and math.log is the fallback. numpy
+    ignores the stride of a one-entry array, so one entry takes math.log.
+    """
+    if x.size > 1 and _strided_log_is_libm():
+        return _strided_log(x)
+    return np.array(list(map(math.log, x.tolist())), dtype=np.float64)
+
+
 def _exact_entropy(clamped: np.ndarray) -> np.ndarray:
-    """Entropy of each row of floored probabilities, by scipy's xlogy."""
-    from scipy.special import xlogy
+    """Entropy of each row of floored probabilities, with xlogy's bits.
 
-    return np.maximum(-xlogy(clamped, clamped).sum(axis=1), 0.0)
-
-
-def _screened_entropy(clamped: np.ndarray, decide) -> np.ndarray:
-    """Entropy by numpy's log, exact on rows whose decision it could move."""
-    terms = np.log(clamped, out=np.zeros_like(clamped), where=clamped > 0.0)
-    np.multiply(clamped, terms, out=terms)
-    values = np.maximum(-terms.sum(axis=1), 0.0)
-    margin = clamped.shape[1] * _ENTROPY_MARGIN_PER_CLASS
-    unsure = decide(values - margin) != decide(values + margin)
-    if unsure.any():
-        values[unsure] = _exact_entropy(clamped[unsure])
-    return values
+    A zero entry takes 0 * log 1 = +0.0, xlogy(0, 0). The terms are summed
+    from a C-ordered array, as xlogy's result would be, so the row sums
+    round alike.
+    """
+    terms = np.where(clamped > 0.0, clamped, 1.0)
+    logs = _libm_log(terms.reshape(-1)).reshape(clamped.shape)
+    np.multiply(clamped, logs, out=terms)
+    return np.maximum(-terms.sum(axis=1), 0.0)
 
 
 # _score_chunk spells repr(v) of a float64 v with int64 and float64 numpy

@@ -16,7 +16,6 @@ ground-truth oracle for the evaluation pipeline.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .predictive import _softmax_rows
+from .scores import _libm_log
 
 # Stream ids keep the draws of unrelated quantities independent.
 _STREAM_ID_SCORES = 0
@@ -69,7 +69,7 @@ def _uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 # - Away from the tails it uses only +, -, * and /, each rounded once
 #   to nearest in numpy as in C.
 # - In the tails it takes two logs, and these come from libm, the log
-#   scipy calls (see _libm_log): numpy's vectorized log is 1 ulp off
+#   scipy calls (see scores._libm_log): numpy's vectorized log is 1 ulp off
 #   libm's on some inputs (with it, 719 of 12,000,000 Philox draws
 #   differed).
 # This holds only if scipy's build contracts no a * x + b into one fused
@@ -118,41 +118,6 @@ _NDTRI_BLOCK = 1 << 12
 # _ndtri is the cheaper one up to about 18M draws, or 3.4M on the
 # fallback; 2**21 keeps it the cheaper one on either path.
 _PORT_MAX_DRAWS = 1 << 21
-
-# Tail inputs (y below e**-2, and sqrt(-2 log y) in [2, 64)) on which
-# numpy's AVX-512 float64 log is 1 ulp off libm's.
-_LOG_PROBES = (0.125728554452994, 0.12303875267716988, 0.020270657999841055,
-               41.960307769650946, 40.72369920103487, 35.785230484522465)
-
-
-def _strided_log(x: np.ndarray) -> np.ndarray:
-    """np.log of the 1-D array x, read with a positive stride and written
-    with a negative one (numpy would reverse a loop with both negative)."""
-    x = np.ascontiguousarray(x)
-    return np.log(x, out=np.empty(x.size)[::-1])
-
-
-@functools.cache
-def _strided_log_is_libm() -> bool:
-    """Whether _strided_log gives math.log's bits on _LOG_PROBES."""
-    return (_strided_log(np.array(_LOG_PROBES)).tolist()
-            == list(map(math.log, _LOG_PROBES)))
-
-
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    """libm's log of each entry of x.
-
-    numpy (2.4, x86-64) takes its vectorized log only when no operand has
-    a negative stride; for an output with a negative stride it calls libm's
-    log entry by entry, about 35 times faster than math.log through Python.
-    That is numpy's choice, not its promise, so it is checked once on inputs
-    where the vectorized log is off, and math.log is the fallback. numpy
-    ignores the stride of a one-entry array, so one entry takes math.log.
-    """
-    if x.size > 1 and _strided_log_is_libm():
-        return _strided_log(x)
-    return np.array(list(map(math.log, x.tolist())), dtype=np.float64)
-
 
 def _ratio(x: np.ndarray, p, q) -> np.ndarray:
     """Cephes' (x * polevl(x, p)) / p1evl(x, q), by Horner's rule."""
@@ -278,8 +243,15 @@ def sample_scores_chunk(spec: GaussianPairSpec, population: str,
         raise ValidationError(f"population must be 'id' or 'ood', got {population!r}")
     if not 0 <= start <= stop <= n:
         raise ValidationError(f"chunk [{start}, {stop}) outside population of {n}")
-    return mu + sigma * _standard_normals(spec.seed, stream, start,
-                                          stop - start, ndtri)
+    z = _standard_normals(spec.seed, stream, start, stop - start, ndtri)
+    with np.errstate(over="ignore"):
+        scores = mu + sigma * z
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValidationError(
+            f"{population} score {start + int(bad[0])} overflows: "
+            f"{mu!r} + {sigma!r} * {float(z[bad[0]])!r} is not finite")
+    return scores
 
 
 def _check_tensor_args(n_points, n_classes, n_members, separability, seed):

@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -130,6 +131,22 @@ class TestExitCodes:
         assert run("auroc", "--id", good, "--ood", bad, "--mode", mode,
                    "--out", tmp_path / "r.txt") == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["roc"], ["auroc", "--mode", "hist"]])
+    def test_score_range_wider_than_a_double_is_rejected(self, tmp_path, capsys,
+                                                         argv):
+        # The pooled range [-1e308, 1e308] is finite, but its width is not.
+        ids, oods = tmp_path / "id.csv", tmp_path / "ood.csv"
+        ids.write_text("index,score\n0,1e+308\n")
+        oods.write_text("index,score\n0,-1e+308\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv, "--id", ids, "--ood", oods, "--out", out) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "error: domain [-1e+308, 1e+308] is wider than the largest double\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("head, message", [
         (b"", "line 1: expected header 'index,score', got"),
@@ -345,7 +362,8 @@ class TestProcessStart:
 
 
 class TestEntropyWithoutScipy:
-    """Commands that only decide with entropy scores do not import scipy."""
+    """Entropy is scored with libm's log and loads no scipy; only a synth
+    run above the ndtri cut-off does."""
 
     def test_decisions_leave_scipy_unloaded(self, tmp_path, tensor_pair):
         id_path, ood_path, _, _ = tensor_pair
@@ -353,14 +371,18 @@ class TestEntropyWithoutScipy:
         _write_points_file(points, 80)
         roc = tmp_path / "roc.csv"
         entropy = ["--kind", "entropy"]
+        pair = ["--id", id_path, "--ood", ood_path]
         runs = [
-            (["roc", "--id", id_path, "--ood", ood_path, "--out", roc, *entropy], False),
+            (["roc", *pair, "--out", roc, *entropy], False),
             (["map", "--points", points, "--pred", id_path, "--roc", roc,
               "--out", tmp_path / "map.txt", *entropy], False),
-            (["auroc", "--id", id_path, "--ood", ood_path, "--mode", "hist",
-              "--out", tmp_path / "auroc.txt", *entropy], False),
-            # Scores are written bit for bit, so they are exact.
-            (["score", "--in", id_path, "--out", tmp_path / "s.csv", *entropy], True),
+            (["score", "--in", id_path, "--out", tmp_path / "s.csv", *entropy], False),
+            *((["auroc", *pair, "--mode", mode, "--out", tmp_path / "a.txt",
+                *entropy], False) for mode in ("exact", "auto", "hist")),
+            # 2 x 4 members x 65537 points x 4 classes: just above 2**21 draws.
+            (["synth", "tensor", "--points", 65537, "--classes", 4, "--members",
+              4, "--out-id", tmp_path / "a.pcod", "--out-ood", tmp_path / "b.pcod"],
+             True),
         ]
         script = ("import json, sys\n"
                   "from pcood.cli import main\n"
@@ -371,7 +393,7 @@ class TestEntropyWithoutScipy:
                 [sys.executable, "-c", script, json.dumps([str(a) for a in argv])],
                 capture_output=True, text=True, env=_pcod_env())
             assert proc.returncode == 0, proc.stderr
-            assert json.loads(proc.stdout) == [0, loads_scipy], argv[0]
+            assert json.loads(proc.stdout) == [0, loads_scipy], argv
 
 
 class TestSynthCommand:
@@ -397,6 +419,29 @@ class TestSynthCommand:
             oods = read_scores_csv(f)
         assert ids.shape == (50,) and oods.shape == (40,)
         assert oods.mean() > ids.mean()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_overflowing_scores_exit_1_and_write_nothing(self, tmp_path, capsys,
+                                                         workers):
+        # At sigma 5e307 a draw overflows where |z| > 3.6. With seed 9 the
+        # first is in the second tile, and the third tile holds more; the
+        # message names the first whatever the worker count.
+        n = 3 * cli._TILE_ROWS
+        z = synth._standard_normals(9, synth._STREAM_ID_SCORES, 0, n)
+        with np.errstate(over="ignore"):
+            first = int(np.flatnonzero(~np.isfinite(5e307 * z))[0])
+        assert cli._TILE_ROWS <= first < 2 * cli._TILE_ROWS
+        out_id, out_ood = tmp_path / "id.csv", tmp_path / "ood.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("synth", "scores", "--n-id", n, "--n-ood", 10,
+                       "--sigma-id", "5e307", "--seed", 9, "--workers", workers,
+                       "--out-id", out_id, "--out-ood", out_ood) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            f"error: id score {first} overflows: "
+            f"0.0 + 5e+307 * {float(z[first])!r} is not finite\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         outputs = []

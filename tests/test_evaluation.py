@@ -9,6 +9,7 @@ import functools
 import io
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -265,6 +266,21 @@ class TestHistogram:
         with pytest.raises(ValidationError):
             BinnedScoreHistogram(4, 0.0, 1.0, -np.ones(4, dtype=np.int64),
                                  np.zeros(4, dtype=np.int64))
+
+    def test_domain_must_have_a_finite_width(self):
+        # Both ends are doubles, but hi - lo overflows; binning would divide
+        # by inf. Ends given as numpy scalars raise no overflow warning.
+        zeros = np.zeros(4, dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)),
+                           (-np.finfo(float).max, np.finfo(float).max)]:
+                with pytest.raises(ValidationError, match="wider than the largest double"):
+                    BinnedScoreHistogram(4, lo, hi, zeros, zeros)
+        # A width just below the largest double is accepted.
+        hist = hist_new_range(-8.5e307, 8.5e307, 4)
+        hist_accumulate(hist, np.array([-8.5e307, 0.0, 8.5e307]), "id")
+        assert hist.counts_id.tolist() == [1, 0, 1, 1]
 
 
 class TestHistAuroc:

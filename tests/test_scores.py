@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from pcodref import pcod_bytes
 from pcood import (ParseError, ScoreKind, TensorKind, TensorStream,
-                   ValidationError, apply_threshold, exact_auroc, write_header,
+                   ValidationError, exact_auroc, write_header,
                    write_member, hist_accumulate, hist_auroc, hist_new,
                    read_scores_csv, score_distribution, score_domain,
                    write_scores_csv)
 from pcood import scores
-from pcood.evaluation import hist_bins
 
 
 def _simplex_rows(rng, n, c):
@@ -228,7 +228,7 @@ _FLOOR_NEIGHBOURS = (np.nextafter(_FLOOR, 0.0), _FLOOR, np.nextafter(_FLOOR, 1.0
 @functools.cache
 def _hard_probabilities() -> list:
     """float32 values whose numpy log differs from libm's: rows of them are
-    where the screen's entropy can differ from the exact one."""
+    where an entropy by numpy's log would differ from the exact one."""
     p = np.random.default_rng(32).uniform(0.01, 0.5, 50_000)
     p = p.astype(np.float32).astype(np.float64)
     differs = np.log(p) != np.array([math.log(v) for v in p.tolist()])
@@ -261,65 +261,27 @@ def _member_means(draw):
     return probs
 
 
-def _screened(probs, decide):
-    """The screen's scores, and a mask of the rows it scored exactly."""
-    nan_rows = lambda rows: np.full(len(rows), np.nan)
-    with mock.patch.object(scores, "_exact_entropy", nan_rows):
-        marked = score_distribution(probs, ScoreKind.ENTROPY, decide)
-    return score_distribution(probs, ScoreKind.ENTROPY, decide), np.isnan(marked)
+def _xlogy_entropy(probs) -> np.ndarray:
+    """Entropy by scipy's xlogy, the definition the score must match."""
+    c = np.where(probs < _FLOOR, 0.0, probs)
+    return np.maximum(-xlogy(c, c).sum(axis=1), 0.0)
 
 
-class TestEntropyScreen:
-    """Entropy scored for a decision matches the exact score's decision."""
+class TestExactEntropy:
+    """Entropy scores carry the bits of scipy's xlogy, without scipy."""
 
     @settings(max_examples=200, deadline=None)
     @given(_member_means())
     @example(np.full((1, 8), 0.125))
     @example(np.eye(19)[:3])
-    def test_decisions_match_the_exact_scores(self, probs):
-        exact = score_distribution(probs, ScoreKind.ENTROPY)
-        lo, hi = score_domain(ScoreKind.ENTROPY, probs.shape[1])
-        thresholds = {lo, hi, *(lo + (hi - lo) / 7 * np.arange(7))}
-        for e in exact.tolist():
-            thresholds |= {e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)}
-            edge = lo + (hi - lo) / 4096 * math.floor((e - lo) / (hi - lo) * 4096)
-            thresholds |= {edge, edge + (hi - lo) / 4096}
-        deciders = [functools.partial(hist_bins, hist_new(ScoreKind.ENTROPY,
-                                                          probs.shape[1], bins))
-                    for bins in (2, 7, 4096)]
-        deciders += [functools.partial(apply_threshold, threshold=t)
-                     for t in sorted(thresholds)]
-        for decide in deciders:
-            values, flagged = _screened(probs, decide)
-            np.testing.assert_array_equal(decide(values), decide(exact))
-            # Rows the screen rescored carry the exact score's bits.
-            assert (values[flagged].view(np.int64)
-                    == exact[flagged].view(np.int64)).all()
-        for t in exact.tolist():
-            _, flagged = _screened(probs, functools.partial(apply_threshold,
-                                                             threshold=t))
-            assert flagged[exact == t].all()
-
-    def test_numpy_log_is_within_the_ulps_the_margin_assumes(self):
-        # The margin of scores._ENTROPY_MARGIN_PER_CLASS assumes numpy's
-        # log is within 4 ulp of libm's, which xlogy calls.
-        rng = np.random.default_rng(30)
-        x = np.concatenate([rng.uniform(0.0, 1.0, 100_000),
-                            10.0 ** rng.uniform(-12.0, 0.0, 100_000)])
-        x[::5] = 0.0
-        x = np.concatenate([x, _FLOOR_NEIGHBOURS, [1.0]])
-        logs = np.log(x, out=np.zeros_like(x), where=x > 0.0)
-        kept = x > 0.0
-        libm = np.array([math.log(v) for v in x[kept].tolist()])
-        ulps = np.abs(logs[kept] - libm) / np.spacing(np.abs(libm))
-        assert ulps.max() <= 4
-
-    def test_msp_ignores_decide(self):
-        probs = np.array([[0.9, 0.1], [0.5, 0.5]])
-        decide = lambda values: pytest.fail("MSP scores are always exact")
-        np.testing.assert_array_equal(
-            score_distribution(probs, ScoreKind.MSP_COMPLEMENT, decide),
-            score_distribution(probs, ScoreKind.MSP_COMPLEMENT))
+    def test_entropy_is_xlogy_bit_for_bit(self, probs):
+        want = _xlogy_entropy(probs).view(np.int64)
+        got = score_distribution(probs, ScoreKind.ENTROPY)
+        np.testing.assert_array_equal(got.view(np.int64), want)
+        # The same bits where libm's log is taken through math.log.
+        with mock.patch.object(scores, "_strided_log_is_libm", lambda: False):
+            got = score_distribution(probs, ScoreKind.ENTROPY)
+        np.testing.assert_array_equal(got.view(np.int64), want)
 
 
 class TestCsv:

@@ -8,6 +8,7 @@ counts irrelevant to the output.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -22,10 +23,10 @@ from pcodref import (analytic_auroc, members, sample_pair, stream_means,
 from pcood import (GaussianPairSpec, ScoreKind, ValidationError, exact_auroc,
                    sample_scores_chunk, score_distribution, synth_member,
                    synth_true_classes)
-from pcood import synth
-from pcood.synth import (_EXP_M2, _LOG_PROBES, _PORT_MAX_DRAWS,
-                         _UNIFORM_FLOOR, _check_tensor_args, _ndtri,
-                         _ndtri_for, _uniforms)
+from pcood import scores, synth
+from pcood.scores import _LOG_PROBES
+from pcood.synth import (_EXP_M2, _PORT_MAX_DRAWS, _UNIFORM_FLOOR,
+                         _check_tensor_args, _ndtri, _ndtri_for, _uniforms)
 
 
 def hanley_mcneil_se(auc, n1, n2):
@@ -143,6 +144,20 @@ class TestSampling:
             sample_scores_chunk(spec, "id", 7, 6)
         with pytest.raises(ValidationError):
             sample_scores_chunk(spec, "train", 0, 5)
+
+    def test_overflow_names_the_first_index(self):
+        # sigma 1e308 overflows every draw with |z| > 1.8. A chunk that starts
+        # at the second such draw names its index in the population, and
+        # numpy warns of nothing.
+        spec = _spec(sigma_ood=1e308, n_ood=200)
+        z = synth._standard_normals(spec.seed, synth._STREAM_OOD_SCORES, 0, 200)
+        a = int(np.flatnonzero(np.abs(z) > 1.8)[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^ood score {a} overflows"):
+                sample_scores_chunk(spec, "ood", a, 200)
+            # The ID population is untouched.
+            sample_scores_chunk(spec, "id", 0, spec.n_id)
 
 
 class TestTrueClasses:
@@ -310,7 +325,7 @@ class TestNdtriPort:
                                                 0, 1 << 20))
 
     def test_math_log_fallback_gives_the_same_bits(self, monkeypatch):
-        monkeypatch.setattr(synth, "_strided_log_is_libm", lambda: False)
+        monkeypatch.setattr(scores, "_strided_log_is_libm", lambda: False)
         _assert_scipy_bits(_philox_uniforms(12, 3, 0, 1 << 16))
         _assert_scipy_bits(_near_anchors([(a, offset) for a in _NDTRI_ANCHORS
                                           for offset in range(-50, 51)]))
@@ -318,16 +333,16 @@ class TestNdtriPort:
     def test_log_probes(self):
         probes = np.array(_LOG_PROBES)
         libm = [math.log(p) for p in _LOG_PROBES]
-        assert synth._libm_log(probes).tolist() == libm
+        assert scores._libm_log(probes).tolist() == libm
         # One entry at a time, and in arrays of every length up to 6.
         for n in range(1, probes.size + 1):
-            assert synth._libm_log(probes[:n]).tolist() == libm[:n]
-            assert synth._libm_log(probes[-n:]).tolist() == libm[-n:]
+            assert scores._libm_log(probes[:n]).tolist() == libm[:n]
+            assert scores._libm_log(probes[-n:]).tolist() == libm[-n:]
         if np.log(probes).tolist() == libm:
             pytest.skip("numpy's contiguous log is libm's here")
         # Where numpy's contiguous log is off, the check rejects it.
-        with mock.patch.object(synth, "_strided_log", np.log):
-            assert not synth._strided_log_is_libm.__wrapped__()
+        with mock.patch.object(scores, "_strided_log", np.log):
+            assert not scores._strided_log_is_libm.__wrapped__()
 
     def test_any_shape_and_layout(self):
         base = _philox_uniforms(5, 0, 0, 6000).reshape(60, 100)
