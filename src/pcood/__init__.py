@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 # Each public name is imported from its submodule on first use (PEP 562),
 # so ``import pcood`` itself loads no numpy.
 _EXPORTS = {
-    "errors": ("CapacityError", "FormatError", "ParseError", "PcoodError",
-               "StructuralError", "TruncatedStreamError", "ValidationError"),
+    "errors": ("PcoodError", "TruncatedStreamError", "ValidationError"),
     "pointcloud": ("ID_COLOR", "OOD_COLOR", "parse_semantic3d", "read_labels",
                    "write_idood_map"),
     "predictive": ("TensorKind", "TensorStream", "write_header",

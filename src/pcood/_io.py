@@ -1,18 +1,22 @@
-"""Small stream and array helpers shared by the parsers and writers."""
+"""Small stream and array helpers shared by the parsers and writers.
+
+Streams are binary at every boundary of the package: readers take what
+``open(path, "rb")`` or ``io.BytesIO`` gives, and writers take binary
+sinks.
+"""
 
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import tempfile
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ValidationError
 
-# Characters (text streams) or bytes (binary streams) read per block by
-# iter_blocks; blocks are cut at a newline, so a block is about this long.
+# Bytes read per block by iter_blocks; blocks are cut at a newline, so a
+# block is about this long.
 _BLOCK_SIZE = 1 << 20
 # Characters of input text an error message quotes.
 _QUOTE_CHARS = 80
@@ -49,51 +53,44 @@ def quoted(text: str) -> str:
 
 
 def numbered_lines(stream, where: str = "line", start: int = 1):
-    """Yield ``(line number, line)`` from a text or binary stream.
+    """Yield ``(line number, line)`` from a binary stream, decoded.
 
-    Newlines are stripped. A binary line that is not UTF-8 raises
-    ``ParseError`` naming it as ``{where} {line number}``.
+    Newlines are stripped. A line that is not UTF-8 raises
+    ``ValidationError`` naming it as ``{where} {line number}``.
     """
     for lineno, raw in enumerate(stream, start):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ParseError(f"{where} {lineno}: not valid UTF-8") from None
-        yield lineno, raw.rstrip("\r\n")
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValidationError(f"{where} {lineno}: not valid UTF-8") from None
+        yield lineno, line.rstrip("\r\n")
 
 
 def iter_blocks(stream):
-    """Yield ``(first line number, block)`` over a text or binary stream.
+    """Yield ``(first line number, block)`` over a binary stream.
 
-    A block is the ``str`` or ``bytes`` of whole lines read from about
-    ``_BLOCK_SIZE`` of the stream: it ends at a newline, except the last
-    block, which ends where the stream does. A longer line is yielded
-    whole in one block.
+    A block is the bytes of whole lines read from about ``_BLOCK_SIZE``
+    of the stream: it ends at a newline, except the last block, which
+    ends where the stream does. A longer line is yielded whole in one
+    block.
     """
     lineno = 1
     pending = []
     while chunk := stream.read(_BLOCK_SIZE):
-        newline = "\n" if isinstance(chunk, str) else b"\n"
-        cut = chunk.rfind(newline) + 1
+        cut = chunk.rfind(b"\n") + 1
         if cut:
-            block = chunk[:0].join([*pending, chunk[:cut]])
+            block = b"".join([*pending, chunk[:cut]])
             pending = []
             yield lineno, block
-            lineno += block.count(newline)
+            lineno += block.count(b"\n")
             chunk = chunk[cut:]
         if chunk:
             pending.append(chunk)
     if pending:
-        yield lineno, pending[0][:0].join(pending)
+        yield lineno, b"".join(pending)
 
 
-def block_lines(block):
-    """A stream over the lines of a block, for ``numbered_lines``."""
-    return io.StringIO(block, newline="\n") if isinstance(block, str) else io.BytesIO(block)
-
-
-def load_block(block, dtype: np.dtype, delimiter: str | None = None):
+def load_block(block: bytes, dtype: np.dtype, delimiter: str | None = None):
     """Decode a block's rows into a 1-D array of the structured ``dtype``.
 
     Uses numpy's C text reader, without comment handling. Returns None
@@ -105,7 +102,7 @@ def load_block(block, dtype: np.dtype, delimiter: str | None = None):
     """
     if not block.isascii():
         return None
-    text = block if isinstance(block, str) else block.decode("ascii")
+    text = block.decode("ascii")
     if not text or text.isspace():
         # loadtxt warns on input with no rows.
         return np.empty(0, dtype)
@@ -114,14 +111,6 @@ def load_block(block, dtype: np.dtype, delimiter: str | None = None):
                           comments=None, ndmin=1)
     except ValueError:
         return None
-
-
-def write_text(sink, text: str | bytes) -> None:
-    """Write a string, or ASCII bytes, to either a text or a binary sink."""
-    try:
-        sink.write(text)
-    except TypeError:
-        sink.write(text.encode("utf-8") if isinstance(text, str) else text.decode("ascii"))
 
 
 @contextlib.contextmanager

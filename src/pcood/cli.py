@@ -17,6 +17,7 @@ import contextlib
 import copy
 import functools
 import hashlib
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._io import atomic_outputs, quoted
-from .errors import ParseError, TruncatedStreamError, ValidationError
+from .errors import TruncatedStreamError, ValidationError
 from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
                          confusion_new, confusion_accumulate,
                          apply_threshold, argmax_labels, check_threshold,
@@ -292,7 +293,14 @@ def _empty_hist(form: str, kind: ScoreKind, id_data, ood_data, bins: int):
     lo = float(min(id_data.min(), ood_data.min()))
     hi = float(max(id_data.max(), ood_data.max()))
     if not lo < hi:
-        hi = lo + 1.0  # all scores identical; a single occupied bin is fine
+        # All scores are equal, so a single occupied bin is fine. Where
+        # lo + 1.0 rounds back to lo, the domain is one ulp wide instead,
+        # below lo where above it would overflow.
+        hi = lo + 1.0
+        if not lo < hi:
+            hi = math.nextafter(lo, math.inf)
+            if math.isinf(hi):
+                lo, hi = math.nextafter(lo, -math.inf), lo
     return hist_new_range(lo, hi, bins)
 
 
@@ -460,8 +468,8 @@ def cmd_map(args: argparse.Namespace) -> int:
             try:
                 threshold = float(metadata["youden_threshold"])
             except ValueError:
-                raise ParseError(f"bad youden_threshold metadata: "
-                                 f"{quoted(metadata['youden_threshold'])}") from None
+                raise ValidationError(f"bad youden_threshold metadata: "
+                                      f"{quoted(metadata['youden_threshold'])}") from None
         check_threshold(threshold)
     with contextlib.ExitStack() as files:
         stream, cloud, _, _ = _open_scene(files, args)

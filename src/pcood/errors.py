@@ -1,9 +1,12 @@
 """Exception types shared across the package.
 
-Everything a caller can trigger with bad input derives from
-``ValidationError`` (callers map it to exit code 1); a stream shorter or
-longer than its header declares, and OS-level failures, map to exit
-code 2.
+Every input error is one of two types, and its message names the line,
+index, member or header field at fault. Input that breaks a documented
+precondition or invariant (a malformed line, mismatched sizes, a bad
+header field, sizes past what the process can address) raises
+``ValidationError``, which callers map to exit code 1. A stream shorter
+or longer than its header declares raises ``TruncatedStreamError``,
+which callers map, like OS-level failures, to exit code 2.
 """
 
 
@@ -13,22 +16,6 @@ class PcoodError(Exception):
 
 class ValidationError(PcoodError, ValueError):
     """Input violates a documented precondition or invariant."""
-
-
-class ParseError(ValidationError):
-    """Malformed text input; the message names the offending line."""
-
-
-class StructuralError(ValidationError):
-    """Mismatched sizes, or accumulators with incompatible shapes."""
-
-
-class FormatError(ValidationError):
-    """Bad magic, version, or header field in a binary stream."""
-
-
-class CapacityError(ValidationError):
-    """Declared sizes exceed what this process can address."""
 
 
 class TruncatedStreamError(PcoodError, IOError):

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._io import frozen, numbered_lines, quoted, write_text
-from .errors import ParseError, StructuralError, ValidationError
+from ._io import frozen, numbered_lines, quoted
+from .errors import ValidationError
 from .scores import ScoreKind, score_domain
 
 DEFAULT_BIN_COUNT = 4096
@@ -90,7 +90,7 @@ class BinnedScoreHistogram:
         for name in ("counts_id", "counts_ood"):
             counts = np.array(getattr(self, name), dtype=np.int64, copy=True)
             if counts.shape != (self.bin_count,):
-                raise StructuralError(
+                raise ValidationError(
                     f"{name} must have shape ({self.bin_count},), got {counts.shape}"
                 )
             if counts.size and counts.min() < 0:
@@ -152,9 +152,9 @@ def hist_merge(a: BinnedScoreHistogram,
     mean equal score kinds.
     """
     if a.bin_count != b.bin_count:
-        raise StructuralError(f"bin counts differ: {a.bin_count} vs {b.bin_count}")
+        raise ValidationError(f"bin counts differ: {a.bin_count} vs {b.bin_count}")
     if a.domain_lo != b.domain_lo or a.domain_hi != b.domain_hi:
-        raise StructuralError("histogram domains differ")
+        raise ValidationError("histogram domains differ")
     return BinnedScoreHistogram(a.bin_count, a.domain_lo, a.domain_hi,
                                 a.counts_id + b.counts_id,
                                 a.counts_ood + b.counts_ood)
@@ -199,7 +199,7 @@ class RocCurve:
         tpr = np.array(self.tpr, dtype=np.float64, copy=True)
         m = thresholds.shape[0]
         if fpr.shape != (m + 1,) or tpr.shape != (m + 1,):
-            raise StructuralError(
+            raise ValidationError(
                 f"{m} thresholds need {m + 1} curve points, got "
                 f"{fpr.shape[0]} fpr and {tpr.shape[0]} tpr"
             )
@@ -267,7 +267,7 @@ class ConfusionMatrix:
         counts = np.array(self.counts, dtype=np.int64, copy=True)
         c = self.n_classes
         if counts.shape != (c, c):
-            raise StructuralError(
+            raise ValidationError(
                 f"counts must have shape ({c}, {c}), got {counts.shape}"
             )
         if counts.size and counts.min() < 0:
@@ -295,7 +295,7 @@ def confusion_accumulate(matrix: ConfusionMatrix, predicted,
     pred = np.asarray(predicted, dtype=np.int64).ravel()
     true = np.asarray(truth, dtype=np.int64).ravel()
     if pred.shape != true.shape:
-        raise StructuralError(
+        raise ValidationError(
             f"{pred.shape[0]} predictions vs {true.shape[0]} truth labels"
         )
     c = matrix.n_classes
@@ -401,7 +401,7 @@ def _report_line(key, value) -> str:
 def write_metrics_report(entries, sink) -> None:
     """Write ordered (key, value) pairs as ``key=value`` lines."""
     lines = [_report_line(key, value) for key, value in entries]
-    write_text(sink, "\n".join(lines) + "\n")
+    sink.write(("\n".join(lines) + "\n").encode())
 
 
 def write_roc_csv(curve: RocCurve, sink, metadata=()) -> None:
@@ -425,7 +425,7 @@ def write_roc_csv(curve: RocCurve, sink, metadata=()) -> None:
     p = curve.tpr[1:].tolist()
     lines.extend(f"{t[i]!r},{f[i]!r},{p[i]!r}" for i in range(len(t)))
     lines.extend(f"# {_report_line(key, value)}" for key, value in entries)
-    write_text(sink, "\n".join(lines) + "\n")
+    sink.write(("\n".join(lines) + "\n").encode())
 
 
 def read_roc_csv(source) -> tuple[RocCurve, dict]:
@@ -441,35 +441,35 @@ def read_roc_csv(source) -> tuple[RocCurve, dict]:
         if text.startswith("#"):
             body = text.lstrip("#").strip()
             if "=" not in body:
-                raise ParseError(f"line {lineno}: bad metadata line {quoted(text)}")
+                raise ValidationError(f"line {lineno}: bad metadata line {quoted(text)}")
             key, _, value = body.partition("=")
             if key in metadata:
-                raise ParseError(f"line {lineno}: repeated metadata key {quoted(key)}")
+                raise ValidationError(f"line {lineno}: repeated metadata key {quoted(key)}")
             metadata[key] = value
             continue
         if not header_seen:
             if text != "threshold,fpr,tpr":
-                raise ParseError(
+                raise ValidationError(
                     f"line {lineno}: expected header 'threshold,fpr,tpr', got {quoted(text)}"
                 )
             header_seen = True
             continue
         parts = text.split(",")
         if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 3 fields, got {quoted(text)}")
+            raise ValidationError(f"line {lineno}: expected 3 fields, got {quoted(text)}")
         try:
             thresholds.append(float(parts[0]))
             fpr.append(float(parts[1]))
             tpr.append(float(parts[2]))
         except ValueError:
-            raise ParseError(f"line {lineno}: malformed row {quoted(text)}") from None
+            raise ValidationError(f"line {lineno}: malformed row {quoted(text)}") from None
     if not header_seen:
-        raise ParseError("missing 'threshold,fpr,tpr' header")
+        raise ValidationError("missing 'threshold,fpr,tpr' header")
     if "auroc" not in metadata:
-        raise ParseError("missing auroc metadata line")
+        raise ValidationError("missing auroc metadata line")
     try:
         auroc = float(metadata["auroc"])
     except ValueError:
-        raise ParseError(f"bad auroc metadata: {quoted(metadata['auroc'])}") from None
+        raise ValidationError(f"bad auroc metadata: {quoted(metadata['auroc'])}") from None
     curve = RocCurve(np.array(thresholds), np.array(fpr), np.array(tpr), auroc)
     return curve, metadata

@@ -12,13 +12,13 @@ arrays, so they can be shared across threads.
 from __future__ import annotations
 
 import functools
+import io
 import math
 
 import numpy as np
 
-from ._io import (block_lines, frozen, iter_blocks, load_block, numbered_lines,
-                  quoted, stacked, write_text)
-from .errors import ParseError, StructuralError, ValidationError
+from ._io import frozen, iter_blocks, load_block, numbered_lines, quoted, stacked
+from .errors import ValidationError
 
 # Colors for the rendered ID/OOD map.
 ID_COLOR = (0, 255, 0)
@@ -45,7 +45,7 @@ def _point_rows(numbered) -> list:
         if not fields:
             continue
         if len(fields) != 7:
-            raise ParseError(
+            raise ValidationError(
                 f"points line {lineno}: expected 7 fields (x y z intensity r g b), "
                 f"got {len(fields)}"
             )
@@ -53,12 +53,12 @@ def _point_rows(numbered) -> list:
             x, y, z, inten = (float(f) for f in fields[:4])
             r, g, b = (int(f) for f in fields[4:])
         except ValueError:
-            raise ParseError(f"points line {lineno}: malformed field in {quoted(line)}") from None
+            raise ValidationError(f"points line {lineno}: malformed field in {quoted(line)}") from None
         if not all(math.isfinite(v) for v in (x, y, z, inten)):
-            raise ParseError(f"points line {lineno}: non-finite coordinate or intensity")
+            raise ValidationError(f"points line {lineno}: non-finite coordinate or intensity")
         for name, v in (("r", r), ("g", g), ("b", b)):
             if not 0 <= v <= 255:
-                raise ParseError(f"points line {lineno}: color {name}={v} outside 0..255")
+                raise ValidationError(f"points line {lineno}: color {name}={v} outside 0..255")
         rows.append((x, y, z))
     return rows
 
@@ -73,9 +73,9 @@ def _label_values(numbered) -> list:
         try:
             value = int(text)
         except ValueError:
-            raise ParseError(f"labels line {lineno}: not an integer: {quoted(text)}") from None
+            raise ValidationError(f"labels line {lineno}: not an integer: {quoted(text)}") from None
         if not _INT64.min <= value <= _INT64.max:
-            raise ParseError(f"labels line {lineno}: label {quoted(text)} outside int64")
+            raise ValidationError(f"labels line {lineno}: label {quoted(text)} outside int64")
         values.append(value)
     return values
 
@@ -96,7 +96,7 @@ def _points_block(lineno: int, block) -> np.ndarray:
         if (np.isfinite(xyz).all() and np.isfinite(rec["intensity"]).all()
                 and all(((rec[c] >= 0) & (rec[c] <= 255)).all() for c in "rgb")):
             return xyz
-    rows = _point_rows(numbered_lines(block_lines(block), "points line", lineno))
+    rows = _point_rows(numbered_lines(io.BytesIO(block), "points line", lineno))
     return np.array(rows, dtype=np.float64).reshape(len(rows), 3)
 
 
@@ -105,7 +105,7 @@ def _labels_block(lineno: int, block):
     rec = load_block(block, _LABEL_DTYPE)
     if rec is not None:
         return rec["label"]
-    return _label_values(numbered_lines(block_lines(block), "labels line", lineno))
+    return _label_values(numbered_lines(io.BytesIO(block), "labels line", lineno))
 
 
 def read_labels(stream, n_points: int, class_count: int) -> np.ndarray:
@@ -120,7 +120,7 @@ def read_labels(stream, n_points: int, class_count: int) -> np.ndarray:
     labels = stacked((_labels_block(lineno, block) for lineno, block in blocks),
                      np.empty(0, dtype=np.int64))
     if labels.shape[0] != n_points:
-        raise StructuralError(f"{n_points} points but {labels.shape[0]} labels")
+        raise ValidationError(f"{n_points} points but {labels.shape[0]} labels")
     bad = np.flatnonzero((labels < 0) | (labels > class_count))
     if bad.size:
         i = int(bad[0])
@@ -227,7 +227,7 @@ def write_idood_map(cloud: np.ndarray, flags: np.ndarray, sink) -> None:
     Coordinates are printed as ``"%.6f"`` prints them.
     """
     if len(flags) != len(cloud):
-        raise StructuralError(
+        raise ValidationError(
             f"mask length {len(flags)} does not match cloud length {len(cloud)}"
         )
     flags = np.asarray(flags)
@@ -244,5 +244,5 @@ def write_idood_map(cloud: np.ndarray, flags: np.ndarray, sink) -> None:
         if chunk is None:
             rows = zip(xyz.tolist(), flags[start:stop].tolist())
             chunk = "".join(["%.6f %.6f %.6f %s\n" % (x, y, z, colors[flag])
-                             for (x, y, z), flag in rows])
-        write_text(sink, chunk)
+                             for (x, y, z), flag in rows]).encode()
+        sink.write(chunk)

@@ -27,8 +27,7 @@ import struct
 import numpy as np
 
 from ._io import frozen
-from .errors import (CapacityError, FormatError, TruncatedStreamError,
-                     ValidationError)
+from .errors import TruncatedStreamError, ValidationError
 
 TENSOR_MAGIC = b"PCOD"
 TENSOR_VERSION = 1
@@ -242,21 +241,21 @@ class TensorStream:
         magic, version, kind_code, reserved, n_points, n_classes, n_members = \
             _HEADER.unpack(header)
         if magic != TENSOR_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
+            raise ValidationError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
         if version != TENSOR_VERSION:
-            raise FormatError(f"unsupported format version {version}")
+            raise ValidationError(f"unsupported format version {version}")
         if kind_code not in _CODE_KINDS:
-            raise FormatError(f"unknown tensor kind code {kind_code}")
+            raise ValidationError(f"unknown tensor kind code {kind_code}")
         if reserved != 0:
-            raise FormatError(f"reserved header byte must be 0, got {reserved}")
+            raise ValidationError(f"reserved header byte must be 0, got {reserved}")
         if n_members < 1 or n_classes < 2:
-            raise FormatError(
+            raise ValidationError(
                 f"header declares {n_members} members and {n_classes} classes"
             )
         self._payload_bytes = 4 * n_members * n_points * n_classes
         if self._payload_bytes > _MAX_PAYLOAD_BYTES:
-            raise CapacityError(f"declared payload of {self._payload_bytes} "
-                                f"bytes exceeds the supported size")
+            raise ValidationError(f"declared payload of {self._payload_bytes} "
+                                  f"bytes exceeds the supported size")
         if source.seekable():
             pos = source.tell()
             available = source.seek(0, io.SEEK_END) - pos

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import io
 import itertools
 import math
 
 import numpy as np
 
-from ._io import (block_lines, frozen, iter_blocks, load_block, numbered_lines,
-                  quoted, stacked, write_text)
-from .errors import ParseError, ValidationError
+from ._io import frozen, iter_blocks, load_block, numbered_lines, quoted, stacked
+from .errors import ValidationError
 from .predictive import _row_max
 
 # Probabilities below this are treated as exact zeros in the entropy sum
@@ -333,9 +333,9 @@ def write_scores_csv(scores, sink) -> None:
     outside the domain it spells exactly.
     """
     values = np.asarray(scores, dtype=np.float64)
-    write_text(sink, _SCORE_HEADER + "\n")
+    sink.write((_SCORE_HEADER + "\n").encode())
     for start in range(0, len(values), _WRITE_ROWS):
-        write_text(sink, _score_chunk(values[start:start + _WRITE_ROWS], start))
+        sink.write(_score_chunk(values[start:start + _WRITE_ROWS], start))
 
 
 def _after_header(lineno: int, block):
@@ -344,13 +344,13 @@ def _after_header(lineno: int, block):
     The lines before the header may only be blank or ``#`` comments; the
     block holds no header when it has nothing else.
     """
-    lines = block_lines(block)
+    lines = io.BytesIO(block)
     for lineno, line in numbered_lines(lines, "line", lineno):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         if text != _SCORE_HEADER:
-            raise ParseError(
+            raise ValidationError(
                 f"line {lineno}: expected header 'index,score', got {quoted(text)}"
             )
         return lineno + 1, block[lines.tell():]
@@ -366,19 +366,19 @@ def _score_values(numbered, count: int) -> list:
             continue
         parts = text.split(",")
         if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'index,score', got {quoted(text)}")
+            raise ValidationError(f"line {lineno}: expected 'index,score', got {quoted(text)}")
         try:
             index = int(parts[0])
             value = float(parts[1])
         except ValueError:
-            raise ParseError(f"line {lineno}: malformed row {quoted(text)}") from None
+            raise ValidationError(f"line {lineno}: malformed row {quoted(text)}") from None
         if index != count + len(values):
-            raise ParseError(
+            raise ValidationError(
                 f"line {lineno}: index {index} out of order, "
                 f"expected {count + len(values)}"
             )
         if not math.isfinite(value):
-            raise ParseError(f"line {lineno}: non-finite score")
+            raise ValidationError(f"line {lineno}: non-finite score")
         values.append(value)
     return values
 
@@ -395,7 +395,7 @@ def _scores_block(lineno: int, block, count: int) -> np.ndarray:
         expected = np.arange(count, count + rec.shape[0])
         if np.isfinite(rec["score"]).all() and (rec["index"] == expected).all():
             return rec["score"]
-    return np.array(_score_values(numbered_lines(block_lines(block), "line", lineno),
+    return np.array(_score_values(numbered_lines(io.BytesIO(block), "line", lineno),
                                   count), dtype=np.float64)
 
 
@@ -411,7 +411,7 @@ def read_scores_csv(source) -> np.ndarray:
         if found is not None:
             break
     else:
-        raise ParseError("missing 'index,score' header")
+        raise ValidationError("missing 'index,score' header")
     blocks = itertools.chain([found], blocks)
     # values grows as each block is stacked, so its length is the index
     # the next block's first row must have.

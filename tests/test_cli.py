@@ -201,10 +201,18 @@ class TestExitCodes:
         assert {path.name: path.read_bytes()
                 for path in tmp_path.iterdir() if path.is_file()} == before
 
-    def test_usage_errors_exit_one(self, tmp_path):
+    def test_usage_errors_exit_one(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             run()
         assert info.value.code == 1
+        for text in ("1,a", ","):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as info:
+                run("auroc", "--id", "a", "--ood", "b", "--out", "c",
+                    "--k-list", text)
+            assert info.value.code == 1
+            assert capsys.readouterr().err.endswith(
+                f"pcood auroc: error: argument --k-list: bad k list: {text!r}\n")
         with pytest.raises(SystemExit) as info:
             run("score", "--in", tmp_path / "x.pcod")
         assert info.value.code == 1
@@ -228,13 +236,27 @@ class TestExitCodes:
             "error: --k and --k-list exclude each other\n"
         assert not out.exists()
 
-    def test_empty_population_is_validation_error(self, tmp_path):
+    def test_empty_population_is_validation_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("index,score\n")
         full = tmp_path / "full.csv"
         full.write_text("index,score\n0,0.5\n")
-        assert run("auroc", "--id", empty, "--ood", full,
-                   "--out", tmp_path / "r.txt") == 1
+        # Exact AUROC, and the pooled range a histogram is binned over.
+        for argv in (["auroc"], ["auroc", "--mode", "hist"], ["roc"]):
+            assert run(*argv, "--id", empty, "--ood", full,
+                       "--out", tmp_path / "r.txt") == 1
+            assert capsys.readouterr().err == \
+                "error: both populations must be non-empty\n"
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_class_counts_must_match(self, tmp_path, capsys):
+        three, four = tmp_path / "c3.pcod", tmp_path / "c4.pcod"
+        three.write_bytes(synth_pair(10, 3, 1, 1.0, 5)[0])
+        four.write_bytes(synth_pair(10, 4, 1, 1.0, 5)[1])
+        out = tmp_path / "r.txt"
+        assert run("auroc", "--id", three, "--ood", four, "--out", out) == 1
+        assert capsys.readouterr().err == "error: class counts differ: 3 vs 4\n"
+        assert not out.exists()
 
     def test_k_beyond_members_is_validation_error(self, tmp_path, tensor_pair):
         id_path, ood_path, _, _ = tensor_pair
@@ -263,6 +285,11 @@ class TestExitCodes:
                    "--bins", "1") == 1
         assert run("auroc", "--id", id_path, "--ood", ood_path, "--out", out,
                    "--workers", "0") == 1
+        capsys.readouterr()
+        assert run("auroc", "--id", id_path, "--ood", ood_path, "--out", out,
+                   "--k-list", "1,0") == 1
+        assert capsys.readouterr().err == \
+            "error: --k-list entries must be >= 1, got (1, 0)\n"
         # Rejected before two count arrays of that size are allocated.
         capsys.readouterr()
         assert run("roc", "--id", id_path, "--ood", ood_path, "--out", out,
@@ -835,6 +862,43 @@ class TestRocCommand:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("value", ["1e+20", "1.7976931348623157e+308",
+                                       "-1.7976931348623157e+308"])
+    def test_equal_scores_bin_at_any_finite_value(self, tmp_path, value):
+        # lo + 1.0 rounds back to lo here, so the pooled range is widened
+        # by one ulp instead: upward, or downward where upward overflows.
+        csv = tmp_path / "s.csv"
+        csv.write_text(f"index,score\n0,{value}\n")
+        report, roc = tmp_path / "r.txt", tmp_path / "roc.csv"
+        assert run("auroc", "--id", csv, "--ood", csv, "--mode", "hist",
+                   "--out", report) == 0
+        assert _read_report(report)["auroc"] == "0.5"
+        assert run("roc", "--id", csv, "--ood", csv, "--out", roc) == 0
+        with open(roc, "rb") as f:
+            curve, metadata = read_roc_csv(f)
+        assert curve.auroc == 0.5
+        assert np.isfinite(curve.thresholds).all()
+        assert curve.thresholds[-1] < curve.thresholds[0]
+        assert float(metadata["youden_threshold"]) in curve.thresholds
+
+    def test_equal_scores_keep_the_unit_domain(self, tmp_path, monkeypatch):
+        # Where lo + 1.0 > lo, equal scores are binned over [lo, lo + 1.0].
+        monkeypatch.chdir(tmp_path)
+        Path("a.csv").write_text("index,score\n0,5.0\n")
+        Path("b.csv").write_text("index,score\n0,5.0\n1,5.0\n")
+        assert run("roc", "--id", "a.csv", "--ood", "b.csv", "--bins", 8,
+                   "--out", "roc.csv") == 0
+        rows = "".join(f"{5 + i / 8!r},0.0,0.0\n" for i in range(7, 0, -1))
+        assert Path("roc.csv").read_text() == (
+            "threshold,fpr,tpr\n" + rows + "5.0,1.0,1.0\n"
+            "# auroc=0.5\n# kind=msp_complement\n# bins=8\n"
+            "# tie_rule=ties-credited-0.5\n# n_id=1\n# n_ood=2\n"
+            "# youden_threshold=5.0\n# youden_j=0.0\n# input_id=a.csv\n"
+            "# input_id_sha256=f02309a0b78e54543cccf550d71b1124"
+            "ca349f822fca004b94d8f18d6770cea2\n# input_ood=b.csv\n"
+            "# input_ood_sha256=cc8896ff8fe9d5242692bd3562463bcf"
+            "359916b01d71ca2ba7524c76e583cbc2\n")
+
 
 class TestUnequalPointCounts:
     """An ID and an OOD tensor of different N, each more than one tile long:
@@ -1069,6 +1133,18 @@ class TestMapCommand:
         assert capsys.readouterr().err == message
         assert run("map", "--points", points, "--pred", id_path, "--roc", roc,
                    "--kind", "entropy", "--out", out) == 0
+
+    def test_roc_without_youden_threshold_fails_before_the_scene(self, tmp_path,
+                                                               capsys):
+        roc = tmp_path / "roc.csv"
+        roc.write_text("threshold,fpr,tpr\n0.5,1.0,1.0\n# auroc=0.5\n"
+                       "# kind=msp_complement\n")
+        out = tmp_path / "map.txt"
+        assert run("map", "--points", tmp_path / "missing.txt", "--pred",
+                   tmp_path / "missing.pcod", "--roc", roc, "--out", out) == 1
+        assert capsys.readouterr().err == \
+            f"error: {roc}: no youden_threshold metadata\n"
+        assert not out.exists()
 
     def test_roc_without_kind_is_rejected(self, tmp_path, tensor_pair, capsys):
         id_path, ood_path, _, _ = tensor_pair

@@ -18,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcodref import read_report
-from pcood import (BinnedScoreHistogram, ParseError, RocCurve,
-                   ScoreKind, StructuralError, ValidationError,
-                   apply_threshold, argmax_labels, confusion_accumulate,
-                   confusion_new, exact_auroc, hist_accumulate, hist_auroc,
-                   hist_merge, hist_new, hist_new_range, optimal_threshold,
-                   read_roc_csv, roc_curve, seg_metrics, write_metrics_report,
-                   write_roc_csv)
+from pcood import (BinnedScoreHistogram, ConfusionMatrix, RocCurve, ScoreKind,
+                   ValidationError, apply_threshold, argmax_labels,
+                   confusion_accumulate, confusion_new, exact_auroc,
+                   hist_accumulate, hist_auroc, hist_merge, hist_new,
+                   hist_new_range, optimal_threshold, read_roc_csv, roc_curve,
+                   seg_metrics, write_metrics_report, write_roc_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +237,16 @@ class TestHistogram:
 
     def test_merge_compatibility_checks(self):
         a = hist_new_range(0.0, 1.0, 8)
-        with pytest.raises(StructuralError):
+        with pytest.raises(ValidationError):
             hist_merge(a, hist_new_range(0.0, 1.0, 16))
-        with pytest.raises(StructuralError):
+        with pytest.raises(ValidationError):
             hist_merge(a, hist_new_range(0.0, 2.0, 8))
-        with pytest.raises(StructuralError):
+        with pytest.raises(ValidationError):
             hist_merge(a, hist_new(ScoreKind.ENTROPY, 8, 8))
         # Histograms carry no score kind: the MSP and entropy domains
         # differ for every class count, so the domain check refuses them.
         for c in range(2, 65):
-            with pytest.raises(StructuralError):
+            with pytest.raises(ValidationError):
                 hist_merge(hist_new(ScoreKind.MSP_COMPLEMENT, c, 8),
                            hist_new(ScoreKind.ENTROPY, c, 8))
 
@@ -266,6 +265,10 @@ class TestHistogram:
         with pytest.raises(ValidationError):
             BinnedScoreHistogram(4, 0.0, 1.0, -np.ones(4, dtype=np.int64),
                                  np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValidationError,
+                           match=r"counts_ood must have shape \(4,\), got \(3,\)"):
+            BinnedScoreHistogram(4, 0.0, 1.0, np.zeros(4, dtype=np.int64),
+                                 np.zeros(3, dtype=np.int64))
 
     def test_domain_must_have_a_finite_width(self):
         # Both ends are doubles, but hi - lo overflows; binning would divide
@@ -402,12 +405,17 @@ class TestRocCurve:
         with pytest.raises(ValidationError):
             RocCurve(np.array([0.2, 0.5]), np.array([0.0, 0.4, 1.0]),
                      np.array([0.0, 0.8, 1.0]), 0.0)
-        with pytest.raises(StructuralError):
+        with pytest.raises(ValidationError):
             RocCurve(np.array([0.5]), np.array([0.0, 0.5, 1.0]),
                      np.array([0.0, 1.0]), 0.5)
         with pytest.raises(ValidationError):
             RocCurve(np.array([0.5]), np.array([0.1, 1.0]),
                      np.array([0.0, 1.0]), 0.95)
+        with pytest.raises(ValidationError, match="at least one threshold"):
+            RocCurve(np.array([]), np.array([0.0]), np.array([0.0]), 0.0)
+        with pytest.raises(ValidationError, match="fpr must be nondecreasing"):
+            RocCurve(np.array([0.5, 0.3, 0.2]), np.array([0.0, 0.6, 0.4, 1.0]),
+                     np.array([0.0, 0.5, 0.8, 1.0]), 0.5)
 
 
 class TestOptimalThreshold:
@@ -485,8 +493,18 @@ class TestConfusion:
             confusion_accumulate(confusion_new(3), [0, 1], [2, 2])
 
     def test_length_mismatch(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(ValidationError):
             confusion_accumulate(confusion_new(3), [1, 2], [1])
+
+    @pytest.mark.parametrize("n_classes, counts, ignored, message", [
+        (0, np.zeros((0, 0)), 0, "n_classes must be >= 1, got 0"),
+        (2, np.zeros((2, 3)), 0, r"counts must have shape \(2, 2\), got \(2, 3\)"),
+        (2, [[1, 0], [-1, 2]], 0, "confusion counts must be nonnegative"),
+        (2, np.zeros((2, 2)), -1, "ignored count must be nonnegative"),
+    ])
+    def test_matrix_validation(self, n_classes, counts, ignored, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ConfusionMatrix(n_classes, counts, ignored)
 
     def test_merge_equals_single_pass(self):
         rng = np.random.default_rng(45)
@@ -656,17 +674,26 @@ class TestReportFormats:
     ])
     def test_roc_csv_errors_quote_at_most_80_characters(self, text, message, quoted):
         long = "x" * 10_000
-        with pytest.raises(ParseError) as exc:
-            read_roc_csv(io.StringIO(text.replace("X", long)))
+        with pytest.raises(ValidationError) as exc:
+            read_roc_csv(io.BytesIO(text.replace("X", long).encode()))
         cut = quoted.replace("X", long)[:80]
         assert str(exc.value) == message.format(repr(cut) + "...")
+
+    def test_roc_csv_skips_blank_lines_and_needs_its_header(self):
+        text = b"\nthreshold,fpr,tpr\n\n0.5,1.0,1.0\n  \n# auroc=0.5\n\n"
+        curve, metadata = read_roc_csv(io.BytesIO(text))
+        assert (curve.thresholds.tolist(), curve.auroc) == ([0.5], 0.5)
+        assert metadata == {"auroc": "0.5"}
+        with pytest.raises(ValidationError,
+                           match="^missing 'threshold,fpr,tpr' header$"):
+            read_roc_csv(io.BytesIO(b"\n# auroc=0.5\n"))
 
     def test_roc_csv_rejects_a_repeated_metadata_key(self):
         # A second value after the first must not take its place unseen.
         text = (b"threshold,fpr,tpr\n0.5,1.0,1.0\n# auroc=0.5\n"
                 b"# youden_threshold=0.5\n# youden_threshold=0.0\n")
-        with pytest.raises(ParseError, match="^line 5: repeated metadata key "
-                                             "'youden_threshold'$"):
+        with pytest.raises(ValidationError, match="^line 5: repeated metadata key "
+                                                  "'youden_threshold'$"):
             read_roc_csv(io.BytesIO(text))
 
     @pytest.mark.parametrize("metadata, key", [
@@ -683,9 +710,9 @@ class TestReportFormats:
         assert sink.getvalue() == b""
 
     def test_roc_csv_errors(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             read_roc_csv(io.BytesIO(b"0.5,0.1,0.2\n"))
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             read_roc_csv(io.BytesIO(b"threshold,fpr,tpr\n0.5,0.1\n"))
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             read_roc_csv(io.BytesIO(b"threshold,fpr,tpr\n1.0,1.0,1.0\n"))

@@ -5,9 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from pcood import (ParseError, StructuralError, ValidationError,
-                   apply_threshold, parse_semantic3d, read_labels,
-                   write_idood_map)
+from pcood import (ValidationError, apply_threshold, parse_semantic3d,
+                   read_labels, write_idood_map)
 
 
 def _parse(points):
@@ -39,38 +38,38 @@ class TestParse:
         assert labels.tolist() == [3, 0]
 
     def test_wrong_field_count_names_line(self):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2"):
             _parse("0 0 0 0 0 0 0\n1 2 3\n")
 
     def test_non_numeric_token_names_line(self):
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1"):
             _parse("0 0 zero 0 0 0 0\n")
 
     def test_non_integer_color_rejected(self):
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1"):
             _parse("0 0 0 0 12.5 0 0\n")
 
     def test_non_finite_coordinate_rejected(self):
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1"):
             _parse("nan 0 0 0 0 0 0\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1"):
             _parse("0 0 0 inf 0 0 0\n")
 
     def test_color_out_of_range(self):
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1"):
             _parse("0 0 0 0 256 0 0\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ValidationError, match="line 1"):
             _parse("0 0 0 0 0 -1 0\n")
 
     def test_label_count_mismatch(self):
         points = "0 0 0 0 0 0 0\n" * 3
-        with pytest.raises(StructuralError):
+        with pytest.raises(ValidationError):
             _parse_labeled(points, "1\n2\n")
 
     def test_bad_label_token(self):
-        with pytest.raises(ParseError, match="labels line 1"):
+        with pytest.raises(ValidationError, match="labels line 1"):
             _parse_labeled("0 0 0 0 0 0 0\n", "x\n")
-        with pytest.raises(ParseError, match="labels line 1"):
+        with pytest.raises(ValidationError, match="labels line 1"):
             _parse_labeled("0 0 0 0 0 0 0\n", "1 2\n")
 
     def test_label_outside_class_range(self):
@@ -85,10 +84,6 @@ class TestParse:
         with pytest.raises(ValidationError):
             _parse_labeled("0 0 0 0 0 0 0\n", "4\n", class_count=3)
 
-    def test_text_stream_also_accepted(self):
-        cloud = parse_semantic3d(io.StringIO("1 2 3 4 5 6 7\n"))
-        assert len(cloud) == 1
-
 
 class TestTypes:
     def test_cloud_shape_checks(self):
@@ -96,7 +91,7 @@ class TestTypes:
                                        "1\n0\n2\n")
         assert [(a.dtype, a.shape) for a in (cloud, labels)] == [
             (np.float64, (3, 3)), (np.int64, (3,))]
-        with pytest.raises(StructuralError) as exc:
+        with pytest.raises(ValidationError) as exc:
             read_labels(io.BytesIO(b"1\n2\n"), 3, 8)
         assert str(exc.value) == "3 points but 2 labels"
 
@@ -105,12 +100,12 @@ class TestTypes:
             read_labels(io.BytesIO(b"1\n\n9\n-1\n"), 3, 8)
         assert str(exc.value) == "label 9 at index 1 outside 0..8"
         # The count is checked before the range.
-        with pytest.raises(StructuralError) as exc:
+        with pytest.raises(ValidationError) as exc:
             read_labels(io.BytesIO(b"9\n"), 3, 8)
         assert str(exc.value) == "3 points but 1 labels"
-        with pytest.raises(ParseError, match="^points line 1: non-finite"):
+        with pytest.raises(ValidationError, match="^points line 1: non-finite"):
             _parse("nan 0 0 0 0 0 0\n")
-        with pytest.raises(ParseError, match="^points line 1: color r=300 outside"):
+        with pytest.raises(ValidationError, match="^points line 1: color r=300 outside"):
             _parse("0 0 0 0 300 0 0\n")
 
     def test_cloud_is_frozen(self):
@@ -141,7 +136,7 @@ class TestIdOodMap:
 
     def test_length_mismatch(self):
         cloud = _parse("1 2 3 4 5 6 7\n")
-        with pytest.raises(StructuralError) as exc:
+        with pytest.raises(ValidationError) as exc:
             write_idood_map(cloud, np.array([0, 1], dtype=np.uint8), io.BytesIO())
         assert str(exc.value) == "mask length 2 does not match cloud length 1"
 

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from pcodref import (HEADER, members, pcod_bytes, reference_check,
                      reference_mean, stream_means)
-from pcood import (CapacityError, FormatError, TensorKind, TensorStream,
-                   TruncatedStreamError, ValidationError, write_header,
-                   write_member)
+from pcood import (TensorKind, TensorStream, TruncatedStreamError,
+                   ValidationError, write_header, write_member)
 from pcood.predictive import (PROB_ROW_SUM_TOL, _check_member, _row_max,
                               _softmax_rows)
 
@@ -187,7 +186,7 @@ class TestTensorValidation:
                                      f"x {n} points x {c} classes$"):
                 write_header(sink, PROBS, n, c, k)
             assert sink.getvalue() == b""
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError):
             TensorStream(io.BytesIO(HEADER.pack(b"PCOD", 1, 0, 0, 3, 4, 0)))
 
     @pytest.mark.parametrize("kind", ["probabilities", "logits", 0, None])
@@ -348,28 +347,28 @@ class TestTensorFormat:
 
     def test_bad_magic(self):
         blob = b"XXXX" + bytes(16)
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError):
             TensorStream(io.BytesIO(blob))
 
     def test_bad_version(self):
         blob = HEADER.pack(b"PCOD", 2, 0, 0, 1, 2, 1) + bytes(8)
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError):
             TensorStream(io.BytesIO(blob))
 
     def test_bad_kind_code(self):
         blob = HEADER.pack(b"PCOD", 1, 7, 0, 1, 2, 1) + bytes(8)
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError):
             TensorStream(io.BytesIO(blob))
 
     def test_nonzero_reserved_byte(self):
         blob = HEADER.pack(b"PCOD", 1, 0, 9, 1, 2, 1) + bytes(8)
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError):
             TensorStream(io.BytesIO(blob))
 
     def test_degenerate_dimensions(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError):
             TensorStream(io.BytesIO(HEADER.pack(b"PCOD", 1, 0, 0, 1, 2, 0)))
-        with pytest.raises(FormatError):
+        with pytest.raises(ValidationError):
             TensorStream(io.BytesIO(HEADER.pack(b"PCOD", 1, 0, 0, 1, 1, 1)))
 
     def test_truncated_header(self):
@@ -384,7 +383,7 @@ class TestTensorFormat:
 
     def test_capacity_guard(self):
         blob = HEADER.pack(b"PCOD", 1, 1, 0, 2 ** 60, 8, 20)
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValidationError):
             TensorStream(io.BytesIO(blob))
 
     def test_empty_tensor_round_trip(self):

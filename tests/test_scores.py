@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from pcodref import pcod_bytes
-from pcood import (ParseError, ScoreKind, TensorKind, TensorStream,
+from pcood import (ScoreKind, TensorKind, TensorStream,
                    ValidationError, exact_auroc, write_header,
                    write_member, hist_accumulate, hist_auroc, hist_new,
                    read_scores_csv, score_distribution, score_domain,
@@ -302,13 +302,13 @@ class TestCsv:
                                       [1.5, -2.25])
 
     def test_missing_header(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             read_scores_csv(io.BytesIO(b"0,0.5\n"))
 
     def test_malformed_row(self):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2"):
             read_scores_csv(io.BytesIO(b"index,score\n0;0.5\n"))
 
     def test_out_of_order_index(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             read_scores_csv(io.BytesIO(b"index,score\n1,0.5\n"))
