@@ -39,7 +39,7 @@ from .predictive import (TENSOR_MAGIC, TensorKind, TensorStream, write_header,
                          write_member)
 from .scores import (ScoreKind, read_scores_csv, score_distribution,
                      write_scores_csv)
-from .synth import (GaussianPairSpec, _check_tensor_args, _ndtri_for,
+from .synth import (GaussianPairSpec, _check_tensor_args,
                     sample_scores_chunk, synth_member)
 
 DEFAULT_K_SWEEP = (1, 5, 10, 15, 20)
@@ -265,9 +265,12 @@ def _per_k(streams, ks, workers: int, fn):
     an input error met on the way is named by its path. fn runs on the
     `_run_shards` tiles of each mean, formed from the member sum tile by
     tile, and its results are joined in point order. fn must work row by
-    row, so the tiling cannot change a bit of its results.
+    row, so the tiling cannot change a bit of its results. At the
+    largest k each stream is read to its end, and its sum freed, before
+    the next stream's sum is formed.
     """
     passes = [(path, stream.sums(ks)) for path, stream in streams]
+    last = max(ks)
     for k in sorted(set(ks)):
         results = []
         for path, sums in passes:
@@ -276,10 +279,11 @@ def _per_k(streams, ks, workers: int, fn):
             # Cut from this sum's own length: streams may differ in N.
             results.append(np.concatenate(_run_shards(
                 lambda a, b: fn(total[a:b] / k), len(total), workers)))
+            if k == last:
+                del total
+                with _named(path):
+                    next(sums, None)  # reads and checks the rest of the stream
         yield k, results
-    for path, sums in passes:
-        with _named(path):
-            next(sums, None)  # reads and checks the rest of the stream
 
 
 def _empty_hist(form: str, kind: ScoreKind, id_data, ood_data, bins: int):
@@ -488,12 +492,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
             mu_id=args.mu_id, sigma_id=args.sigma_id,
             mu_ood=args.mu_ood, sigma_ood=args.sigma_ood,
             n_id=args.n_id, n_ood=args.n_ood, seed=args.seed)
-        ndtri = _ndtri_for(spec.n_id + spec.n_ood)
 
         def draw(population, n):
             return np.concatenate(_run_shards(
-                lambda a, b: sample_scores_chunk(spec, population, a, b,
-                                                 ndtri=ndtri),
+                functools.partial(sample_scores_chunk, spec, population),
                 n, args.workers))
 
         id_scores = draw("id", spec.n_id)
@@ -505,15 +507,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     n, c = args.points, args.classes
     _check_tensor_args(n, c, args.members, args.separability, args.seed)
-    ndtri = _ndtri_for(2 * args.members * n * c)
     paths = [args.out_id, args.out_ood]
     # Each member's (ID, OOD) rows, filled tile by tile; reused per member.
     rows = [np.empty((n, c), dtype=np.float32) for _ in paths]
 
     def fill(m, a, b):
-        rows[0][a:b], rows[1][a:b] = synth_member(n, c, args.separability,
-                                                  args.seed, m, a, b,
-                                                  ndtri=ndtri)
+        rows[0][a:b], rows[1][a:b] = synth_member(
+            n, c, args.members, args.separability, args.seed, m, a, b)
 
     with atomic_outputs(paths) as sinks:
         for sink in sinks:

@@ -299,14 +299,11 @@ def confusion_accumulate(matrix: ConfusionMatrix, predicted,
             f"{pred.shape[0]} predictions vs {true.shape[0]} truth labels"
         )
     c = matrix.n_classes
-    bad = np.nonzero((true < 0) | (true > c))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValidationError(f"truth label {true[i]} at index {i} outside 0..{c}")
-    bad = np.nonzero((pred < 1) | (pred > c))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValidationError(f"predicted label {pred[i]} at index {i} outside 1..{c}")
+    for name, labels, lo in (("truth", true, 0), ("predicted", pred, 1)):
+        # min/max first: the index is looked for only when a label is out.
+        if labels.size and (labels.min() < lo or labels.max() > c):
+            i = int(np.flatnonzero((labels < lo) | (labels > c))[0])
+            raise ValidationError(f"{name} label {labels[i]} at index {i} outside {lo}..{c}")
     labeled = true > 0
     matrix.ignored += int(true.size - labeled.sum())
     flat = (true[labeled] - 1) * c + (pred[labeled] - 1)

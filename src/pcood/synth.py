@@ -109,14 +109,14 @@ _EXP_M2 = 0.13533528323661269189
 # the tile.
 _NDTRI_BLOCK = 1 << 12
 
-# Most normals a synth command draws with _ndtri; above it, the command
-# loads scipy for its ndtri. On a 2-vCPU x86-64 machine, in process, 2 x
-# 300k draws in 4096-draw tiles cost _ndtri 0.020 s against 0.010 s for
-# scipy's (about 17 ns more per draw), or 0.062 s with the math.log
-# fallback of _libm_log (about 86 ns more), and importing scipy.special
-# cost about 0.3 s of CPU (0.445 s against 0.150 s for numpy alone). So
-# _ndtri is the cheaper one up to about 18M draws, or 3.4M on the
-# fallback; 2**21 keeps it the cheaper one on either path.
+# Most normals a synth run (a tensor pair or a score population pair) draws
+# with _ndtri; above it, the run loads scipy for its ndtri. On a 2-vCPU
+# x86-64 machine, in process, 2 x 300k draws in 4096-draw tiles cost _ndtri
+# 0.020 s against 0.010 s for scipy's (about 17 ns more per draw), or
+# 0.062 s with the math.log fallback of _libm_log (about 86 ns more), and
+# importing scipy.special cost about 0.3 s of CPU (0.445 s against 0.150 s
+# for numpy alone). So _ndtri is the cheaper one up to about 18M draws, or
+# 3.4M on the fallback; 2**21 keeps it the cheaper one on either path.
 _PORT_MAX_DRAWS = 1 << 21
 
 def _ratio(x: np.ndarray, p, q) -> np.ndarray:
@@ -168,20 +168,15 @@ def _ndtri_block(y: np.ndarray) -> None:
     y[tail] = _ndtri_tails(t)
 
 
-def _ndtri(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """scipy.special.ndtri(u, out=out) for float64 u in the open interval
-    (0, 1); out may be u."""
-    if out is None:
-        out = u.copy()
-    elif out is not u:
-        np.copyto(out, u)
-    y = out if out.flags.c_contiguous else out.copy()
-    flat = y.reshape(-1)
+def _ndtri(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """scipy.special.ndtri(u, out=u) for a C-contiguous float64 u in the
+    open interval (0, 1): out must be u, which is overwritten."""
+    if out is not u or not u.flags.c_contiguous:
+        raise ValueError("_ndtri works in place on a contiguous array")
+    flat = u.reshape(-1)
     for a in range(0, flat.size, _NDTRI_BLOCK):
         _ndtri_block(flat[a:a + _NDTRI_BLOCK])
-    if y is not out:
-        out[...] = y
-    return out
+    return u
 
 
 def _ndtri_for(draws: int):
@@ -195,12 +190,12 @@ def _ndtri_for(draws: int):
 
 
 def _standard_normals(seed: int, stream: int, start: int, count: int,
-                      ndtri=None) -> np.ndarray:
-    if ndtri is None:
-        ndtri = _ndtri_for(count)
+                      draws: int) -> np.ndarray:
+    """Normals at absolute indices [start, start + count) of a run that
+    draws `draws` normals in all; the run's size picks the inverse CDF."""
     u = _uniforms(seed, stream, start, count)
     np.maximum(u, _UNIFORM_FLOOR, out=u)
-    return ndtri(u, out=u)
+    return _ndtri_for(draws)(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -227,13 +222,11 @@ class GaussianPairSpec:
 
 
 def sample_scores_chunk(spec: GaussianPairSpec, population: str,
-                        start: int, stop: int, *, ndtri=None) -> np.ndarray:
+                        start: int, stop: int) -> np.ndarray:
     """Scores at indices [start, stop) of one population.
 
     Chunking is free: concatenating chunks over any partition of
-    [0, n) equals the single full draw bit for bit. ``ndtri`` is the
-    inverse normal CDF to draw with, by default the one for the draw count;
-    every choice gives the same bits.
+    [0, n) equals the single full draw bit for bit.
     """
     if population == "id":
         n, mu, sigma, stream = spec.n_id, spec.mu_id, spec.sigma_id, _STREAM_ID_SCORES
@@ -243,7 +236,8 @@ def sample_scores_chunk(spec: GaussianPairSpec, population: str,
         raise ValidationError(f"population must be 'id' or 'ood', got {population!r}")
     if not 0 <= start <= stop <= n:
         raise ValidationError(f"chunk [{start}, {stop}) outside population of {n}")
-    z = _standard_normals(spec.seed, stream, start, stop - start, ndtri)
+    z = _standard_normals(spec.seed, stream, start, stop - start,
+                          spec.n_id + spec.n_ood)
     with np.errstate(over="ignore"):
         scores = mu + sigma * z
     bad = np.flatnonzero(~np.isfinite(scores))
@@ -266,16 +260,16 @@ def _check_tensor_args(n_points, n_classes, n_members, separability, seed):
     _check_seed(seed)
 
 
-def synth_true_classes(n_points: int, n_classes: int, seed: int,
-                       start: int, stop: int) -> np.ndarray:
+def synth_true_classes(n_classes: int, seed: int, start: int,
+                       stop: int) -> np.ndarray:
     """0-based true classes the ID tensor concentrates its mass on."""
     u = _uniforms(seed, _STREAM_TRUE_CLASS, start, stop - start)
     return np.minimum((u * n_classes).astype(np.int64), n_classes - 1)
 
 
-def synth_member(n_points: int, n_classes: int, separability: float,
-                 seed: int, m: int, start: int, stop: int, *,
-                 ndtri=None) -> tuple[np.ndarray, np.ndarray]:
+def synth_member(n_points: int, n_classes: int, n_members: int,
+                 separability: float, seed: int, m: int, start: int,
+                 stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Float32 (ID, OOD) probability rows of member m for points [start, stop).
 
     Members share nothing: member m of the ID tensor adds `separability`
@@ -284,21 +278,22 @@ def synth_member(n_points: int, n_classes: int, separability: float,
     coincide; as it grows, ID rows approach one-hot while OOD rows keep
     their moderate spread. The draws of member m sit at fixed counter
     positions, so they depend neither on the member count nor on how the
-    points are split. ``ndtri`` is as in :func:`sample_scores_chunk`.
+    points are split.
     """
-    if m < 0:
-        raise ValidationError(f"member index must be >= 0, got {m}")
-    _check_tensor_args(n_points, n_classes, m + 1, separability, seed)
+    _check_tensor_args(n_points, n_classes, n_members, separability, seed)
+    if not 0 <= m < n_members:
+        raise ValidationError(f"member index must be in 0..{n_members - 1}, got {m}")
     if not 0 <= start <= stop <= n_points:
         raise ValidationError(f"chunk [{start}, {stop}) outside 0..{n_points}")
     count = stop - start
     base = (m * n_points + start) * n_classes
+    draws = 2 * n_members * n_points * n_classes
     z = _standard_normals(seed, _STREAM_ID_NOISE, base, count * n_classes,
-                          ndtri).reshape(count, n_classes)
+                          draws).reshape(count, n_classes)
     z[np.arange(count),
-      synth_true_classes(n_points, n_classes, seed, start, stop)] += separability
+      synth_true_classes(n_classes, seed, start, stop)] += separability
     id_rows = _softmax_rows(z).astype(np.float32)
     z = _standard_normals(seed, _STREAM_OOD_NOISE, base, count * n_classes,
-                          ndtri).reshape(count, n_classes)
+                          draws).reshape(count, n_classes)
     return id_rows, _softmax_rows(z).astype(np.float32)
 

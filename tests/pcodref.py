@@ -35,7 +35,8 @@ def pcod_bytes(values, kind=TensorKind.PROBABILITIES) -> bytes:
 
 def synth_pair(n_points, n_classes, n_members, separability, seed):
     """The (ID, OOD) PCOD bytes that ``synth tensor`` writes for these flags."""
-    members = [synth_member(n_points, n_classes, separability, seed, m, 0, n_points)
+    members = [synth_member(n_points, n_classes, n_members, separability, seed,
+                            m, 0, n_points)
                for m in range(n_members)]
     return tuple(pcod_bytes([member[i] for member in members]) for i in (0, 1))
 

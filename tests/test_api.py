@@ -1,5 +1,6 @@
-"""pcood exports no name that nothing but its own tests uses, and its
-streams are binary at every boundary."""
+"""pcood exports no name that nothing but its own tests uses, its
+streams are binary at every boundary, and every parameter it takes is
+read."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,38 @@ def test_the_boundary_check_sees_text_mode(tmp_path):
     assert _text_layer_uses(module) == [
         (2, "StringIO"), (3, "open mode 'r'"), (4, "open mode 'r'"),
         (5, "open mode None"), (6, "fdopen mode 'w'"), (7, "StringIO")]
+
+
+def _unread_parameters(path: Path) -> list:
+    """(line, function, parameter) of each parameter of a function or
+    lambda in a module that its body never reads."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found.extend((node.lineno, name, p.arg) for p in params
+                     if p is not None and p.arg not in read)
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    found = {path.name: unread for path in sorted(_PACKAGE.glob("*.py"))
+             if (unread := _unread_parameters(path))}
+    assert found == {}
+
+
+def test_the_parameter_check_sees_unread_parameters(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(a, b, *args, c, **kw):\n    return a + c\n"
+                      "g = lambda x, y: y\n"
+                      "def h(p):\n    def inner():\n        return p\n"
+                      "    return inner\n")
+    assert _unread_parameters(module) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "kw"), (3, "<lambda>", "x")]

@@ -454,7 +454,7 @@ class TestSynthCommand:
         # first is in the second tile, and the third tile holds more; the
         # message names the first whatever the worker count.
         n = 3 * cli._TILE_ROWS
-        z = synth._standard_normals(9, synth._STREAM_ID_SCORES, 0, n)
+        z = synth._standard_normals(9, synth._STREAM_ID_SCORES, 0, n, n + 10)
         with np.errstate(over="ignore"):
             first = int(np.flatnonzero(~np.isfinite(5e307 * z))[0])
         assert cli._TILE_ROWS <= first < 2 * cli._TILE_ROWS
@@ -525,6 +525,30 @@ class TestSynthCommand:
                 capture_output=True, text=True, env=_pcod_env())
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout) == [0, loads_scipy], argv[1]
+
+    def test_library_calls_pick_the_commands_inverse_normal(self):
+        # A 16-point tile loads scipy exactly where the run it is cut from
+        # does: the pair's or population pair's draw count decides, not the
+        # tile's.
+        pair = "GaussianPairSpec(0.0, 1.0, 1.0, 1.0, 2 ** 20, {}, 5)"
+        runs = [
+            ("synth_member(65537, 4, 4, 1.0, 5, 3, 100, 116)", True),
+            ("synth_member(65536, 4, 4, 1.0, 5, 3, 100, 116)", False),
+            (f"sample_scores_chunk({pair.format('2 ** 20 + 1')}, 'ood', 100, 116)",
+             True),
+            (f"sample_scores_chunk({pair.format('2 ** 20')}, 'ood', 100, 116)",
+             False),
+        ]
+        for call, loads_scipy in runs:
+            script = ("import sys\n"
+                      "from pcood import (GaussianPairSpec, sample_scores_chunk,"
+                      " synth_member)\n"
+                      f"{call}\n"
+                      "print('scipy' in sys.modules)\n")
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True, env=_pcod_env())
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == f"{loads_scipy}\n", call
 
     def test_peak_memory_does_not_grow_with_members(self, tmp_path,
                                                    monkeypatch):
@@ -714,6 +738,25 @@ class TestTiledScoring:
         assert len(want) == len(commands) + 4
         for workers in (1, 3):
             assert outputs(tile_rows, workers) == want
+
+
+class TestOnePass:
+    def test_streams_are_read_to_their_end_at_the_largest_k(self, tensor_pair):
+        # At the largest k each stream is drained, and its sum freed, before
+        # the next stream's sum is formed, so every digest is final when
+        # that k is yielded.
+        _, _, *blobs = tensor_pair
+        streams = [TensorStream(io.BytesIO(blob)) for blob in blobs]
+        ks = cli._per_k(list(zip(("id", "ood"), streams)), [2, 1], 1,
+                        argmax_labels)
+        assert next(ks)[0] == 1
+        for stream in streams:
+            with pytest.raises(RuntimeError, match="not been read to its end"):
+                stream.sha256
+        assert next(ks)[0] == 2
+        assert [stream.sha256 for stream in streams] == [
+            hashlib.sha256(blob).hexdigest() for blob in blobs]
+        assert next(ks, None) is None
 
 
 class TestAurocCommand:

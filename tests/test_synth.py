@@ -150,7 +150,8 @@ class TestSampling:
         # at the second such draw names its index in the population, and
         # numpy warns of nothing.
         spec = _spec(sigma_ood=1e308, n_ood=200)
-        z = synth._standard_normals(spec.seed, synth._STREAM_OOD_SCORES, 0, 200)
+        z = synth._standard_normals(spec.seed, synth._STREAM_OOD_SCORES, 0, 200,
+                                    spec.n_id + spec.n_ood)
         a = int(np.flatnonzero(np.abs(z) > 1.8)[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -162,19 +163,19 @@ class TestSampling:
 
 class TestTrueClasses:
     def test_range_and_determinism(self):
-        a = synth_true_classes(500, 8, 21, 0, 500)
-        b = synth_true_classes(500, 8, 21, 0, 500)
+        a = synth_true_classes(8, 21, 0, 500)
+        b = synth_true_classes(8, 21, 0, 500)
         np.testing.assert_array_equal(a, b)
         assert a.min() >= 0 and a.max() <= 7
 
     def test_partition_invariance(self):
-        full = synth_true_classes(100, 5, 22, 0, 100)
-        parts = [synth_true_classes(100, 5, 22, a, b)
+        full = synth_true_classes(5, 22, 0, 100)
+        parts = [synth_true_classes(5, 22, a, b)
                  for a, b in ((0, 3), (3, 50), (50, 100))]
         np.testing.assert_array_equal(np.concatenate(parts), full)
 
     def test_roughly_uniform(self):
-        labels = synth_true_classes(8000, 8, 23, 0, 8000)
+        labels = synth_true_classes(8, 23, 0, 8000)
         counts = np.bincount(labels, minlength=8)
         assert counts.min() > 850 and counts.max() < 1150
 
@@ -186,8 +187,8 @@ class TestTensors:
     def test_block_partition_invariance(self):
         edges = [0, 7, 8, 33, 60]
         for m in (0, 1):
-            full_id, full_ood = synth_member(60, 4, 1.5, 32, m, 0, 60)
-            parts = [synth_member(60, 4, 1.5, 32, m, a, b)
+            full_id, full_ood = synth_member(60, 4, 2, 1.5, 32, m, 0, 60)
+            parts = [synth_member(60, 4, 2, 1.5, 32, m, a, b)
                      for a, b in zip(edges, edges[1:])]
             np.testing.assert_array_equal(
                 np.concatenate([p[0] for p in parts]), full_id)
@@ -200,7 +201,7 @@ class TestTensors:
         np.testing.assert_array_equal(many_id[0], one_id[0])
         np.testing.assert_array_equal(many_ood[0], one_ood[0])
         for m in range(3):
-            id_rows, ood_rows = synth_member(50, 4, 2.0, 33, m, 0, 50)
+            id_rows, ood_rows = synth_member(50, 4, 3, 2.0, 33, m, 0, 50)
             assert id_rows.dtype == ood_rows.dtype == np.float32
             np.testing.assert_array_equal(id_rows, many_id[m])
             np.testing.assert_array_equal(ood_rows, many_ood[m])
@@ -245,21 +246,23 @@ class TestTensors:
 
     def test_argument_validation(self):
         with pytest.raises(ValidationError, match="n_points must be >= 0"):
-            synth_member(-1, 8, 1.0, 39, 0, 0, 0)
+            synth_member(-1, 8, 1, 1.0, 39, 0, 0, 0)
         # `synth tensor` checks its member count before it writes a header.
         with pytest.raises(ValidationError, match="at least one member"):
             _check_tensor_args(10, 8, 0, 1.0, 39)
         with pytest.raises(ValidationError):
-            synth_member(10, 8, float("inf"), 39, 0, 0, 10)
+            synth_member(10, 8, 1, float("inf"), 39, 0, 0, 10)
         with pytest.raises(ValidationError):
-            synth_member(10, 8, 1.0, -3, 0, 0, 10)
+            synth_member(10, 8, 1, 1.0, -3, 0, 0, 10)
         for start, stop in ((4, 11), (-1, 3), (6, 5)):
             with pytest.raises(ValidationError, match="outside 0..10"):
-                synth_member(10, 8, 1.0, 39, 0, start, stop)
-        with pytest.raises(ValidationError, match="member index"):
-            synth_member(10, 8, 1.0, 39, -1, 0, 10)
+                synth_member(10, 8, 1, 1.0, 39, 0, start, stop)
+        for m in (-1, 3):
+            with pytest.raises(ValidationError,
+                               match=rf"^member index must be in 0..2, got {m}$"):
+                synth_member(10, 8, 3, 1.0, 39, m, 0, 10)
         with pytest.raises(ValidationError, match="two classes"):
-            synth_member(10, 1, 1.0, 39, 0, 0, 10)
+            synth_member(10, 1, 1, 1.0, 39, 0, 0, 10)
 
 
 # The largest double below 1, as a bit pattern.
@@ -289,12 +292,10 @@ def _near_anchors(steps) -> np.ndarray:
 
 
 def _assert_scipy_bits(u):
-    u = np.asarray(u, dtype=np.float64)
+    u = np.array(u, dtype=np.float64)
     want = scipy_ndtri(u).view(np.int64)
-    np.testing.assert_array_equal(_ndtri(u).view(np.int64), want)
-    v = u.copy()
-    assert _ndtri(v, out=v) is v
-    np.testing.assert_array_equal(v.view(np.int64), want)
+    assert _ndtri(u, out=u) is u
+    np.testing.assert_array_equal(u.view(np.int64), want)
 
 
 class TestNdtriPort:
@@ -344,20 +345,23 @@ class TestNdtriPort:
         with mock.patch.object(scores, "_strided_log", np.log):
             assert not scores._strided_log_is_libm.__wrapped__()
 
-    def test_any_shape_and_layout(self):
-        base = _philox_uniforms(5, 0, 0, 6000).reshape(60, 100)
-        for view in (lambda a: a, lambda a: a.T, lambda a: a[::-1, ::3],
-                     lambda a: a[::2]):
-            v = view(base.copy())
-            want = scipy_ndtri(v).view(np.int64)
-            np.testing.assert_array_equal(_ndtri(v).view(np.int64), want)
-            assert _ndtri(v, out=v) is v
-            np.testing.assert_array_equal(v.view(np.int64), want)
-        out = np.empty((100, 60)).T
-        assert _ndtri(base, out=out) is out
-        np.testing.assert_array_equal(out.view(np.int64),
-                                      scipy_ndtri(base).view(np.int64))
+    def test_works_in_place_on_contiguous_draws_only(self):
+        u = _philox_uniforms(5, 0, 0, 6000).reshape(60, 100)
+        for args in ((u, u.copy()), (u.T, u.T), (u[::2], u[::2])):
+            with pytest.raises(ValueError, match="in place"):
+                _ndtri(*args)
+        _assert_scipy_bits(u)
 
-    def test_cut_off(self):
+    def test_cut_off(self, monkeypatch):
         assert _ndtri_for(1) is _ndtri_for(_PORT_MAX_DRAWS) is _ndtri
         assert _ndtri_for(_PORT_MAX_DRAWS + 1) is scipy_ndtri
+        # The run's draw count picks the inverse CDF, not the tile's size.
+        port = mock.Mock(wraps=_ndtri)
+        monkeypatch.setattr(synth, "_ndtri", port)
+        tiles = []
+        for draws in (_PORT_MAX_DRAWS, _PORT_MAX_DRAWS + 1):
+            port.reset_mock()
+            tiles.append(synth._standard_normals(7, 3, 100, 16, draws))
+            assert port.called == (draws <= _PORT_MAX_DRAWS)
+        np.testing.assert_array_equal(tiles[0].view(np.int64),
+                                      tiles[1].view(np.int64))
