@@ -9,11 +9,12 @@ def main(argv=None) -> int:
 
     pcood calls no BLAS routine, yet the OpenBLAS that numpy and scipy
     each load starts a spinning thread unless this is set before numpy is
-    imported. A value already in the environment wins.
+    imported. A value already in the environment wins. ``--help`` and
+    usage errors exit without importing numpy at all.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .cli import main as cli_main
-    return cli_main(argv)
+    from ._args import main as args_main
+    return args_main(argv)
 
 
 if __name__ == "__main__":

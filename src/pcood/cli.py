@@ -7,6 +7,8 @@ temp file and renamed into place, reports carry input hashes instead of
 timestamps, and all computations are independent of --workers, so
 reruns on the same inputs are byte-identical.
 
+Arguments are parsed and checked by `pcood._args`, which imports this
+module, and with it numpy, only for a command that passed its checks.
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
@@ -19,16 +21,17 @@ import functools
 import hashlib
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+# `main` is the in-process entry: it parses and checks argv, then calls `run`.
+from ._args import check_threshold, main
 from ._io import atomic_outputs, quoted
 from .errors import TruncatedStreamError, ValidationError
-from .evaluation import (DEFAULT_BIN_COUNT, EXACT_MODE_MAX_POINTS, TIE_RULE,
+from .evaluation import (EXACT_MODE_MAX_POINTS, TIE_RULE,
                          confusion_new, confusion_accumulate,
-                         apply_threshold, argmax_labels, check_threshold,
+                         apply_threshold, argmax_labels,
                          exact_auroc, hist_accumulate, hist_auroc,
                          hist_merge, hist_new,
                          hist_new_range, optimal_threshold, roc_curve,
@@ -42,84 +45,26 @@ from .scores import (ScoreKind, read_scores_csv, score_distribution,
 from .synth import (GaussianPairSpec, _check_tensor_args,
                     sample_scores_chunk, synth_member)
 
-DEFAULT_K_SWEEP = (1, 5, 10, 15, 20)
-
 # Rows per task of `_run_shards`: a mean is formed and scored, and synth
 # rows are drawn, a tile at a time, so temporaries stay tile-sized instead
 # of N x C. Tiles of 4096 to 8192 rows of 8 classes scored fastest,
 # cache-resident.
 _TILE_ROWS = 1 << 12
 
-# Most histogram bins: two int64 count arrays of 8 MiB each.
-_MAX_BINS = 1 << 20
-
 _KIND_FLAGS = {"msp": ScoreKind.MSP_COMPLEMENT, "entropy": ScoreKind.ENTROPY}
-
-
-# Path arguments per subcommand, inputs before outputs, in the order empty
-# ones are reported.
-_PATH_ROLES = {
-    "aggregate": ("in", "out"),
-    "score": ("in", "out"),
-    "auroc": ("id", "ood", "out"),
-    "roc": ("id", "ood", "out"),
-    "iou": ("points", "labels", "pred", "out"),
-    "map": ("points", "pred", "roc", "out"),
-    "synth": ("out_id", "out_ood"),
-}
-
-
-def _same_file(a: str, b: str) -> bool:
-    """Whether paths `a` and `b` name one file: by device and inode where
-    both exist, by their resolved paths where one does not."""
-    if os.path.exists(a) and os.path.exists(b):
-        return os.path.samefile(a, b)
-    return os.path.realpath(a) == os.path.realpath(b)
-
-
-def _check_args(args: argparse.Namespace) -> None:
-    """Reject flag values no run can use, before any file is opened."""
-    sc = args.subcommand
-    if sc == "map":
-        if (args.threshold is None) == (args.roc is None):
-            raise ValidationError("map needs exactly one of --threshold or --roc")
-        if args.threshold is not None:
-            check_threshold(args.threshold)
-    paths = []
-    for role in _PATH_ROLES[sc]:
-        path = getattr(args, "input" if role == "in" else role)
-        if path == "":
-            raise ValidationError(f"{sc}: empty path for {role}")
-        if path is not None:
-            paths.append((role, path))
-    # An output written over an input or another output would lose it.
-    for j, (role, path) in enumerate(paths):
-        if role.startswith("out"):
-            for other, other_path in paths[:j]:
-                if _same_file(path, other_path):
-                    raise ValidationError(
-                        f"{sc}: --{role.replace('_', '-')} and "
-                        f"--{other.replace('_', '-')} name the same file")
-    k = getattr(args, "k", None)
-    if k is not None and k < 1:
-        raise ValidationError(f"--k must be >= 1, got {k}")
-    k_list = getattr(args, "k_list", None)
-    if k is not None and k_list is not None:
-        raise ValidationError("--k and --k-list exclude each other")
-    if k_list is not None and any(k < 1 for k in k_list):
-        raise ValidationError(f"--k-list entries must be >= 1, got {k_list}")
-    bins = getattr(args, "bins", DEFAULT_BIN_COUNT)
-    if bins < 2:
-        raise ValidationError(f"--bins must be >= 2, got {bins}")
-    if bins > _MAX_BINS:
-        raise ValidationError(f"--bins must be at most {_MAX_BINS}, got {bins}")
-    if args.workers < 1:
-        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
 
 
 # ---------------------------------------------------------------------------
 # Shared machinery
 # ---------------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def _run_shards(fn, n_rows: int, workers: int):
     """fn(a, b) over the _TILE_ROWS row tiles [a, b) of range(n_rows), in
@@ -127,12 +72,14 @@ def _run_shards(fn, n_rows: int, workers: int):
 
     The tiles are the same for every worker count: `workers` sets only
     how many threads share them, so it cannot move a bit of the results.
+    At most one thread per tile and per usable CPU is started.
     """
     tiles = [(a, min(a + _TILE_ROWS, n_rows))
              for a in range(0, n_rows, _TILE_ROWS)] or [(0, 0)]
-    if workers <= 1 or len(tiles) <= 1:
+    threads = min(workers, len(tiles), _usable_cpus())
+    if threads <= 1:
         return [fn(a, b) for a, b in tiles]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, *zip(*tiles)))
 
 
@@ -526,120 +473,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Argument parsing
-# ---------------------------------------------------------------------------
-
-class _Parser(argparse.ArgumentParser):
-    # Usage errors are validation errors: exit 1, not argparse's 2.
-    def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _k_list(text: str):
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad k list: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"bad k list: {text!r}")
-    return values
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pcood",
-                     description="Uncertainty-based OOD evaluation for point "
-                                 "cloud semantic segmentation.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, kind=False, k=False, bins=False, mode=False):
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker count; results are identical for any value")
-        if kind:
-            p.add_argument("--kind", choices=sorted(_KIND_FLAGS), default="msp",
-                           help="OOD score: msp (1 - max softmax prob) or entropy")
-        if k:
-            p.add_argument("--k", type=int, default=None,
-                           help="members to average (default: all)")
-        if bins:
-            p.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT,
-                           help="histogram bin count")
-        if mode:
-            p.add_argument("--mode", choices=("exact", "hist", "auto"),
-                           default="auto",
-                           help="exact sort, streaming histogram, or auto by size")
-
-    p = sub.add_parser("aggregate", help="average tensor members into a "
-                                         "K=1 probability tensor")
-    p.add_argument("--in", dest="input", required=True, help="input PCOD tensor")
-    p.add_argument("--out", required=True, help="output PCOD tensor (K=1)")
-    add_common(p, k=True)
-
-    p = sub.add_parser("score", help="write per-point OOD scores as CSV")
-    p.add_argument("--in", dest="input", required=True, help="input PCOD tensor")
-    p.add_argument("--out", required=True, help="output score CSV")
-    add_common(p, kind=True, k=True)
-
-    p = sub.add_parser("auroc", help="AUROC report between ID and OOD inputs")
-    p.add_argument("--id", required=True, help="ID PCOD tensor or score CSV")
-    p.add_argument("--ood", required=True, help="OOD PCOD tensor or score CSV")
-    p.add_argument("--k-list", type=_k_list, default=None,
-                   help="comma-separated ensemble sizes to sweep "
-                        f"(e.g. {','.join(map(str, DEFAULT_K_SWEEP))})")
-    p.add_argument("--out", required=True, help="output key=value report")
-    add_common(p, kind=True, k=True, bins=True, mode=True)
-
-    p = sub.add_parser("roc", help="ROC curve CSV with the Youden threshold")
-    p.add_argument("--id", required=True, help="ID PCOD tensor or score CSV")
-    p.add_argument("--ood", required=True, help="OOD PCOD tensor or score CSV")
-    p.add_argument("--out", required=True, help="output ROC CSV")
-    add_common(p, kind=True, k=True, bins=True)
-
-    p = sub.add_parser("iou", help="segmentation metrics report")
-    p.add_argument("--points", required=True, help="Semantic3D points file")
-    p.add_argument("--labels", required=True, help="per-point truth labels")
-    p.add_argument("--pred", required=True, help="prediction PCOD tensor")
-    p.add_argument("--out", required=True, help="output key=value report")
-    add_common(p, k=True)
-
-    p = sub.add_parser("map", help="write a green/red ID/OOD point map")
-    p.add_argument("--points", required=True, help="Semantic3D points file")
-    p.add_argument("--pred", required=True, help="prediction PCOD tensor")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="OOD-score threshold (higher score = OOD)")
-    p.add_argument("--roc", default=None,
-                   help="ROC CSV to take the Youden threshold from")
-    p.add_argument("--out", required=True, help="output map file")
-    add_common(p, kind=True, k=True)
-
-    p = sub.add_parser("synth", help="generate synthetic fixtures")
-    what = p.add_subparsers(dest="what", required=True)
-
-    ps = what.add_parser("scores", help="Gaussian ID/OOD score CSVs")
-    ps.add_argument("--mu-id", type=float, default=0.0)
-    ps.add_argument("--sigma-id", type=float, default=1.0)
-    ps.add_argument("--mu-ood", type=float, default=1.0)
-    ps.add_argument("--sigma-ood", type=float, default=1.0)
-    ps.add_argument("--n-id", type=int, required=True)
-    ps.add_argument("--n-ood", type=int, required=True)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--out-id", required=True)
-    ps.add_argument("--out-ood", required=True)
-    ps.add_argument("--workers", type=int, default=1)
-
-    pt = what.add_parser("tensor", help="ID/OOD prediction tensor pair")
-    pt.add_argument("--points", type=int, required=True)
-    pt.add_argument("--classes", type=int, default=8)
-    pt.add_argument("--members", type=int, default=20)
-    pt.add_argument("--separability", type=float, default=3.0)
-    pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--out-id", required=True)
-    pt.add_argument("--out-ood", required=True)
-    pt.add_argument("--workers", type=int, default=1)
-
-    return parser
-
-
 _COMMANDS = {
     "aggregate": cmd_aggregate,
     "score": cmd_score,
@@ -651,14 +484,6 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        _check_args(args)
-        return _COMMANDS[args.subcommand](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TruncatedStreamError, OSError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
+def run(args: argparse.Namespace) -> int:
+    """Run the subcommand of checked arguments; return its exit code."""
+    return _COMMANDS[args.subcommand](args)

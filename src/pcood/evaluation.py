@@ -20,11 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._args import DEFAULT_BIN_COUNT, check_threshold
 from ._io import frozen, numbered_lines, quoted
 from .errors import ValidationError
 from .scores import ScoreKind, score_domain
-
-DEFAULT_BIN_COUNT = 4096
 
 # Below this many pooled points the exact sort is cheap; above it the
 # streaming histogram is the default (overridable by CLI flag).
@@ -362,14 +361,6 @@ def apply_threshold(scores: np.ndarray, threshold: float) -> np.ndarray:
     """
     threshold = check_threshold(threshold)
     return frozen((np.asarray(scores) >= threshold).astype(np.uint8))
-
-
-def check_threshold(threshold) -> float:
-    """Return the threshold as a float; it must be finite."""
-    threshold = float(threshold)
-    if not np.isfinite(threshold):
-        raise ValidationError(f"threshold must be finite, got {threshold!r}")
-    return threshold
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from pcood import (ScoreKind, TensorKind, TensorStream, ValidationError,
                    apply_threshold, argmax_labels, exact_auroc, hist_accumulate,
                    hist_auroc, hist_new, read_roc_csv, read_scores_csv,
                    score_distribution, write_member)
-from pcood import cli, synth
+from pcood import _args, cli, synth
 from pcood.cli import main
 
 
@@ -67,6 +67,16 @@ def _pcod_env():
     src = str(Path(pcood.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+# The golden help and usage-error records: each exits before a file is read.
+_NUMPY_FREE_CASES = [
+    case for case in json.loads((Path(__file__).resolve().parent / "golden"
+                                 / "expected.json").read_text())["cases"]
+    if case["name"].startswith("help-") or case["name"] in (
+        "error-usage-unknown-kind", "error-score-workers-zero",
+        "error-map-threshold-nan", "error-map-threshold-inf",
+        "error-map-both-sources")]
 
 
 def _console_entry():
@@ -362,30 +372,77 @@ class TestProcessStart:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts threads in /proc/self/task")
     @pytest.mark.parametrize("preset", [None, "3"])
-    def test_console_entry_runs_numpy_and_scipy_on_one_thread(self, preset):
+    def test_console_entry_runs_numpy_and_scipy_on_one_thread(self, preset,
+                                                              tmp_path):
+        # `roc --help` exits before numpy loads; the synth run loads it
+        # through the entry, as every real command does.
         module, func = _console_entry()
         script = (
-            "import json, os\n"
+            "import json, os, sys\n"
             f"from {module} import {func}\n"
             "try:\n"
             f"    {func}(['roc', '--help'])\n"
             "except SystemExit:\n"
             "    pass\n"
+            f"code = {func}(['synth', 'scores', '--n-id', '3', '--n-ood', '2',\n"
+            "                 '--out-id', 'id.csv', '--out-ood', 'ood.csv'])\n"
+            "numpy = 'numpy' in sys.modules\n"
             "import scipy.special\n"
-            "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
+            "print(json.dumps([code, numpy, len(os.listdir('/proc/self/task')),\n"
             "                  os.environ['OPENBLAS_NUM_THREADS']]))\n")
         env = _pcod_env()
         env.pop("OPENBLAS_NUM_THREADS", None)
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
-        proc = subprocess.run([sys.executable, "-c", script],
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        threads, value = json.loads(proc.stdout.splitlines()[-1])
+        code, numpy, threads, value = json.loads(proc.stdout.splitlines()[-1])
+        assert (code, numpy) == (0, True)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["id.csv",
+                                                                   "ood.csv"]
         if preset is None:
             assert (threads, value) == (1, "1")
         else:
             assert value == preset
+
+    @pytest.mark.parametrize("case", _NUMPY_FREE_CASES,
+                             ids=[case["name"] for case in _NUMPY_FREE_CASES])
+    def test_help_and_usage_errors_exit_before_numpy_loads(self, case, tmp_path):
+        # A fresh process through the console entry writes the recorded
+        # bytes, then reports whether numpy was imported on the way.
+        module, func = _console_entry()
+        script = (
+            "import sys\n"
+            f"from {module} import {func}\n"
+            "try:\n"
+            f"    code = {func}(sys.argv[2:])\n"
+            "finally:\n"
+            "    with open(sys.argv[1], 'w') as f:\n"
+            "        f.write(repr('numpy' in sys.modules))\n"
+            "sys.exit(code)\n")
+        flag = tmp_path / "numpy_loaded"
+        work = tmp_path / "work"
+        work.mkdir()
+        proc = subprocess.run([sys.executable, "-c", script, flag, *case["argv"]],
+                              cwd=work, capture_output=True,
+                              env={**_pcod_env(), "COLUMNS": "80"})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            case["exit"], case["stdout"].encode(), case["stderr"].encode())
+        assert flag.read_text() == "False"
+        assert list(work.iterdir()) == []
+
+    def test_argument_layer_imports_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pcood._args\n"
+             "print(sorted({'numpy', 'scipy', 'pcood.cli'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=_pcod_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_every_kind_flag_has_a_score_kind(self):
+        assert sorted(cli._KIND_FLAGS) == list(_args._KIND_NAMES)
 
 
 class TestEntropyWithoutScipy:
@@ -738,6 +795,61 @@ class TestTiledScoring:
         assert len(want) == len(commands) + 4
         for workers in (1, 3):
             assert outputs(tile_rows, workers) == want
+
+
+class TestShardThreads:
+    """_run_shards starts at most one thread per tile and per usable CPU."""
+
+    @staticmethod
+    def _tiles(monkeypatch, n_rows, workers):
+        """(_run_shards' results, the max_workers of each executor it made),
+        with an executor that runs the tasks on the calling thread."""
+        requested = []
+
+        class Executor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Executor)
+        return cli._run_shards(lambda a, b: (a, b), n_rows, workers), requested
+
+    def test_a_huge_worker_count_asks_for_at_most_the_usable_cpus(self,
+                                                                  monkeypatch):
+        rows = cli._TILE_ROWS
+        tiles, requested = self._tiles(monkeypatch, 10 * rows, 10 ** 6)
+        assert tiles == [(i * rows, (i + 1) * rows) for i in range(10)]
+        assert all(n <= min(10, cli._usable_cpus()) for n in requested)
+
+    @pytest.mark.parametrize("workers, cpus, want", [
+        (10 ** 6, 64, [10]), (10 ** 6, 3, [3]), (4, 64, [4]),
+        (10 ** 6, 1, []), (1, 64, [])])
+    def test_threads_are_the_least_of_workers_tiles_and_cpus(
+            self, monkeypatch, workers, cpus, want):
+        rows = cli._TILE_ROWS
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        tiles, requested = self._tiles(monkeypatch, 10 * rows - 1, workers)
+        assert tiles == [(i * rows, min((i + 1) * rows, 10 * rows - 1))
+                         for i in range(10)]
+        assert requested == want
+
+    def test_usable_cpus_is_the_affinity_set_else_the_cpu_count(self,
+                                                               monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
 
 
 class TestOnePass:
