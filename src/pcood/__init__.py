@@ -24,7 +24,7 @@ _EXPORTS = {
     "evaluation": ("BinnedScoreHistogram", "ConfusionMatrix", "RocCurve",
                    "SegMetrics", "apply_threshold", "argmax_labels",
                    "confusion_accumulate", "confusion_new", "exact_auroc",
-                   "hist_accumulate", "hist_auroc", "hist_merge", "hist_new",
+                   "hist_accumulate", "hist_auroc", "hist_merge",
                    "hist_new_range", "optimal_threshold",
                    "read_roc_csv", "roc_curve",
                    "seg_metrics", "write_metrics_report", "write_roc_csv"),

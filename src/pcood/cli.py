@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import functools
 import hashlib
 import math
@@ -33,15 +32,15 @@ from .evaluation import (EXACT_MODE_MAX_POINTS, TIE_RULE,
                          confusion_new, confusion_accumulate,
                          apply_threshold, argmax_labels,
                          exact_auroc, hist_accumulate, hist_auroc,
-                         hist_merge, hist_new,
-                         hist_new_range, optimal_threshold, roc_curve,
+                         hist_merge, hist_new_range, optimal_threshold,
+                         roc_curve,
                          seg_metrics, write_metrics_report, write_roc_csv,
                          read_roc_csv)
 from .pointcloud import parse_semantic3d, read_labels, write_idood_map
 from .predictive import (TENSOR_MAGIC, TensorKind, TensorStream, write_header,
                          write_member)
 from .scores import (ScoreKind, read_scores_csv, score_distribution,
-                     write_scores_csv)
+                     score_domain, write_scores_csv)
 from .synth import (GaussianPairSpec, _check_tensor_args,
                     sample_scores_chunk, synth_member)
 
@@ -155,24 +154,61 @@ def _read_text(path: str, read, *args):
         return read(hashed, *args), hashed
 
 
-def _open_pair(files: contextlib.ExitStack, args: argparse.Namespace):
-    """Open --id and --ood as (form, id, ood, inputs): two tensors or two
-    score CSVs, and the (role, path, hashed) entries for `_provenance`."""
+def _open_pair(files: contextlib.ExitStack, args: argparse.Namespace,
+               kind: ScoreKind):
+    """Open --id and --ood, two tensors or two score CSVs, as one pair.
+
+    Returns (inputs, (n_id, n_ood), domain, ks, scored): the (role, path,
+    hashed) entries for `_provenance`; the (lo, hi) range the pair is
+    binned over, the `kind` domain of a tensor pair's class count or a
+    score CSV pair's pooled range; the report's ks, in order; and
+    (k, id_scores, ood_scores) at each distinct k, scored by one `_per_k`
+    pass as it is iterated inside `files`. A score CSV pair has ks [None]
+    and its one entry at k None.
+    """
     id_form, id_data, id_hashed = _open_scores_or_tensor(files, args.id)
     ood_form, ood_data, ood_hashed = _open_scores_or_tensor(files, args.ood)
     if id_form != ood_form:
         raise ValidationError(
             "--id and --ood must both be tensors or both be score CSVs"
         )
+    inputs = [("id", args.id, id_hashed), ("ood", args.ood, ood_hashed)]
+    k_list = getattr(args, "k_list", None)
     if id_form == "scores":
-        if args.k is not None or getattr(args, "k_list", None) is not None:
+        if args.k is not None or k_list is not None:
             raise ValidationError("--k/--k-list apply to tensor inputs only")
-    elif id_data.n_classes != ood_data.n_classes:
+        return (inputs, (id_data.size, ood_data.size),
+                _pooled_range(id_data, ood_data), [None],
+                [(None, id_data, ood_data)])
+    if id_data.n_classes != ood_data.n_classes:
         raise ValidationError(
             f"class counts differ: {id_data.n_classes} vs {ood_data.n_classes}"
         )
-    inputs = [("id", args.id, id_hashed), ("ood", args.ood, ood_hashed)]
-    return id_form, id_data, ood_data, inputs
+    ks = k_list or [_k(args, id_data)]
+    scored = ((k, *scores) for k, scores in _per_k(
+        [(args.id, id_data), (args.ood, ood_data)], ks, args.workers,
+        lambda probs: score_distribution(probs, kind)))
+    return (inputs, (id_data.n_points, ood_data.n_points),
+            score_domain(kind, id_data.n_classes), ks, scored)
+
+
+def _pooled_range(id_scores: np.ndarray, ood_scores: np.ndarray):
+    """The (lo, hi) range of both populations' scores, widened to an
+    interval where every score is equal."""
+    if id_scores.size == 0 or ood_scores.size == 0:
+        raise ValidationError("both populations must be non-empty")
+    lo = float(min(id_scores.min(), ood_scores.min()))
+    hi = float(max(id_scores.max(), ood_scores.max()))
+    if not lo < hi:
+        # All scores are equal, so a single occupied bin is fine. Where
+        # lo + 1.0 rounds back to lo, the domain is one ulp wide instead,
+        # below lo where above it would overflow.
+        hi = lo + 1.0
+        if not lo < hi:
+            hi = math.nextafter(lo, math.inf)
+            if math.isinf(hi):
+                lo, hi = math.nextafter(lo, -math.inf), lo
+    return lo, hi
 
 
 def _open_scene(files: contextlib.ExitStack, args: argparse.Namespace,
@@ -216,7 +252,10 @@ def _per_k(streams, ks, workers: int, fn):
     largest k each stream is read to its end, and its sum freed, before
     the next stream's sum is formed.
     """
-    passes = [(path, stream.sums(ks)) for path, stream in streams]
+    passes = []
+    for path, stream in streams:
+        with _named(path):
+            passes.append((path, stream.sums(ks)))
     last = max(ks)
     for k in sorted(set(ks)):
         results = []
@@ -233,33 +272,11 @@ def _per_k(streams, ks, workers: int, fn):
         yield k, results
 
 
-def _empty_hist(form: str, kind: ScoreKind, id_data, ood_data, bins: int):
-    """The empty histogram a pair is binned in: a tensor pair's over the
-    score domain of its class count, a score CSV pair's over its pooled
-    range."""
-    if form == "tensor":
-        return hist_new(kind, id_data.n_classes, bins)
-    if id_data.size == 0 or ood_data.size == 0:
-        raise ValidationError("both populations must be non-empty")
-    lo = float(min(id_data.min(), ood_data.min()))
-    hi = float(max(id_data.max(), ood_data.max()))
-    if not lo < hi:
-        # All scores are equal, so a single occupied bin is fine. Where
-        # lo + 1.0 rounds back to lo, the domain is one ulp wide instead,
-        # below lo where above it would overflow.
-        hi = lo + 1.0
-        if not lo < hi:
-            hi = math.nextafter(lo, math.inf)
-            if math.isinf(hi):
-                lo, hi = math.nextafter(lo, -math.inf), lo
-    return hist_new_range(lo, hi, bins)
-
-
-def _pooled_hist(id_scores: np.ndarray, ood_scores: np.ndarray, empty):
-    """One histogram of both populations in the binning of `empty`, which
-    stays empty: each population is counted in a copy of its own."""
-    return hist_merge(hist_accumulate(copy.deepcopy(empty), id_scores, "id"),
-                      hist_accumulate(copy.deepcopy(empty), ood_scores, "ood"))
+def _hist(id_scores, ood_scores, domain, bins: int):
+    """One histogram of both populations, binned over `domain`."""
+    return hist_merge(
+        hist_accumulate(hist_new_range(*domain, bins), id_scores, "id"),
+        hist_accumulate(hist_new_range(*domain, bins), ood_scores, "ood"))
 
 
 def _provenance(inputs) -> list:
@@ -311,30 +328,19 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_auroc(args: argparse.Namespace) -> int:
     kind = _KIND_FLAGS[args.kind]
     with contextlib.ExitStack() as files:
-        form, id_data, ood_data, inputs = _open_pair(files, args)
-        if form == "scores":
-            n_id, n_ood = id_data.shape[0], ood_data.shape[0]
-        else:
-            n_id, n_ood = id_data.n_points, ood_data.n_points
+        inputs, (n_id, n_ood), domain, ks, scored = _open_pair(files, args,
+                                                               kind)
         mode = args.mode
         if mode == "auto":
             mode = "exact" if n_id + n_ood <= EXACT_MODE_MAX_POINTS else "hist"
-        empty = (_empty_hist(form, kind, id_data, ood_data, args.bins)
-                 if mode == "hist" else None)
 
         def auroc(id_scores, ood_scores):
             if mode == "exact":
                 return exact_auroc(id_scores, ood_scores)
-            return hist_auroc(_pooled_hist(id_scores, ood_scores, empty))
+            return hist_auroc(_hist(id_scores, ood_scores, domain, args.bins))
 
-        if form == "scores":
-            rows = [("auroc", auroc(id_data, ood_data))]
-        else:
-            ks = args.k_list or [_k(args, id_data)]
-            values = {k: auroc(*scores) for k, scores in _per_k(
-                [(args.id, id_data), (args.ood, ood_data)], ks, args.workers,
-                lambda probs: score_distribution(probs, kind))}
-            rows = [(f"auroc_k{k}", values[k]) for k in ks]
+        values = {k: auroc(id_scores, ood_scores)
+                  for k, id_scores, ood_scores in scored}
 
     entries = [("command", "auroc")]
     entries += _provenance(inputs)
@@ -342,7 +348,8 @@ def cmd_auroc(args: argparse.Namespace) -> int:
     if mode == "hist":
         entries.append(("bins", args.bins))
     entries += [("n_id", n_id), ("n_ood", n_ood)]
-    entries += rows
+    entries += [("auroc" if k is None else f"auroc_k{k}", values[k])
+                for k in ks]
     with atomic_outputs([args.out]) as (sink,):
         write_metrics_report(entries, sink)
     return 0
@@ -351,17 +358,9 @@ def cmd_auroc(args: argparse.Namespace) -> int:
 def cmd_roc(args: argparse.Namespace) -> int:
     kind = _KIND_FLAGS[args.kind]
     with contextlib.ExitStack() as files:
-        form, id_data, ood_data, inputs = _open_pair(files, args)
-        empty = _empty_hist(form, kind, id_data, ood_data, args.bins)
-        if form == "scores":
-            k = None
-            id_scores, ood_scores = id_data, ood_data
-        else:
-            k = _k(args, id_data)
-            [(_, [id_scores, ood_scores])] = _per_k(
-                [(args.id, id_data), (args.ood, ood_data)], [k], args.workers,
-                lambda probs: score_distribution(probs, kind))
-    hist = _pooled_hist(id_scores, ood_scores, empty)
+        inputs, _, domain, _, scored = _open_pair(files, args, kind)
+        [(k, id_scores, ood_scores)] = scored
+    hist = _hist(id_scores, ood_scores, domain, args.bins)
     curve = roc_curve(hist)
     threshold, j = optimal_threshold(curve)
     metadata = [("kind", kind.value), ("bins", args.bins),
@@ -421,7 +420,7 @@ def cmd_map(args: argparse.Namespace) -> int:
             except ValueError:
                 raise ValidationError(f"bad youden_threshold metadata: "
                                       f"{quoted(metadata['youden_threshold'])}") from None
-        check_threshold(threshold)
+            check_threshold(threshold)
     with contextlib.ExitStack() as files:
         stream, cloud, _, _ = _open_scene(files, args)
         [(_, [values])] = _per_k(

@@ -23,7 +23,6 @@ import numpy as np
 from ._args import DEFAULT_BIN_COUNT, check_threshold
 from ._io import frozen, numbered_lines, quoted
 from .errors import ValidationError
-from .scores import ScoreKind, score_domain
 
 # Below this many pooled points the exact sort is cheap; above it the
 # streaming histogram is the default (overridable by CLI flag).
@@ -105,15 +104,10 @@ class BinnedScoreHistogram:
         return int(self.counts_ood.sum())
 
 
-def hist_new(kind: ScoreKind, n_classes: int,
-             bin_count: int = DEFAULT_BIN_COUNT) -> BinnedScoreHistogram:
-    """Empty histogram spanning the natural domain of a score kind."""
-    return hist_new_range(*score_domain(kind, n_classes), bin_count)
-
-
 def hist_new_range(domain_lo: float, domain_hi: float,
                    bin_count: int = DEFAULT_BIN_COUNT) -> BinnedScoreHistogram:
-    """Empty histogram over an explicit range, for raw (kind-free) scores."""
+    """Empty histogram over [domain_lo, domain_hi]; a score kind's range is
+    ``score_domain(kind, n_classes)``."""
     return BinnedScoreHistogram(bin_count, float(domain_lo), float(domain_hi),
                                 np.zeros(bin_count, dtype=np.int64),
                                 np.zeros(bin_count, dtype=np.int64))

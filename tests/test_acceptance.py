@@ -29,8 +29,8 @@ from pcodref import (analytic_auroc, pcod_bytes, read_report, sample_pair,
                      stream_means, synth_pair)
 from pcood import (GaussianPairSpec, ScoreKind, confusion_accumulate,
                    confusion_new, exact_auroc, hist_accumulate, hist_auroc,
-                   hist_merge, hist_new, hist_new_range, optimal_threshold,
-                   roc_curve, score_distribution, seg_metrics,
+                   hist_merge, hist_new_range, optimal_threshold, roc_curve,
+                   score_distribution, score_domain, seg_metrics,
                    write_metrics_report)
 from pcood.cli import main as cli_main
 
@@ -159,7 +159,7 @@ def _fixture_histograms():
     fixtures.append(("3-vs-2 with one tie", h))
 
     id_blob, ood_blob = synth_pair(3000, 8, 2, 2.0, 72)
-    h = hist_new(ScoreKind.ENTROPY, 8, 512)
+    h = hist_new_range(*score_domain(ScoreKind.ENTROPY, 8), 512)
     hist_accumulate(h, score_distribution(stream_means(id_blob, [2])[2],
                                           ScoreKind.ENTROPY), "id")
     hist_accumulate(h, score_distribution(stream_means(ood_blob, [2])[2],

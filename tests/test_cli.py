@@ -31,8 +31,9 @@ from pcodref import (HEADER, members, pcod_bytes, read_report, reference_mean,
                      synth_pair)
 from pcood import (ScoreKind, TensorKind, TensorStream, ValidationError,
                    apply_threshold, argmax_labels, exact_auroc, hist_accumulate,
-                   hist_auroc, hist_new, read_roc_csv, read_scores_csv,
-                   score_distribution, write_member)
+                   hist_auroc, hist_new_range, read_roc_csv,
+                   read_scores_csv, score_distribution, score_domain,
+                   write_member)
 from pcood import _args, cli, synth
 from pcood.cli import main
 
@@ -1072,7 +1073,7 @@ class TestUnequalPointCounts:
         kind = ScoreKind.ENTROPY
         ids, oods = (score_distribution(reference_mean(blob, 2), kind)
                      for blob in (id_blob, ood_blob))
-        hist = hist_new(kind, 4, 256)
+        hist = hist_new_range(*score_domain(kind, 4), 256)
         hist_accumulate(hist, ids, "id")
         hist_accumulate(hist, oods, "ood")
         want = {"exact": exact_auroc(ids, oods), "hist": hist_auroc(hist)}
@@ -1358,7 +1359,8 @@ class TestMapCommand:
         capsys.readouterr()
         assert run("map", "--points", points, "--pred", pred, "--roc", roc,
                    "--out", tmp_path / "map.txt") == 1
-        assert capsys.readouterr().err == "error: threshold must be finite, got nan\n"
+        assert capsys.readouterr().err == \
+            f"error: {roc}: threshold must be finite, got nan\n"
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
         id_path, _, _, _ = tensor_pair
@@ -1389,6 +1391,20 @@ class TestScoreTensorConsistency:
                    "--out", via_tensor, "--mode", "exact") == 0
         assert (float(_read_report(via_csv)["auroc"])
                 == float(_read_report(via_tensor)["auroc_k2"]))
+        # Each route bins once, for roc and for hist auroc alike.
+        for route, pair, key in ((
+                "csv", ["--id", id_csv, "--ood", ood_csv], "auroc"), (
+                "tensor", ["--id", id_path, "--ood", ood_path, "--k", 2],
+                "auroc_k2")):
+            roc = tmp_path / f"{route}_roc.csv"
+            hist = tmp_path / f"{route}_hist.txt"
+            assert run("roc", *pair, "--bins", 64, "--out", roc) == 0
+            assert run("auroc", *pair, "--bins", 64, "--mode", "hist",
+                       "--out", hist) == 0
+            with open(roc, "rb") as f:
+                _, metadata = read_roc_csv(f)
+            assert (float(metadata["auroc"])
+                    == float(_read_report(hist)[key]))
 
 
 # Rows that the member check accepts (row sums within 1e-5 of 1) although
@@ -1492,7 +1508,22 @@ class TestStreamedTensors:
         id_path, ood_path, _, _ = tensor_pair
         assert run("auroc", "--id", id_path, "--ood", ood_path,
                    "--k-list", "1,9", "--out", tmp_path / "r.txt") == 1
-        assert capsys.readouterr().err == "error: k must lie in 1..3, got 9\n"
+        assert capsys.readouterr().err == \
+            f"error: {id_path}: k must lie in 1..3, got 9\n"
+
+    @pytest.mark.parametrize("command", ["auroc", "roc"])
+    def test_default_k_beyond_ood_members_names_the_ood_file(
+            self, tmp_path, command, capsys):
+        # The default k is the ID tensor's member count, which the OOD
+        # tensor lacks.
+        id_path, ood_path = tmp_path / "a4.pcod", tmp_path / "b2.pcod"
+        id_path.write_bytes(synth_pair(20, 4, 4, 1.0, 7)[0])
+        ood_path.write_bytes(synth_pair(20, 4, 2, 1.0, 8)[1])
+        assert run(command, "--id", id_path, "--ood", ood_path,
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == \
+            f"error: {ood_path}: k must lie in 1..2, got 4\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_bad_member_fails_as_the_tensor_check_does(self, tmp_path,

@@ -21,8 +21,8 @@ from pcodref import read_report
 from pcood import (BinnedScoreHistogram, ConfusionMatrix, RocCurve, ScoreKind,
                    ValidationError, apply_threshold, argmax_labels,
                    confusion_accumulate, confusion_new, exact_auroc,
-                   hist_accumulate, hist_auroc, hist_merge, hist_new,
-                   hist_new_range, optimal_threshold, read_roc_csv, roc_curve,
+                   hist_accumulate, hist_auroc, hist_merge, hist_new_range,
+                   optimal_threshold, read_roc_csv, roc_curve, score_domain,
                    seg_metrics, write_metrics_report, write_roc_csv)
 
 
@@ -242,13 +242,15 @@ class TestHistogram:
         with pytest.raises(ValidationError):
             hist_merge(a, hist_new_range(0.0, 2.0, 8))
         with pytest.raises(ValidationError):
-            hist_merge(a, hist_new(ScoreKind.ENTROPY, 8, 8))
+            hist_merge(a, hist_new_range(*score_domain(ScoreKind.ENTROPY, 8),
+                                         8))
         # Histograms carry no score kind: the MSP and entropy domains
         # differ for every class count, so the domain check refuses them.
         for c in range(2, 65):
             with pytest.raises(ValidationError):
-                hist_merge(hist_new(ScoreKind.MSP_COMPLEMENT, c, 8),
-                           hist_new(ScoreKind.ENTROPY, c, 8))
+                hist_merge(
+                    hist_new_range(*score_domain(ScoreKind.MSP_COMPLEMENT, c), 8),
+                    hist_new_range(*score_domain(ScoreKind.ENTROPY, c), 8))
 
     def test_bad_population_and_values(self):
         hist = hist_new_range(0.0, 1.0, 8)
