@@ -2,12 +2,14 @@
 
 Streams are binary at every boundary of the package: readers take what
 ``open(path, "rb")`` or ``io.BytesIO`` gives, and writers take binary
-sinks.
+sinks. ``read_rows`` is the one reader of row text: points, labels and
+score CSVs each give it a row spec, and it decodes their blocks.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import tempfile
 
@@ -26,21 +28,6 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     """Mark `arr` read-only and return it."""
     arr.flags.writeable = False
     return arr
-
-
-def stacked(parts, out: np.ndarray) -> np.ndarray:
-    """Append each array of `parts` to the empty array `out` along axis 0.
-
-    `out` grows in place as each part arrives, so the rows are never held
-    twice, as a list of parts and as their concatenation. Returns `out`.
-    """
-    for part in parts:
-        n = len(out)
-        out.resize((n + len(part), *out.shape[1:]), refcheck=False)
-        out[n:] = part
-        # Drop it before the next part is decoded.
-        del part
-    return out
 
 
 def quoted(text: str) -> str:
@@ -94,11 +81,11 @@ def load_block(block: bytes, dtype: np.dtype, delimiter: str | None = None):
     """Decode a block's rows into a 1-D array of the structured ``dtype``.
 
     Uses numpy's C text reader, without comment handling. Returns None
-    where the block is not ASCII or numpy rejects it, so that the caller's
-    line parser decides: it may accept what numpy does not (``1_0``, a
-    lone ``\\r`` between fields, integers beyond int64) or raise the error
-    that names the line. Blank lines are skipped; a blank block gives no
-    rows.
+    where the block is not ASCII or numpy rejects it, so that the line
+    parser of ``read_rows`` decides: it may accept what numpy does not
+    (``1_0``, a lone ``\\r`` between fields, integers beyond int64) or
+    raise the error that names the line. Blank lines are skipped; a blank
+    block gives no rows.
     """
     if not block.isascii():
         return None
@@ -111,6 +98,35 @@ def load_block(block: bytes, dtype: np.dtype, delimiter: str | None = None):
                           comments=None, ndmin=1)
     except ValueError:
         return None
+
+
+def read_rows(blocks, out: np.ndarray, where: str, dtype: np.dtype,
+              delimiter: str | None, accept, parse) -> np.ndarray:
+    """Append the rows of each ``(first line number, block)`` to the empty
+    array `out`, and return it.
+
+    A block is decoded by ``load_block(block, dtype, delimiter)`` and
+    ``accept(rec)`` returns its rows, or None where a row fails a check.
+    Where either gives nothing, ``parse(line number, line)`` runs on each of
+    the block's lines, numbered as ``{where} {line number}``: it returns the
+    line's row, or None for a line without one, or raises the error that
+    names the line. `out` grows in place as each block arrives, so the rows
+    are never held twice, as a list of parts and as their concatenation.
+    """
+    for lineno, block in blocks:
+        rec = load_block(block, dtype, delimiter)
+        part = None if rec is None else accept(rec)
+        if part is None:
+            rows = [row for i, line in numbered_lines(io.BytesIO(block), where, lineno)
+                    if (row := parse(i, line)) is not None]
+            part = np.array(rows, dtype=out.dtype).reshape(len(rows), *out.shape[1:])
+            del rows
+        n = len(out)
+        out.resize((n + len(part), *out.shape[1:]), refcheck=False)
+        out[n:] = part
+        # Drop them before the next block is decoded.
+        del rec, part
+    return out
 
 
 @contextlib.contextmanager

@@ -164,7 +164,8 @@ def _open_pair(files: contextlib.ExitStack, args: argparse.Namespace,
     score CSV pair's pooled range; the report's ks, in order; and
     (k, id_scores, ood_scores) at each distinct k, scored by one `_per_k`
     pass as it is iterated inside `files`. A score CSV pair has ks [None]
-    and its one entry at k None.
+    and its one entry at k None. An empty population fails here, named by
+    its path, before any tensor pass.
     """
     id_form, id_data, id_hashed = _open_scores_or_tensor(files, args.id)
     ood_form, ood_data, ood_hashed = _open_scores_or_tensor(files, args.ood)
@@ -177,26 +178,29 @@ def _open_pair(files: contextlib.ExitStack, args: argparse.Namespace,
     if id_form == "scores":
         if args.k is not None or k_list is not None:
             raise ValidationError("--k/--k-list apply to tensor inputs only")
-        return (inputs, (id_data.size, ood_data.size),
-                _pooled_range(id_data, ood_data), [None],
-                [(None, id_data, ood_data)])
-    if id_data.n_classes != ood_data.n_classes:
+        sizes = id_data.size, ood_data.size
+    elif id_data.n_classes != ood_data.n_classes:
         raise ValidationError(
             f"class counts differ: {id_data.n_classes} vs {ood_data.n_classes}"
         )
+    else:
+        sizes = id_data.n_points, ood_data.n_points
+    for path, n in zip((args.id, args.ood), sizes):
+        if n == 0:
+            raise ValidationError(f"{path}: population is empty")
+    if id_form == "scores":
+        return (inputs, sizes, _pooled_range(id_data, ood_data), [None],
+                [(None, id_data, ood_data)])
     ks = k_list or [_k(args, id_data)]
     scored = ((k, *scores) for k, scores in _per_k(
         [(args.id, id_data), (args.ood, ood_data)], ks, args.workers,
         lambda probs: score_distribution(probs, kind)))
-    return (inputs, (id_data.n_points, ood_data.n_points),
-            score_domain(kind, id_data.n_classes), ks, scored)
+    return (inputs, sizes, score_domain(kind, id_data.n_classes), ks, scored)
 
 
 def _pooled_range(id_scores: np.ndarray, ood_scores: np.ndarray):
-    """The (lo, hi) range of both populations' scores, widened to an
-    interval where every score is equal."""
-    if id_scores.size == 0 or ood_scores.size == 0:
-        raise ValidationError("both populations must be non-empty")
+    """The (lo, hi) range of both populations' scores, neither empty,
+    widened to an interval where every score is equal."""
     lo = float(min(id_scores.min(), ood_scores.min()))
     hi = float(max(id_scores.max(), ood_scores.max()))
     if not lo < hi:

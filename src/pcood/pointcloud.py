@@ -12,12 +12,11 @@ arrays, so they can be shared across threads.
 from __future__ import annotations
 
 import functools
-import io
 import math
 
 import numpy as np
 
-from ._io import frozen, iter_blocks, load_block, numbered_lines, quoted, stacked
+from ._io import frozen, iter_blocks, quoted, read_rows
 from .errors import ValidationError
 
 # Colors for the rendered ID/OOD map.
@@ -36,76 +35,55 @@ _INT64 = np.iinfo(np.int64)
 _WRITE_ROWS = 1 << 12
 
 
-def _point_rows(numbered) -> list:
-    """The line parser for points: one (x, y, z) per non-blank numbered line,
-    after all seven fields of the line passed their checks."""
-    rows = []
-    for lineno, line in numbered:
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 7:
-            raise ValidationError(
-                f"points line {lineno}: expected 7 fields (x y z intensity r g b), "
-                f"got {len(fields)}"
-            )
-        try:
-            x, y, z, inten = (float(f) for f in fields[:4])
-            r, g, b = (int(f) for f in fields[4:])
-        except ValueError:
-            raise ValidationError(f"points line {lineno}: malformed field in {quoted(line)}") from None
-        if not all(math.isfinite(v) for v in (x, y, z, inten)):
-            raise ValidationError(f"points line {lineno}: non-finite coordinate or intensity")
-        for name, v in (("r", r), ("g", g), ("b", b)):
-            if not 0 <= v <= 255:
-                raise ValidationError(f"points line {lineno}: color {name}={v} outside 0..255")
-        rows.append((x, y, z))
-    return rows
+def _parse_point(lineno: int, line: str):
+    """The line parser for points: the (x, y, z) of a line, after all seven
+    of its fields passed their checks, or None for a blank line."""
+    fields = line.split()
+    if not fields:
+        return None
+    if len(fields) != 7:
+        raise ValidationError(
+            f"points line {lineno}: expected 7 fields (x y z intensity r g b), "
+            f"got {len(fields)}"
+        )
+    try:
+        x, y, z, inten = (float(f) for f in fields[:4])
+        r, g, b = (int(f) for f in fields[4:])
+    except ValueError:
+        raise ValidationError(f"points line {lineno}: malformed field in {quoted(line)}") from None
+    if not all(math.isfinite(v) for v in (x, y, z, inten)):
+        raise ValidationError(f"points line {lineno}: non-finite coordinate or intensity")
+    for name, v in (("r", r), ("g", g), ("b", b)):
+        if not 0 <= v <= 255:
+            raise ValidationError(f"points line {lineno}: color {name}={v} outside 0..255")
+    return x, y, z
 
 
-def _label_values(numbered) -> list:
-    """The line parser for labels: one int per non-blank numbered line."""
-    values = []
-    for lineno, line in numbered:
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValidationError(f"labels line {lineno}: not an integer: {quoted(text)}") from None
-        if not _INT64.min <= value <= _INT64.max:
-            raise ValidationError(f"labels line {lineno}: label {quoted(text)} outside int64")
-        values.append(value)
-    return values
+def _accept_points(rec: np.ndarray):
+    """The (n, 3) float64 xyz of a block numpy decoded, or None where a row
+    fails a check of _parse_point: a non-finite coordinate or intensity, or
+    a color outside 0..255. Intensity and color go with the block."""
+    xyz = np.column_stack([rec[name] for name in "xyz"])
+    if (np.isfinite(xyz).all() and np.isfinite(rec["intensity"]).all()
+            and all(((rec[c] >= 0) & (rec[c] <= 255)).all() for c in "rgb")):
+        return xyz
+    return None
 
 
-def _points_block(lineno: int, block) -> np.ndarray:
-    """Decode one block of points as an (n, 3) float64 xyz array.
-
-    numpy's reader decodes all seven fields of the block; where it rejects
-    the block, or a row fails the line parser's checks, the line parser
-    reruns on the block and either raises its error or returns the rows
-    numpy could not read. Intensity and color go with the block.
-    """
-    rec = load_block(block, _POINT_DTYPE)
-    if rec is not None:
-        xyz = np.empty((rec.shape[0], 3))
-        for j, name in enumerate("xyz"):
-            xyz[:, j] = rec[name]
-        if (np.isfinite(xyz).all() and np.isfinite(rec["intensity"]).all()
-                and all(((rec[c] >= 0) & (rec[c] <= 255)).all() for c in "rgb")):
-            return xyz
-    rows = _point_rows(numbered_lines(io.BytesIO(block), "points line", lineno))
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 3)
-
-
-def _labels_block(lineno: int, block):
-    """Decode one block of labels: an int64 array, or the line parser's ints."""
-    rec = load_block(block, _LABEL_DTYPE)
-    if rec is not None:
-        return rec["label"]
-    return _label_values(numbered_lines(io.BytesIO(block), "labels line", lineno))
+def _parse_label(lineno: int, line: str):
+    """The line parser for labels: the int of a line, or None for a blank
+    line. A block numpy decoded needs neither check mirrored: its int64
+    reader rejects a field that is not an integer or lies outside int64."""
+    text = line.strip()
+    if not text:
+        return None
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValidationError(f"labels line {lineno}: not an integer: {quoted(text)}") from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValidationError(f"labels line {lineno}: label {quoted(text)} outside int64")
+    return value
 
 
 def read_labels(stream, n_points: int, class_count: int) -> np.ndarray:
@@ -116,9 +94,8 @@ def read_labels(stream, n_points: int, class_count: int) -> np.ndarray:
     line, or the index of the first label out of range. Returns a
     read-only array.
     """
-    blocks = iter_blocks(stream)
-    labels = stacked((_labels_block(lineno, block) for lineno, block in blocks),
-                     np.empty(0, dtype=np.int64))
+    labels = read_rows(iter_blocks(stream), np.empty(0, dtype=np.int64), "labels line",
+                       _LABEL_DTYPE, None, lambda rec: rec["label"], _parse_label)
     if labels.shape[0] != n_points:
         raise ValidationError(f"{n_points} points but {labels.shape[0]} labels")
     bad = np.flatnonzero((labels < 0) | (labels > class_count))
@@ -136,9 +113,8 @@ def parse_semantic3d(points_stream) -> np.ndarray:
     intensity, and r g b integers in 0..255; only the coordinates are
     kept. Errors carry the 1-based line number of the offending line.
     """
-    blocks = iter_blocks(points_stream)
-    return frozen(stacked((_points_block(lineno, block) for lineno, block in blocks),
-                          np.empty((0, 3))))
+    return frozen(read_rows(iter_blocks(points_stream), np.empty((0, 3)), "points line",
+                            _POINT_DTYPE, None, _accept_points, _parse_point))
 
 
 @functools.cache

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._io import frozen, iter_blocks, load_block, numbered_lines, quoted, stacked
+from ._io import frozen, iter_blocks, numbered_lines, quoted, read_rows
 from .errors import ValidationError
 from .predictive import _row_max
 
@@ -357,13 +357,38 @@ def _after_header(lineno: int, block):
     return None
 
 
-def _score_values(numbered, count: int) -> list:
-    """The line parser for score rows; the first row's index must be ``count``."""
-    values = []
-    for lineno, line in numbered:
+def read_scores_csv(source) -> np.ndarray:
+    """Read a score CSV written by :func:`write_scores_csv`.
+
+    Blank lines and ``#`` comment lines are skipped; scores must be finite.
+    """
+    blocks = iter_blocks(source)
+    for lineno, block in blocks:
+        found = _after_header(lineno, block)
+        if found is not None:
+            break
+    else:
+        raise ValidationError("missing 'index,score' header")
+    # The index the next row must have, shared by both paths of read_rows.
+    count = 0
+
+    def accept(rec):
+        """The scores of a block numpy decoded, or None where a row fails a
+        check of parse: a non-finite score, or an index out of order."""
+        nonlocal count
+        expected = np.arange(count, count + rec.shape[0])
+        if not (np.isfinite(rec["score"]).all() and (rec["index"] == expected).all()):
+            return None
+        count += rec.shape[0]
+        return rec["score"]
+
+    def parse(lineno, line):
+        """The line parser for score rows: the score of a line, or None for
+        a blank or ``#`` comment line."""
+        nonlocal count
         text = line.strip()
         if not text or text.startswith("#"):
-            continue
+            return None
         parts = text.split(",")
         if len(parts) != 2:
             raise ValidationError(f"line {lineno}: expected 'index,score', got {quoted(text)}")
@@ -372,48 +397,13 @@ def _score_values(numbered, count: int) -> list:
             value = float(parts[1])
         except ValueError:
             raise ValidationError(f"line {lineno}: malformed row {quoted(text)}") from None
-        if index != count + len(values):
+        if index != count:
             raise ValidationError(
-                f"line {lineno}: index {index} out of order, "
-                f"expected {count + len(values)}"
-            )
+                f"line {lineno}: index {index} out of order, expected {count}")
         if not math.isfinite(value):
             raise ValidationError(f"line {lineno}: non-finite score")
-        values.append(value)
-    return values
+        count += 1
+        return value
 
-
-def _scores_block(lineno: int, block, count: int) -> np.ndarray:
-    """Decode one block of score rows, the first indexed ``count``.
-
-    numpy's reader decodes the block; where it rejects the block, or a row
-    fails the line parser's checks, the line parser reruns on the block and
-    either raises its error or returns the rows numpy could not read.
-    """
-    rec = load_block(block, _SCORE_DTYPE, ",")
-    if rec is not None:
-        expected = np.arange(count, count + rec.shape[0])
-        if np.isfinite(rec["score"]).all() and (rec["index"] == expected).all():
-            return rec["score"]
-    return np.array(_score_values(numbered_lines(io.BytesIO(block), "line", lineno),
-                                  count), dtype=np.float64)
-
-
-def read_scores_csv(source) -> np.ndarray:
-    """Read a score CSV written by :func:`write_scores_csv`.
-
-    Blank lines and ``#`` comment lines are skipped; scores must be finite.
-    """
-    values = np.empty(0)
-    blocks = iter_blocks(source)
-    for lineno, block in blocks:
-        found = _after_header(lineno, block)
-        if found is not None:
-            break
-    else:
-        raise ValidationError("missing 'index,score' header")
-    blocks = itertools.chain([found], blocks)
-    # values grows as each block is stacked, so its length is the index
-    # the next block's first row must have.
-    return stacked((_scores_block(lineno, block, len(values))
-                    for lineno, block in blocks), values)
+    return read_rows(itertools.chain([found], blocks), np.empty(0), "line",
+                     _SCORE_DTYPE, ",", accept, parse)

@@ -252,12 +252,22 @@ class TestExitCodes:
         empty.write_text("index,score\n")
         full = tmp_path / "full.csv"
         full.write_text("index,score\n0,0.5\n")
-        # Exact AUROC, and the pooled range a histogram is binned over.
-        for argv in (["auroc"], ["auroc", "--mode", "hist"], ["roc"]):
-            assert run(*argv, "--id", empty, "--ood", full,
-                       "--out", tmp_path / "r.txt") == 1
-            assert capsys.readouterr().err == \
-                "error: both populations must be non-empty\n"
+        no_points, no_points2, points, points2 = (
+            tmp_path / name for name in ("e.pcod", "e2.pcod", "f.pcod", "f2.pcod"))
+        assert run("synth", "tensor", "--points", 0, "--out-id", no_points,
+                   "--out-ood", no_points2) == 0
+        assert run("synth", "tensor", "--points", 5, "--out-id", points,
+                   "--out-ood", points2) == 0
+        # Exact AUROC, a histogram AUROC and a ROC, on score CSVs and on
+        # tensors, either population empty: each names the empty file.
+        for id_path, ood_path, named in ((empty, full, empty), (full, empty, empty),
+                                         (no_points, points2, no_points),
+                                         (points, no_points2, no_points2)):
+            for argv in (["auroc"], ["auroc", "--mode", "hist"], ["roc"]):
+                assert run(*argv, "--id", id_path, "--ood", ood_path,
+                           "--out", tmp_path / "r.txt") == 1
+                assert capsys.readouterr().err == \
+                    f"error: {named}: population is empty\n"
         assert not (tmp_path / "r.txt").exists()
 
     def test_class_counts_must_match(self, tmp_path, capsys):

@@ -38,11 +38,11 @@ def _blocks_of(size):
 
 @contextlib.contextmanager
 def _line_parser_only():
-    """The whole input as one block, decoded by the line parser alone."""
+    """The whole input as one block, decoded by the line parser alone.
+    Yields the mock that stands for numpy's block decode."""
     with _blocks_of(1 << 30), \
-            mock.patch.object(pointcloud, "load_block", lambda *args: None), \
-            mock.patch.object(scores, "load_block", lambda *args: None):
-        yield
+            mock.patch.object(_io, "load_block", return_value=None) as decode:
+        yield decode
 
 
 def _cloud_text(rng, n) -> bytes:
@@ -239,6 +239,10 @@ class TestDifferential:
     @example(b"index,score\n0,0.5 # c\n", 64)
     @example(b"index,score\n0,0.5\n1,nan\n", 8)
     @example(b"# x\n\nindex,score\r\n0,0.5\r\n1,1_0\n2,0.25", 12)
+    # Blocks of 12: rows numpy decodes, a "#" line only the line parser
+    # reads, then an index numpy decodes out of order. Both paths advance
+    # the one expected index.
+    @example(b"index,score\n0,0.5\n1,0.5\n# c\n2,0.5\n4,0.5\n", 12)
     def test_scores(self, data, block_size):
         blocked, lines = _both_ways(_scores, data, block_size)
         assert blocked == lines
@@ -262,6 +266,13 @@ class TestDifferential:
         blocked, lines = _both_ways(_scores, sink.getvalue(), block_size)
         assert blocked == lines
         assert blocked[0][2] == values.view(np.int64).tobytes()
+        # Each reader went through the patched decode, so the line parser
+        # alone produced what the differential checks compared.
+        with _line_parser_only() as decode:
+            _points_and_labels(points.encode())(labels.encode())
+            _scores(sink.getvalue())
+        assert {call.args[1] for call in decode.call_args_list} == \
+            {pointcloud._POINT_DTYPE, pointcloud._LABEL_DTYPE, scores._SCORE_DTYPE}
 
 
 class TestBlocks:
