@@ -1,8 +1,8 @@
-"""The command line's argument layer: parse, check, dispatch, exit code.
+"""The command line's argument layer: parse, check, exit code.
 
 This module imports no numpy, so ``--help`` and every usage error exit
 before numpy and the layer modules load; only a command that passed every
-check here imports ``pcood.cli``, which does the work.
+check here imports ``pcood.cli`` and runs its ``cmd_<subcommand>``.
 """
 
 from __future__ import annotations
@@ -16,25 +16,11 @@ from .errors import TruncatedStreamError, ValidationError
 
 DEFAULT_BIN_COUNT = 4096
 
-DEFAULT_K_SWEEP = (1, 5, 10, 15, 20)
-
 # Most histogram bins: two int64 count arrays of 8 MiB each.
 _MAX_BINS = 1 << 20
 
-# Values of --kind; `cli` maps each to its ScoreKind.
-_KIND_NAMES = ("entropy", "msp")
-
-# Path arguments per subcommand, inputs before outputs, in the order empty
-# ones are reported.
-_PATH_ROLES = {
-    "aggregate": ("in", "out"),
-    "score": ("in", "out"),
-    "auroc": ("id", "ood", "out"),
-    "roc": ("id", "ood", "out"),
-    "iou": ("points", "labels", "pred", "out"),
-    "map": ("points", "pred", "roc", "out"),
-    "synth": ("out_id", "out_ood"),
-}
+# Each value of --kind and the ScoreKind value it names.
+SCORE_KINDS = {"entropy": "entropy", "msp": "msp_complement"}
 
 
 def check_threshold(threshold) -> float:
@@ -62,8 +48,8 @@ def _check_args(args: argparse.Namespace) -> None:
         if args.threshold is not None:
             check_threshold(args.threshold)
     paths = []
-    for role in _PATH_ROLES[sc]:
-        path = getattr(args, "input" if role == "in" else role)
+    for role, dest in args.paths:
+        path = getattr(args, dest)
         if path == "":
             raise ValidationError(f"{sc}: empty path for {role}")
         if path is not None:
@@ -115,11 +101,18 @@ def build_parser() -> argparse.ArgumentParser:
                                  "cloud semantic segmentation.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def add_path(p, flag, **kwargs):
+        # Record (role, dest) in the subparser's defaults, in the order the
+        # flags are added: `_check_args` reports empty ones in that order.
+        dest = p.add_argument(flag, **kwargs).dest
+        role = flag.lstrip("-").replace("-", "_")
+        p.set_defaults(paths=[*(p.get_default("paths") or ()), (role, dest)])
+
     def add_common(p, kind=False, k=False, bins=False, mode=False):
         p.add_argument("--workers", type=int, default=1,
                        help="worker count; results are identical for any value")
         if kind:
-            p.add_argument("--kind", choices=_KIND_NAMES, default="msp",
+            p.add_argument("--kind", choices=sorted(SCORE_KINDS), default="msp",
                            help="OOD score: msp (1 - max softmax prob) or entropy")
         if k:
             p.add_argument("--k", type=int, default=None,
@@ -134,45 +127,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aggregate", help="average tensor members into a "
                                          "K=1 probability tensor")
-    p.add_argument("--in", dest="input", required=True, help="input PCOD tensor")
-    p.add_argument("--out", required=True, help="output PCOD tensor (K=1)")
+    add_path(p, "--in", dest="input", required=True, help="input PCOD tensor")
+    add_path(p, "--out", required=True, help="output PCOD tensor (K=1)")
     add_common(p, k=True)
 
     p = sub.add_parser("score", help="write per-point OOD scores as CSV")
-    p.add_argument("--in", dest="input", required=True, help="input PCOD tensor")
-    p.add_argument("--out", required=True, help="output score CSV")
+    add_path(p, "--in", dest="input", required=True, help="input PCOD tensor")
+    add_path(p, "--out", required=True, help="output score CSV")
     add_common(p, kind=True, k=True)
 
     p = sub.add_parser("auroc", help="AUROC report between ID and OOD inputs")
-    p.add_argument("--id", required=True, help="ID PCOD tensor or score CSV")
-    p.add_argument("--ood", required=True, help="OOD PCOD tensor or score CSV")
+    add_path(p, "--id", required=True, help="ID PCOD tensor or score CSV")
+    add_path(p, "--ood", required=True, help="OOD PCOD tensor or score CSV")
     p.add_argument("--k-list", type=_k_list, default=None,
                    help="comma-separated ensemble sizes to sweep "
-                        f"(e.g. {','.join(map(str, DEFAULT_K_SWEEP))})")
-    p.add_argument("--out", required=True, help="output key=value report")
+                        "(e.g. 1,5,10,15,20)")
+    add_path(p, "--out", required=True, help="output key=value report")
     add_common(p, kind=True, k=True, bins=True, mode=True)
 
     p = sub.add_parser("roc", help="ROC curve CSV with the Youden threshold")
-    p.add_argument("--id", required=True, help="ID PCOD tensor or score CSV")
-    p.add_argument("--ood", required=True, help="OOD PCOD tensor or score CSV")
-    p.add_argument("--out", required=True, help="output ROC CSV")
+    add_path(p, "--id", required=True, help="ID PCOD tensor or score CSV")
+    add_path(p, "--ood", required=True, help="OOD PCOD tensor or score CSV")
+    add_path(p, "--out", required=True, help="output ROC CSV")
     add_common(p, kind=True, k=True, bins=True)
 
     p = sub.add_parser("iou", help="segmentation metrics report")
-    p.add_argument("--points", required=True, help="Semantic3D points file")
-    p.add_argument("--labels", required=True, help="per-point truth labels")
-    p.add_argument("--pred", required=True, help="prediction PCOD tensor")
-    p.add_argument("--out", required=True, help="output key=value report")
+    add_path(p, "--points", required=True, help="Semantic3D points file")
+    add_path(p, "--labels", required=True, help="per-point truth labels")
+    add_path(p, "--pred", required=True, help="prediction PCOD tensor")
+    add_path(p, "--out", required=True, help="output key=value report")
     add_common(p, k=True)
 
     p = sub.add_parser("map", help="write a green/red ID/OOD point map")
-    p.add_argument("--points", required=True, help="Semantic3D points file")
-    p.add_argument("--pred", required=True, help="prediction PCOD tensor")
+    add_path(p, "--points", required=True, help="Semantic3D points file")
+    add_path(p, "--pred", required=True, help="prediction PCOD tensor")
     p.add_argument("--threshold", type=float, default=None,
                    help="OOD-score threshold (higher score = OOD)")
-    p.add_argument("--roc", default=None,
-                   help="ROC CSV to take the Youden threshold from")
-    p.add_argument("--out", required=True, help="output map file")
+    add_path(p, "--roc", default=None,
+             help="ROC CSV to take the Youden threshold from")
+    add_path(p, "--out", required=True, help="output map file")
     add_common(p, kind=True, k=True)
 
     p = sub.add_parser("synth", help="generate synthetic fixtures")
@@ -186,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n-id", type=int, required=True)
     ps.add_argument("--n-ood", type=int, required=True)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--out-id", required=True)
-    ps.add_argument("--out-ood", required=True)
+    add_path(ps, "--out-id", required=True)
+    add_path(ps, "--out-ood", required=True)
     ps.add_argument("--workers", type=int, default=1)
 
     pt = what.add_parser("tensor", help="ID/OOD prediction tensor pair")
@@ -196,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--members", type=int, default=20)
     pt.add_argument("--separability", type=float, default=3.0)
     pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--out-id", required=True)
-    pt.add_argument("--out-ood", required=True)
+    add_path(pt, "--out-id", required=True)
+    add_path(pt, "--out-ood", required=True)
     pt.add_argument("--workers", type=int, default=1)
 
     return parser
@@ -207,15 +200,15 @@ def main(argv=None) -> int:
     """Run one command line; return its exit code.
 
     ``--help`` and argparse's usage errors raise SystemExit (0 and 1). A
-    command that passes `_check_args` imports `pcood.cli` to run. Errors
-    become exit codes here: ValidationError 1, TruncatedStreamError and
-    OSError 2.
+    command that passes `_check_args` runs as `pcood.cli.cmd_<subcommand>`.
+    Errors become exit codes here: ValidationError 1, TruncatedStreamError
+    and OSError 2.
     """
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        from .cli import run
-        return run(args)
+        from . import cli
+        return getattr(cli, f"cmd_{args.subcommand}")(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ timestamps, and all computations are independent of --workers, so
 reruns on the same inputs are byte-identical.
 
 Arguments are parsed and checked by `pcood._args`, which imports this
-module, and with it numpy, only for a command that passed its checks.
+module, and with it numpy, to run a checked command's ``cmd_<subcommand>``.
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
@@ -24,8 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# `main` is the in-process entry: it parses and checks argv, then calls `run`.
-from ._args import check_threshold, main
+# `main`, the in-process entry, parses and checks argv, then runs a `cmd_*`.
+from ._args import SCORE_KINDS, check_threshold, main
 from ._io import atomic_outputs, quoted
 from .errors import TruncatedStreamError, ValidationError
 from .evaluation import (EXACT_MODE_MAX_POINTS, TIE_RULE,
@@ -49,8 +49,6 @@ from .synth import (GaussianPairSpec, _check_tensor_args,
 # of N x C. Tiles of 4096 to 8192 rows of 8 classes scored fastest,
 # cache-resident.
 _TILE_ROWS = 1 << 12
-
-_KIND_FLAGS = {"msp": ScoreKind.MSP_COMPLEMENT, "entropy": ScoreKind.ENTROPY}
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    kind = _KIND_FLAGS[args.kind]
+    kind = ScoreKind(SCORE_KINDS[args.kind])
     with contextlib.ExitStack() as files:
         stream = _open_tensor(files, args.input)
         [(_, [values])] = _per_k([(args.input, stream)], [_k(args, stream)],
@@ -330,7 +328,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_auroc(args: argparse.Namespace) -> int:
-    kind = _KIND_FLAGS[args.kind]
+    kind = ScoreKind(SCORE_KINDS[args.kind])
     with contextlib.ExitStack() as files:
         inputs, (n_id, n_ood), domain, ks, scored = _open_pair(files, args,
                                                                kind)
@@ -360,7 +358,7 @@ def cmd_auroc(args: argparse.Namespace) -> int:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    kind = _KIND_FLAGS[args.kind]
+    kind = ScoreKind(SCORE_KINDS[args.kind])
     with contextlib.ExitStack() as files:
         inputs, _, domain, _, scored = _open_pair(files, args, kind)
         [(k, id_scores, ood_scores)] = scored
@@ -388,7 +386,8 @@ def cmd_iou(args: argparse.Namespace) -> int:
                                     argmax_labels)
     matrix = confusion_accumulate(confusion_new(stream.n_classes), predicted,
                                   truth)
-    metrics = seg_metrics(matrix)
+    with _named(args.labels):
+        metrics = seg_metrics(matrix)
 
     entries = [("command", "iou")]
     entries += _provenance(inputs)
@@ -405,7 +404,7 @@ def cmd_iou(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    kind = _KIND_FLAGS[args.kind]
+    kind = ScoreKind(SCORE_KINDS[args.kind])
     # The threshold is settled before the scene is opened: a bad ROC fails
     # without a read of the tensor or the cloud.
     threshold = args.threshold
@@ -474,19 +473,3 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 with _named(path):
                     write_member(sink, member, TensorKind.PROBABILITIES, m)
     return 0
-
-
-_COMMANDS = {
-    "aggregate": cmd_aggregate,
-    "score": cmd_score,
-    "auroc": cmd_auroc,
-    "roc": cmd_roc,
-    "iou": cmd_iou,
-    "map": cmd_map,
-    "synth": cmd_synth,
-}
-
-
-def run(args: argparse.Namespace) -> int:
-    """Run the subcommand of checked arguments; return its exit code."""
-    return _COMMANDS[args.subcommand](args)

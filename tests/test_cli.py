@@ -8,6 +8,7 @@ and rerun idempotence are asserted on actual output bytes.
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -78,6 +79,50 @@ _NUMPY_FREE_CASES = [
         "error-usage-unknown-kind", "error-score-workers-zero",
         "error-map-threshold-nan", "error-map-threshold-inf",
         "error-map-both-sources")]
+
+
+# Every path flag of each subcommand, in the order its parser adds them,
+# after the arguments that complete the command line.
+_PATH_FLAGS = {
+    "aggregate": ([], ["--in", "--out"]),
+    "score": ([], ["--in", "--out"]),
+    "auroc": ([], ["--id", "--ood", "--out"]),
+    "roc": ([], ["--id", "--ood", "--out"]),
+    "iou": ([], ["--points", "--labels", "--pred", "--out"]),
+    "map": ([], ["--points", "--pred", "--roc", "--out"]),
+    "synth scores": (["--n-id", "3", "--n-ood", "3"], ["--out-id", "--out-ood"]),
+    "synth tensor": (["--points", "3"], ["--out-id", "--out-ood"]),
+}
+
+
+def _empty_path_cases():
+    """(id, argv, stderr) of each command line with one or two path flags
+    empty: the message names the first empty one the parser added."""
+    cases = []
+    for command, (rest, flags) in _PATH_FLAGS.items():
+        for empty in [*((flag,) for flag in flags),
+                      *itertools.combinations(flags, 2)]:
+            argv = [*command.split(), *rest]
+            for flag in flags:
+                argv += [flag, "" if flag in empty else f"{flag[2:]}.dat"]
+            role = empty[0][2:].replace("-", "_")
+            cases.append((f"{command} {' '.join(empty)}", argv,
+                          f"error: {command.split()[0]}: empty path for {role}\n"))
+    return cases
+
+
+_EMPTY_PATH_CASES = _empty_path_cases()
+
+
+def _pyenv_pythons():
+    """Interpreters of Python 3.10 or later in pyenv's versions directory."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    found = []
+    for python in sorted((root / "versions").glob("3.*/bin/python3")):
+        minor = python.parents[1].name.split(".")[1]
+        if minor.isdigit() and int(minor) >= 10:
+            found.append(python)
+    return found
 
 
 def _console_entry():
@@ -211,6 +256,17 @@ class TestExitCodes:
             f"error: {argv[0]}: {roles} name the same file\n"
         assert {path.name: path.read_bytes()
                 for path in tmp_path.iterdir() if path.is_file()} == before
+
+    @pytest.mark.parametrize("argv, stderr",
+                             [case[1:] for case in _EMPTY_PATH_CASES],
+                             ids=[case[0] for case in _EMPTY_PATH_CASES])
+    def test_empty_path_is_rejected_before_any_file_is_touched(
+            self, tmp_path, monkeypatch, capsys, argv, stderr):
+        monkeypatch.chdir(tmp_path)
+        with mock.patch("builtins.open", side_effect=AssertionError("opened")):
+            assert run(*argv) == 1
+        assert capsys.readouterr().err == stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_errors_exit_one(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
@@ -453,7 +509,58 @@ class TestProcessStart:
         assert proc.stdout == "[]\n"
 
     def test_every_kind_flag_has_a_score_kind(self):
-        assert sorted(cli._KIND_FLAGS) == list(_args._KIND_NAMES)
+        assert sorted(_args.SCORE_KINDS.values()) == sorted(
+            kind.value for kind in ScoreKind)
+
+    def test_argument_layer_behaves_alike_on_every_local_python(self, tmp_path):
+        # argparse's merging of subparser defaults, which the path checks
+        # read, has changed between releases (bpo-45235). Each interpreter
+        # runs the same command lines in one process, without numpy.
+        pythons = _pyenv_pythons()
+        if not pythons:
+            pytest.skip("no pyenv interpreter of Python 3.10 or later")
+        argvs = [case["argv"] for case in _NUMPY_FREE_CASES]
+        argvs += [argv for _, argv, _ in _EMPTY_PATH_CASES]
+        argvs += [["synth", "scores", "--n-id", "5", "--n-ood", "5",
+                   "--out-id", "x.csv", "--out-ood", "./x.csv"],
+                  ["auroc", "--id", "a", "--ood", "b", "--out", "sub/../a"]]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from pcood._args import main\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), "
+            "contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            code = main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    results.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(results))\n")
+        src = str(Path(pcood.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+
+        def results(python):
+            proc = subprocess.run([python, "-c", script, json.dumps(argvs)],
+                                  cwd=tmp_path, capture_output=True, text=True,
+                                  env=env)
+            assert proc.returncode == 0, (python, proc.stderr)
+            return json.loads(proc.stdout)
+
+        expected = results(sys.executable)
+        assert {code for code, _, _ in expected} == {0, 1}
+        for python in pythons:
+            for argv, got, want in zip(argvs, results(python), expected,
+                                       strict=True):
+                if argv[-1] == "--help" and got[1] != want[1]:
+                    # Python 3.13 wraps a usage line without parting an
+                    # option from its metavar, so `synth scores --help` is
+                    # laid out differently there; its words must match.
+                    got[1], want = got[1].split(), [want[0], want[1].split(),
+                                                    want[2]]
+                assert got == want, (python, argv)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEntropyWithoutScipy:
@@ -1156,6 +1263,22 @@ class TestIouCommand:
         assert run("iou", "--points", points, "--labels", labels_path,
                    "--pred", pred, "--out", tmp_path / "iou.txt") == 1
         assert capsys.readouterr().err == f"error: {labels_path}: {message}\n"
+
+    @pytest.mark.parametrize("n", [3, 0])
+    def test_no_labeled_point_names_the_labels_file(self, tmp_path, capsys, n):
+        pred, other = tmp_path / "id.pcod", tmp_path / "ood.pcod"
+        assert run("synth", "tensor", "--points", n, "--classes", 4,
+                   "--members", 2, "--out-id", pred, "--out-ood", other) == 0
+        points, labels_path = tmp_path / "points.txt", tmp_path / "labels.txt"
+        points.write_text("1 2 3 4 5 6 7\n" * n)
+        labels_path.write_text("0\n" * n)
+        out = tmp_path / "iou.txt"
+        assert run("iou", "--points", points, "--labels", labels_path,
+                   "--pred", pred, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels_path}: no labeled points accumulated; "
+            "metrics undefined\n")
+        assert not out.exists()
 
     def test_perfect_predictions(self, tmp_path):
         points, labels_path, pred, labels = self._one_hot_setup(tmp_path)
