@@ -31,6 +31,9 @@ EXACT_MODE_MAX_POINTS = 10 ** 7
 # Stated in every report so downstream users know the tie convention.
 TIE_RULE = "ties-credited-0.5"
 
+# OOD scores per block of exact_auroc's binary searches.
+_SEARCH_BLOCK = 1 << 16
+
 _POPULATIONS = ("id", "ood")
 
 
@@ -40,8 +43,10 @@ def exact_auroc(id_scores, ood_scores) -> float:
     Computed by counting: with U the tie-credited Mann-Whitney count,
     2U is the sum over OOD scores o of (#ID < o) + (#ID <= o). With the
     ID scores sorted, those two counts are the left and right insertion
-    points of o, found by binary search. The count is an exact integer,
-    so the result is the exactly rounded value of 2U / (2nm).
+    points of o, found by binary search. They differ only where an ID
+    score equals o, so the right one is searched for only there. The
+    count is an exact integer, so the result is the exactly rounded
+    value of 2U / (2nm).
     """
     ids = np.asarray(id_scores, dtype=np.float64).ravel()
     oods = np.asarray(ood_scores, dtype=np.float64).ravel()
@@ -51,8 +56,13 @@ def exact_auroc(id_scores, ood_scores) -> float:
         raise ValidationError("scores must be finite")
     ids, oods = np.sort(ids), np.sort(oods)
     double_u = 0
-    for side in ("left", "right"):
-        double_u += int(np.searchsorted(ids, oods, side).sum())
+    # OOD scores a block at a time, so the temporaries stay block-sized.
+    for a in range(0, oods.size, _SEARCH_BLOCK):
+        part = oods[a:a + _SEARCH_BLOCK]
+        left = np.searchsorted(ids, part, "left")
+        tied = ids.take(left, mode="clip") == part
+        right = np.searchsorted(ids, part[tied], "right")
+        double_u += 2 * int(left.sum()) + int((right - left[tied]).sum())
     return double_u / (2 * ids.size * oods.size)
 
 

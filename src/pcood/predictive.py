@@ -23,6 +23,7 @@ import enum
 import hashlib
 import io
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -212,6 +213,14 @@ def _length_error(got: int, declared: int) -> TruncatedStreamError:
     return TruncatedStreamError(f"payload has {got - declared} trailing bytes")
 
 
+def _hash_block(digest, blocks) -> None:
+    """Feed the one block in `blocks` to `digest`. The block is taken out
+    of its list, so the helper thread holds no reference once the job is
+    done: a block the pass drops after waiting for the job is freed at
+    once."""
+    digest.update(blocks.pop())
+
+
 class TensorStream:
     """One forward pass over a PCOD source: every member read, checked and
     hashed once.
@@ -226,7 +235,9 @@ class TensorStream:
     caller that sniffed the magic of a pipe.
 
     The source must have ``read`` and ``readinto``, as every binary
-    ``io`` stream does: members are read into one reused buffer.
+    ``io`` stream does: members are read into one reused buffer. One
+    helper thread hashes each member while the pass checks and sums it;
+    members reach the digest in order, so it is the same.
     """
 
     def __init__(self, source, head: bytes = b""):
@@ -303,28 +314,35 @@ class TensorStream:
         # first block as they arrive, and each later block is read into it.
         buf = _read_upto(self._source, block_bytes)
         got = len(buf)
-        for m in range(self.n_members):
-            if m:
-                got = _read_into(self._source, buf)
-            if got < block_bytes:
-                raise _length_error(m * block_bytes + got, self._payload_bytes)
-            self._digest.update(buf)
-            block = frozen(np.frombuffer(buf, dtype="<f4")).reshape(
-                self.n_points, self.n_classes)
-            _check_member(block, self.kind, m)
-            if m < last:
-                if acc is None:
-                    acc = np.zeros(block.shape, dtype=np.float64)
-                    total = frozen(acc.view())
-                # Float32 entries widen to float64 exactly, so adding them
-                # directly equals adding their float64 copy; _softmax_rows
-                # widens logits before it subtracts.
-                acc += (_softmax_rows(block) if self.kind is TensorKind.LOGITS
-                        else block)
-            if m + 1 == self.n_members:
-                del block, buf  # free the buffer before the caller scores
-            if m + 1 in wanted:
-                yield m + 1, total
+        # One helper thread hashes each block while this thread checks and
+        # sums it. The pass waits for the hash before the buffer is refilled
+        # or freed; leaving the `with` waits for it on every other exit.
+        with ThreadPoolExecutor(1) as hasher:
+            for m in range(self.n_members):
+                if m:
+                    hashed.result()
+                    got = _read_into(self._source, buf)
+                if got < block_bytes:
+                    raise _length_error(m * block_bytes + got,
+                                        self._payload_bytes)
+                hashed = hasher.submit(_hash_block, self._digest, [buf])
+                block = frozen(np.frombuffer(buf, dtype="<f4")).reshape(
+                    self.n_points, self.n_classes)
+                _check_member(block, self.kind, m)
+                if m < last:
+                    if acc is None:
+                        acc = np.zeros(block.shape, dtype=np.float64)
+                        total = frozen(acc.view())
+                    # Float32 entries widen to float64 exactly, so adding
+                    # them directly equals adding their float64 copy;
+                    # _softmax_rows widens logits before it subtracts.
+                    acc += (_softmax_rows(block)
+                            if self.kind is TensorKind.LOGITS else block)
+                if m + 1 == self.n_members:
+                    hashed.result()
+                    del block, buf  # free the buffer before the caller scores
+                if m + 1 in wanted:
+                    yield m + 1, total
         extra = 0
         while chunk := self._source.read(_READ_CHUNK):
             extra += len(chunk)

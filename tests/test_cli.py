@@ -6,6 +6,7 @@ computation done directly with the library. Worker-count independence
 and rerun idempotence are asserted on actual output bytes.
 """
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -968,6 +969,76 @@ class TestShardThreads:
         assert cli._usable_cpus() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert cli._usable_cpus() == 1
+
+
+class TestMemberDigestThread:
+    """The member pass ends its digest helper on every error exit, and an
+    error keeps its message and exit code."""
+
+    @staticmethod
+    def _bad_row(blob, member, point):
+        """`blob` with one probability row of `member` summing to 1.5."""
+        n, c, _ = struct.unpack_from("<QHH", blob, 8)
+        at = HEADER.size + 4 * c * (member * n + point)
+        row = struct.pack(f"<{c}f", 1.0, 0.5, *[0.0] * (c - 2))
+        return blob[:at] + row + blob[at + len(row):]
+
+    @classmethod
+    def _cases(cls, id_blob, ood_blob):
+        """(name, id blob, ood blob, bad role, exit code, message after
+        the path) of each error."""
+        size = len(id_blob)
+        member = (size - HEADER.size) // 3
+        return [
+            ("truncated-mid-member", id_blob[:-member - 10], ood_blob, "id", 2,
+             f"payload truncated: got {size - HEADER.size - member - 10} of "
+             f"{size - HEADER.size} bytes"),
+            ("bad-row-member-0", cls._bad_row(id_blob, 0, 5), ood_blob, "id", 1,
+             "member 0 point 5: probability row sums to 1.5"),
+            ("bad-row-middle-member", id_blob, cls._bad_row(ood_blob, 1, 7),
+             "ood", 1, "member 1 point 7: probability row sums to 1.5"),
+            ("trailing-bytes", id_blob + bytes(8), ood_blob, "id", 2,
+             "payload has 8 trailing bytes"),
+        ]
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _on_stdin(blob):
+        """Give `blob` to this process as a pipe on file descriptor 0."""
+        read_end, write_end = os.pipe()
+        os.write(write_end, blob)  # fits in the pipe's buffer
+        os.close(write_end)
+        saved = os.dup(0)
+        os.dup2(read_end, 0)
+        os.close(read_end)
+        try:
+            yield "/dev/stdin"
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_errors_keep_their_message_and_leave_no_thread(
+            self, tmp_path, capsys, tensor_pair, source):
+        _, _, id_blob, ood_blob = tensor_pair
+        for name, id_, ood, bad, code, message in self._cases(id_blob, ood_blob):
+            paths = {"id": tmp_path / f"{name}-id.pcod",
+                     "ood": tmp_path / f"{name}-ood.pcod"}
+            paths["id"].write_bytes(id_)
+            paths["ood"].write_bytes(ood)
+            out = tmp_path / f"{name}.txt"
+            threads = threading.active_count()
+            with contextlib.ExitStack() as stack:
+                if source == "pipe":
+                    paths[bad] = stack.enter_context(
+                        self._on_stdin(paths[bad].read_bytes()))
+                assert run("auroc", "--id", paths["id"], "--ood", paths["ood"],
+                           "--k-list", "1,2,3", "--out", out) == code, name
+            assert threading.active_count() == threads, name
+            prefix = "error" if code == 1 else "io error"
+            assert capsys.readouterr().err == \
+                f"{prefix}: {paths[bad]}: {message}\n", name
+            assert not out.exists()
 
 
 class TestOnePass:

@@ -11,13 +11,15 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcodref import read_report
+from pcood import evaluation
 from pcood import (BinnedScoreHistogram, ConfusionMatrix, RocCurve, ScoreKind,
                    ValidationError, apply_threshold, argmax_labels,
                    confusion_accumulate, confusion_new, exact_auroc,
@@ -131,13 +133,19 @@ class TestExactAuroc:
 
     @settings(max_examples=300, deadline=None)
     @given(_TIE_HEAVY, _TIE_HEAVY)
+    @example([0.0], [0.0])  # a single element each
+    @example([2.0] * 7, [2.0] * 4)  # all equal
+    @example([-1.0, 0.0], [1e308, -3.0, 0.0])  # beyond either end
     def test_tie_heavy_scores_match_pairwise_oracle(self, ids, oods):
         a, b = np.array(ids, dtype=float), np.array(oods, dtype=float)
         wins = int((b[:, None] > a[None, :]).sum())
         ties = int((b[:, None] == a[None, :]).sum())
         # The exactly rounded tie-credited statistic (2 wins + ties) / 2nm.
-        assert exact_auroc(a, b) == float(Fraction(2 * wins + ties,
-                                                   2 * a.size * b.size))
+        want = float(Fraction(2 * wins + ties, 2 * a.size * b.size))
+        assert exact_auroc(a, b) == want
+        # The OOD scores searched a few at a time give the same count.
+        with mock.patch.object(evaluation, "_SEARCH_BLOCK", 3):
+            assert exact_auroc(a, b) == want
 
     @settings(max_examples=300, deadline=None)
     @given(_TIE_HEAVY, _TIE_HEAVY)
@@ -153,9 +161,9 @@ class TestExactAuroc:
         assert exact_auroc(3.0 * ids - 10.0, 3.0 * oods - 10.0) == base
 
     def test_peak_memory_per_pooled_point(self):
-        # Two sorted copies and one insertion-point array take 12 B per
-        # pooled point for equal populations; the bound leaves no room for
-        # a pooled argsort pass (about 56 B).
+        # Two sorted copies take 8 B per pooled point, and the searches'
+        # temporaries are sized by a block of OOD scores; the bound leaves
+        # no room for a pooled argsort pass (about 56 B).
         rng = np.random.default_rng(34)
         ids = rng.normal(size=200_000)
         oods = rng.normal(0.5, 1.0, size=200_000)

@@ -9,6 +9,11 @@ import hashlib
 import io
 import math
 import struct
+import sys
+import threading
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from pcodref import (HEADER, members, pcod_bytes, reference_check,
                      reference_mean, stream_means)
 from pcood import (TensorKind, TensorStream, TruncatedStreamError,
                    ValidationError, write_header, write_member)
+from pcood import predictive
 from pcood.predictive import (PROB_ROW_SUM_TOL, _check_member, _row_max,
                               _softmax_rows)
 
@@ -528,3 +534,108 @@ class TestTensorStream:
         with pytest.raises(TruncatedStreamError,
                            match=f"^payload truncated: got 64 of {declared} bytes$"):
             list(stream.sums([1, 20]))
+
+
+class _SlowDigest:
+    """A digest that takes its time over each block. `pending` is set by
+    `_MarkingPool` when a block is submitted and cleared once the block is
+    in the digest."""
+
+    def __init__(self, digest):
+        self._digest, self.pending = digest, False
+
+    def update(self, data):
+        time.sleep(0.005)
+        self._digest.update(data)
+        self.pending = False
+
+    def hexdigest(self):
+        return self._digest.hexdigest()
+
+
+class _MarkingPool(ThreadPoolExecutor):
+    """A pool that marks a `_SlowDigest` pending as soon as a block is
+    submitted to it, before the helper thread may have started the job."""
+
+    def submit(self, fn, digest, *args):
+        digest.pending = True
+        return super().submit(fn, digest, *args)
+
+
+class _GuardedSource(io.BytesIO):
+    """A source that fails a read while a block is pending in `digest`."""
+
+    digest = None
+
+    def readinto(self, buf):
+        if self.digest is not None and self.digest.pending:
+            raise AssertionError("a block was refilled while it was hashed")
+        return super().readinto(buf)
+
+
+class TestMemberDigest:
+    """The helper thread that hashes each member while the pass checks and
+    sums it."""
+
+    def test_one_helper_runs_during_the_pass_only(self):
+        blob = _prob_tensor(np.random.default_rng(28), 4, 300, 3)
+        before = threading.active_count()
+        stream = TensorStream(io.BytesIO(blob))
+        during = [threading.active_count() - before
+                  for _ in stream.sums([1, 2, 3])]
+        assert during == [1] * 3
+        assert threading.active_count() == before
+        assert stream.sha256 == hashlib.sha256(blob).hexdigest()
+
+    def test_a_block_is_never_refilled_while_it_is_hashed(self, monkeypatch):
+        # Two passes in step, as `auroc` reads --id and --ood, with the
+        # interpreter switching threads often.
+        monkeypatch.setattr(predictive, "ThreadPoolExecutor", _MarkingPool)
+        rng = np.random.default_rng(29)
+        blobs = [_prob_tensor(rng, 5, 400, 4) for _ in range(2)]
+        streams = []
+        for blob in blobs:
+            source = _GuardedSource(blob)
+            streams.append(TensorStream(source))
+            streams[-1]._digest = source.digest = _SlowDigest(streams[-1]._digest)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            passes = [stream.sums([1, 3, 5]) for stream in streams]
+            for _ in range(3):
+                for blob, sums in zip(blobs, passes):
+                    k, total = next(sums)
+                    _same_bits(total / k, reference_mean(blob, k))
+            for sums in passes:
+                assert next(sums, None) is None
+        finally:
+            sys.setswitchinterval(interval)
+        for blob, stream in zip(blobs, streams):
+            assert stream.sha256 == hashlib.sha256(blob).hexdigest()
+
+    def test_the_buffer_is_freed_before_the_last_sum(self):
+        # The last member's hash is waited for, so its buffer is gone when
+        # the caller scores: only the running sum is held.
+        blob = _prob_tensor(np.random.default_rng(31), 3, 2000, 8)
+        stream = TensorStream(io.BytesIO(blob))
+        stream._digest = _SlowDigest(stream._digest)
+        tracemalloc.start()
+        try:
+            for k, total in stream.sums([3]):
+                held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < total.nbytes + 4 * 2000 * 8 // 2
+
+    def test_sha256_is_withheld_until_the_pass_ends(self):
+        blob = _prob_tensor(np.random.default_rng(30), 4, 50, 3)
+        before = threading.active_count()
+        stream = TensorStream(io.BytesIO(blob))
+        sums = stream.sums([1, 2])
+        next(sums)
+        with pytest.raises(RuntimeError):
+            stream.sha256
+        sums.close()  # the helper ends with the pass it served
+        assert threading.active_count() == before
+        with pytest.raises(RuntimeError):
+            stream.sha256
