@@ -250,15 +250,14 @@ def _per_k(streams, ks, workers: int, fn):
     an input error met on the way is named by its path. fn runs on the
     `_run_shards` tiles of each mean, formed from the member sum tile by
     tile, and its results are joined in point order. fn must work row by
-    row, so the tiling cannot change a bit of its results. At the
-    largest k each stream is read to its end, and its sum freed, before
-    the next stream's sum is formed.
+    row, so the tiling cannot change a bit of its results. Each sum is
+    dropped before the next stream's is formed; the largest k's sum
+    arrives with its stream read to the end, so dropping it frees it.
     """
     passes = []
     for path, stream in streams:
         with _named(path):
             passes.append((path, stream.sums(ks)))
-    last = max(ks)
     for k in sorted(set(ks)):
         results = []
         for path, sums in passes:
@@ -267,10 +266,7 @@ def _per_k(streams, ks, workers: int, fn):
             # Cut from this sum's own length: streams may differ in N.
             results.append(np.concatenate(_run_shards(
                 lambda a, b: fn(total[a:b] / k), len(total), workers)))
-            if k == last:
-                del total
-                with _named(path):
-                    next(sums, None)  # reads and checks the rest of the stream
+            del total
         yield k, results
 
 

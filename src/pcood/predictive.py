@@ -213,14 +213,6 @@ def _length_error(got: int, declared: int) -> TruncatedStreamError:
     return TruncatedStreamError(f"payload has {got - declared} trailing bytes")
 
 
-def _hash_block(digest, blocks) -> None:
-    """Feed the one block in `blocks` to `digest`. The block is taken out
-    of its list, so the helper thread holds no reference once the job is
-    done: a block the pass drops after waiting for the job is freed at
-    once."""
-    digest.update(blocks.pop())
-
-
 class TensorStream:
     """One forward pass over a PCOD source: every member read, checked and
     hashed once.
@@ -237,7 +229,8 @@ class TensorStream:
     The source must have ``read`` and ``readinto``, as every binary
     ``io`` stream does: members are read into one reused buffer. One
     helper thread hashes each member while the pass checks and sums it;
-    members reach the digest in order, so it is the same.
+    members reach the digest in order, so it is the same. The helper has
+    ended, and the buffer is freed, before the last sum is handed out.
     """
 
     def __init__(self, source, head: bytes = b""):
@@ -280,7 +273,7 @@ class TensorStream:
 
     @property
     def sha256(self) -> str:
-        """Hex digest of the header and payload, once ``sums`` has ended."""
+        """Hex digest of the header and payload, ready with the last sum."""
         if not self._done:
             raise RuntimeError("the tensor stream has not been read to its end")
         return self._digest.hexdigest()
@@ -296,8 +289,8 @@ class TensorStream:
         view of the running sum, which the pass overwrites when iteration
         advances: use it, or copy it, before asking for the next k.
         Every member, also past the largest k, is checked; members past it
-        are not added. After the last sum the rest of the stream is read,
-        so iterate to the end for ``sha256``.
+        are not added. The largest k's sum comes after the whole stream is
+        read, with ``sha256`` ready, and the pass holds no reference to it.
         """
         for k in ks:
             _check_k(k, self.n_members)
@@ -315,8 +308,8 @@ class TensorStream:
         buf = _read_upto(self._source, block_bytes)
         got = len(buf)
         # One helper thread hashes each block while this thread checks and
-        # sums it. The pass waits for the hash before the buffer is refilled
-        # or freed; leaving the `with` waits for it on every other exit.
+        # sums it. The pass waits for the hash before the buffer is
+        # refilled; leaving the `with` waits for the last one.
         with ThreadPoolExecutor(1) as hasher:
             for m in range(self.n_members):
                 if m:
@@ -325,7 +318,7 @@ class TensorStream:
                 if got < block_bytes:
                     raise _length_error(m * block_bytes + got,
                                         self._payload_bytes)
-                hashed = hasher.submit(_hash_block, self._digest, [buf])
+                hashed = hasher.submit(self._digest.update, buf)
                 block = frozen(np.frombuffer(buf, dtype="<f4")).reshape(
                     self.n_points, self.n_classes)
                 _check_member(block, self.kind, m)
@@ -338,14 +331,18 @@ class TensorStream:
                     # _softmax_rows widens logits before it subtracts.
                     acc += (_softmax_rows(block)
                             if self.kind is TensorKind.LOGITS else block)
-                if m + 1 == self.n_members:
-                    hashed.result()
-                    del block, buf  # free the buffer before the caller scores
-                if m + 1 in wanted:
+                if m + 1 < last and m + 1 in wanted:
                     yield m + 1, total
-        extra = 0
-        while chunk := self._source.read(_READ_CHUNK):
-            extra += len(chunk)
-        if extra:
-            raise _length_error(self._payload_bytes + extra, self._payload_bytes)
+            extra = 0
+            while chunk := self._source.read(_READ_CHUNK):
+                extra += len(chunk)
+            if extra:
+                raise _length_error(self._payload_bytes + extra,
+                                    self._payload_bytes)
         self._done = True
+        # The largest k's sum leaves through a list, so that the suspended
+        # pass holds no reference to it, nor to the freed buffer.
+        final = [(last, total)]
+        del block, buf, acc, total
+        if last:
+            yield final.pop()

@@ -61,7 +61,7 @@ def score_distribution(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:
         values = _row_max(probs)
         np.subtract(1.0, values, out=values)
     elif kind is ScoreKind.ENTROPY:
-        values = _exact_entropy(np.where(probs < ENTROPY_PROB_FLOOR, 0.0, probs))
+        values = _exact_entropy(probs)
     else:
         raise ValidationError(f"unknown score kind: {kind!r}")
     return frozen(values)
@@ -106,16 +106,16 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.log, x.tolist())), dtype=np.float64)
 
 
-def _exact_entropy(clamped: np.ndarray) -> np.ndarray:
-    """Entropy of each row of floored probabilities, with xlogy's bits.
+def _exact_entropy(probs: np.ndarray) -> np.ndarray:
+    """Entropy of each row of probabilities, with the bits of xlogy over
+    the entries floored at ENTROPY_PROB_FLOOR.
 
-    A zero entry takes 0 * log 1 = +0.0, xlogy(0, 0). The terms are summed
-    from a C-ordered array, as xlogy's result would be, so the row sums
-    round alike.
+    An entry below the floor takes 1 * log 1 = +0.0, as its floored 0 takes
+    xlogy(0, 0). The terms are summed from a C-ordered array, as xlogy's
+    result would be, so the row sums round alike.
     """
-    terms = np.where(clamped > 0.0, clamped, 1.0)
-    logs = _libm_log(terms.reshape(-1)).reshape(clamped.shape)
-    np.multiply(clamped, logs, out=terms)
+    terms = np.where(probs < ENTROPY_PROB_FLOOR, 1.0, probs)
+    terms *= _libm_log(terms.reshape(-1)).reshape(terms.shape)
     return np.maximum(-terms.sum(axis=1), 0.0)
 
 

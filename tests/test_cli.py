@@ -1040,6 +1040,31 @@ class TestMemberDigestThread:
                 f"{prefix}: {paths[bad]}: {message}\n", name
             assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_errors_after_k_keep_their_message_and_leave_no_thread(
+            self, tmp_path, capsys, tensor_pair, source):
+        # At --k 1 the bad member or the trailing bytes lie past the largest
+        # k, so they are met before that k's sum is handed out.
+        _, ood_path, id_blob, _ = tensor_pair
+        for name, blob, code, message in [
+                ("bad-row-last-member", self._bad_row(id_blob, 2, 3), 1,
+                 "member 2 point 3: probability row sums to 1.5"),
+                ("trailing-bytes", id_blob + bytes(8), 2,
+                 "payload has 8 trailing bytes")]:
+            bad = tmp_path / f"{name}-id.pcod"
+            bad.write_bytes(blob)
+            out = tmp_path / f"{name}.txt"
+            threads = threading.active_count()
+            with contextlib.ExitStack() as stack:
+                if source == "pipe":
+                    bad = stack.enter_context(self._on_stdin(blob))
+                assert run("roc", "--id", bad, "--ood", ood_path,
+                           "--k", "1", "--out", out) == code, name
+            assert threading.active_count() == threads, name
+            prefix = "error" if code == 1 else "io error"
+            assert capsys.readouterr().err == f"{prefix}: {bad}: {message}\n", name
+            assert not out.exists()
+
 
 class TestOnePass:
     def test_streams_are_read_to_their_end_at_the_largest_k(self, tensor_pair):

@@ -557,9 +557,9 @@ class _MarkingPool(ThreadPoolExecutor):
     """A pool that marks a `_SlowDigest` pending as soon as a block is
     submitted to it, before the helper thread may have started the job."""
 
-    def submit(self, fn, digest, *args):
-        digest.pending = True
-        return super().submit(fn, digest, *args)
+    def submit(self, fn, *args):
+        fn.__self__.pending = True
+        return super().submit(fn, *args)
 
 
 class _GuardedSource(io.BytesIO):
@@ -583,7 +583,7 @@ class TestMemberDigest:
         stream = TensorStream(io.BytesIO(blob))
         during = [threading.active_count() - before
                   for _ in stream.sums([1, 2, 3])]
-        assert during == [1] * 3
+        assert during == [1, 1, 0]
         assert threading.active_count() == before
         assert stream.sha256 == hashlib.sha256(blob).hexdigest()
 
@@ -613,7 +613,8 @@ class TestMemberDigest:
         for blob, stream in zip(blobs, streams):
             assert stream.sha256 == hashlib.sha256(blob).hexdigest()
 
-    def test_the_buffer_is_freed_before_the_last_sum(self):
+    @pytest.mark.parametrize("ks", [[3], [2]])
+    def test_the_buffer_is_freed_before_the_last_sum(self, ks):
         # The last member's hash is waited for, so its buffer is gone when
         # the caller scores: only the running sum is held.
         blob = _prob_tensor(np.random.default_rng(31), 3, 2000, 8)
@@ -621,11 +622,34 @@ class TestMemberDigest:
         stream._digest = _SlowDigest(stream._digest)
         tracemalloc.start()
         try:
-            for k, total in stream.sums([3]):
+            for k, total in stream.sums(ks):
                 held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held < total.nbytes + 4 * 2000 * 8 // 2
+
+    @pytest.mark.parametrize("ks", [[1, 2], [1, 3]])
+    def test_the_last_sum_ends_the_pass(self, ks):
+        # With the largest k's sum, below the member count or at it, the
+        # digest is final and the helper gone, without resuming the pass;
+        # and the caller alone holds that sum.
+        blob = _prob_tensor(np.random.default_rng(32), 3, 2000, 8)
+        before = threading.active_count()
+        stream = TensorStream(io.BytesIO(blob))
+        sums = stream.sums(ks)
+        tracemalloc.start()
+        try:
+            next(sums)
+            k, total = next(sums)
+            assert k == ks[-1]
+            assert threading.active_count() == before
+            assert stream.sha256 == hashlib.sha256(blob).hexdigest()
+            nbytes, held = total.nbytes, tracemalloc.get_traced_memory()[0]
+            del total
+            assert held - tracemalloc.get_traced_memory()[0] >= nbytes
+        finally:
+            tracemalloc.stop()
+        assert next(sums, None) is None
 
     def test_sha256_is_withheld_until_the_pass_ends(self):
         blob = _prob_tensor(np.random.default_rng(30), 4, 50, 3)
