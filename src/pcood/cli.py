@@ -15,9 +15,11 @@ Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import hashlib
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -39,16 +41,24 @@ from .evaluation import (EXACT_MODE_MAX_POINTS, TIE_RULE,
 from .pointcloud import parse_semantic3d, read_labels, write_idood_map
 from .predictive import (TENSOR_MAGIC, TensorKind, TensorStream, write_header,
                          write_member)
-from .scores import (ScoreKind, read_scores_csv, score_distribution,
+from .scores import (_WRITE_ROWS, ScoreKind, _score_chunk,
+                     _write_score_rows, read_scores_csv, score_distribution,
                      score_domain, write_scores_csv)
 from .synth import (GaussianPairSpec, _check_tensor_args,
                     sample_scores_chunk, synth_member)
 
 # Rows per task of `_run_shards`: a mean is formed and scored, and synth
-# rows are drawn, a tile at a time, so temporaries stay tile-sized instead
-# of N x C. Tiles of 4096 to 8192 rows of 8 classes scored fastest,
+# tensor rows are drawn, a tile at a time, so temporaries stay tile-sized
+# instead of N x C. Tiles of 4096 to 8192 rows of 8 classes scored fastest,
 # cache-resident.
 _TILE_ROWS = 1 << 12
+
+# Tasks `_run_shards` keeps in flight per thread: the results waiting for
+# the caller stay a few per thread, and a thread finds its next task queued
+# while the caller writes or joins the last one. 2, 4 and 8 timed alike on
+# `synth tensor` (100k points x 8 classes x 20 members) and `synth scores`
+# (2 x 300k) at 2 workers.
+_TASKS_PER_THREAD = 4
 
 
 # ---------------------------------------------------------------------------
@@ -63,21 +73,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_shards(fn, n_rows: int, workers: int):
-    """fn(a, b) over the _TILE_ROWS row tiles [a, b) of range(n_rows), in
-    tile order; n_rows 0 is the one empty tile (0, 0).
+def _tiles(n_rows: int, rows: int) -> list:
+    """The (a, b) row ranges of `rows` rows that cut range(n_rows), in
+    order; n_rows 0 is the one empty tile (0, 0)."""
+    return [(a, min(a + rows, n_rows))
+            for a in range(0, n_rows, rows)] or [(0, 0)]
 
-    The tiles are the same for every worker count: `workers` sets only
-    how many threads share them, so it cannot move a bit of the results.
-    At most one thread per tile and per usable CPU is started.
+
+def _run_shards(fn, tasks, workers: int):
+    """Yield fn(*task) for each argument tuple of the sequence `tasks`, in
+    task order.
+
+    `workers` sets only how many threads share the tasks, so it cannot
+    move a bit of the results, nor which error is raised: a task's error
+    is raised where its result would be yielded. At most one thread per
+    task and per usable CPU is started, and at most _TASKS_PER_THREAD
+    tasks per thread are submitted and not yet yielded, so the results
+    held stay a few per thread however many tasks there are. When the
+    generator ends, fails or is closed, its queued tasks are cancelled
+    and its threads joined.
     """
-    tiles = [(a, min(a + _TILE_ROWS, n_rows))
-             for a in range(0, n_rows, _TILE_ROWS)] or [(0, 0)]
-    threads = min(workers, len(tiles), _usable_cpus())
+    threads = min(workers, len(tasks), _usable_cpus())
     if threads <= 1:
-        return [fn(a, b) for a, b in tiles]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *zip(*tiles)))
+        yield from itertools.starmap(fn, tasks)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        window = collections.deque()
+        for task in tasks:
+            if len(window) == threads * _TASKS_PER_THREAD:
+                yield window.popleft().result()
+            window.append(pool.submit(fn, *task))
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @contextlib.contextmanager
@@ -264,8 +294,9 @@ def _per_k(streams, ks, workers: int, fn):
             with _named(path):
                 _, total = next(sums)
             # Cut from this sum's own length: streams may differ in N.
-            results.append(np.concatenate(_run_shards(
-                lambda a, b: fn(total[a:b] / k), len(total), workers)))
+            results.append(np.concatenate(list(_run_shards(
+                lambda a, b: fn(total[a:b] / k), _tiles(len(total), _TILE_ROWS),
+                workers))))
             del total
         yield k, results
 
@@ -432,40 +463,42 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Each output is written as its tiles are drawn: the tasks run in the
+    # order of the bytes of the outputs, and the runner yields them so.
     if args.what == "scores":
         spec = GaussianPairSpec(
             mu_id=args.mu_id, sigma_id=args.sigma_id,
             mu_ood=args.mu_ood, sigma_ood=args.sigma_ood,
             n_id=args.n_id, n_ood=args.n_ood, seed=args.seed)
+        id_tasks = [("id", a, b) for a, b in _tiles(spec.n_id, _WRITE_ROWS)]
+        tasks = id_tasks + [("ood", a, b)
+                            for a, b in _tiles(spec.n_ood, _WRITE_ROWS)]
 
-        def draw(population, n):
-            return np.concatenate(_run_shards(
-                functools.partial(sample_scores_chunk, spec, population),
-                n, args.workers))
+        def spell(population, a, b):
+            return _score_chunk(sample_scores_chunk(spec, population, a, b), a)
 
-        id_scores = draw("id", spec.n_id)
-        ood_scores = draw("ood", spec.n_ood)
-        with atomic_outputs([args.out_id, args.out_ood]) as (id_sink, ood_sink):
-            write_scores_csv(id_scores, id_sink)
-            write_scores_csv(ood_scores, ood_sink)
+        with atomic_outputs([args.out_id, args.out_ood]) as (id_sink, ood_sink), \
+                contextlib.closing(_run_shards(spell, tasks,
+                                               args.workers)) as chunks:
+            _write_score_rows(itertools.islice(chunks, len(id_tasks)), id_sink)
+            _write_score_rows(chunks, ood_sink)
         return 0
 
     n, c = args.points, args.classes
     _check_tensor_args(n, c, args.members, args.separability, args.seed)
     paths = [args.out_id, args.out_ood]
-    # Each member's (ID, OOD) rows, filled tile by tile; reused per member.
-    rows = [np.empty((n, c), dtype=np.float32) for _ in paths]
-
-    def fill(m, a, b):
-        rows[0][a:b], rows[1][a:b] = synth_member(
-            n, c, args.members, args.separability, args.seed, m, a, b)
-
-    with atomic_outputs(paths) as sinks:
+    tasks = [(m, a, b) for m in range(args.members)
+             for a, b in _tiles(n, _TILE_ROWS)]
+    member = functools.partial(synth_member, n, c, args.members,
+                               args.separability, args.seed)
+    with atomic_outputs(paths) as sinks, \
+            contextlib.closing(_run_shards(member, tasks, args.workers)) as tiles:
         for sink in sinks:
             write_header(sink, TensorKind.PROBABILITIES, n, c, args.members)
-        for m in range(args.members):
-            _run_shards(functools.partial(fill, m), n, args.workers)
-            for sink, path, member in zip(sinks, paths, rows):
+        # A tile's ID rows, then its OOD rows: members are stored one after
+        # another, so each tile lands where the whole member would.
+        for (m, a, _), rows in zip(tasks, tiles):
+            for sink, path, tile in zip(sinks, paths, rows):
                 with _named(path):
-                    write_member(sink, member, TensorKind.PROBABILITIES, m)
+                    write_member(sink, tile, TensorKind.PROBABILITIES, m, a)
     return 0

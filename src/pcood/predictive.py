@@ -83,9 +83,10 @@ def _kind_code(kind: TensorKind) -> int:
     return _KIND_CODES[kind]
 
 
-def _check_member(rows: np.ndarray, kind: TensorKind, member: int) -> None:
-    """Check the (N, C) rows of one member; raise ValidationError for the
-    first bad row."""
+def _check_member(rows: np.ndarray, kind: TensorKind, member: int,
+                  start: int = 0) -> None:
+    """Check the (N, C) rows of one member, the first of them point
+    `start`; raise ValidationError for the first bad row."""
     if not rows.size:
         return
     if kind is TensorKind.LOGITS:
@@ -114,7 +115,7 @@ def _check_member(rows: np.ndarray, kind: TensorKind, member: int) -> None:
     if outside[i]:
         raise ValidationError("probability entries must lie in [0, 1]")
     raise ValidationError(
-        f"member {member} point {i}: probability row sums to "
+        f"member {member} point {start + i}: probability row sums to "
         f"{float(sums[i])!r}"
     )
 
@@ -162,15 +163,19 @@ def write_header(sink, kind: TensorKind, n_points: int, n_classes: int,
                             n_points, n_classes, n_members))
 
 
-def write_member(sink, rows: np.ndarray, kind: TensorKind, member: int) -> None:
+def write_member(sink, rows: np.ndarray, kind: TensorKind, member: int,
+                 start: int = 0) -> None:
     """Write member `member`'s (N, C) rows in the PCOD layout.
 
-    The float32 rows get the check a reader makes first, so a bad row
-    raises ValidationError before any byte is written.
+    The rows may be a slice of the member, the first of them point `start`:
+    consecutive slices written in order give the member's bytes. The
+    float32 rows get the check a reader makes first, so a bad row raises
+    ValidationError, naming its point in the whole member, before any byte
+    of them is written.
     """
     _kind_code(kind)
     rows = np.ascontiguousarray(rows, dtype="<f4")
-    _check_member(rows, kind, member)
+    _check_member(rows, kind, member, start)
     # A flat byte view of the rows: no copy, and len() counts bytes.
     sink.write(memoryview(rows.reshape(-1).view(np.uint8)))
 

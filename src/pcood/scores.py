@@ -28,7 +28,7 @@ ENTROPY_PROB_FLOOR = 1e-12
 _SCORE_HEADER = "index,score"
 # One decoded score CSV row.
 _SCORE_DTYPE = np.dtype([("index", np.int64), ("score", np.float64)])
-# Rows formatted per write in write_scores_csv.
+# Rows spelled per write of a score CSV.
 _WRITE_ROWS = 1 << 14
 
 
@@ -333,9 +333,16 @@ def write_scores_csv(scores, sink) -> None:
     outside the domain it spells exactly.
     """
     values = np.asarray(scores, dtype=np.float64)
+    _write_score_rows((_score_chunk(values[start:start + _WRITE_ROWS], start)
+                       for start in range(0, len(values), _WRITE_ROWS)), sink)
+
+
+def _write_score_rows(chunks, sink) -> None:
+    """Write the score CSV header, then each chunk of rows that
+    `_score_chunk` spelled, in order."""
     sink.write((_SCORE_HEADER + "\n").encode())
-    for start in range(0, len(values), _WRITE_ROWS):
-        sink.write(_score_chunk(values[start:start + _WRITE_ROWS], start))
+    for chunk in chunks:
+        sink.write(chunk)
 
 
 def _after_header(lineno: int, block):

@@ -6,7 +6,7 @@ indices [a, b) positions the counter at a and draws b - a values, so
 any partitioning of the index space reproduces bit-identical output.
 Normal deviates come from the inverse CDF of one uniform draw per
 index, with no rejection loop that could desynchronize shards. That
-inverse CDF has the bits of scipy.special.ndtri; a run of up to 2**21
+inverse CDF has the bits of scipy.special.ndtri; a run of up to 2**23
 draws takes them from a numpy port of the same code (_ndtri), and does
 not load scipy.
 
@@ -106,18 +106,26 @@ _SQRT_2PI = 2.50662827463100050242E0
 _EXP_M2 = 0.13533528323661269189
 
 # Draws _ndtri works on at a time, so its temporaries stay small whatever
-# the tile.
-_NDTRI_BLOCK = 1 << 12
+# the tile. Small blocks pay numpy's per-call overhead, which holds the GIL
+# against a second tile thread. On a 2-vCPU x86-64 machine, per draw in
+# blocks of 4096 / 16384 / 32768: 32-48 / 21-30 / 19-20 ns in one thread,
+# 65 / 23-29 / 16-20 ns of wall time with two threads converting at once
+# (scipy's ndtri: 14.5 ns in one thread). Whole `synth` runs were no
+# faster at 32768, which holds twice the temporaries per thread.
+_NDTRI_BLOCK = 1 << 14
 
 # Most normals a synth run (a tensor pair or a score population pair) draws
 # with _ndtri; above it, the run loads scipy for its ndtri. On a 2-vCPU
-# x86-64 machine, in process, 2 x 300k draws in 4096-draw tiles cost _ndtri
-# 0.020 s against 0.010 s for scipy's (about 17 ns more per draw), or
-# 0.062 s with the math.log fallback of _libm_log (about 86 ns more), and
-# importing scipy.special cost about 0.3 s of CPU (0.445 s against 0.150 s
-# for numpy alone). So _ndtri is the cheaper one up to about 18M draws, or
-# 3.4M on the fallback; 2**21 keeps it the cheaper one on either path.
-_PORT_MAX_DRAWS = 1 << 21
+# x86-64 machine, in process, 2 x 300k draws in 16384-draw blocks cost
+# _ndtri 12.9 ms against 9.1 ms for scipy's (about 6 ns more per draw), or
+# 47 ms with the math.log fallback of _libm_log (about 64 ns more), and
+# importing scipy.special cost 0.19-0.23 s of wall time (0.33-0.37 s of
+# CPU). So in one thread _ndtri is the cheaper one up to about 30M draws,
+# or 3M on the fallback. Run as `synth tensor` tiles, the scene fixture's
+# 6.4M draws took less wall time on _ndtri at 1 and at 2 workers, and
+# about 19 MiB less memory; 2**23 keeps them there. (In 4096-draw blocks
+# _ndtri lost at 2 workers: its many small numpy calls held the GIL.)
+_PORT_MAX_DRAWS = 1 << 23
 
 def _ratio(x: np.ndarray, p, q) -> np.ndarray:
     """Cephes' (x * polevl(x, p)) / p1evl(x, q), by Horner's rule."""

@@ -6,6 +6,7 @@ computation done directly with the library. Worker-count independence
 and rerun idempotence are asserted on actual output bytes.
 """
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -582,8 +583,8 @@ class TestEntropyWithoutScipy:
             (["score", "--in", id_path, "--out", tmp_path / "s.csv", *entropy], False),
             *((["auroc", *pair, "--mode", mode, "--out", tmp_path / "a.txt",
                 *entropy], False) for mode in ("exact", "auto", "hist")),
-            # 2 x 4 members x 65537 points x 4 classes: just above 2**21 draws.
-            (["synth", "tensor", "--points", 65537, "--classes", 4, "--members",
+            # 2 x 4 members x 262145 points x 4 classes: just above 2**23 draws.
+            (["synth", "tensor", "--points", 262145, "--classes", 4, "--members",
               4, "--out-id", tmp_path / "a.pcod", "--out-ood", tmp_path / "b.pcod"],
              True),
         ]
@@ -626,19 +627,21 @@ class TestSynthCommand:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_overflowing_scores_exit_1_and_write_nothing(self, tmp_path, capsys,
                                                          workers):
-        # At sigma 5e307 a draw overflows where |z| > 3.6. With seed 9 the
-        # first is in the second tile, and the third tile holds more; the
-        # message names the first whatever the worker count.
-        n = 3 * cli._TILE_ROWS
-        z = synth._standard_normals(9, synth._STREAM_ID_SCORES, 0, n, n + 10)
+        # At sigma 5e307 a draw overflows where |z| > 3.6. With seed 154
+        # the first is in the second task, and the third task holds more;
+        # the message names the first whatever the worker count.
+        rows = cli._WRITE_ROWS
+        n = 3 * rows
+        z = synth._standard_normals(154, synth._STREAM_ID_SCORES, 0, n, n + 10)
         with np.errstate(over="ignore"):
-            first = int(np.flatnonzero(~np.isfinite(5e307 * z))[0])
-        assert cli._TILE_ROWS <= first < 2 * cli._TILE_ROWS
+            bad = np.flatnonzero(~np.isfinite(5e307 * z))
+        first = int(bad[0])
+        assert rows <= first < 2 * rows and bad[-1] >= 2 * rows
         out_id, out_ood = tmp_path / "id.csv", tmp_path / "ood.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run("synth", "scores", "--n-id", n, "--n-ood", 10,
-                       "--sigma-id", "5e307", "--seed", 9, "--workers", workers,
+                       "--sigma-id", "5e307", "--seed", 154, "--workers", workers,
                        "--out-id", out_id, "--out-ood", out_ood) == 1
         assert caught == []
         assert capsys.readouterr().err == (
@@ -682,11 +685,11 @@ class TestSynthCommand:
             assert len(outputs) == 1
 
     def test_scipy_loads_only_above_the_ndtri_cut_off(self, tmp_path):
-        # 2 x 300k scores (the oracle) draw below 2**21 normals; a tensor of
-        # 2 x 4 members x 65537 points x 4 classes draws just above it.
+        # 2 x 300k scores (the oracle) draw below 2**23 normals; a tensor of
+        # 2 x 4 members x 262145 points x 4 classes draws just above it.
         runs = [
             (["synth", "scores", "--n-id", 300000, "--n-ood", 300000], False),
-            (["synth", "tensor", "--points", 65537, "--classes", 4,
+            (["synth", "tensor", "--points", 262145, "--classes", 4,
               "--members", 4], True),
         ]
         script = ("import json, sys\n"
@@ -706,13 +709,13 @@ class TestSynthCommand:
         # A 16-point tile loads scipy exactly where the run it is cut from
         # does: the pair's or population pair's draw count decides, not the
         # tile's.
-        pair = "GaussianPairSpec(0.0, 1.0, 1.0, 1.0, 2 ** 20, {}, 5)"
+        pair = "GaussianPairSpec(0.0, 1.0, 1.0, 1.0, 2 ** 22, {}, 5)"
         runs = [
-            ("synth_member(65537, 4, 4, 1.0, 5, 3, 100, 116)", True),
-            ("synth_member(65536, 4, 4, 1.0, 5, 3, 100, 116)", False),
-            (f"sample_scores_chunk({pair.format('2 ** 20 + 1')}, 'ood', 100, 116)",
+            ("synth_member(262145, 4, 4, 1.0, 5, 3, 100, 116)", True),
+            ("synth_member(262144, 4, 4, 1.0, 5, 3, 100, 116)", False),
+            (f"sample_scores_chunk({pair.format('2 ** 22 + 1')}, 'ood', 100, 116)",
              True),
-            (f"sample_scores_chunk({pair.format('2 ** 20')}, 'ood', 100, 116)",
+            (f"sample_scores_chunk({pair.format('2 ** 22')}, 'ood', 100, 116)",
              False),
         ]
         for call, loads_scipy in runs:
@@ -728,15 +731,17 @@ class TestSynthCommand:
 
     def test_peak_memory_does_not_grow_with_members(self, tmp_path,
                                                    monkeypatch):
-        # Members are filled one at a time into one reused (N, C) float32
-        # array per output, so 16 members may not hold more than one extra
-        # member payload over 2, and a point adds its two float32 rows (64 B
-        # at C = 8) and little else. With one worker the peak repeats to
-        # the kilobyte. A worker holds about four float64 tile arrays of
-        # draws and softmax temporaries while it fills a tile, so three
-        # workers may hold two tiles' worth more than one. The runs of one
-        # comparison draw with one ndtri: every run with scipy's (cut-off
-        # 0), then every run with synth's own (cut-off 2**63).
+        # Each tile's rows are checked and written as they are drawn, so a
+        # run holds a few tiles per thread and no (N, C) array: a point may
+        # add at most 4 B to the peak, and so may 16 members over 2 (one
+        # member's rows of both outputs would add 64 B per point at C = 8).
+        # With one worker the peak repeats to the kilobyte. A thread holds
+        # about four float64 tile arrays of draws and softmax temporaries
+        # while it draws a tile, and a few drawn tiles per thread wait to
+        # be written, so three workers may hold the temporaries of two more
+        # threads. The runs of one comparison draw with one ndtri: every
+        # run with scipy's (cut-off 0), then every run with synth's own
+        # (cut-off 2**63).
         n, c = 20000, 8
 
         def peak(points, members, workers):
@@ -754,11 +759,96 @@ class TestSynthCommand:
             monkeypatch.setattr(synth, "_PORT_MAX_DRAWS", cut_off)
             # Lazy imports, thread start-up and first allocations.
             peak(n, 16, 3)
-            bound = peak(n, 2, 1) + 4 * n * c
+            bound = peak(n, 2, 1) + 4 * n
             assert peak(n, 16, 1) <= bound
             assert peak(n, 16, 3) <= bound + 2 * 4 * cli._TILE_ROWS * c * 8
             growth = (peak(4 * n, 2, 1) - peak(n, 2, 1)) / (3 * n)
-            assert growth <= 80
+            assert growth <= 4
+
+    def test_tiny_tasks_give_the_same_bytes_at_any_worker_count(
+            self, tmp_path, monkeypatch):
+        # Tasks of 3 tensor rows and 5 score rows: the window of tasks in
+        # flight straddles member and ID/OOD boundaries at 2 and 3 workers.
+        commands = [
+            ["synth", "tensor", "--points", 10, "--classes", 3, "--members",
+             3, "--separability", "1.5", "--seed", 6],
+            ["synth", "scores", "--n-id", 23, "--n-ood", 17, "--seed", 4],
+        ]
+
+        def outputs(command, workers):
+            out_id, out_ood = tmp_path / "id.out", tmp_path / "ood.out"
+            assert run(*command, "--workers", workers, "--out-id", out_id,
+                       "--out-ood", out_ood) == 0
+            return out_id.read_bytes(), out_ood.read_bytes()
+
+        want = [outputs(command, 1) for command in commands]
+        assert want[0] == synth_pair(10, 3, 3, 1.5, 6)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "_TILE_ROWS", 3)
+        monkeypatch.setattr(cli, "_WRITE_ROWS", 5)
+        for workers in (1, 2, 3):
+            assert [outputs(command, workers) for command in commands] == want
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_bad_row_mid_member_keeps_its_message(self, tmp_path, capsys,
+                                                    monkeypatch, workers):
+        # Member 1's ID row at point 4100 lies in its second tile, and a
+        # later tile of member 2 is bad too and finishes first; the message
+        # names the first in the outputs' order, by its point in the whole
+        # member.
+        real = cli.synth_member
+
+        def synth_member(*args):
+            m, a, b = args[-3:]
+            id_rows, ood_rows = real(*args)
+            if (m, a) == (1, cli._TILE_ROWS):
+                time.sleep(0.05)
+                id_rows[4100 - a] = [1.0, 0.5, 0.0, 0.0]
+            if (m, a) == (2, 0):
+                ood_rows[7] = [1.0, 0.5, 0.0, 0.0]
+            return id_rows, ood_rows
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "synth_member", synth_member)
+        out_id, out_ood = tmp_path / "id.pcod", tmp_path / "ood.pcod"
+        threads = threading.active_count()
+        assert run("synth", "tensor", "--points", 3 * cli._TILE_ROWS,
+                   "--classes", 4, "--members", 3, "--workers", workers,
+                   "--out-id", out_id, "--out-ood", out_ood) == 1
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == (
+            f"error: {out_id}: member 1 point 4100: probability row sums "
+            f"to 1.5\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scores_peak_memory_does_not_grow_with_n(self, tmp_path,
+                                                     monkeypatch):
+        # Each task's rows are written as they are spelled, so a run holds
+        # a few tasks' draws and text per thread and no population: from n
+        # to 4n scores per population the peak may not grow by 1 B per
+        # score. With three workers and tasks of 1024 rows, up to
+        # 3 * _TASKS_PER_THREAD tasks are held, at most 64 B per row (its
+        # float64 draw and its text); holding the populations would add
+        # 16 B per score.
+        n = 50000
+
+        def peak(n_scores, workers):
+            tracemalloc.start()
+            try:
+                assert run("synth", "scores", "--n-id", n_scores, "--n-ood",
+                           n_scores, "--workers", workers,
+                           "--out-id", tmp_path / "id.csv",
+                           "--out-ood", tmp_path / "ood.csv") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(n, 3)  # lazy imports, thread start-up and first allocations
+        assert peak(4 * n, 1) - peak(n, 1) <= 3 * n
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "_WRITE_ROWS", 1024)
+        bound = peak(n, 1) + 3 * cli._TASKS_PER_THREAD * 1024 * 64
+        assert peak(4 * n, 3) <= bound
 
     def test_sizes_the_header_cannot_hold_are_rejected(self, tmp_path, capsys):
         for flag, value in (("--classes", 2 ** 16), ("--members", 2 ** 16)):
@@ -917,29 +1007,33 @@ class TestTiledScoring:
 
 
 class TestShardThreads:
-    """_run_shards starts at most one thread per tile and per usable CPU."""
+    """_run_shards starts at most one thread per task and per usable CPU,
+    keeps at most _TASKS_PER_THREAD tasks per thread in flight, and yields
+    its results, and its first error, in task order."""
 
     @staticmethod
     def _tiles(monkeypatch, n_rows, workers):
-        """(_run_shards' results, the max_workers of each executor it made),
-        with an executor that runs the tasks on the calling thread."""
+        """(_run_shards' results over the tiles of n_rows rows, the
+        max_workers of each executor it made), with an executor that runs
+        each task on the calling thread when it is submitted."""
         requested = []
 
         class Executor:
             def __init__(self, max_workers):
                 requested.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Executor)
-        return cli._run_shards(lambda a, b: (a, b), n_rows, workers), requested
+        tiles = cli._tiles(n_rows, cli._TILE_ROWS)
+        return list(cli._run_shards(lambda a, b: (a, b), tiles,
+                                    workers)), requested
 
     def test_a_huge_worker_count_asks_for_at_most_the_usable_cpus(self,
                                                                   monkeypatch):
@@ -959,6 +1053,86 @@ class TestShardThreads:
         assert tiles == [(i * rows, min((i + 1) * rows, 10 * rows - 1))
                          for i in range(10)]
         assert requested == want
+
+    @staticmethod
+    def _staggered(i):
+        """i, after a sleep that makes later tasks finish first."""
+        time.sleep(0.002 * (4 - i % 5))
+        return i
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_back_in_task_order(self, monkeypatch, workers):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        tasks = [(i,) for i in range(40)]
+        assert list(cli._run_shards(self._staggered, tasks, workers)) == \
+            list(range(40))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_in_flight_tasks_never_exceed_the_bound(self, monkeypatch,
+                                                    workers):
+        # A task is in flight from its submission until the caller takes
+        # its result; the window fills up and never goes past its bound.
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        count = {"submitted": 0, "taken": 0}
+        in_flight = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                count["submitted"] += 1
+                in_flight.append(count["submitted"] - count["taken"])
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        results = []
+        for result in cli._run_shards(self._staggered,
+                                      [(i,) for i in range(100)], workers):
+            count["taken"] += 1
+            results.append(result)
+        assert results == list(range(100))
+        assert len(in_flight) == 100
+        assert max(in_flight) == workers * cli._TASKS_PER_THREAD
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_the_first_failing_task_raises_and_no_thread_is_left(
+            self, monkeypatch, workers):
+        # Task 9 fails before task 5 does, but task 5 comes first.
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        ran = []
+
+        def fn(i):
+            ran.append(i)
+            time.sleep(0.02 if i == 5 else 0.001)
+            if i in (5, 9):
+                raise ValidationError(f"task {i}")
+            return i
+
+        threads = threading.active_count()
+        taken = []
+        with pytest.raises(ValidationError, match="^task 5$"):
+            for result in cli._run_shards(fn, [(i,) for i in range(200)],
+                                          workers):
+                taken.append(result)
+        assert taken == list(range(5))
+        assert threading.active_count() == threads
+        # The tasks beyond the window were never started.
+        assert len(ran) <= 5 + 1 + workers * cli._TASKS_PER_THREAD
+
+    def test_closing_the_runner_cancels_its_queue_and_joins_its_threads(
+            self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        ran = []
+
+        def fn(i):
+            ran.append(i)
+            time.sleep(0.001)
+            return i
+
+        threads = threading.active_count()
+        results = cli._run_shards(fn, [(i,) for i in range(200)], 3)
+        assert next(results) == 0
+        results.close()
+        assert threading.active_count() == threads
+        assert len(ran) <= 1 + 3 * cli._TASKS_PER_THREAD
 
     def test_usable_cpus_is_the_affinity_set_else_the_cpu_count(self,
                                                                monkeypatch):
