@@ -1,9 +1,10 @@
 """Small stream and array helpers shared by the parsers and writers.
 
 Streams are binary at every boundary of the package: readers take what
-``open(path, "rb")`` or ``io.BytesIO`` gives, and writers take binary
-sinks. ``read_rows`` is the one reader of row text: points, labels and
-score CSVs each give it a row spec, and it decodes their blocks.
+``open(path, "rb")`` or ``io.BytesIO`` gives (``read`` and ``readline``),
+and writers take binary sinks. ``read_rows`` is the one reader of row
+text: points, labels and score CSVs each give it a row spec, and it
+decodes their blocks. ``skip_header`` is the one header rule of CSVs.
 """
 
 from __future__ import annotations
@@ -40,12 +41,13 @@ def quoted(text: str) -> str:
 
 
 def numbered_lines(stream, where: str = "line", start: int = 1):
-    """Yield ``(line number, line)`` from a binary stream, decoded.
+    """Yield decoded ``(line number, line)`` from a binary stream's
+    ``readline``.
 
     Newlines are stripped. A line that is not UTF-8 raises
     ``ValidationError`` naming it as ``{where} {line number}``.
     """
-    for lineno, raw in enumerate(stream, start):
+    for lineno, raw in enumerate(iter(stream.readline, b""), start):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError:
@@ -53,15 +55,32 @@ def numbered_lines(stream, where: str = "line", start: int = 1):
         yield lineno, line.rstrip("\r\n")
 
 
-def iter_blocks(stream):
-    """Yield ``(first line number, block)`` over a binary stream.
+def skip_header(stream, header: str, parse) -> int:
+    """Read a binary stream line by line through its `header` line, and
+    return the next line's number. Only blank lines and ``#`` lines may come
+    first; each ``#`` line goes to the format's ``parse(line number, line)``.
+    """
+    for lineno, line in numbered_lines(stream):
+        text = line.strip()
+        if text.startswith("#"):
+            parse(lineno, line)
+        elif text == header:
+            return lineno + 1
+        elif text:
+            raise ValidationError(
+                f"line {lineno}: expected header {header!r}, got {quoted(text)}")
+    raise ValidationError(f"missing {header!r} header")
+
+
+def iter_blocks(stream, lineno: int = 1):
+    """Yield ``(first line number, block)`` over a binary stream, whose
+    first line is numbered `lineno`.
 
     A block is the bytes of whole lines read from about ``_BLOCK_SIZE``
     of the stream: it ends at a newline, except the last block, which
     ends where the stream does. A longer line is yielded whole in one
     block.
     """
-    lineno = 1
     pending = []
     while chunk := stream.read(_BLOCK_SIZE):
         cut = chunk.rfind(b"\n") + 1

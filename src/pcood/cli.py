@@ -136,16 +136,22 @@ class _HashedSource:
         self._count = 0
 
     def read(self, size: int = -1) -> bytes:
-        if self._head:
-            data, self._head = self._head, b""
-        else:
-            data = self._source.read(size)
+        data, self._head = self._head or self._source.read(size), b""
+        return self._hashed(data)
+
+    def readline(self) -> bytes:
+        # The head may hold newlines, or end inside the first line.
+        line, newline, self._head = self._head.partition(b"\n")
+        return self._hashed(line + (newline or self._source.readline()))
+
+    def _hashed(self, data: bytes) -> bytes:
         self._digest.update(data)
         self._count += len(data)
         return data
 
     def tell(self) -> int:
-        """Bytes handed out so far."""
+        """Bytes handed out so far. Only perfbench/trace_cli.py reads it, to
+        count the bytes of a traced layer call."""
         return self._count
 
     @property

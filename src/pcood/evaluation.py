@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._args import DEFAULT_BIN_COUNT, check_threshold
-from ._io import frozen, numbered_lines, quoted
+from ._io import frozen, numbered_lines, quoted, skip_header
 from .errors import ValidationError
 
 # Below this many pooled points the exact sort is cheap; above it the
@@ -35,6 +35,8 @@ TIE_RULE = "ties-credited-0.5"
 _SEARCH_BLOCK = 1 << 16
 
 _POPULATIONS = ("id", "ood")
+
+_ROC_HEADER = "threshold,fpr,tpr"
 
 
 def exact_auroc(id_scores, ood_scores) -> float:
@@ -371,20 +373,14 @@ def apply_threshold(scores: np.ndarray, threshold: float) -> np.ndarray:
 # Report and CSV formats
 # ---------------------------------------------------------------------------
 
-def format_value(value) -> str:
-    """Render a report value; floats, numpy float64 among them, use float's
-    repr for lossless parse-back."""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _report_line(key, value) -> str:
     """The ``key=value`` text of one report or ROC metadata entry; neither
     side may hold a line break, and the key no ``=``."""
     if "=" in key or "\n" in key or not key:
         raise ValidationError(f"bad report key: {key!r}")
-    text = format_value(value)
+    # Floats, numpy float64 among them, use float's repr for lossless
+    # parse-back.
+    text = repr(float(value)) if isinstance(value, float) else str(value)
     if "\n" in text:
         raise ValidationError(f"report value for {key!r} spans lines")
     return f"{key}={text}"
@@ -411,7 +407,7 @@ def write_roc_csv(curve: RocCurve, sink, metadata=()) -> None:
         if key in seen:
             raise ValidationError(f"repeated metadata key: {key!r}")
         seen.add(key)
-    lines = ["threshold,fpr,tpr"]
+    lines = [_ROC_HEADER]
     t = curve.thresholds.tolist()
     f = curve.fpr[1:].tolist()
     p = curve.tpr[1:].tolist()
@@ -425,11 +421,13 @@ def read_roc_csv(source) -> tuple[RocCurve, dict]:
     thresholds = []
     fpr, tpr = [0.0], [0.0]
     metadata = {}
-    header_seen = False
-    for lineno, line in numbered_lines(source):
+
+    def parse(lineno, line):
+        """The line parser of ROC CSVs: a ``#`` line is a ``key=value``
+        metadata entry, any other line not blank a curve row."""
         text = line.strip()
         if not text:
-            continue
+            return
         if text.startswith("#"):
             body = text.lstrip("#").strip()
             if "=" not in body:
@@ -438,14 +436,7 @@ def read_roc_csv(source) -> tuple[RocCurve, dict]:
             if key in metadata:
                 raise ValidationError(f"line {lineno}: repeated metadata key {quoted(key)}")
             metadata[key] = value
-            continue
-        if not header_seen:
-            if text != "threshold,fpr,tpr":
-                raise ValidationError(
-                    f"line {lineno}: expected header 'threshold,fpr,tpr', got {quoted(text)}"
-                )
-            header_seen = True
-            continue
+            return
         parts = text.split(",")
         if len(parts) != 3:
             raise ValidationError(f"line {lineno}: expected 3 fields, got {quoted(text)}")
@@ -455,8 +446,10 @@ def read_roc_csv(source) -> tuple[RocCurve, dict]:
             tpr.append(float(parts[2]))
         except ValueError:
             raise ValidationError(f"line {lineno}: malformed row {quoted(text)}") from None
-    if not header_seen:
-        raise ValidationError("missing 'threshold,fpr,tpr' header")
+
+    lineno = skip_header(source, _ROC_HEADER, parse)
+    for lineno, line in numbered_lines(source, start=lineno):
+        parse(lineno, line)
     if "auroc" not in metadata:
         raise ValidationError("missing auroc metadata line")
     try:

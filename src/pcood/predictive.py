@@ -69,18 +69,15 @@ _SCREEN_MARGIN_PER_CLASS = 2.0 ** -22
 
 
 class TensorKind(enum.Enum):
-    PROBABILITIES = "probabilities"
-    LOGITS = "logits"
-
-
-_KIND_CODES = {TensorKind.PROBABILITIES: 0, TensorKind.LOGITS: 1}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+    """What a tensor's values are; each value is its PCOD header code."""
+    PROBABILITIES = 0
+    LOGITS = 1
 
 
 def _kind_code(kind: TensorKind) -> int:
     if not isinstance(kind, TensorKind):
         raise ValidationError(f"tensor kind must be a TensorKind, got {kind!r}")
-    return _KIND_CODES[kind]
+    return kind.value
 
 
 def _check_member(rows: np.ndarray, kind: TensorKind, member: int,
@@ -103,7 +100,10 @@ def _check_member(rows: np.ndarray, kind: TensorKind, member: int,
         if 1.0 - float(sums32.min()) <= limit and \
                 float(sums32.max()) - 1.0 <= limit:
             return
-    sums = np.sum(rows, axis=-1, dtype=np.float64)
+    # Widening a signalling NaN to float64 raises the invalid flag; the
+    # NaN is reported below as a non-finite value, not as a warning.
+    with np.errstate(invalid="ignore"):
+        sums = np.sum(rows, axis=-1, dtype=np.float64)
     off = np.abs(sums - 1.0) > PROB_ROW_SUM_TOL
     if in_range and not off.any():
         return
@@ -143,11 +143,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     np.exp(expd, out=expd)
     expd /= expd.sum(axis=1, keepdims=True)
     return expd
-
-
-def _check_k(k: int, n_members: int) -> None:
-    if not 1 <= k <= n_members:
-        raise ValidationError(f"k must lie in 1..{n_members}, got {k}")
 
 
 def write_header(sink, kind: TensorKind, n_points: int, n_classes: int,
@@ -253,8 +248,10 @@ class TensorStream:
             raise ValidationError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
         if version != TENSOR_VERSION:
             raise ValidationError(f"unsupported format version {version}")
-        if kind_code not in _CODE_KINDS:
-            raise ValidationError(f"unknown tensor kind code {kind_code}")
+        try:
+            self.kind = TensorKind(kind_code)
+        except ValueError:
+            raise ValidationError(f"unknown tensor kind code {kind_code}") from None
         if reserved != 0:
             raise ValidationError(f"reserved header byte must be 0, got {reserved}")
         if n_members < 1 or n_classes < 2:
@@ -272,7 +269,6 @@ class TensorStream:
             if available != self._payload_bytes:
                 raise _length_error(available, self._payload_bytes)
         self._digest.update(header)
-        self.kind = _CODE_KINDS[kind_code]
         self.n_points, self.n_classes, self.n_members = \
             n_points, n_classes, n_members
 
@@ -298,7 +294,9 @@ class TensorStream:
         read, with ``sha256`` ready, and the pass holds no reference to it.
         """
         for k in ks:
-            _check_k(k, self.n_members)
+            if not 1 <= k <= self.n_members:
+                raise ValidationError(
+                    f"k must lie in 1..{self.n_members}, got {k}")
         return self._sums(set(ks))
 
     def _sums(self, wanted):

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import io
-import itertools
 import math
 
 import numpy as np
 
-from ._io import frozen, iter_blocks, numbered_lines, quoted, read_rows
+from ._io import frozen, iter_blocks, quoted, read_rows, skip_header
 from .errors import ValidationError
 from .predictive import _row_max
 
@@ -345,37 +343,11 @@ def _write_score_rows(chunks, sink) -> None:
         sink.write(chunk)
 
 
-def _after_header(lineno: int, block):
-    """Return ``(line number, rest of block)`` after the header, or None.
-
-    The lines before the header may only be blank or ``#`` comments; the
-    block holds no header when it has nothing else.
-    """
-    lines = io.BytesIO(block)
-    for lineno, line in numbered_lines(lines, "line", lineno):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if text != _SCORE_HEADER:
-            raise ValidationError(
-                f"line {lineno}: expected header 'index,score', got {quoted(text)}"
-            )
-        return lineno + 1, block[lines.tell():]
-    return None
-
-
 def read_scores_csv(source) -> np.ndarray:
     """Read a score CSV written by :func:`write_scores_csv`.
 
     Blank lines and ``#`` comment lines are skipped; scores must be finite.
     """
-    blocks = iter_blocks(source)
-    for lineno, block in blocks:
-        found = _after_header(lineno, block)
-        if found is not None:
-            break
-    else:
-        raise ValidationError("missing 'index,score' header")
     # The index the next row must have, shared by both paths of read_rows.
     count = 0
 
@@ -412,5 +384,6 @@ def read_scores_csv(source) -> np.ndarray:
         count += 1
         return value
 
-    return read_rows(itertools.chain([found], blocks), np.empty(0), "line",
+    lineno = skip_header(source, _SCORE_HEADER, parse)
+    return read_rows(iter_blocks(source, lineno), np.empty(0), "line",
                      _SCORE_DTYPE, ",", accept, parse)

@@ -33,6 +33,12 @@ def test_every_export_is_used_inside_pcood():
     assert sorted(set(pcood.__all__) - used) == []
 
 
+def test_dir_lists_every_export_once_sorted():
+    names = dir(pcood)
+    assert names == sorted(set(names))
+    assert set(pcood.__all__) <= set(names)
+
+
 def test_errors_are_validation_or_truncated_stream():
     errors = {name for name in pcood.__all__
               if isinstance(getattr(pcood, name), type)

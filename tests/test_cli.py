@@ -1992,11 +1992,16 @@ class TestStreamedTensors:
         assert proc.stderr.decode() == (f"io error: /dev/stdin: payload "
                                         f"truncated: got 64 of {declared} bytes\n")
 
+    # With the lead, the four bytes read to tell a tensor from a score CSV
+    # hold newlines, and the header comes after them.
+    @pytest.mark.parametrize("lead", [b"", b"\n\n#\n"])
     @pytest.mark.parametrize("command", ["auroc", "roc"])
-    def test_piped_score_csv_reports_its_own_digest(self, tmp_path, command):
+    def test_piped_score_csv_reports_its_own_digest(self, tmp_path, command,
+                                                    lead):
         id_csv, ood_csv = tmp_path / "id.csv", tmp_path / "ood.csv"
         assert run("synth", "scores", "--n-id", 300, "--n-ood", 200,
                    "--out-id", id_csv, "--out-ood", ood_csv) == 0
+        id_csv.write_bytes(lead + id_csv.read_bytes())
         by_path = tmp_path / "by_path.txt"
         assert run(command, "--id", id_csv, "--ood", ood_csv,
                    "--out", by_path) == 0
@@ -2045,12 +2050,15 @@ class TestStreamedTensors:
 
 
 def _hostile_pcod(magic=b"PCOD", version=1, kind=0, reserved=0, c=3, k=2,
-                  declared_n=5, cut=None, tail=b"", bad=None):
+                  declared_n=5, cut=None, tail=b"", bad=None, bad_bits=None):
     """A PCOD blob of k members x 5 points x c classes of uniform rows, with
-    one field, entry or length made hostile."""
+    one field, entry (a value, or the bits of a float32) or length made
+    hostile."""
     values = np.full((k, 5, c), 1.0 / c, dtype="<f4")
     if bad is not None:
         values[k - 1, 4, 0] = bad
+    if bad_bits is not None:
+        values.view("<u4")[k - 1, 4, 0] = bad_bits
     blob = struct.pack("<4sHBBQHH", magic, version, kind, reserved, declared_n, c, k) \
         + values.tobytes() + tail
     return blob if cut is None else blob[:cut]
@@ -2075,6 +2083,9 @@ HOSTILE_PCOD = {
     "short-payload": (_hostile_pcod(cut=-4), 2),
     "long-payload": (_hostile_pcod(tail=bytes(8)), 2),
     "nan-member": (_hostile_pcod(bad=np.nan), 1),
+    # Widening a signalling NaN raises numpy's invalid flag.
+    "signalling-nan-member": (_hostile_pcod(bad_bits=0x7FA00000), 1),
+    "payload-nan-member": (_hostile_pcod(bad_bits=0x7FC00001), 1),
     "inf-member": (_hostile_pcod(bad=np.inf), 1),
     "negative-member": (_hostile_pcod(bad=-0.5), 1),
     "inf-logit-member": (_hostile_pcod(kind=1, bad=-np.inf), 1),

@@ -698,6 +698,20 @@ class TestReportFormats:
                            match="^missing 'threshold,fpr,tpr' header$"):
             read_roc_csv(io.BytesIO(b"\n# auroc=0.5\n"))
 
+    def test_roc_csv_reads_metadata_before_its_header(self):
+        text = (b"# kind=entropy\n\n# auroc=0.5\nthreshold,fpr,tpr\n"
+                b"0.5,1.0,1.0\n# youden_threshold=0.5\n")
+        curve, metadata = read_roc_csv(io.BytesIO(text))
+        assert (curve.thresholds.tolist(), curve.auroc) == ([0.5], 0.5)
+        assert metadata == {"kind": "entropy", "auroc": "0.5",
+                            "youden_threshold": "0.5"}
+        for text, message in [
+                (b"# x\nthreshold,fpr,tpr\n", "line 1: bad metadata line '# x'"),
+                (b"# auroc=0.5\nthreshold,fpr,tpr\n# auroc=0.25\n",
+                 "line 3: repeated metadata key 'auroc'")]:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                read_roc_csv(io.BytesIO(text))
+
     def test_roc_csv_rejects_a_repeated_metadata_key(self):
         # A second value after the first must not take its place unseen.
         text = (b"threshold,fpr,tpr\n0.5,1.0,1.0\n# auroc=0.5\n"

@@ -361,9 +361,11 @@ class TestTensorFormat:
         with pytest.raises(ValidationError):
             TensorStream(io.BytesIO(blob))
 
-    def test_bad_kind_code(self):
-        blob = HEADER.pack(b"PCOD", 1, 7, 0, 1, 2, 1) + bytes(8)
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("code", [2, 7, 255])
+    def test_bad_kind_code(self, code):
+        blob = HEADER.pack(b"PCOD", 1, code, 0, 1, 2, 1) + bytes(8)
+        with pytest.raises(ValidationError,
+                           match=f"^unknown tensor kind code {code}$"):
             TensorStream(io.BytesIO(blob))
 
     def test_nonzero_reserved_byte(self):

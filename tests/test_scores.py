@@ -3,6 +3,7 @@
 import functools
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -106,6 +107,14 @@ class TestDomain:
         assert lo == 0.0 and hi == math.log(8)
         with pytest.raises(ValidationError):
             score_domain(ScoreKind.ENTROPY, 1)
+
+    @pytest.mark.parametrize("kind", ["entropy", TensorKind.PROBABILITIES, None])
+    def test_kind_that_is_no_score_kind(self, kind):
+        message = f"^unknown score kind: {re.escape(repr(kind))}$"
+        with pytest.raises(ValidationError, match=message):
+            score_domain(kind, 8)
+        with pytest.raises(ValidationError, match=message):
+            score_distribution(np.full((2, 4), 0.25), kind)
 
     def test_scores_of_valid_rows_stay_in_domain(self):
         rng = np.random.default_rng(23)

@@ -286,6 +286,18 @@ class TestBlocks:
             _scores(csv + b"7,0.5\n")
         assert str(exc.value) == "line 52: index 7 out of order, expected 50"
 
+    def test_score_comments_before_the_header_fill_several_blocks(self):
+        # About 2.5 MiB of "#" lines, so more than two blocks of the default
+        # size, then the header; later lines keep their numbers.
+        comments = b"# " + b"c" * 1022 + b"\n"
+        n = 2500
+        head = comments * n + b"index,score\n0,0.5\n1,0.25\n"
+        assert len(head) > 2 * _io._BLOCK_SIZE
+        assert _scores(head).tolist() == [0.5, 0.25]
+        with pytest.raises(ValidationError) as exc:
+            _scores(head + b"2,x\n")
+        assert str(exc.value) == f"line {n + 4}: malformed row '2,x'"
+
     def test_line_longer_than_a_block(self):
         x = "1." + "0" * 100
         with _blocks_of(8):
