@@ -21,13 +21,11 @@ _EXPORTS = {
                    "write_member"),
     "scores": ("ScoreKind", "read_scores_csv", "score_distribution",
                "score_domain", "write_scores_csv"),
-    "evaluation": ("BinnedScoreHistogram", "ConfusionMatrix", "RocCurve",
-                   "SegMetrics", "apply_threshold", "argmax_labels",
-                   "confusion_accumulate", "confusion_new", "exact_auroc",
-                   "hist_accumulate", "hist_auroc", "hist_merge",
-                   "hist_new_range", "optimal_threshold",
-                   "read_roc_csv", "roc_curve",
-                   "seg_metrics", "write_metrics_report", "write_roc_csv"),
+    "evaluation": ("RocCurve", "SegMetrics", "apply_threshold",
+                   "argmax_labels", "confusion_accumulate", "exact_auroc",
+                   "hist_accumulate", "hist_auroc", "optimal_threshold",
+                   "read_roc_csv", "roc_curve", "seg_metrics",
+                   "write_metrics_report", "write_roc_csv"),
     "synth": ("GaussianPairSpec", "sample_scores_chunk", "synth_member",
               "synth_true_classes"),
 }

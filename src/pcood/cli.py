@@ -30,14 +30,11 @@ import numpy as np
 from ._args import SCORE_KINDS, check_threshold, main
 from ._io import atomic_outputs, quoted
 from .errors import TruncatedStreamError, ValidationError
-from .evaluation import (EXACT_MODE_MAX_POINTS, TIE_RULE,
-                         confusion_new, confusion_accumulate,
-                         apply_threshold, argmax_labels,
-                         exact_auroc, hist_accumulate, hist_auroc,
-                         hist_merge, hist_new_range, optimal_threshold,
-                         roc_curve,
-                         seg_metrics, write_metrics_report, write_roc_csv,
-                         read_roc_csv)
+from .evaluation import (EXACT_MODE_MAX_POINTS, TIE_RULE, apply_threshold,
+                         argmax_labels, confusion_accumulate, exact_auroc,
+                         hist_accumulate, hist_auroc, optimal_threshold,
+                         read_roc_csv, roc_curve, seg_metrics,
+                         write_metrics_report, write_roc_csv)
 from .pointcloud import parse_semantic3d, read_labels, write_idood_map
 from .predictive import (TENSOR_MAGIC, TensorKind, TensorStream, write_header,
                          write_member)
@@ -307,13 +304,6 @@ def _per_k(streams, ks, workers: int, fn):
         yield k, results
 
 
-def _hist(id_scores, ood_scores, domain, bins: int):
-    """One histogram of both populations, binned over `domain`."""
-    return hist_merge(
-        hist_accumulate(hist_new_range(*domain, bins), id_scores, "id"),
-        hist_accumulate(hist_new_range(*domain, bins), ood_scores, "ood"))
-
-
 def _provenance(inputs) -> list:
     """Report entries of (role, path, hashed) inputs.
 
@@ -372,7 +362,8 @@ def cmd_auroc(args: argparse.Namespace) -> int:
         def auroc(id_scores, ood_scores):
             if mode == "exact":
                 return exact_auroc(id_scores, ood_scores)
-            return hist_auroc(_hist(id_scores, ood_scores, domain, args.bins))
+            return hist_auroc(hist_accumulate(id_scores, domain, args.bins),
+                              hist_accumulate(ood_scores, domain, args.bins))
 
         values = {k: auroc(id_scores, ood_scores)
                   for k, id_scores, ood_scores in scored}
@@ -393,16 +384,17 @@ def cmd_auroc(args: argparse.Namespace) -> int:
 def cmd_roc(args: argparse.Namespace) -> int:
     kind = ScoreKind(SCORE_KINDS[args.kind])
     with contextlib.ExitStack() as files:
-        inputs, _, domain, _, scored = _open_pair(files, args, kind)
+        inputs, (n_id, n_ood), domain, _, scored = _open_pair(files, args,
+                                                              kind)
         [(k, id_scores, ood_scores)] = scored
-    hist = _hist(id_scores, ood_scores, domain, args.bins)
-    curve = roc_curve(hist)
+    curve = roc_curve(hist_accumulate(id_scores, domain, args.bins),
+                      hist_accumulate(ood_scores, domain, args.bins), domain)
     threshold, j = optimal_threshold(curve)
     metadata = [("kind", kind.value), ("bins", args.bins),
                 ("tie_rule", TIE_RULE)]
     if k is not None:
         metadata.append(("k", k))
-    metadata += [("n_id", hist.n_id), ("n_ood", hist.n_ood),
+    metadata += [("n_id", n_id), ("n_ood", n_ood),
                  ("youden_threshold", threshold), ("youden_j", j)]
     metadata += _provenance(inputs)
     with atomic_outputs([args.out]) as (sink,):
@@ -417,16 +409,14 @@ def cmd_iou(args: argparse.Namespace) -> int:
         k = _k(args, stream)
         [(_, [predicted])] = _per_k([(args.pred, stream)], [k], args.workers,
                                     argmax_labels)
-    matrix = confusion_accumulate(confusion_new(stream.n_classes), predicted,
-                                  truth)
+    counts, ignored = confusion_accumulate(predicted, truth, stream.n_classes)
     with _named(args.labels):
-        metrics = seg_metrics(matrix)
+        metrics = seg_metrics(counts)
 
     entries = [("command", "iou")]
     entries += _provenance(inputs)
     entries += [("k", k), ("n_classes", stream.n_classes),
-                ("total_counted", matrix.total_counted),
-                ("ignored", matrix.ignored),
+                ("total_counted", int(counts.sum())), ("ignored", ignored),
                 ("mean_iou", metrics.mean_iou)]
     for c in range(stream.n_classes):
         entries.append((f"per_class_iou_{c + 1}", float(metrics.per_class_iou[c])))

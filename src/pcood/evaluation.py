@@ -3,10 +3,10 @@
 AUROC is the probability that a randomly chosen OOD point scores above
 a randomly chosen ID point, with ties credited 0.5 (the Mann-Whitney
 rank form). It is computed either exactly, by binary search of each
-OOD score among the sorted ID scores, or in a streaming fashion from
-mergeable per-population count histograms; the histogram route keeps
-memory flat no matter how many points are accumulated and is
-bit-deterministic under any partitioning of the input.
+OOD score among the sorted ID scores, or from per-population int64 bin
+counts; the counts of the parts of any partition of the input add up to
+the counts of the whole, so the binned route is bit-deterministic
+however the input is split.
 
 Both histogram AUROC and the ROC curve's area are evaluated in exact
 integer arithmetic (one float division at the very end), which makes
@@ -33,8 +33,6 @@ TIE_RULE = "ties-credited-0.5"
 
 # OOD scores per block of exact_auroc's binary searches.
 _SEARCH_BLOCK = 1 << 16
-
-_POPULATIONS = ("id", "ood")
 
 _ROC_HEADER = "threshold,fpr,tpr"
 
@@ -68,116 +66,70 @@ def exact_auroc(id_scores, ood_scores) -> float:
     return double_u / (2 * ids.size * oods.size)
 
 
-@dataclass
-class BinnedScoreHistogram:
-    """Mergeable per-population score counts over a fixed binning.
+def _domain(domain, bins: int) -> tuple[float, float]:
+    """The (lo, hi) floats of a binning of `bins` bins over `domain`."""
+    if bins < 2:
+        raise ValidationError(f"bin_count must be >= 2, got {bins}")
+    lo, hi = (float(end) for end in domain)
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValidationError(f"domain [{lo!r}, {hi!r}] is not an interval")
+    # Binning divides by the width, so it must be a finite double too.
+    if not np.isfinite(hi - lo):
+        raise ValidationError(
+            f"domain [{lo!r}, {hi!r}] is wider than the largest double")
+    return lo, hi
 
-    A score s lands in bin floor((s - lo) / (hi - lo) * B), clamped to
-    [0, B - 1]. Merging adds counts elementwise, so any partitioning of
-    the input into chunks or workers yields identical state.
+
+def hist_accumulate(scores, domain,
+                    bins: int = DEFAULT_BIN_COUNT) -> np.ndarray:
+    """The (bins,) int64 counts of finite scores binned over domain (lo, hi).
+
+    A score s lands in bin floor((s - lo) / (hi - lo) * bins), clamped to
+    [0, bins - 1], so scores outside the domain land in the edge bins. A
+    score kind's domain is ``score_domain(kind, n_classes)``. The counts
+    of the parts of any partition of the scores add up to the counts of
+    the whole, so sharded counts merge by ``+``.
     """
-
-    bin_count: int
-    domain_lo: float
-    domain_hi: float
-    counts_id: np.ndarray
-    counts_ood: np.ndarray
-
-    def __post_init__(self):
-        if self.bin_count < 2:
-            raise ValidationError(f"bin_count must be >= 2, got {self.bin_count}")
-        if not (np.isfinite(self.domain_lo) and np.isfinite(self.domain_hi)
-                and self.domain_lo < self.domain_hi):
-            raise ValidationError(
-                f"domain [{self.domain_lo!r}, {self.domain_hi!r}] is not an interval"
-            )
-        # Binning divides by the width, so it must be a finite double too.
-        if not np.isfinite(float(self.domain_hi) - float(self.domain_lo)):
-            raise ValidationError(
-                f"domain [{self.domain_lo!r}, {self.domain_hi!r}] is wider than "
-                f"the largest double"
-            )
-        for name in ("counts_id", "counts_ood"):
-            counts = np.array(getattr(self, name), dtype=np.int64, copy=True)
-            if counts.shape != (self.bin_count,):
-                raise ValidationError(
-                    f"{name} must have shape ({self.bin_count},), got {counts.shape}"
-                )
-            if counts.size and counts.min() < 0:
-                raise ValidationError(f"{name} has negative counts")
-            setattr(self, name, counts)
-
-    @property
-    def n_id(self) -> int:
-        return int(self.counts_id.sum())
-
-    @property
-    def n_ood(self) -> int:
-        return int(self.counts_ood.sum())
-
-
-def hist_new_range(domain_lo: float, domain_hi: float,
-                   bin_count: int = DEFAULT_BIN_COUNT) -> BinnedScoreHistogram:
-    """Empty histogram over [domain_lo, domain_hi]; a score kind's range is
-    ``score_domain(kind, n_classes)``."""
-    return BinnedScoreHistogram(bin_count, float(domain_lo), float(domain_hi),
-                                np.zeros(bin_count, dtype=np.int64),
-                                np.zeros(bin_count, dtype=np.int64))
-
-
-def hist_accumulate(hist: BinnedScoreHistogram, scores,
-                    population: str) -> BinnedScoreHistogram:
-    """Bin scores into one population's counts; returns the same histogram.
-
-    Scores are an array of finite reals. Values outside the domain are
-    clamped into the edge bins.
-    """
-    if population not in _POPULATIONS:
-        raise ValidationError(f"population must be 'id' or 'ood', got {population!r}")
+    lo, hi = _domain(domain, bins)
     values = np.asarray(scores, dtype=np.float64).ravel()
     if values.size and not np.isfinite(values).all():
         raise ValidationError("scores must be finite")
-    idx = np.floor((values - hist.domain_lo) / (hist.domain_hi - hist.domain_lo)
-                   * hist.bin_count)
-    idx = np.clip(idx, 0, hist.bin_count - 1).astype(np.int64)
-    counts = np.bincount(idx, minlength=hist.bin_count)
-    if population == "id":
-        hist.counts_id += counts
-    else:
-        hist.counts_ood += counts
-    return hist
+    # A finite score far outside the domain overflows to +-inf, which the
+    # clip maps to its edge bin.
+    with np.errstate(over="ignore"):
+        idx = np.floor((values - lo) / (hi - lo) * bins)
+    idx = np.clip(idx, 0, bins - 1).astype(np.int64)
+    return np.bincount(idx, minlength=bins)
 
 
-def hist_merge(a: BinnedScoreHistogram,
-               b: BinnedScoreHistogram) -> BinnedScoreHistogram:
-    """Combine two histograms over the same binning into a new one.
+def _check_counts(counts_id, counts_ood) -> tuple[np.ndarray, np.ndarray]:
+    """Both populations' bin counts as int64 arrays, checked: one 1-D shape
+    of at least 2 bins, no negative count, and a point in each."""
+    counts_id = np.asarray(counts_id, dtype=np.int64)
+    counts_ood = np.asarray(counts_ood, dtype=np.int64)
+    if counts_id.ndim != 1 or counts_id.size < 2 or counts_ood.shape != counts_id.shape:
+        raise ValidationError(
+            f"counts must share one 1-D shape of at least 2 bins, got "
+            f"{counts_id.shape} and {counts_ood.shape}")
+    if counts_id.min() < 0 or counts_ood.min() < 0:
+        raise ValidationError("counts must be nonnegative")
+    if not counts_id.any() or not counts_ood.any():
+        raise ValidationError("both populations need at least one accumulated point")
+    return counts_id, counts_ood
 
-    Tensor scores are binned over their kind's domain, and the MSP and
-    entropy domains differ for every class count, so equal domains also
-    mean equal score kinds.
-    """
-    if a.bin_count != b.bin_count:
-        raise ValidationError(f"bin counts differ: {a.bin_count} vs {b.bin_count}")
-    if a.domain_lo != b.domain_lo or a.domain_hi != b.domain_hi:
-        raise ValidationError("histogram domains differ")
-    return BinnedScoreHistogram(a.bin_count, a.domain_lo, a.domain_hi,
-                                a.counts_id + b.counts_id,
-                                a.counts_ood + b.counts_ood)
 
-
-def hist_auroc(hist: BinnedScoreHistogram) -> float:
+def hist_auroc(counts_id, counts_ood) -> float:
     """Mann-Whitney over bins, crediting within-bin ties 0.5.
 
     The bin sums are accumulated as exact integers and divided once, so
     the result cannot drift however large the counts grow.
     """
-    n_id, n_ood = hist.n_id, hist.n_ood
-    if n_id == 0 or n_ood == 0:
-        raise ValidationError("both populations need at least one accumulated point")
+    counts_id, counts_ood = _check_counts(counts_id, counts_ood)
+    n_id, n_ood = int(counts_id.sum()), int(counts_ood.sum())
     # 2 * sum_b ood_b * (id_below(b) + 0.5 * id_b), kept in exact ints.
     below = 0
     double_u = 0
-    for id_b, ood_b in zip(hist.counts_id.tolist(), hist.counts_ood.tolist()):
+    for id_b, ood_b in zip(counts_id.tolist(), counts_ood.tolist()):
         if ood_b:
             double_u += ood_b * (2 * below + id_b)
         below += id_b
@@ -210,6 +162,10 @@ class RocCurve:
             )
         if m == 0:
             raise ValidationError("curve needs at least one threshold")
+        # A NaN fails no comparison below, so it is refused first.
+        if not (np.isfinite(thresholds).all() and np.isfinite(fpr).all()
+                and np.isfinite(tpr).all() and np.isfinite(self.auroc)):
+            raise ValidationError("curve values must be finite")
         if np.any(np.diff(thresholds) > 0):
             raise ValidationError("thresholds must be descending")
         for name, arr in (("fpr", fpr), ("tpr", tpr)):
@@ -227,18 +183,20 @@ class RocCurve:
         self.tpr = frozen(tpr)
 
 
-def roc_curve(hist: BinnedScoreHistogram) -> RocCurve:
-    """Build the ROC curve of a histogram; its area is the tie-credited AUROC."""
-    auroc = hist_auroc(hist)
-    n_id, n_ood = hist.n_id, hist.n_ood
-    b = hist.bin_count
-    width = (hist.domain_hi - hist.domain_lo) / b
-    thresholds = hist.domain_lo + width * np.arange(b - 1, -1, -1, dtype=np.float64)
-    tail_id = np.cumsum(hist.counts_id[::-1])
-    tail_ood = np.cumsum(hist.counts_ood[::-1])
-    fpr = np.concatenate(([0.0], tail_id / n_id))
-    tpr = np.concatenate(([0.0], tail_ood / n_ood))
-    return RocCurve(thresholds, fpr, tpr, auroc)
+def roc_curve(counts_id, counts_ood, domain) -> RocCurve:
+    """The ROC curve of bin counts over domain (lo, hi); its area is the
+    tie-credited AUROC."""
+    counts_id, counts_ood = _check_counts(counts_id, counts_ood)
+    b = counts_id.size
+    lo, hi = _domain(domain, b)
+    width = (hi - lo) / b
+    thresholds = lo + width * np.arange(b - 1, -1, -1, dtype=np.float64)
+    # Each tail ends at its population's size.
+    tail_id = np.cumsum(counts_id[::-1])
+    tail_ood = np.cumsum(counts_ood[::-1])
+    fpr = np.concatenate(([0.0], tail_id / tail_id[-1]))
+    tpr = np.concatenate(([0.0], tail_ood / tail_ood[-1]))
+    return RocCurve(thresholds, fpr, tpr, hist_auroc(counts_id, counts_ood))
 
 
 def optimal_threshold(curve: RocCurve) -> tuple[float, float]:
@@ -254,66 +212,34 @@ def optimal_threshold(curve: RocCurve) -> tuple[float, float]:
     return float(curve.thresholds[idx]), float(j[idx])
 
 
-@dataclass
-class ConfusionMatrix:
-    """Counts of (truth row, prediction column) pairs over classes 1..C.
+def confusion_accumulate(predicted, truth,
+                         n_classes: int) -> tuple[np.ndarray, int]:
+    """Tally (truth row, prediction column) label pairs over classes 1..C.
 
-    Truth label 0 marks unlabeled points; they are tallied in `ignored`
-    and contribute to no cell.
+    Truth labels range over 0..C, predictions over 1..C. Returns (counts,
+    ignored): the (C, C) int64 counts of the points with a truth label,
+    and how many points have truth 0 (unlabeled) and go to no cell. The
+    counts and ignored of the parts of any partition of the points add
+    up to those of the whole.
     """
-
-    n_classes: int
-    counts: np.ndarray
-    ignored: int = 0
-
-    def __post_init__(self):
-        if self.n_classes < 1:
-            raise ValidationError(f"n_classes must be >= 1, got {self.n_classes}")
-        counts = np.array(self.counts, dtype=np.int64, copy=True)
-        c = self.n_classes
-        if counts.shape != (c, c):
-            raise ValidationError(
-                f"counts must have shape ({c}, {c}), got {counts.shape}"
-            )
-        if counts.size and counts.min() < 0:
-            raise ValidationError("confusion counts must be nonnegative")
-        if self.ignored < 0:
-            raise ValidationError("ignored count must be nonnegative")
-        self.counts = counts
-
-    @property
-    def total_counted(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion_new(n_classes: int) -> ConfusionMatrix:
-    return ConfusionMatrix(n_classes, np.zeros((n_classes, n_classes),
-                                               dtype=np.int64))
-
-
-def confusion_accumulate(matrix: ConfusionMatrix, predicted,
-                         truth) -> ConfusionMatrix:
-    """Tally label pairs into the matrix; returns the same matrix.
-
-    Truth labels range over 0..C (0 = ignore), predictions over 1..C.
-    """
+    c = n_classes
+    if c < 1:
+        raise ValidationError(f"n_classes must be >= 1, got {c}")
     pred = np.asarray(predicted, dtype=np.int64).ravel()
     true = np.asarray(truth, dtype=np.int64).ravel()
     if pred.shape != true.shape:
         raise ValidationError(
             f"{pred.shape[0]} predictions vs {true.shape[0]} truth labels"
         )
-    c = matrix.n_classes
     for name, labels, lo in (("truth", true, 0), ("predicted", pred, 1)):
         # min/max first: the index is looked for only when a label is out.
         if labels.size and (labels.min() < lo or labels.max() > c):
             i = int(np.flatnonzero((labels < lo) | (labels > c))[0])
             raise ValidationError(f"{name} label {labels[i]} at index {i} outside {lo}..{c}")
     labeled = true > 0
-    matrix.ignored += int(true.size - labeled.sum())
     flat = (true[labeled] - 1) * c + (pred[labeled] - 1)
-    matrix.counts += np.bincount(flat, minlength=c * c).reshape(c, c)
-    return matrix
+    counts = np.bincount(flat, minlength=c * c).reshape(c, c)
+    return counts, int(true.size - labeled.sum())
 
 
 @dataclass
@@ -329,8 +255,9 @@ class SegMetrics:
                                              dtype=np.float64, copy=True))
 
 
-def seg_metrics(matrix: ConfusionMatrix) -> SegMetrics:
-    """IoU per class, meanIoU over defined classes, and overall accuracy.
+def seg_metrics(counts) -> SegMetrics:
+    """IoU per class, meanIoU over defined classes, and overall accuracy
+    of a (C, C) confusion count, truth in rows.
 
     IoU_c = tp / (tp + fp + fn) is undefined (NaN) when a class appears
     in neither truth nor prediction; such classes are excluded from the
@@ -338,14 +265,19 @@ def seg_metrics(matrix: ConfusionMatrix) -> SegMetrics:
     rational arithmetic and rounded once, so meanIoU of a small fixture
     is bit-equal to its closed form.
     """
-    total = matrix.total_counted
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+        raise ValidationError(f"counts must be a square matrix, got shape {counts.shape}")
+    if counts.size and counts.min() < 0:
+        raise ValidationError("confusion counts must be nonnegative")
+    total = int(counts.sum())
     if total == 0:
         raise ValidationError("no labeled points accumulated; metrics undefined")
-    tp = np.diag(matrix.counts)
-    truth_sizes = matrix.counts.sum(axis=1)
-    pred_sizes = matrix.counts.sum(axis=0)
+    tp = np.diag(counts)
+    truth_sizes = counts.sum(axis=1)
+    pred_sizes = counts.sum(axis=0)
     union = truth_sizes + pred_sizes - tp
-    iou = np.full(matrix.n_classes, np.nan)
+    iou = np.full(counts.shape[0], np.nan)
     defined = union > 0
     iou[defined] = tp[defined] / union[defined]
     mean = Fraction(0)

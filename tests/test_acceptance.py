@@ -6,7 +6,8 @@ with the measured values (visible with ``pytest -s`` or ``-rA``):
 
  1. exact AUROC equals the brute-force pairwise statistic,
  2. the Gaussian pipeline reproduces the closed-form AUROC,
- 3. streaming histogram AUROC tracks exact AUROC and merges losslessly,
+ 3. streaming histogram AUROC tracks exact AUROC, and sharded bin counts
+    add up to the single pass,
  4. ROC area, histogram AUROC, and the Youden threshold agree,
  5. the score functions hit their closed-form reference values,
  6. aggregation is prefix-consistent and row-stochastic,
@@ -28,10 +29,9 @@ import pytest
 from pcodref import (analytic_auroc, pcod_bytes, read_report, sample_pair,
                      stream_means, synth_pair)
 from pcood import (GaussianPairSpec, ScoreKind, confusion_accumulate,
-                   confusion_new, exact_auroc, hist_accumulate, hist_auroc,
-                   hist_merge, hist_new_range, optimal_threshold, roc_curve,
-                   score_distribution, score_domain, seg_metrics,
-                   write_metrics_report)
+                   exact_auroc, hist_accumulate, hist_auroc,
+                   optimal_threshold, roc_curve, score_distribution,
+                   score_domain, seg_metrics, write_metrics_report)
 from pcood.cli import main as cli_main
 
 GAUSS_N = 10 ** 6
@@ -92,88 +92,73 @@ def test_gaussian_pipeline_auroc_matches_analytic_value():
           f"(target 0.76025), null {null:.6f} (target 0.5), {elapsed:.1f} s")
 
 
-def test_streaming_histogram_matches_exact_and_merges_bit_identically():
-    """4096-bin AUROC within 5e-3 of exact; 16-shard merge is lossless."""
+def test_streaming_histogram_matches_exact_and_shards_add_up_bit_identically():
+    """4096-bin AUROC within 5e-3 of exact; 16 shards' counts sum losslessly."""
     ids, oods = sample_pair(_gauss_spec(1.0))
     exact = exact_auroc(ids, oods)
-    lo = float(min(ids.min(), oods.min()))
-    hi = float(max(ids.max(), oods.max()))
+    domain = (float(min(ids.min(), oods.min())), float(max(ids.max(), oods.max())))
 
-    single = hist_new_range(lo, hi, 4096)
-    hist_accumulate(single, ids, "id")
-    hist_accumulate(single, oods, "ood")
-    streamed = hist_auroc(single)
+    single = [hist_accumulate(scores, domain, 4096) for scores in (ids, oods)]
+    streamed = hist_auroc(*single)
     assert abs(streamed - exact) <= 5e-3
 
-    merged = hist_new_range(lo, hi, 4096)
-    for id_part, ood_part in zip(np.array_split(ids, 16),
-                                 np.array_split(oods, 16)):
-        shard = hist_new_range(lo, hi, 4096)
-        hist_accumulate(shard, id_part, "id")
-        hist_accumulate(shard, ood_part, "ood")
-        merged = hist_merge(merged, shard)
-    np.testing.assert_array_equal(merged.counts_id, single.counts_id)
-    np.testing.assert_array_equal(merged.counts_ood, single.counts_ood)
-    assert hist_auroc(merged) == streamed
+    summed = [sum(hist_accumulate(part, domain, 4096)
+                  for part in np.array_split(scores, 16))
+              for scores in (ids, oods)]
+    for a, b in zip(summed, single):
+        np.testing.assert_array_equal(a, b)
+    assert hist_auroc(*summed) == streamed
     print(f"\n[PASS] streaming fidelity: hist {streamed:.6f} vs exact "
           f"{exact:.6f} (|diff| {abs(streamed - exact):.2e} <= 5e-3), "
-          f"16-shard merge bit-identical")
+          f"16-shard count sum bit-identical")
 
 
 def _fixture_histograms():
-    """A spread of histogram shapes: smooth, degenerate, tied, and huge."""
+    """A spread of histogram shapes: smooth, degenerate, tied, and huge, as
+    (name, counts_id, counts_ood, domain)."""
     rng = np.random.default_rng(71)
     ids = rng.normal(size=100_000)
     oods = rng.normal(1.0, 1.0, size=100_000)
     fixtures = []
     for bins in (2, 20, 256, 4096):
-        h = hist_new_range(-6.0, 7.0, bins)
-        hist_accumulate(h, ids, "id")
-        hist_accumulate(h, oods, "ood")
-        fixtures.append((f"gaussian B={bins}", h))
+        fixtures.append((f"gaussian B={bins}", hist_accumulate(ids, (-6.0, 7.0), bins),
+                         hist_accumulate(oods, (-6.0, 7.0), bins), (-6.0, 7.0)))
 
-    h = hist_new_range(0.0, 1.0, 16)
-    h.counts_id[1] = 9
-    h.counts_ood[14] = 4
-    fixtures.append(("separated", h))
+    counts_id, counts_ood = np.zeros((2, 16), dtype=np.int64)
+    counts_id[1] = 9
+    counts_ood[14] = 4
+    fixtures.append(("separated", counts_id, counts_ood, (0.0, 1.0)))
 
-    h = hist_new_range(0.0, 1.0, 8)
     shared = rng.integers(1, 9, size=8)
-    h.counts_id += shared
-    h.counts_ood += shared
-    fixtures.append(("identical populations", h))
+    fixtures.append(("identical populations", shared, shared, (0.0, 1.0)))
 
-    h = hist_new_range(0.0, 1.0, 4)
-    h.counts_id[2] = 11
-    h.counts_ood[2] = 7
-    fixtures.append(("single shared bin", h))
+    counts_id, counts_ood = np.zeros((2, 4), dtype=np.int64)
+    counts_id[2] = 11
+    counts_ood[2] = 7
+    fixtures.append(("single shared bin", counts_id, counts_ood, (0.0, 1.0)))
 
-    h = hist_new_range(0.0, 1.0, 4)
-    h.counts_id += np.array([2 ** 31, 2 ** 30, 5, 0], dtype=np.int64)
-    h.counts_ood += np.array([7, 2 ** 30, 2 ** 31, 3], dtype=np.int64)
-    fixtures.append(("huge counts", h))
+    fixtures.append(("huge counts", [2 ** 31, 2 ** 30, 5, 0],
+                     [7, 2 ** 30, 2 ** 31, 3], (0.0, 1.0)))
 
-    h = hist_new_range(0.0, 1.0, 20)
-    hist_accumulate(h, np.array([0.1, 0.4, 0.35]), "id")
-    hist_accumulate(h, np.array([0.8, 0.4]), "ood")
-    fixtures.append(("3-vs-2 with one tie", h))
+    fixtures.append(("3-vs-2 with one tie",
+                     hist_accumulate([0.1, 0.4, 0.35], (0.0, 1.0), 20),
+                     hist_accumulate([0.8, 0.4], (0.0, 1.0), 20), (0.0, 1.0)))
 
     id_blob, ood_blob = synth_pair(3000, 8, 2, 2.0, 72)
-    h = hist_new_range(*score_domain(ScoreKind.ENTROPY, 8), 512)
-    hist_accumulate(h, score_distribution(stream_means(id_blob, [2])[2],
-                                          ScoreKind.ENTROPY), "id")
-    hist_accumulate(h, score_distribution(stream_means(ood_blob, [2])[2],
-                                          ScoreKind.ENTROPY), "ood")
-    fixtures.append(("entropy-kind tensor scores", h))
+    domain = score_domain(ScoreKind.ENTROPY, 8)
+    fixtures.append(("entropy-kind tensor scores", *(
+        hist_accumulate(score_distribution(stream_means(blob, [2])[2],
+                                           ScoreKind.ENTROPY), domain, 512)
+        for blob in (id_blob, ood_blob)), domain))
     return fixtures
 
 
 def test_roc_area_equals_hist_auroc_and_youden_equals_grid_search():
     """Trapezoid area within 1e-12 of hist AUROC; Youden == grid search."""
     worst_area = 0.0
-    for name, hist in _fixture_histograms():
-        curve = roc_curve(hist)
-        target = hist_auroc(hist)
+    for name, counts_id, counts_ood, domain in _fixture_histograms():
+        curve = roc_curve(counts_id, counts_ood, domain)
+        target = hist_auroc(counts_id, counts_ood)
         assert curve.auroc == target, name
         area = float(np.trapezoid(curve.tpr, curve.fpr))
         dev = abs(area - target)
@@ -249,8 +234,8 @@ def test_aggregation_prefix_consistency_and_row_sums():
 
 def test_segmentation_fixture_and_random_label_oracle():
     """4-point fixture exact; 100 random trials of length 10^4 vs oracle."""
-    matrix = confusion_accumulate(confusion_new(2), [1, 2, 2, 2], [1, 1, 2, 2])
-    metrics = seg_metrics(matrix)
+    counts, _ = confusion_accumulate([1, 2, 2, 2], [1, 1, 2, 2], 2)
+    metrics = seg_metrics(counts)
     assert metrics.mean_iou == 7 / 12
     assert metrics.accuracy == 3 / 4
 
@@ -258,7 +243,7 @@ def test_segmentation_fixture_and_random_label_oracle():
     for _ in range(100):
         truth = rng.integers(0, 9, size=10_000)
         pred = rng.integers(1, 9, size=10_000)
-        got = seg_metrics(confusion_accumulate(confusion_new(8), pred, truth))
+        got = seg_metrics(confusion_accumulate(pred, truth, 8)[0])
         iou = np.full(8, np.nan)
         mean = Fraction(0)
         defined = 0
@@ -350,23 +335,25 @@ def test_cli_outputs_are_byte_identical_across_worker_counts(tmp_path):
 
 _STREAM_SCRIPT = r"""
 import resource, time
+import numpy as np
 from pcood import (GaussianPairSpec, hist_accumulate, hist_auroc,
-                   hist_new_range, sample_scores_chunk)
+                   sample_scores_chunk)
 
 n = 50_000_000
 chunk = 4_000_000
 spec = GaussianPairSpec(mu_id=0.0, sigma_id=1.0, mu_ood=1.0, sigma_ood=1.0,
                         n_id=n, n_ood=n, seed=424242)
 t0 = time.perf_counter()
-hist = hist_new_range(-8.0, 9.0, 4096)
+counts = {"id": np.zeros(4096, dtype=np.int64),
+          "ood": np.zeros(4096, dtype=np.int64)}
 for population in ("id", "ood"):
     start = 0
     while start < n:
         stop = min(start + chunk, n)
-        hist_accumulate(hist, sample_scores_chunk(spec, population, start, stop),
-                        population)
+        counts[population] += hist_accumulate(
+            sample_scores_chunk(spec, population, start, stop), (-8.0, 9.0), 4096)
         start = stop
-value = hist_auroc(hist)
+value = hist_auroc(counts["id"], counts["ood"])
 elapsed = time.perf_counter() - t0
 rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(value, elapsed, rss_mib)

@@ -1,13 +1,18 @@
 """pcood exports no name that nothing but its own tests uses, its
-streams are binary at every boundary, and every parameter it takes is
-read."""
+streams are binary at every boundary, every parameter it takes is read,
+and the README's Library examples run."""
 
 import ast
+import re
 from pathlib import Path
 
+import numpy as np
+
 import pcood
+from pcodref import synth_pair
 
 _PACKAGE = Path(pcood.__file__).resolve().parent
+_README = _PACKAGE.parents[1] / "README.md"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -129,3 +134,23 @@ def test_the_parameter_check_sees_unread_parameters(tmp_path):
                       "    return inner\n")
     assert _unread_parameters(module) == [
         (1, "f", "args"), (1, "f", "b"), (1, "f", "kw"), (3, "<lambda>", "x")]
+
+
+def _library_examples() -> list:
+    """The ```python blocks of the README's "Library" section."""
+    text = _README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch, capsys):
+    examples = _library_examples()
+    assert len(examples) >= 3
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "id.pcod").write_bytes(synth_pair(50, 4, 20, 1.0, 7)[0])
+    for example in examples:
+        namespace = {"probs": np.full((6, 4), 0.25)}
+        exec("import io\nimport numpy as np\nfrom pcood import *", namespace)
+        exec(compile(example, str(_README), "exec"), namespace)
+    out = capsys.readouterr().out
+    assert "True " in out and "1.0 1\n" in out

@@ -34,7 +34,7 @@ from pcodref import (HEADER, members, pcod_bytes, read_report, reference_mean,
                      synth_pair)
 from pcood import (ScoreKind, TensorKind, TensorStream, ValidationError,
                    apply_threshold, argmax_labels, exact_auroc, hist_accumulate,
-                   hist_auroc, hist_new_range, read_roc_csv,
+                   hist_auroc, read_roc_csv,
                    read_scores_csv, score_distribution, score_domain,
                    write_member)
 from pcood import _args, cli, synth
@@ -1460,10 +1460,10 @@ class TestUnequalPointCounts:
         kind = ScoreKind.ENTROPY
         ids, oods = (score_distribution(reference_mean(blob, 2), kind)
                      for blob in (id_blob, ood_blob))
-        hist = hist_new_range(*score_domain(kind, 4), 256)
-        hist_accumulate(hist, ids, "id")
-        hist_accumulate(hist, oods, "ood")
-        want = {"exact": exact_auroc(ids, oods), "hist": hist_auroc(hist)}
+        domain = score_domain(kind, 4)
+        want = {"exact": exact_auroc(ids, oods),
+                "hist": hist_auroc(hist_accumulate(ids, domain, 256),
+                                   hist_accumulate(oods, domain, 256))}
         pair = ["--id", id_path, "--ood", ood_path, "--kind", "entropy",
                 "--bins", 256, "--workers", workers]
         for mode in ("exact", "hist"):
@@ -1764,6 +1764,32 @@ class TestMapCommand:
                    "--out", tmp_path / "map.txt") == 1
         assert capsys.readouterr().err == \
             f"error: {roc}: threshold must be finite, got nan\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [lines[0], "0.5,nan,0.75\n", *lines[2:]],
+        lambda lines: [lines[0], "nan" + lines[1][lines[1].index(","):], *lines[2:]],
+        lambda lines: [lines[0], "inf" + lines[1][lines[1].index(","):], *lines[2:]],
+        lambda lines: ["# auroc=nan\n" if line.startswith("# auroc=") else line
+                       for line in lines],
+    ], ids=["nan-fpr", "nan-threshold", "inf-threshold", "nan-auroc"])
+    def test_non_finite_roc_curve_is_rejected(self, tmp_path, tensor_pair,
+                                              capsys, edit):
+        # Such a file was read, and its map written, before the curve's
+        # values were checked to be finite.
+        id_path, ood_path, _, _ = tensor_pair
+        roc = tmp_path / "roc.csv"
+        assert run("roc", "--id", id_path, "--ood", ood_path, "--out", roc) == 0
+        roc.write_text("".join(edit(roc.read_text().splitlines(keepends=True))))
+        points = tmp_path / "points.txt"
+        _write_points_file(points, 80)
+        out = tmp_path / "map.txt"
+        capsys.readouterr()
+        assert run("map", "--points", points, "--pred", id_path, "--roc", roc,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == \
+            f"error: {roc}: curve values must be finite\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "id.pcod", "ood.pcod", "points.txt", "roc.csv"]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, tensor_pair):
         id_path, _, _, _ = tensor_pair

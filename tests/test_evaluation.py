@@ -5,7 +5,6 @@ computed here: brute-force pairwise AUROC, exact-rational histogram
 AUROC, exhaustive threshold grid search, and per-class set counting.
 """
 
-import functools
 import io
 import math
 import tracemalloc
@@ -20,12 +19,11 @@ from hypothesis import strategies as st
 
 from pcodref import read_report
 from pcood import evaluation
-from pcood import (BinnedScoreHistogram, ConfusionMatrix, RocCurve, ScoreKind,
-                   ValidationError, apply_threshold, argmax_labels,
-                   confusion_accumulate, confusion_new, exact_auroc,
-                   hist_accumulate, hist_auroc, hist_merge, hist_new_range,
-                   optimal_threshold, read_roc_csv, roc_curve, score_domain,
+from pcood import (RocCurve, ValidationError, apply_threshold, argmax_labels,
+                   confusion_accumulate, exact_auroc, hist_accumulate,
+                   hist_auroc, optimal_threshold, read_roc_csv, roc_curve,
                    seg_metrics, write_metrics_report, write_roc_csv)
+from pcood._args import DEFAULT_BIN_COUNT
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +83,17 @@ def seg_oracle(pred, truth, c):
     return iou, float(mean / defined), tp_total / total
 
 
-def _gauss_hist(rng, n=3000, bins=256):
-    hist = hist_new_range(-6.0, 7.0, bins)
-    hist_accumulate(hist, rng.normal(0.0, 1.0, size=n), "id")
-    hist_accumulate(hist, rng.normal(1.0, 1.0, size=n), "ood")
-    return hist
+GAUSS_DOMAIN = (-6.0, 7.0)
+
+
+def _gauss_counts(rng, n=3000, bins=256):
+    """(counts_id, counts_ood) of N(0, 1) and N(1, 1) over GAUSS_DOMAIN."""
+    return (hist_accumulate(rng.normal(0.0, 1.0, size=n), GAUSS_DOMAIN, bins),
+            hist_accumulate(rng.normal(1.0, 1.0, size=n), GAUSS_DOMAIN, bins))
+
+
+def _counts(*values):
+    return np.array(values, dtype=np.int64)
 
 
 class TestExactAuroc:
@@ -189,126 +193,114 @@ class TestExactAuroc:
 
 class TestHistogram:
     def test_two_bin_example(self):
-        hist = hist_new_range(0.0, 1.0, 2)
-        hist_accumulate(hist, np.array([0.1, 0.9]), "id")
-        assert hist.counts_id.tolist() == [1, 1]
-        assert hist.counts_ood.tolist() == [0, 0]
+        counts = hist_accumulate(np.array([0.1, 0.9]), (0.0, 1.0), 2)
+        assert counts.dtype == np.int64 and counts.tolist() == [1, 1]
+
+    def test_no_scores_give_zero_counts(self):
+        counts = hist_accumulate(np.array([]), (0.0, 1.0), 5)
+        assert counts.dtype == np.int64 and counts.tolist() == [0] * 5
+
+    def test_default_bin_count(self):
+        assert hist_accumulate([0.5], (0.0, 1.0)).shape == (DEFAULT_BIN_COUNT,)
 
     def test_bin_assignment_formula(self):
         rng = np.random.default_rng(34)
         lo, hi, bins = -2.5, 3.75, 37
         values = rng.uniform(-4.0, 5.0, size=500)
-        hist = hist_new_range(lo, hi, bins)
-        hist_accumulate(hist, values, "ood")
+        counts = hist_accumulate(values, (lo, hi), bins)
         expected = np.zeros(bins, dtype=np.int64)
         for v in values:
             b = math.floor((v - lo) / (hi - lo) * bins)
             expected[min(max(b, 0), bins - 1)] += 1
-        np.testing.assert_array_equal(hist.counts_ood, expected)
+        np.testing.assert_array_equal(counts, expected)
 
-    def test_merge_identity(self):
-        hist = _gauss_hist(np.random.default_rng(35))
-        empty = hist_new_range(hist.domain_lo, hist.domain_hi, hist.bin_count)
-        merged = hist_merge(hist, empty)
-        np.testing.assert_array_equal(merged.counts_id, hist.counts_id)
-        np.testing.assert_array_equal(merged.counts_ood, hist.counts_ood)
-
-    def test_chunked_accumulation_matches_single_pass(self):
+    def test_chunked_counts_add_up_to_the_single_pass(self):
         rng = np.random.default_rng(36)
         values = rng.normal(size=1000)
-        single = hist_new_range(-5.0, 5.0, 64)
-        hist_accumulate(single, values, "id")
-        parts = []
-        for chunk in np.array_split(values, 7):
-            h = hist_new_range(-5.0, 5.0, 64)
-            parts.append(hist_accumulate(h, chunk, "id"))
-        merged = parts[0]
-        for part in parts[1:]:
-            merged = hist_merge(merged, part)
-        np.testing.assert_array_equal(merged.counts_id, single.counts_id)
-
-    def test_merge_commutative_associative(self):
-        rng = np.random.default_rng(37)
-        hists = [_gauss_hist(rng, n=200) for _ in range(3)]
-        a, b, c = hists
-        ab_c = hist_merge(hist_merge(a, b), c)
-        a_bc = hist_merge(a, hist_merge(b, c))
-        c_ba = hist_merge(c, hist_merge(b, a))
-        for other in (a_bc, c_ba):
-            np.testing.assert_array_equal(ab_c.counts_id, other.counts_id)
-            np.testing.assert_array_equal(ab_c.counts_ood, other.counts_ood)
+        single = hist_accumulate(values, (-5.0, 5.0), 64)
+        parts = [hist_accumulate(chunk, (-5.0, 5.0), 64)
+                 for chunk in np.array_split(values, 7)]
+        np.testing.assert_array_equal(sum(parts), single)
 
     def test_out_of_domain_values_clamp_to_edge_bins(self):
-        hist = hist_new_range(0.0, 1.0, 4)
-        hist_accumulate(hist, np.array([-3.0, 0.0, 0.999, 1.0, 42.0]), "id")
-        assert hist.counts_id.tolist() == [2, 0, 0, 3]
+        counts = hist_accumulate(np.array([-3.0, 0.0, 0.999, 1.0, 42.0]),
+                                 (0.0, 1.0), 4)
+        assert counts.tolist() == [2, 0, 0, 3]
 
-    def test_merge_compatibility_checks(self):
-        a = hist_new_range(0.0, 1.0, 8)
-        with pytest.raises(ValidationError):
-            hist_merge(a, hist_new_range(0.0, 1.0, 16))
-        with pytest.raises(ValidationError):
-            hist_merge(a, hist_new_range(0.0, 2.0, 8))
-        with pytest.raises(ValidationError):
-            hist_merge(a, hist_new_range(*score_domain(ScoreKind.ENTROPY, 8),
-                                         8))
-        # Histograms carry no score kind: the MSP and entropy domains
-        # differ for every class count, so the domain check refuses them.
-        for c in range(2, 65):
-            with pytest.raises(ValidationError):
-                hist_merge(
-                    hist_new_range(*score_domain(ScoreKind.MSP_COMPLEMENT, c), 8),
-                    hist_new_range(*score_domain(ScoreKind.ENTROPY, c), 8))
+    def test_scores_far_outside_the_domain_clamp_without_a_warning(self):
+        # (s - lo) / width * bins overflows to +-inf here; pytest turns any
+        # warning into an error, and the clip maps +-inf to the edge bins.
+        counts = hist_accumulate(np.array([1e308, -1e308]), (0.0, 1.0), 16)
+        assert counts[-1] == 1 and counts[0] == 1 and counts.sum() == 2
+        counts = hist_accumulate(np.array([1.7976931348623157e308]),
+                                 (-1.0, 1.0), 4)
+        assert counts.tolist() == [0, 0, 0, 1]
 
-    def test_bad_population_and_values(self):
-        hist = hist_new_range(0.0, 1.0, 8)
-        with pytest.raises(ValidationError):
-            hist_accumulate(hist, np.array([0.5]), "both")
-        with pytest.raises(ValidationError):
-            hist_accumulate(hist, np.array([np.nan]), "id")
+    def test_non_finite_scores(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="^scores must be finite$"):
+                hist_accumulate(np.array([0.5, bad]), (0.0, 1.0), 8)
 
-    def test_histogram_validation(self):
-        with pytest.raises(ValidationError):
-            hist_new_range(0.0, 1.0, 1)
-        with pytest.raises(ValidationError):
-            hist_new_range(1.0, 1.0, 8)
-        with pytest.raises(ValidationError):
-            BinnedScoreHistogram(4, 0.0, 1.0, -np.ones(4, dtype=np.int64),
-                                 np.zeros(4, dtype=np.int64))
-        with pytest.raises(ValidationError,
-                           match=r"counts_ood must have shape \(4,\), got \(3,\)"):
-            BinnedScoreHistogram(4, 0.0, 1.0, np.zeros(4, dtype=np.int64),
-                                 np.zeros(3, dtype=np.int64))
+    def test_bin_count_must_be_at_least_two(self):
+        for bins in (1, 0, -3):
+            with pytest.raises(ValidationError,
+                               match=f"^bin_count must be >= 2, got {bins}$"):
+                hist_accumulate(np.array([0.5]), (0.0, 1.0), bins)
+
+    @pytest.mark.parametrize("domain", [(1.0, 1.0), (2.0, 1.0), (0.0, np.inf),
+                                        (np.nan, 1.0)])
+    def test_domain_must_be_an_interval(self, domain):
+        message = rf"^domain \[{domain[0]!r}, {domain[1]!r}\] is not an interval$"
+        with pytest.raises(ValidationError, match=message):
+            hist_accumulate(np.array([0.5]), domain, 8)
+        # roc_curve places its thresholds over the same checked domain.
+        with pytest.raises(ValidationError, match=message):
+            roc_curve(_counts(1, 0), _counts(0, 1), domain)
 
     def test_domain_must_have_a_finite_width(self):
         # Both ends are doubles, but hi - lo overflows; binning would divide
         # by inf. Ends given as numpy scalars raise no overflow warning.
-        zeros = np.zeros(4, dtype=np.int64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for lo, hi in [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)),
                            (-np.finfo(float).max, np.finfo(float).max)]:
                 with pytest.raises(ValidationError, match="wider than the largest double"):
-                    BinnedScoreHistogram(4, lo, hi, zeros, zeros)
+                    hist_accumulate(np.array([0.0]), (lo, hi), 4)
+                with pytest.raises(ValidationError, match="wider than the largest double"):
+                    roc_curve(_counts(1, 0, 0, 0), _counts(0, 0, 0, 1), (lo, hi))
         # A width just below the largest double is accepted.
-        hist = hist_new_range(-8.5e307, 8.5e307, 4)
-        hist_accumulate(hist, np.array([-8.5e307, 0.0, 8.5e307]), "id")
-        assert hist.counts_id.tolist() == [1, 0, 1, 1]
+        counts = hist_accumulate(np.array([-8.5e307, 0.0, 8.5e307]),
+                                 (-8.5e307, 8.5e307), 4)
+        assert counts.tolist() == [1, 0, 1, 1]
+
+
+# Bin counts hist_auroc and roc_curve refuse, with the message of each.
+_BAD_COUNTS = [
+    (_counts(1), _counts(1), r"^counts must share one 1-D shape of at least 2 "
+                             r"bins, got \(1,\) and \(1,\)$"),
+    (_counts(1, 1, 1), _counts(1, 1),
+     r"^counts must share one 1-D shape of at least 2 bins, got \(3,\) and \(2,\)$"),
+    (np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64),
+     r"^counts must share one 1-D shape of at least 2 bins, got \(2, 2\) and \(2, 2\)$"),
+    (_counts(2, -1), _counts(1, 1), "^counts must be nonnegative$"),
+    (_counts(1, 1), _counts(-1, 3), "^counts must be nonnegative$"),
+    (_counts(1, 0), _counts(0, 0),
+     "^both populations need at least one accumulated point$"),
+    (_counts(0, 0), _counts(0, 1),
+     "^both populations need at least one accumulated point$"),
+]
 
 
 class TestHistAuroc:
     def test_perfect_separation(self):
-        hist = hist_new_range(0.0, 1.0, 8)
-        hist.counts_id[0] = 10
-        hist.counts_ood[7] = 3
-        assert hist_auroc(hist) == 1.0
+        counts_id, counts_ood = np.zeros((2, 8), dtype=np.int64)
+        counts_id[0] = 10
+        counts_ood[7] = 3
+        assert hist_auroc(counts_id, counts_ood) == 1.0
 
     def test_identical_count_vectors(self):
-        hist = hist_new_range(0.0, 1.0, 8)
-        counts = np.array([3, 0, 5, 1, 0, 2, 4, 1], dtype=np.int64)
-        hist.counts_id += counts
-        hist.counts_ood += counts
-        assert hist_auroc(hist) == 0.5
+        counts = _counts(3, 0, 5, 1, 0, 2, 4, 1)
+        assert hist_auroc(counts, counts) == 0.5
 
     def test_matches_exact_on_quantized_scores(self):
         rng = np.random.default_rng(38)
@@ -317,96 +309,80 @@ class TestHistAuroc:
         for _ in range(20):
             ids = centers[rng.integers(0, bins, size=300)]
             oods = centers[rng.integers(10, bins, size=200)]
-            hist = hist_new_range(0.0, 1.0, bins)
-            hist_accumulate(hist, ids, "id")
-            hist_accumulate(hist, oods, "ood")
-            assert abs(hist_auroc(hist) - exact_auroc(ids, oods)) <= 1e-12
+            got = hist_auroc(hist_accumulate(ids, (0.0, 1.0), bins),
+                             hist_accumulate(oods, (0.0, 1.0), bins))
+            assert abs(got - exact_auroc(ids, oods)) <= 1e-12
 
     def test_matches_rational_oracle_with_huge_counts(self):
         # Counts this large would overflow a naive int64 accumulation.
-        hist = hist_new_range(0.0, 1.0, 4)
-        hist.counts_id += np.array([2 ** 31, 2 ** 30, 5, 0], dtype=np.int64)
-        hist.counts_ood += np.array([7, 2 ** 30, 2 ** 31, 3], dtype=np.int64)
-        expected = frac_hist_auroc(hist.counts_id.tolist(),
-                                   hist.counts_ood.tolist())
-        assert hist_auroc(hist) == expected
+        counts_id = [2 ** 31, 2 ** 30, 5, 0]
+        counts_ood = [7, 2 ** 30, 2 ** 31, 3]
+        expected = frac_hist_auroc(counts_id, counts_ood)
+        assert hist_auroc(counts_id, counts_ood) == expected
 
-    def test_empty_population(self):
-        hist = hist_new_range(0.0, 1.0, 4)
-        hist_accumulate(hist, np.array([0.5]), "id")
-        with pytest.raises(ValidationError):
-            hist_auroc(hist)
+    @pytest.mark.parametrize("counts_id, counts_ood, message", _BAD_COUNTS)
+    def test_count_checks(self, counts_id, counts_ood, message):
+        with pytest.raises(ValidationError, match=message):
+            hist_auroc(counts_id, counts_ood)
+        with pytest.raises(ValidationError, match=message):
+            roc_curve(counts_id, counts_ood, (0.0, 1.0))
 
-    def test_pooling_concat_equals_per_cloud_merge(self):
+    def test_pooled_counts_equal_the_sum_of_per_cloud_counts(self):
         rng = np.random.default_rng(39)
         id_clouds = [rng.normal(size=rng.integers(10, 50)) for _ in range(3)]
         ood_clouds = [rng.normal(0.7, 1.0, size=rng.integers(10, 50))
                       for _ in range(2)]
-        pooled = hist_new_range(-5.0, 5.0, 128)
-        hist_accumulate(pooled, np.concatenate(id_clouds), "id")
-        hist_accumulate(pooled, np.concatenate(ood_clouds), "ood")
-        merged = hist_new_range(-5.0, 5.0, 128)
-        for cloud in id_clouds:
-            part = hist_new_range(-5.0, 5.0, 128)
-            merged = hist_merge(merged, hist_accumulate(part, cloud, "id"))
-        for cloud in ood_clouds:
-            part = hist_new_range(-5.0, 5.0, 128)
-            merged = hist_merge(merged, hist_accumulate(part, cloud, "ood"))
-        np.testing.assert_array_equal(pooled.counts_id, merged.counts_id)
-        np.testing.assert_array_equal(pooled.counts_ood, merged.counts_ood)
-        assert hist_auroc(pooled) == hist_auroc(merged)
+        pooled = [hist_accumulate(np.concatenate(clouds), (-5.0, 5.0), 128)
+                  for clouds in (id_clouds, ood_clouds)]
+        summed = [sum(hist_accumulate(cloud, (-5.0, 5.0), 128) for cloud in clouds)
+                  for clouds in (id_clouds, ood_clouds)]
+        for a, b in zip(pooled, summed):
+            np.testing.assert_array_equal(a, b)
+        assert hist_auroc(*pooled) == hist_auroc(*summed)
 
 
 class TestRocCurve:
     def test_shape_and_endpoints(self):
-        hist = _gauss_hist(np.random.default_rng(40), bins=128)
-        curve = roc_curve(hist)
+        curve = roc_curve(*_gauss_counts(np.random.default_rng(40), bins=128),
+                          GAUSS_DOMAIN)
         assert curve.thresholds.shape == (128,)
         assert curve.fpr.shape == (129,)
         assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
         assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
         assert np.all(np.diff(curve.thresholds) < 0)
+        assert curve.thresholds[-1] == -6.0
 
     def test_area_equals_hist_auroc_bitwise(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
-            hist = _gauss_hist(rng, n=500, bins=64)
-            curve = roc_curve(hist)
-            assert curve.auroc == hist_auroc(hist)
+            counts = _gauss_counts(rng, n=500, bins=64)
+            curve = roc_curve(*counts, GAUSS_DOMAIN)
+            assert curve.auroc == hist_auroc(*counts)
             area = float(np.trapezoid(curve.tpr, curve.fpr))
             assert abs(area - curve.auroc) <= 1e-12
 
     def test_perfect_separation_passes_through_corner(self):
-        hist = hist_new_range(0.0, 1.0, 16)
-        hist.counts_id[1] = 9
-        hist.counts_ood[14] = 4
-        curve = roc_curve(hist)
+        counts_id, counts_ood = np.zeros((2, 16), dtype=np.int64)
+        counts_id[1] = 9
+        counts_ood[14] = 4
+        curve = roc_curve(counts_id, counts_ood, (0.0, 1.0))
         corner = np.nonzero((curve.fpr == 0.0) & (curve.tpr == 1.0))[0]
         assert corner.size > 0
         assert curve.auroc == 1.0
 
     def test_identical_populations_track_the_diagonal(self):
-        hist = hist_new_range(0.0, 1.0, 16)
         counts = np.random.default_rng(42).integers(0, 9, size=16)
-        hist.counts_id += counts
-        hist.counts_ood += counts
-        curve = roc_curve(hist)
+        curve = roc_curve(counts, counts, (0.0, 1.0))
         np.testing.assert_array_equal(curve.fpr, curve.tpr)
         assert curve.auroc == 0.5
 
     def test_three_vs_two_fixture_binned_at_distinct_values(self):
         # Bins of width 0.05 isolate 0.1, 0.35, 0.4, and 0.8.
-        hist = hist_new_range(0.0, 1.0, 20)
-        hist_accumulate(hist, np.array([0.1, 0.4, 0.35]), "id")
-        hist_accumulate(hist, np.array([0.8, 0.4]), "ood")
-        curve = roc_curve(hist)
+        curve = roc_curve(hist_accumulate([0.1, 0.4, 0.35], (0.0, 1.0), 20),
+                          hist_accumulate([0.8, 0.4], (0.0, 1.0), 20), (0.0, 1.0))
         assert curve.auroc == 5.5 / 6
         area = float(np.trapezoid(curve.tpr, curve.fpr))
         assert abs(area - 5.5 / 6) <= 1e-12
-
-    def test_empty_population(self):
-        with pytest.raises(ValidationError):
-            roc_curve(hist_new_range(0.0, 1.0, 4))
 
     def test_curve_validation(self):
         with pytest.raises(ValidationError):
@@ -427,19 +403,35 @@ class TestRocCurve:
             RocCurve(np.array([0.5, 0.3, 0.2]), np.array([0.0, 0.6, 0.4, 1.0]),
                      np.array([0.0, 0.5, 0.8, 1.0]), 0.5)
 
+    @pytest.mark.parametrize("thresholds, fpr, tpr, auroc", [
+        ([0.5, 0.25], [0.0, np.nan, 1.0], [0.0, 0.75, 1.0], 0.5),
+        ([0.5, 0.25], [0.0, 0.5, 1.0], [0.0, np.nan, 1.0], 0.5),
+        ([np.nan, 0.25], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], 0.5),
+        ([np.inf, 0.25], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 0.5),
+        ([0.5, -np.inf], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 0.5),
+        ([0.5], [0.0, 1.0], [0.0, 1.0], np.nan),
+        ([0.5], [0.0, 1.0], [0.0, 1.0], np.inf),
+    ])
+    def test_non_finite_curve_values_are_refused(self, thresholds, fpr, tpr,
+                                                 auroc):
+        # A NaN passes every ordering and area comparison, so each would
+        # be accepted without the finite check.
+        with pytest.raises(ValidationError, match="^curve values must be finite$"):
+            RocCurve(np.array(thresholds), np.array(fpr), np.array(tpr), auroc)
+
 
 class TestOptimalThreshold:
     def test_matches_grid_search(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
-            curve = roc_curve(_gauss_hist(rng, n=400, bins=64))
+            curve = roc_curve(*_gauss_counts(rng, n=400, bins=64), GAUSS_DOMAIN)
             assert optimal_threshold(curve) == grid_search_threshold(curve)
 
     def test_gap_tie_break_returns_smallest_edge(self):
-        hist = hist_new_range(0.0, 1.0, 8)
-        hist.counts_id[0] = 5
-        hist.counts_ood[7] = 5
-        curve = roc_curve(hist)
+        counts_id, counts_ood = np.zeros((2, 8), dtype=np.int64)
+        counts_id[0] = 5
+        counts_ood[7] = 5
+        curve = roc_curve(counts_id, counts_ood, (0.0, 1.0))
         threshold, j = optimal_threshold(curve)
         assert j == 1.0
         # Every edge from bin 1 up has J = 1; the smallest is edge 1.
@@ -447,10 +439,8 @@ class TestOptimalThreshold:
         assert threshold == 0.0 + (1.0 - 0.0) / 8 * 1
 
     def test_identical_populations_return_smallest_threshold(self):
-        hist = hist_new_range(0.0, 1.0, 8)
-        hist.counts_id[3] = 4
-        hist.counts_ood[3] = 4
-        threshold, j = optimal_threshold(roc_curve(hist))
+        counts = _counts(0, 0, 0, 4, 0, 0, 0, 0)
+        threshold, j = optimal_threshold(roc_curve(counts, counts, (0.0, 1.0)))
         assert j == 0.0
         assert threshold == 0.0
 
@@ -470,10 +460,10 @@ class TestArgmaxLabels:
 
 class TestConfusion:
     def test_four_point_fixture(self):
-        matrix = confusion_accumulate(confusion_new(2), [1, 2, 2, 2],
-                                      [1, 1, 2, 2])
-        metrics = seg_metrics(matrix)
-        np.testing.assert_array_equal(matrix.counts, [[1, 1], [0, 2]])
+        counts, ignored = confusion_accumulate([1, 2, 2, 2], [1, 1, 2, 2], 2)
+        metrics = seg_metrics(counts)
+        assert counts.dtype == np.int64 and ignored == 0
+        np.testing.assert_array_equal(counts, [[1, 1], [0, 2]])
         assert metrics.per_class_iou[0] == 0.5
         assert metrics.per_class_iou[1] == 2 / 3
         assert metrics.mean_iou == 7 / 12
@@ -482,50 +472,61 @@ class TestConfusion:
     def test_identity_predictions(self):
         rng = np.random.default_rng(44)
         truth = rng.integers(1, 9, size=200)
-        metrics = seg_metrics(confusion_accumulate(confusion_new(8),
-                                                   truth, truth))
+        counts, _ = confusion_accumulate(truth, truth, 8)
+        metrics = seg_metrics(counts)
         defined = ~np.isnan(metrics.per_class_iou)
         assert np.all(metrics.per_class_iou[defined] == 1.0)
         assert metrics.mean_iou == 1.0
         assert metrics.accuracy == 1.0
 
     def test_truth_all_zero(self):
-        matrix = confusion_accumulate(confusion_new(3), [1, 2, 3], [0, 0, 0])
-        assert matrix.ignored == 3
-        assert matrix.total_counted == 0
-        with pytest.raises(ValidationError):
-            seg_metrics(matrix)
+        counts, ignored = confusion_accumulate([1, 2, 3], [0, 0, 0], 3)
+        assert ignored == 3
+        assert counts.sum() == 0
+        with pytest.raises(ValidationError, match="^no labeled points accumulated; "
+                                                  "metrics undefined$"):
+            seg_metrics(counts)
+
+    def test_no_points(self):
+        counts, ignored = confusion_accumulate([], [], 2)
+        assert counts.tolist() == [[0, 0], [0, 0]] and ignored == 0
 
     def test_label_range_errors_carry_index(self):
         with pytest.raises(ValidationError, match="index 1"):
-            confusion_accumulate(confusion_new(3), [1, 1], [2, 4])
+            confusion_accumulate([1, 1], [2, 4], 3)
         with pytest.raises(ValidationError, match="index 0"):
-            confusion_accumulate(confusion_new(3), [0, 1], [2, 2])
+            confusion_accumulate([0, 1], [2, 2], 3)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            confusion_accumulate(confusion_new(3), [1, 2], [1])
+        with pytest.raises(ValidationError,
+                           match="^2 predictions vs 1 truth labels$"):
+            confusion_accumulate([1, 2], [1], 3)
 
-    @pytest.mark.parametrize("n_classes, counts, ignored, message", [
-        (0, np.zeros((0, 0)), 0, "n_classes must be >= 1, got 0"),
-        (2, np.zeros((2, 3)), 0, r"counts must have shape \(2, 2\), got \(2, 3\)"),
-        (2, [[1, 0], [-1, 2]], 0, "confusion counts must be nonnegative"),
-        (2, np.zeros((2, 2)), -1, "ignored count must be nonnegative"),
+    def test_n_classes_must_be_positive(self):
+        for c in (0, -1):
+            with pytest.raises(ValidationError,
+                               match=f"^n_classes must be >= 1, got {c}$"):
+                confusion_accumulate([], [], c)
+
+    @pytest.mark.parametrize("counts, message", [
+        (np.zeros((2, 3)), r"counts must be a square matrix, got shape \(2, 3\)"),
+        (np.zeros(4), r"counts must be a square matrix, got shape \(4,\)"),
+        ([[1, 0], [-1, 2]], "confusion counts must be nonnegative"),
+        (np.zeros((0, 0)), "no labeled points accumulated; metrics undefined"),
     ])
-    def test_matrix_validation(self, n_classes, counts, ignored, message):
+    def test_seg_metrics_validation(self, counts, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            ConfusionMatrix(n_classes, counts, ignored)
+            seg_metrics(counts)
 
-    def test_merge_equals_single_pass(self):
+    def test_chunked_counts_add_up_to_the_single_pass(self):
         rng = np.random.default_rng(45)
         truth = rng.integers(0, 5, size=300)
         pred = rng.integers(1, 5, size=300)
-        single = confusion_accumulate(confusion_new(4), pred, truth)
-        parts = confusion_new(4)
-        for lo in range(0, 300, 50):
-            confusion_accumulate(parts, pred[lo:lo + 50], truth[lo:lo + 50])
-        np.testing.assert_array_equal(single.counts, parts.counts)
-        assert single.ignored == parts.ignored
+        single = confusion_accumulate(pred, truth, 4)
+        parts = [confusion_accumulate(pred[lo:lo + 50], truth[lo:lo + 50], 4)
+                 for lo in range(0, 300, 50)]
+        np.testing.assert_array_equal(sum(c for c, _ in parts), single[0])
+        assert sum(i for _, i in parts) == single[1]
 
     def test_matches_set_oracle(self):
         rng = np.random.default_rng(46)
@@ -535,21 +536,19 @@ class TestConfusion:
             pred = rng.integers(1, 9, size=n)
             if not (truth > 0).any():
                 truth[0] = 1
-            metrics = seg_metrics(confusion_accumulate(confusion_new(8),
-                                                       pred, truth))
+            metrics = seg_metrics(confusion_accumulate(pred, truth, 8)[0])
             iou, mean, acc = seg_oracle(pred, truth, 8)
             np.testing.assert_array_equal(metrics.per_class_iou, iou)
             assert metrics.mean_iou == mean
             assert metrics.accuracy == acc
 
     def test_absent_class_is_excluded_from_mean(self):
-        matrix = confusion_accumulate(confusion_new(3), [1, 2], [1, 2])
-        metrics = seg_metrics(matrix)
+        metrics = seg_metrics(confusion_accumulate([1, 2], [1, 2], 3)[0])
         assert np.isnan(metrics.per_class_iou[2])
         assert metrics.mean_iou == 1.0
 
 
-# Scores that tie often, fall outside the histogram domain [-1, 2], or both.
+# Scores that tie often, fall outside the domain [-1, 2], or both.
 _SCORES = st.one_of(st.floats(-1.5, 2.5, allow_nan=False),
                     st.integers(-2, 3).map(float))
 
@@ -565,34 +564,36 @@ def _partitioned(draw, elements, min_size=0):
 
 
 class TestPartitionProperties:
-    """Shard-and-merge invariance, and histogram AUROC bracketing the exact."""
+    """Counts of the parts of a partition add up to the counts of the whole,
+    and histogram AUROC brackets the exact."""
 
     @settings(deadline=None)
-    @given(_partitioned(_SCORES), _partitioned(_SCORES), st.integers(2, 16))
-    def test_hist_merge_is_partition_invariant(self, id_part, ood_part, bins):
-        single = hist_new_range(-1.0, 2.0, bins)
-        parts = [single]
-        for (values, chunks), population in ((id_part, "id"), (ood_part, "ood")):
-            hist_accumulate(single, values, population)
-            parts += [hist_accumulate(hist_new_range(-1.0, 2.0, bins),
-                                      values[a:b], population) for a, b in chunks]
-        merged = functools.reduce(hist_merge, parts[1:])
-        np.testing.assert_array_equal(merged.counts_id, single.counts_id)
-        np.testing.assert_array_equal(merged.counts_ood, single.counts_ood)
+    @given(_partitioned(_SCORES), st.integers(2, 16))
+    def test_hist_counts_are_additive(self, partitioned, bins):
+        values, chunks = partitioned
+        whole = hist_accumulate(values, (-1.0, 2.0), bins)
+        total = np.zeros(bins, dtype=np.int64)
+        for a, b in chunks:
+            total += hist_accumulate(values[a:b], (-1.0, 2.0), bins)
+        np.testing.assert_array_equal(total, whole)
+        assert whole.sum() == len(values)
 
     @settings(deadline=None)
     @given(st.integers(1, 5).flatmap(lambda c: st.tuples(
         st.just(c), _partitioned(st.tuples(st.integers(0, c), st.integers(1, c))))))
-    def test_confusion_is_partition_invariant(self, drawn):
+    def test_confusion_counts_are_additive(self, drawn):
         c, (pairs, chunks) = drawn
         truth = np.array([t for t, _ in pairs], dtype=np.int64)
         pred = np.array([p for _, p in pairs], dtype=np.int64)
-        single = confusion_accumulate(confusion_new(c), pred, truth)
-        sharded = confusion_new(c)
+        whole, whole_ignored = confusion_accumulate(pred, truth, c)
+        total, ignored = np.zeros((c, c), dtype=np.int64), 0
         for a, b in chunks:
-            confusion_accumulate(sharded, pred[a:b], truth[a:b])
-        np.testing.assert_array_equal(sharded.counts, single.counts)
-        assert sharded.ignored == single.ignored
+            counts, part_ignored = confusion_accumulate(pred[a:b], truth[a:b], c)
+            total += counts
+            ignored += part_ignored
+        np.testing.assert_array_equal(total, whole)
+        assert ignored == whole_ignored
+        assert whole.sum() + whole_ignored == len(pairs)
 
     @settings(deadline=None)
     @given(st.lists(_SCORES, min_size=1, max_size=60),
@@ -600,12 +601,12 @@ class TestPartitionProperties:
     def test_hist_auroc_within_the_bin_bound_of_exact(self, ids, oods, bins):
         # Binning is monotone, so only ID/OOD pairs sharing a bin can be
         # credited differently: 0.5 there, 0, 0.5 or 1 by the exact scores.
-        hist = hist_new_range(-1.0, 2.0, bins)
-        hist_accumulate(hist, ids, "id")
-        hist_accumulate(hist, oods, "ood")
-        shared = int(np.dot(hist.counts_id, hist.counts_ood))
+        counts_id = hist_accumulate(ids, (-1.0, 2.0), bins)
+        counts_ood = hist_accumulate(oods, (-1.0, 2.0), bins)
+        shared = int(np.dot(counts_id, counts_ood))
         bound = 0.5 * shared / (len(ids) * len(oods))
-        assert abs(hist_auroc(hist) - exact_auroc(ids, oods)) <= bound + 1e-12
+        got = hist_auroc(counts_id, counts_ood)
+        assert abs(got - exact_auroc(ids, oods)) <= bound + 1e-12
 
 
 class TestApplyThreshold:
@@ -652,7 +653,7 @@ class TestReportFormats:
             write_metrics_report([("", 1)], io.BytesIO())
 
     def test_roc_csv_round_trip_bitwise(self):
-        curve = roc_curve(_gauss_hist(np.random.default_rng(48), bins=32))
+        curve = roc_curve(*_gauss_counts(np.random.default_rng(48), bins=32), GAUSS_DOMAIN)
         sink = io.BytesIO()
         write_roc_csv(curve, sink, metadata=[("kind", "entropy"),
                                              ("youden_threshold", 1.25)])
@@ -669,7 +670,7 @@ class TestReportFormats:
         sink = io.BytesIO()
         write_metrics_report([("auroc", np.float64(0.5))], sink)
         assert sink.getvalue() == b"auroc=0.5\n"
-        curve = roc_curve(_gauss_hist(np.random.default_rng(48), bins=4))
+        curve = roc_curve(*_gauss_counts(np.random.default_rng(48), bins=4), GAUSS_DOMAIN)
         sink = io.BytesIO()
         write_roc_csv(curve, sink, metadata=[("youden_threshold", np.float64(0.25))])
         assert sink.getvalue().decode().splitlines()[-1] == "# youden_threshold=0.25"
@@ -726,12 +727,24 @@ class TestReportFormats:
     ])
     def test_roc_csv_writer_refuses_a_repeated_metadata_key(self, metadata, key):
         # read_roc_csv refuses such a file, so it is never written.
-        curve = roc_curve(_gauss_hist(np.random.default_rng(48), bins=4))
+        curve = roc_curve(*_gauss_counts(np.random.default_rng(48), bins=4), GAUSS_DOMAIN)
         sink = io.BytesIO()
         with pytest.raises(ValidationError,
                            match=f"^repeated metadata key: '{key}'$"):
             write_roc_csv(curve, sink, metadata)
         assert sink.getvalue() == b""
+
+    @pytest.mark.parametrize("rows", [
+        "0.5,nan,0.75\n0.25,1.0,1.0\n# auroc=0.5\n",
+        "0.5,0.5,nan\n0.25,1.0,1.0\n# auroc=0.5\n",
+        "nan,0.5,0.5\n0.25,1.0,1.0\n# auroc=0.5\n",
+        "inf,0.0,0.0\n0.5,1.0,1.0\n# auroc=0.5\n",
+        "0.5,1.0,1.0\n# auroc=nan\n",
+    ])
+    def test_roc_csv_refuses_non_finite_values(self, rows):
+        # Each of these files was read without error before the finite check.
+        with pytest.raises(ValidationError, match="^curve values must be finite$"):
+            read_roc_csv(io.BytesIO(f"threshold,fpr,tpr\n{rows}".encode()))
 
     def test_roc_csv_errors(self):
         with pytest.raises(ValidationError):

@@ -1,18 +1,23 @@
-"""Mutants of the golden PCOD tensors through every command that reads one.
+"""Mutants of the golden PCOD tensors, score CSVs and ROC CSV through every
+command that reads one.
 
-Each example takes a golden tensor and applies one to three drawn
-mutations: a bit flip, a truncation, an inserted or a deleted slice, a
-header field set to an edge value, or a float32 special value written over
-a drawn payload entry. The mutant then runs in process through `score`,
-`aggregate`, `auroc`, `roc`, `iou` and `map`. Whatever the mutant, each
+Each example takes a golden file and applies one to three drawn mutations:
+a bit flip, a truncation, an inserted or a deleted slice; for a tensor, a
+header field set to an edge value or a float32 special value written over
+a drawn payload entry; for a CSV, two lines swapped or a field replaced by
+a hostile token. A tensor mutant then runs in process through `score`,
+`aggregate`, `auroc`, `roc`, `iou` and `map`; a CSV mutant through
+`auroc` in both modes, `roc` and `map --roc`. Whatever the mutant, each
 run exits 0, 1 or 2. A failing run writes one stderr line of at most
-1 KiB, which names the mutant, and leaves no output or temp file. Every
-thread a run starts has ended when it returns, and no run raises a
-warning.
+1 KiB, which names the mutant, and leaves no output or temp file. The one
+message that names no file is a score pair's pooled range being wider
+than the largest double, which belongs to the pair. Every thread a run
+starts has ended when it returns, and no run raises a warning.
 """
 
 import contextlib
 import io
+import re
 import shutil
 import struct
 import tempfile
@@ -43,15 +48,34 @@ SPECIALS = (SIGNALLING_NAN, 0x7FC00001, 0x7F800000, 0xFF800000, 0x00000001,
             0x80000000, 0x3F800001)
 
 _POSITIONS = st.integers(0, 1 << 16)
-MUTATIONS = st.one_of(
+# Mutations of any file's bytes.
+_BYTE_MUTATIONS = (
     st.tuples(st.just("flip"), _POSITIONS, st.integers(0, 7)),
     st.tuples(st.just("truncate"), _POSITIONS, st.none()),
     st.tuples(st.just("insert"), _POSITIONS, st.binary(min_size=1, max_size=16)),
     st.tuples(st.just("delete"), _POSITIONS, st.integers(1, 64)),
+)
+MUTATIONS = st.one_of(
+    *_BYTE_MUTATIONS,
     st.tuples(st.just("field"), st.integers(0, len(HEADER_FIELDS) - 1),
               st.sampled_from(EDGE_VALUES)),
     st.tuples(st.just("special"), _POSITIONS, st.sampled_from(SPECIALS)),
 )
+
+
+# Lines of a CSV to swap, and tokens written over a field of one: NaN, a
+# decimal that overflows to inf, the largest doubles, the smallest
+# subnormal, a digit group Python's int and float accept, a byte that is no
+# UTF-8, and a lone carriage return.
+TOKENS = (b"nan", b"1e309", b"1.7976931348623157e308", b"-1.7976931348623157e308",
+          b"5e-324", b"1_0", b"\xff", b"\r")
+TEXT_MUTATIONS = st.one_of(
+    *_BYTE_MUTATIONS,
+    st.tuples(st.just("swap"), _POSITIONS, _POSITIONS),
+    st.tuples(st.just("token"), _POSITIONS, st.sampled_from(TOKENS)),
+)
+# The message of an error of a score pair, not of one of its files.
+PAIR_ERROR = re.compile(r"error: domain \[\S+, \S+\] is wider than the largest double\n")
 
 
 def mutate(blob: bytes, mutation) -> bytes:
@@ -79,6 +103,26 @@ def mutate(blob: bytes, mutation) -> bytes:
         else:  # delete
             del data[at:at + arg]
     return bytes(data)
+
+
+def mutate_text(blob: bytes, mutation) -> bytes:
+    """`blob` with one text mutation applied: two lines swapped, a field
+    (a run between commas and newlines) replaced by a token, or one of
+    `mutate`'s byte mutations. Line and field numbers wrap around."""
+    op, at, arg = mutation
+    if op == "swap":
+        lines = blob.splitlines(keepends=True)
+        if lines:
+            i, j = at % len(lines), arg % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        return b"".join(lines)
+    if op == "token":
+        fields = list(re.finditer(rb"[^,\n]+", blob))
+        if not fields:
+            return blob + arg
+        a, b = fields[at % len(fields)].span()
+        return blob[:a] + arg + blob[b:]
+    return mutate(blob, mutation)
 
 
 @pytest.fixture(scope="module")
@@ -124,32 +168,97 @@ def test_mutants_fail_cleanly(scenes, base, mutations):
     blob = base_path.read_bytes()
     for mutation in mutations:
         blob = mutate(blob, mutation)
+    check_mutant(root, blob, "mutant.pcod",
+                 lambda mutant, out: _runs(mutant, base_path, cloud, labels, out))
+
+
+def check_mutant(root, blob: bytes, filename: str, runs) -> dict:
+    """Write `blob` as `filename` in a new directory under `root`, run each
+    (name, argv, output) of runs(mutant, out) in process, and check the
+    contract of the module docstring; returns each run's exit code by name."""
     work = Path(tempfile.mkdtemp(dir=root))
     try:
-        mutant = work / "mutant.pcod"
+        mutant = work / filename
         mutant.write_bytes(blob)
         out = work / "out"
         out.mkdir()
-        for name, argv, output in _runs(mutant, base_path, cloud, labels, out):
-            threads = threading.active_count()
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()) as err:
-                warnings.simplefilter("always")
-                code = _args.main([str(a) for a in [*argv, "--out", output]])
-            assert threading.active_count() == threads, name
-            assert [str(w.message) for w in caught] == [], name
-            assert code in (0, 1, 2), name
-            left = sorted(p.name for p in out.iterdir())
-            if code == 0:
-                assert left == [output.name], name
-                output.unlink()
-                continue
-            text = err.getvalue()
-            assert left == [], name
-            assert text.count("\n") == 1 and text.endswith("\n"), name
-            assert len(text.encode()) <= 1024, name
-            prefix = "error" if code == 1 else "io error"
-            assert text.startswith(f"{prefix}: {mutant}: "), (name, text)
+        return _check_runs(mutant, out, runs(mutant, out))
     finally:
         shutil.rmtree(work)
+
+
+def _check_runs(mutant, out, runs) -> dict:
+    codes = {}
+    for name, argv, output in runs:
+        threads = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
+            code = codes[name] = _args.main([str(a) for a in [*argv, "--out", output]])
+        assert threading.active_count() == threads, name
+        assert [str(w.message) for w in caught] == [], name
+        assert code in (0, 1, 2), name
+        left = sorted(p.name for p in out.iterdir())
+        if code == 0:
+            assert left == [output.name], name
+            output.unlink()
+            continue
+        text = err.getvalue()
+        assert left == [], name
+        assert text.count("\n") == 1 and text.endswith("\n"), name
+        assert len(text.encode()) <= 1024, name
+        prefix = "error" if code == 1 else "io error"
+        assert text.startswith(f"{prefix}: {mutant}: ") or PAIR_ERROR.fullmatch(text), \
+            (name, text)
+    return codes
+
+
+CSV_BASES = ("id.csv", "ood.csv", "roc.csv")
+# Field 4 of the golden ROC CSV is the fpr of its first row.
+NAN_ROC_ROW = [("token", 4, b"nan")]
+
+
+def _csv_runs(mutant, base, bins, scenes, out):
+    """(name, argv, output) of each command that reads a score or ROC CSV,
+    the mutant in the role of the golden file `base`."""
+    _, found = scenes
+    pred, cloud, _ = found["prob_id.pcod"]
+    partner = GOLDEN / ("id.csv" if base == "ood.csv" else "ood.csv")
+    return [
+        ("auroc exact", ["auroc", "--id", mutant, "--ood", partner,
+                         "--mode", "exact"], out / "auroc.txt"),
+        ("auroc hist", ["auroc", "--id", mutant, "--ood", partner,
+                        "--mode", "hist", "--bins", bins], out / "auroc.txt"),
+        ("roc", ["roc", "--id", partner, "--ood", mutant, "--bins", bins],
+         out / "roc.csv"),
+        ("map --roc", ["map", "--points", cloud, "--pred", pred, "--roc", mutant],
+         out / "map.txt"),
+    ]
+
+
+def _check_csv_mutant(scenes, base, mutations, bins) -> dict:
+    blob = (GOLDEN / base).read_bytes()
+    for mutation in mutations:
+        blob = mutate_text(blob, mutation)
+    return check_mutant(scenes[0], blob, "mutant.csv",
+                        lambda mutant, out: _csv_runs(mutant, base, bins, scenes, out))
+
+
+@seed(20261022)
+@settings(max_examples=250, deadline=None, database=None)
+@given(base=st.sampled_from(CSV_BASES),
+       mutations=st.lists(TEXT_MUTATIONS, min_size=1, max_size=3),
+       bins=st.sampled_from((2, 64, 4096)))
+@example(base="roc.csv", mutations=NAN_ROC_ROW, bins=64)
+# Scores at both ends of the doubles: a pooled range no binning can divide.
+@example(base="id.csv", mutations=[("token", 4, TOKENS[2]), ("token", 6, TOKENS[3])],
+         bins=64)
+def test_csv_mutants_fail_cleanly(scenes, base, mutations, bins):
+    _check_csv_mutant(scenes, base, mutations, bins)
+
+
+def test_nan_roc_row_exits_1(scenes):
+    # Such a ROC CSV was once read, and its map written.
+    codes = _check_csv_mutant(scenes, "roc.csv", NAN_ROC_ROW, 64)
+    assert codes["map --roc"] == 1

@@ -15,7 +15,7 @@ from scipy.special import xlogy
 from pcodref import pcod_bytes
 from pcood import (ScoreKind, TensorKind, TensorStream,
                    ValidationError, exact_auroc, write_header,
-                   write_member, hist_accumulate, hist_auroc, hist_new_range,
+                   write_member, hist_accumulate, hist_auroc,
                    read_scores_csv, score_distribution, score_domain,
                    write_scores_csv)
 from pcood import scores
@@ -223,10 +223,9 @@ class TestValidatedTensorsScore:
                 values = score_distribution(probs, kind)
                 assert values.shape == (stream.n_points,)
                 assert np.isfinite(values).all()
-                hist = hist_new_range(*score_domain(kind, stream.n_classes))
-                hist_accumulate(hist, values, "id")
-                hist_accumulate(hist, values, "ood")
-                assert hist_auroc(hist) == 0.5
+                counts = hist_accumulate(values,
+                                         score_domain(kind, stream.n_classes))
+                assert hist_auroc(counts, counts) == 0.5
                 assert exact_auroc(values, values) == 0.5
 
 
