@@ -70,6 +70,9 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ValidationError("--k and --k-list exclude each other")
     if k_list is not None and any(k < 1 for k in k_list):
         raise ValidationError(f"--k-list entries must be >= 1, got {k_list}")
+    # A repeated k would repeat its report key.
+    if k_list is not None and len(set(k_list)) < len(k_list):
+        raise ValidationError(f"--k-list entries must be distinct, got {k_list}")
     bins = getattr(args, "bins", DEFAULT_BIN_COUNT)
     if bins < 2:
         raise ValidationError(f"--bins must be >= 2, got {bins}")

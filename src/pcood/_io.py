@@ -5,14 +5,17 @@ Streams are binary at every boundary of the package: readers take what
 and writers take binary sinks. ``read_rows`` is the one reader of row
 text: points, labels and score CSVs each give it a row spec, and it
 decodes their blocks. ``skip_header`` is the one header rule of CSVs.
+``atomic_outputs`` commits every output: a temp file opened with
+``open(f"{target}.{random hex}", "xb")`` beside each target, renamed over
+it once every writer succeeded.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import os
-import tempfile
 
 import numpy as np
 
@@ -152,34 +155,30 @@ def read_rows(blocks, out: np.ndarray, where: str, dtype: np.dtype,
 def atomic_outputs(paths):
     """Open one temp file per target path and rename all on success.
 
-    Targets are replaced only after every writer ran to completion, so a
-    failed run leaves the previous outputs untouched and no partial files
-    behind. Yields binary file objects in the order of ``paths``.
+    Each temp file is created exclusively beside its target, so it has a
+    new file's mode. Targets are replaced only after every writer ran to
+    completion, so a failed run leaves the previous outputs untouched and
+    no partial files behind. A directory target fails before any temp file
+    is made, and a temp file that cannot be made fails naming its target.
+    Yields binary file objects in the order of ``paths``.
     """
-    tmp_paths = []
+    for path in paths:
+        # os.replace would refuse it only after every output was written.
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     files = []
-    # mkstemp creates 0600 files; renamed outputs should honor the umask
-    # like any ordinary file creation would.
-    umask = os.umask(0)
-    os.umask(umask)
     try:
         for path in paths:
-            target_dir = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(
-                prefix=os.path.basename(path) + ".", dir=target_dir
-            )
-            os.fchmod(fd, 0o666 & ~umask)
-            tmp_paths.append(tmp)
-            files.append(os.fdopen(fd, "wb"))
+            try:
+                files.append(open(f"{path}.{os.urandom(6).hex()}", "xb"))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
         yield files
-        for f in files:
+        for f, path in zip(files, paths):
             f.close()
-        for tmp, path in zip(tmp_paths, paths):
-            os.replace(tmp, path)
+            os.replace(f.name, path)
     finally:
         for f in files:
-            if not f.closed:
-                f.close()
-        for tmp in tmp_paths:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            f.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(f.name)

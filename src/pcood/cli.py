@@ -31,10 +31,10 @@ from ._args import SCORE_KINDS, check_threshold, main
 from ._io import atomic_outputs, quoted
 from .errors import TruncatedStreamError, ValidationError
 from .evaluation import (EXACT_MODE_MAX_POINTS, TIE_RULE, apply_threshold,
-                         argmax_labels, confusion_accumulate, exact_auroc,
-                         hist_accumulate, hist_auroc, optimal_threshold,
-                         read_roc_csv, roc_curve, seg_metrics,
-                         write_metrics_report, write_roc_csv)
+                         argmax_labels, check_domain, confusion_accumulate,
+                         exact_auroc, hist_accumulate, hist_auroc,
+                         optimal_threshold, read_roc_csv, roc_curve,
+                         seg_metrics, write_metrics_report, write_roc_csv)
 from .pointcloud import parse_semantic3d, read_labels, write_idood_map
 from .predictive import (TENSOR_MAGIC, TensorKind, TensorStream, write_header,
                          write_member)
@@ -231,7 +231,8 @@ def _open_pair(files: contextlib.ExitStack, args: argparse.Namespace,
 
 def _pooled_range(id_scores: np.ndarray, ood_scores: np.ndarray):
     """The (lo, hi) range of both populations' scores, neither empty,
-    widened to an interval where every score is equal."""
+    widened to an interval where every score is equal. A range wider than
+    the largest double fails here, in every mode."""
     lo = float(min(id_scores.min(), ood_scores.min()))
     hi = float(max(id_scores.max(), ood_scores.max()))
     if not lo < hi:
@@ -243,7 +244,7 @@ def _pooled_range(id_scores: np.ndarray, ood_scores: np.ndarray):
             hi = math.nextafter(lo, math.inf)
             if math.isinf(hi):
                 lo, hi = math.nextafter(lo, -math.inf), lo
-    return lo, hi
+    return check_domain((lo, hi))
 
 
 def _open_scene(files: contextlib.ExitStack, args: argparse.Namespace,

@@ -66,10 +66,8 @@ def exact_auroc(id_scores, ood_scores) -> float:
     return double_u / (2 * ids.size * oods.size)
 
 
-def _domain(domain, bins: int) -> tuple[float, float]:
-    """The (lo, hi) floats of a binning of `bins` bins over `domain`."""
-    if bins < 2:
-        raise ValidationError(f"bin_count must be >= 2, got {bins}")
+def check_domain(domain) -> tuple[float, float]:
+    """The (lo, hi) floats of `domain`, an interval bins can be cut from."""
     lo, hi = (float(end) for end in domain)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValidationError(f"domain [{lo!r}, {hi!r}] is not an interval")
@@ -90,7 +88,9 @@ def hist_accumulate(scores, domain,
     of the parts of any partition of the scores add up to the counts of
     the whole, so sharded counts merge by ``+``.
     """
-    lo, hi = _domain(domain, bins)
+    if bins < 2:
+        raise ValidationError(f"bin_count must be >= 2, got {bins}")
+    lo, hi = check_domain(domain)
     values = np.asarray(scores, dtype=np.float64).ravel()
     if values.size and not np.isfinite(values).all():
         raise ValidationError("scores must be finite")
@@ -188,7 +188,7 @@ def roc_curve(counts_id, counts_ood, domain) -> RocCurve:
     tie-credited AUROC."""
     counts_id, counts_ood = _check_counts(counts_id, counts_ood)
     b = counts_id.size
-    lo, hi = _domain(domain, b)
+    lo, hi = check_domain(domain)
     width = (hi - lo) / b
     thresholds = lo + width * np.arange(b - 1, -1, -1, dtype=np.float64)
     # Each tail ends at its population's size.

@@ -79,7 +79,7 @@ def cases() -> list:
             "--out", "out.txt", "--k", "2", *workers)
         for name, (id_, ood) in (("prob", prob), ("logit", logit)):
             add(f"auroc-{name}-klist-w{w}", "auroc", "--id", id_, "--ood", ood,
-                "--out", "out.txt", "--k-list", "5,1,3,3,1", "--kind", "entropy",
+                "--out", "out.txt", "--k-list", "5,1,3", "--kind", "entropy",
                 *workers)
         add(f"roc-prob-k2-bins64-w{w}", "roc", "--id", prob[0], "--ood", prob[1],
             "--out", "out.csv", "--k", "2", "--bins", "64", *workers)
@@ -124,6 +124,8 @@ def cases() -> list:
         prob[0], "--threshold", "0.5", "--roc", "roc.csv", "--out", "out.txt")
     add("error-auroc-k-beyond-members", "auroc", "--id", prob[0], "--ood",
         prob[1], "--k-list", "1,6", "--out", "out.txt")
+    add("error-auroc-k-list-repeated", "auroc", "--id", prob[0], "--ood",
+        prob[1], "--k-list", "5,1,3,3,1", "--out", "out.txt")
     add("error-auroc-mixed-forms", "auroc", "--id", prob[0], "--ood", csv[1],
         "--out", "out.txt")
     add("error-roc-k-for-csv", "roc", "--id", csv[0], "--ood", csv[1],
@@ -132,6 +134,11 @@ def cases() -> list:
         "--out", "out.csv")
     add("error-score-workers-zero", "score", "--in", prob[0], "--out", "out.csv",
         "--workers", "0")
+    add("error-output-dir-missing", "score", "--in", prob[0],
+        "--out", "nodir/out.csv")
+    # "." is the run's own directory; the ID output must not be written.
+    add("error-output-is-a-directory", "synth", "scores", "--n-id", "3",
+        "--n-ood", "3", "--out-id", "sid.csv", "--out-ood", ".")
     add("error-usage-unknown-kind", "score", "--in", prob[0], "--out", "out.csv",
         "--kind", "energy")
     add("subprocess-auroc-prob-klist", "auroc", "--id", prob[0], "--ood", prob[1],

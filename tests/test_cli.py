@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import shutil
+import stat
 import struct
 import subprocess
 import sys
@@ -80,7 +81,7 @@ _NUMPY_FREE_CASES = [
     if case["name"].startswith("help-") or case["name"] in (
         "error-usage-unknown-kind", "error-score-workers-zero",
         "error-map-threshold-nan", "error-map-threshold-inf",
-        "error-map-both-sources")]
+        "error-map-both-sources", "error-auroc-k-list-repeated")]
 
 
 # Every path flag of each subcommand, in the order its parser adds them,
@@ -190,7 +191,8 @@ class TestExitCodes:
                    "--out", tmp_path / "r.txt") == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
-    @pytest.mark.parametrize("argv", [["roc"], ["auroc", "--mode", "hist"]])
+    @pytest.mark.parametrize("argv", [["roc"], ["auroc", "--mode", "hist"],
+                                      ["auroc", "--mode", "exact"]])
     def test_score_range_wider_than_a_double_is_rejected(self, tmp_path, capsys,
                                                          argv):
         # The pooled range [-1e308, 1e308] is finite, but its width is not.
@@ -408,6 +410,63 @@ class TestExitCodes:
             proc = subprocess.run([installed, "--help"], capture_output=True,
                                   text=True, env=env)
             assert proc.returncode == 0
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_outputs_have_a_new_files_mode(self, tmp_path, tensor_pair, umask):
+        id_path, _, _, _ = tensor_pair
+        outs = [tmp_path / "s.csv", tmp_path / "a.csv", tmp_path / "b.csv"]
+        saved = os.umask(umask)
+        try:
+            assert run("score", "--in", id_path, "--out", outs[0]) == 0
+            assert run("synth", "scores", "--n-id", 3, "--n-ood", 3,
+                       "--out-id", outs[1], "--out-ood", outs[2]) == 0
+        finally:
+            os.umask(saved)
+        for out in outs:
+            assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_a_directory_target_is_refused_before_any_output_is_written(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "somedir").mkdir()
+        (tmp_path / "a.csv").write_bytes(b"old")
+        assert run("synth", "scores", "--n-id", 3, "--n-ood", 3,
+                   "--out-id", "a.csv", "--out-ood", "somedir") == 2
+        assert capsys.readouterr().err == \
+            "io error: [Errno 21] Is a directory: 'somedir'\n"
+        assert (tmp_path / "a.csv").read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "somedir"]
+        assert list((tmp_path / "somedir").iterdir()) == []
+
+    def test_the_working_directory_as_target_leaves_its_parent_alone(
+            self, tmp_path, tensor_pair, monkeypatch, capsys):
+        id_path, _, _, _ = tensor_pair
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = sorted(tmp_path.iterdir())
+        assert run("score", "--in", id_path, "--out", ".") == 2
+        assert capsys.readouterr().err == \
+            "io error: [Errno 21] Is a directory: '.'\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, target", [
+        (["score", "--in", "id.pcod", "--out", "nodir/s.csv"], "nodir/s.csv"),
+        # The first output's temp file is made, then removed.
+        (["synth", "scores", "--n-id", 3, "--n-ood", 3, "--out-id", "a.csv",
+          "--out-ood", "nodir/b.csv"], "nodir/b.csv"),
+    ])
+    def test_an_output_in_a_missing_directory_is_named_as_given(
+            self, tmp_path, tensor_pair, monkeypatch, capsys, argv, target):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == \
+            f"io error: [Errno 2] No such file or directory: {target!r}\n"
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestProcessStart:
@@ -893,7 +952,8 @@ class TestAggregateAndScore:
         assert capsys.readouterr().err == (
             f"error: {out}: member 0 point 0: probability row sums to "
             f"1.0000100135803223\n")
-        assert not out.exists()
+        # No temp file is left beside the output either.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "two.pcod"]
 
     def test_score_matches_library(self, tmp_path, tensor_pair):
         id_path, _, id_blob, _ = tensor_pair
@@ -1906,21 +1966,32 @@ def test_bad_row_message_prints_plain_floats(tmp_path, capsys):
 
 
 class TestStreamedTensors:
-    def test_k_list_rows_follow_argv_with_duplicates(self, tmp_path, tensor_pair):
+    def test_k_list_rows_follow_argv(self, tmp_path, tensor_pair):
         id_path, ood_path, _, _ = tensor_pair
         out = tmp_path / "sweep.txt"
         assert run("auroc", "--id", id_path, "--ood", ood_path, "--out", out,
-                   "--k-list", "3,1,3,2", "--mode", "hist") == 0
+                   "--k-list", "3,1,2", "--mode", "hist") == 0
         rows = [line for line in out.read_text().splitlines()
                 if line.startswith("auroc_k")]
         assert [line.partition("=")[0] for line in rows] == \
-            ["auroc_k3", "auroc_k1", "auroc_k3", "auroc_k2"]
+            ["auroc_k3", "auroc_k1", "auroc_k2"]
         for line in rows:
             key, _, value = line.partition("=")
             single = tmp_path / f"{key}.txt"
             assert run("auroc", "--id", id_path, "--ood", ood_path, "--out",
                        single, "--k", key[len("auroc_k"):], "--mode", "hist") == 0
             assert _read_report(single)[key] == value
+
+    def test_repeated_k_list_entry_is_a_usage_error(self, tmp_path,
+                                                    tensor_pair, capsys):
+        # A repeated k would write its report key twice.
+        id_path, ood_path, _, _ = tensor_pair
+        out = tmp_path / "sweep.txt"
+        assert run("auroc", "--id", id_path, "--ood", ood_path, "--out", out,
+                   "--k-list", "3,1,3,2") == 1
+        assert capsys.readouterr().err == \
+            "error: --k-list entries must be distinct, got (3, 1, 3, 2)\n"
+        assert not out.exists()
 
     def test_report_digests_are_the_file_digests(self, tmp_path, tensor_pair):
         id_path, ood_path, _, _ = tensor_pair
