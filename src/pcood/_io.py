@@ -155,11 +155,11 @@ def read_rows(blocks, out: np.ndarray, where: str, dtype: np.dtype,
 def atomic_outputs(paths):
     """Open one temp file per target path and rename all on success.
 
-    Each temp file is created exclusively beside its target, so it has a
-    new file's mode. Targets are replaced only after every writer ran to
-    completion, so a failed run leaves the previous outputs untouched and
-    no partial files behind. A directory target fails before any temp file
-    is made, and a temp file that cannot be made fails naming its target.
+    Each temp file is created exclusively beside its target, with a new
+    file's mode. Targets are replaced only once every writer ran and every
+    temp file closed, so a failed run leaves the previous outputs untouched
+    and no partial files behind. A directory target, or a temp file that
+    cannot be made, fails naming its target before any output is replaced.
     Yields binary file objects in the order of ``paths``.
     """
     for path in paths:
@@ -174,11 +174,14 @@ def atomic_outputs(paths):
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
         yield files
-        for f, path in zip(files, paths):
+        for f in files:
             f.close()
+        for f, path in zip(files, paths):
             os.replace(f.name, path)
     finally:
         for f in files:
-            f.close()
+            # A failed flush must not keep the temp files from going.
+            with contextlib.suppress(OSError):
+                f.close()
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(f.name)

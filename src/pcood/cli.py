@@ -193,7 +193,7 @@ def _open_pair(files: contextlib.ExitStack, args: argparse.Namespace,
     hashed) entries for `_provenance`; the (lo, hi) range the pair is
     binned over, the `kind` domain of a tensor pair's class count or a
     score CSV pair's pooled range; the report's ks, in order; and
-    (k, id_scores, ood_scores) at each distinct k, scored by one `_per_k`
+    (k, id_scores, ood_scores) at each k, scored by one `_per_k`
     pass as it is iterated inside `files`. A score CSV pair has ks [None]
     and its one entry at k None. An empty population fails here, named by
     its path, before any tensor pass.
@@ -278,7 +278,8 @@ def _k(args: argparse.Namespace, stream) -> int:
 
 
 def _per_k(streams, ks, workers: int, fn):
-    """Yield (k, [fn of each stream's k-member mean]) at each distinct k.
+    """Yield (k, [fn of each stream's k-member mean]) at each k, in
+    ascending order; the argument checks keep the ks distinct.
 
     `streams` holds (path, TensorStream) pairs, read in step in one pass;
     an input error met on the way is named by its path. fn runs on the
@@ -292,7 +293,7 @@ def _per_k(streams, ks, workers: int, fn):
     for path, stream in streams:
         with _named(path):
             passes.append((path, stream.sums(ks)))
-    for k in sorted(set(ks)):
+    for k in sorted(ks):
         results = []
         for path, sums in passes:
             with _named(path):

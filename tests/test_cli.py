@@ -8,6 +8,7 @@ and rerun idempotence are asserted on actual output bytes.
 
 import concurrent.futures
 import contextlib
+import errno
 import hashlib
 import io
 import itertools
@@ -39,6 +40,7 @@ from pcood import (ScoreKind, TensorKind, TensorStream, ValidationError,
                    read_scores_csv, score_distribution, score_domain,
                    write_member)
 from pcood import _args, cli, synth
+from pcood._io import atomic_outputs
 from pcood.cli import main
 
 
@@ -467,6 +469,36 @@ class TestOutputFiles:
         assert capsys.readouterr().err == \
             f"io error: [Errno 2] No such file or directory: {target!r}\n"
         assert sorted(tmp_path.iterdir()) == before
+
+
+    @pytest.mark.parametrize("failing", ["a.csv", "b.csv"])
+    @pytest.mark.parametrize("writer_fails", [False, True])
+    def test_a_failed_flush_replaces_no_output(self, tmp_path, failing,
+                                               writer_fails):
+        # The failing sink buffers its bytes and raises ENOSPC when close
+        # flushes them, as a full disk does.
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def sink(name, mode):
+            if os.path.basename(name).startswith(failing + "."):
+                return io.BufferedWriter(FullDisk(name, "x"))
+            return open(name, mode)
+
+        targets = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for target in targets:
+            target.write_bytes(b"old")
+        expected = ValueError if writer_fails else OSError
+        with mock.patch("pcood._io.open", sink, create=True), \
+                pytest.raises(expected):
+            with atomic_outputs([str(t) for t in targets]) as files:
+                for f in files:
+                    f.write(b"new")
+                if writer_fails:
+                    raise ValueError("writer")
+        assert [t.read_bytes() for t in targets] == [b"old", b"old"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
 
 class TestProcessStart:
